@@ -88,7 +88,8 @@ func cmdCoord(args []string, stdout, stderr io.Writer) error {
 // submits an initial campaign, `flit coord submit` adds more while it
 // runs, and a directory with a journal resumes every campaign in it —
 // crash recovery is just restarting with the same -dir. A v1
-// (single-campaign) journal from an older build migrates in place.
+// (single-campaign) journal from an older build is refused; resubmit its
+// campaign.
 func cmdCoordServe(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("coord serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)

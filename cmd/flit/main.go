@@ -96,11 +96,11 @@
 // unstamped, so duplicate or late uploads carry identical bytes and are
 // accepted idempotently. The coordinator journals its state atomically
 // before every acknowledgment; restarting it with the same -dir resumes
-// every campaign exactly (an older single-campaign journal migrates in
-// place). The same mux serves the object-store protocol, so workers
-// write runs through to the coordinator's shared store and a re-leased
-// shard replays its predecessor's finished cells as warm hits — across
-// campaigns too, because store keys are injective over the same
+// every campaign exactly (an older single-campaign journal is refused:
+// resubmit its campaign). The same mux serves the object-store
+// protocol, so workers write runs through to the coordinator's shared
+// store and a re-leased shard replays its predecessor's finished cells
+// as warm hits — across campaigns too, because store keys are injective over the same
 // coordinates that name a campaign. On each campaign's final completion
 // the coordinator validates its artifact set server-side;
 // -exit-when-done exits 0 once every submitted campaign has. `flit
@@ -256,7 +256,8 @@ from engine, command, and shard count) and leases their shard indices to
 leases: a crashed or stalled worker's shard is re-leased, duplicate or
 late completions are accepted idempotently (artifacts are deterministic),
 and the journaled coordinator resumes every campaign exactly after a
-restart with the same -dir (older single-campaign journals migrate).
+restart with the same -dir (older single-campaign v1 journals are
+refused: resubmit their campaigns).
 "flit coord submit" registers campaigns while it runs (idempotent by
 spec); workers drain one campaign, then pick up the next. "flit coord
 status" renders the fleet view (or one campaign's leases with -campaign)

@@ -22,13 +22,12 @@ func main() {
 		"output is byte-identical at every -j — the speculative bisect engine "+
 		"commits only what the sequential algorithm would have chosen)")
 	flag.Parse()
-	experiments.SetParallelism(*j)
-	if err := run(os.Stdout); err != nil {
+	if err := run(os.Stdout, experiments.NewEngine(*j)); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(w io.Writer) error {
+func run(w io.Writer, eng *experiments.Engine) error {
 	// The motivating example: xlc++ -O2 -> -O3.
 	mo, err := experiments.RunMotivation()
 	if err != nil {
@@ -41,7 +40,7 @@ func run(w io.Writer) error {
 		100*mo.RelDiff, mo.SpeedupFactor)
 
 	// The public-branch NaN bug.
-	nan, err := experiments.RunNaNBug()
+	nan, err := eng.RunNaNBug()
 	if err != nil {
 		return err
 	}
@@ -52,7 +51,7 @@ func run(w io.Writer) error {
 
 	// Table 4: digit-limited bisect against three baselines.
 	fmt.Fprintln(w, "\nTable 4 — Bisect statistics (files/funcs/runs for k = 1, 2, all):")
-	rows, err := experiments.Table4()
+	rows, err := eng.Table4()
 	if err != nil {
 		return err
 	}

@@ -3,13 +3,15 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestLaghosBisectSmoke replays the Laghos case study: the motivating
 // incident, the NaN-bug re-discovery, Table 4, and the epsilon fix.
 func TestLaghosBisectSmoke(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b); err != nil {
+	if err := run(&b, experiments.NewEngine(0)); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

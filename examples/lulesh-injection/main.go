@@ -1,8 +1,8 @@
 // lulesh-injection reproduces the paper's §3.5 controlled-injection study
 // on a sampled site set: plant x OP' ε perturbations at static FP
 // instructions of the mini-LULESH proxy, ask FLiT Bisect to find them, and
-// score precision/recall. Run `flit experiments table5` (or the
-// BenchmarkTable5Injection bench) for the full 4,376-run campaign.
+// score precision/recall. Run `flit experiments table5` for the full
+// 4,376-run campaign.
 package main
 
 import (
@@ -18,18 +18,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Stdout); err != nil {
+	if err := run(os.Stdout, experiments.NewEngine(0)); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(w io.Writer) error {
+func run(w io.Writer, eng *experiments.Engine) error {
 	sites := inject.EnumerateSites(lulesh.Program())
 	fmt.Fprintf(w, "enumerated %d injection sites (paper: 1,094); %d total runs with 4 OP' each\n",
 		len(sites), len(sites)*4)
 
 	// A couple of illustrative single injections first.
-	study := experiments.LULESHStudy()
+	study := eng.LULESHStudy()
 	for _, probe := range []struct {
 		site inject.Site
 		op   fp.InjectOp
@@ -49,7 +49,7 @@ func run(w io.Writer) error {
 
 	// Sampled campaign: every 7th site x 4 operations.
 	fmt.Fprintln(w, "\nsampled campaign (every 7th site):")
-	sum, err := experiments.Table5(7)
+	sum, err := eng.Table5(7)
 	if err != nil {
 		return err
 	}

@@ -3,13 +3,15 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestLULESHInjectionSmoke replays the §3.5 injection study on the sampled
 // site set: the three illustrative probes and the campaign summary.
 func TestLULESHInjectionSmoke(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b); err != nil {
+	if err := run(&b, experiments.NewEngine(0)); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

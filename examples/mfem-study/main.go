@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Stdout, experiments.Default()); err != nil {
+	if err := run(os.Stdout, experiments.NewEngine(0)); err != nil {
 		log.Fatal(err)
 	}
 }

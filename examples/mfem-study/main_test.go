@@ -15,7 +15,7 @@ import (
 // Figures 5 and 6, and the Finding 2 bisect must all render.
 func TestMFEMStudySmoke(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, experiments.Default()); err != nil {
+	if err := run(&b, experiments.NewEngine(0)); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

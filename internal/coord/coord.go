@@ -52,9 +52,8 @@ import (
 
 // JournalVersion is the on-disk format version of the coordinator
 // journal. Version 3 adds failure containment (per-shard attempt
-// counts, failure reports, quarantine); version 2 (multi-tenant, PR 9)
-// and version 1 (one campaign per coordinator, PR 8) migrate on
-// recovery.
+// counts, failure reports, quarantine); version 2 (multi-tenant) migrates
+// on recovery, and version 1 (one campaign per coordinator) is refused.
 const JournalVersion = 3
 
 // journalName is the journal file at the root of a coordinator directory.
@@ -110,8 +109,7 @@ type Spec struct {
 // ID is injective over exactly the coordinates that make two shard
 // artifacts interchangeable. The derivation is deterministic across
 // processes — submitting the same spec twice names the same campaign
-// (submission is idempotent), and a v1 journal migrates to the ID its
-// campaign would have been submitted under.
+// (submission is idempotent).
 func CampaignID(spec Spec) string {
 	h := sha256.New()
 	io.WriteString(h, spec.Engine)
@@ -356,9 +354,8 @@ type Coordinator struct {
 // fresh directory starts empty — campaigns arrive through Submit. A
 // directory holding a journal resumes every campaign in it exactly:
 // done shards stay done, acknowledged leases keep their IDs. A journal
-// from a different engine version or a newer journal format refuses to
-// open; a version-1 (single-campaign) journal migrates to the
-// multi-tenant format in place.
+// from a different engine version, a newer journal format, or the
+// version-1 (single-campaign) format refuses to open.
 func New(dir string, opts Options) (*Coordinator, error) {
 	opts.withDefaults()
 	if err := os.MkdirAll(filepath.Join(dir, artifactsDir), 0o755); err != nil {

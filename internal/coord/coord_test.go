@@ -148,19 +148,29 @@ func mergedOutput(t *testing.T, c *coord.Coordinator, id string, command []strin
 // corruption, foreign fences) aimed at coordination and object traffic
 // alike, at j∈{1,8}. Each campaign's merged artifact set must replay
 // byte-identical to its own unsharded run: cross-campaign isolation is
-// exactly the claim the shared-store safety story makes.
+// exactly the claim the shared-store safety story makes. The healthy case
+// runs the same tenancy with no fault script: a clean loopback fleet must
+// finish with zero re-leases, zero failure reports and zero quarantined
+// shards — the containment paths cost nothing when nothing fails.
 func TestCampaignsConvergeUnderFaults(t *testing.T) {
-	for _, j := range []int{1, 8} {
-		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		j      int
+		faults bool
+	}{{"j1", 1, true}, {"j8", 8, true}, {"healthy-j2", 2, false}} {
+		j := tc.j
+		t.Run(tc.name, func(t *testing.T) {
 			want1 := unshardedOutput(t, campaignCommand, j)
 			want2 := unshardedOutput(t, secondCommand, j)
 			c, ids := newCoord(t, coord.Options{LeaseTTL: 2 * time.Second},
 				coord.Spec{Command: campaignCommand, Shards: 4},
 				coord.Spec{Command: secondCommand, Shards: 2})
 			srv, flaky := serveCampaign(t, c)
-			flaky.Push(storetest.Err503, storetest.Pass, storetest.Stall, storetest.Pass,
-				storetest.Truncate, storetest.Corrupt, storetest.Pass, storetest.Err503,
-				storetest.WrongEngine, storetest.Pass, storetest.Err503)
+			if tc.faults {
+				flaky.Push(storetest.Err503, storetest.Pass, storetest.Stall, storetest.Pass,
+					storetest.Truncate, storetest.Corrupt, storetest.Pass, storetest.Err503,
+					storetest.WrongEngine, storetest.Pass, storetest.Err503)
+			}
 
 			var wg sync.WaitGroup
 			errs := make([]error, 2)
@@ -200,6 +210,10 @@ func TestCampaignsConvergeUnderFaults(t *testing.T) {
 				if got := mergedOutput(t, c, ids[i], command, j); got != want {
 					t.Errorf("j=%d: campaign %s merged output differs from its unsharded run", j, ids[i])
 				}
+			}
+			if !tc.faults && (c.Releases() != 0 || c.FailReports() != 0 || c.QuarantinedShards() != 0) {
+				t.Errorf("healthy fleet recorded %d re-leases, %d failure reports, %d quarantined shards, want 0/0/0",
+					c.Releases(), c.FailReports(), c.QuarantinedShards())
 			}
 		})
 	}

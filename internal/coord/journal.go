@@ -26,10 +26,7 @@ import (
 // v3 journal with every new field zero, so the v2→v3 migration is a pure
 // in-place re-stamp: decode, rewrite atomically under version 3, done —
 // crash-tolerant because no file ever moves. Version 1 (one campaign per
-// coordinator, PR 8) still migrates on recovery: the campaign is wrapped
-// in the multi-tenant envelope under the ID its spec would be submitted
-// under today, and its artifacts move from the flat artifacts/ root into
-// the per-campaign directory that ID names.
+// coordinator) is refused: its campaign must be resubmitted.
 
 // journalShard is one shard's persisted state.
 type journalShard struct {
@@ -53,20 +50,11 @@ type journalCampaign struct {
 	Shards      []journalShard `json:"shards"`
 }
 
-// journalFile is the persisted v2 coordinator snapshot.
+// journalFile is the persisted coordinator snapshot.
 type journalFile struct {
 	Version   int               `json:"version"`
 	Engine    string            `json:"engine"`
 	Campaigns []journalCampaign `json:"campaigns"`
-}
-
-// journalFileV1 is the PR 8 single-campaign snapshot, read only to migrate.
-type journalFileV1 struct {
-	Version  int            `json:"version"`
-	Spec     Spec           `json:"spec"`
-	Seq      int64          `json:"seq"`
-	Releases int64          `json:"releases"`
-	Shards   []journalShard `json:"shards"`
 }
 
 // journalLocked atomically persists the current state. Callers hold mu.
@@ -101,11 +89,11 @@ func (c *Coordinator) journalLocked() error {
 	return nil
 }
 
-// recover rebuilds the tenancy from a journal's bytes. A v1 journal is
-// migrated in place; a newer version refuses (it may record state this
-// build cannot schedule faithfully), as does a journal fenced to a
-// different engine — its artifacts are not interchangeable with anything
-// this build would run.
+// recover rebuilds the tenancy from a journal's bytes. A v2 journal is
+// re-stamped in place; a v1 journal refuses (its single campaign must be
+// resubmitted), as does a newer version (it may record state this build
+// cannot schedule faithfully) and a journal fenced to a different engine —
+// its artifacts are not interchangeable with anything this build would run.
 func (c *Coordinator) recover(raw []byte) error {
 	var probe struct {
 		Version int `json:"version"`
@@ -132,13 +120,10 @@ func (c *Coordinator) recover(raw []byte) error {
 		}
 		restamp = probe.Version != JournalVersion
 	case 1:
-		migrated, err := c.migrateV1(raw)
-		if err != nil {
-			return err
-		}
-		jf = migrated
+		return fmt.Errorf("coord: %s holds a v1 single-campaign journal, which this build no longer reads — resubmit its campaign into a fresh -dir",
+			c.dir)
 	default:
-		return fmt.Errorf("coord: journal format v%d, this build reads v1-v%d", probe.Version, JournalVersion)
+		return fmt.Errorf("coord: journal format v%d, this build reads v2-v%d", probe.Version, JournalVersion)
 	}
 	for _, jc := range jf.Campaigns {
 		if jc.Spec.Shards < 1 || len(jc.Shards) != jc.Spec.Shards {
@@ -199,64 +184,10 @@ func (c *Coordinator) recover(raw []byte) error {
 	}
 	if restamp {
 		// Rewrite the freshly validated tenancy under the current journal
-		// version so migration runs at most once. The v1 path rewrites
-		// inside migrateV1 (it also moves artifacts); the v2 path lands
-		// here.
+		// version so migration runs at most once.
 		if err := c.journalLocked(); err != nil {
 			return fmt.Errorf("coord: re-stamping migrated journal: %w", err)
 		}
 	}
 	return nil
-}
-
-// migrateV1 lifts a PR 8 single-campaign journal into the v2 tenancy.
-// The campaign keeps everything — done shards stay done, live lease IDs
-// keep working, the straggler counter carries over — and gains the ID
-// its spec would be submitted under today. Its artifacts move from the
-// flat artifacts/ root into artifacts/<id>/, and the v2 journal is
-// written before this returns, so migration runs at most once.
-func (c *Coordinator) migrateV1(raw []byte) (journalFile, error) {
-	var v1 journalFileV1
-	if err := json.Unmarshal(raw, &v1); err != nil {
-		return journalFile{}, fmt.Errorf("coord: parsing v1 journal: %w", err)
-	}
-	if v1.Spec.Engine != c.engine {
-		return journalFile{}, fmt.Errorf("coord: journaled campaign is engine %q, this build is %q: results are not interchangeable",
-			v1.Spec.Engine, c.engine)
-	}
-	if v1.Spec.Shards < 1 || len(v1.Shards) != v1.Spec.Shards {
-		return journalFile{}, fmt.Errorf("coord: journal declares %d shards but records %d", v1.Spec.Shards, len(v1.Shards))
-	}
-	id := CampaignID(v1.Spec)
-	if err := os.MkdirAll(c.ArtifactDir(id), 0o755); err != nil {
-		return journalFile{}, fmt.Errorf("coord: migrating journal: %w", err)
-	}
-	for i := range v1.Shards {
-		js := &v1.Shards[i]
-		if !js.Done || js.Artifact == "" {
-			continue
-		}
-		src := filepath.Join(c.dir, artifactsDir, js.Artifact)
-		dst := filepath.Join(c.ArtifactDir(id), js.Artifact)
-		if err := os.Rename(src, dst); err != nil {
-			// A previous migration attempt may have moved this file and then
-			// crashed before the v2 journal landed; the file already being in
-			// place is success, not failure.
-			if _, statErr := os.Stat(dst); statErr == nil && os.IsNotExist(err) {
-				continue
-			}
-			return journalFile{}, fmt.Errorf("coord: migrating shard %d artifact: %w", i, err)
-		}
-	}
-	jf := journalFile{Version: JournalVersion, Engine: c.engine,
-		Campaigns: []journalCampaign{{ID: id, Spec: v1.Spec, Seq: v1.Seq,
-			Releases: v1.Releases, Shards: v1.Shards}}}
-	buf, err := json.Marshal(jf)
-	if err != nil {
-		return journalFile{}, fmt.Errorf("coord: encoding migrated journal: %w", err)
-	}
-	if err := store.WriteFileAtomic(filepath.Join(c.dir, journalName), buf); err != nil {
-		return journalFile{}, fmt.Errorf("coord: writing migrated journal: %w", err)
-	}
-	return jf, nil
 }

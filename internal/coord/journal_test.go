@@ -19,169 +19,10 @@ import (
 	"repro/internal/flit"
 )
 
-// v1Journal is the exact PR 8 single-campaign journal shape, written by
-// hand because the current build only reads it.
-type v1Journal struct {
-	Version  int      `json:"version"`
-	Spec     v1Spec   `json:"spec"`
-	Seq      int64    `json:"seq"`
-	Releases int64    `json:"releases"`
-	Shards   []v1Shrd `json:"shards"`
-}
-
-type v1Spec struct {
-	Engine  string   `json:"engine"`
-	Command []string `json:"command"`
-	Shards  int      `json:"shards"`
-}
-
-type v1Shrd struct {
-	Done         bool   `json:"done,omitempty"`
-	Artifact     string `json:"artifact,omitempty"`
-	LeaseID      string `json:"lease_id,omitempty"`
-	Worker       string `json:"worker,omitempty"`
-	ExpiryUnixMS int64  `json:"expiry_unix_ms,omitempty"`
-}
-
-// writeV1Dir lays out a PR 8 coordinator directory: flat artifacts/ with
-// shard 0 completed (a real artifact), shard 1 under a live lease.
-func writeV1Dir(t *testing.T, engine string) (dir string, art0 []byte) {
-	t.Helper()
-	dir = t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "artifacts"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	art0, err := experiments.RunShard(campaignCommand, exec.Shard{Index: 0, Count: 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "artifacts", "shard-0.json"), art0, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j := v1Journal{
-		Version:  1,
-		Spec:     v1Spec{Engine: engine, Command: campaignCommand, Shards: 2},
-		Seq:      7,
-		Releases: 3,
-		Shards: []v1Shrd{
-			{Done: true, Artifact: "shard-0.json"},
-			{LeaseID: "L7", Worker: "w-old", ExpiryUnixMS: time.Now().Add(time.Hour).UnixMilli()},
-		},
-	}
-	raw, err := json.Marshal(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "coord.json"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return dir, art0
-}
-
-// TestJournalV1Migration: a PR 8 single-campaign coord.json resumes as a
-// one-campaign tenancy byte-compatibly — done shards stay done (their
-// artifact files move into the per-campaign directory), live lease IDs
-// keep working, and the straggler counter carries over.
-func TestJournalV1Migration(t *testing.T) {
-	dir, _ := writeV1Dir(t, flit.EngineVersion)
-	c, err := coord.New(dir, coord.Options{LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatalf("migrating a v1 journal: %v", err)
-	}
-	wantID := coord.CampaignID(coord.Spec{Engine: flit.EngineVersion, Command: campaignCommand, Shards: 2})
-	infos := c.Campaigns()
-	if len(infos) != 1 || infos[0].ID != wantID {
-		t.Fatalf("migrated tenancy = %+v, want one campaign %s", infos, wantID)
-	}
-	st, err := c.Status(wantID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Done != 1 || len(st.Completed) != 1 || st.Completed[0] != 0 {
-		t.Fatalf("migrated completions: %+v, want shard 0 done", st)
-	}
-	if st.Releases != 3 {
-		t.Fatalf("migrated releases = %d, want 3", st.Releases)
-	}
-	if len(st.Leases) != 1 || st.Leases[0].LeaseID != "L7" || st.Leases[0].Shard != 1 {
-		t.Fatalf("migrated leases: %+v, want L7 on shard 1", st.Leases)
-	}
-	// The artifact moved into the campaign's directory.
-	if _, err := os.Stat(filepath.Join(c.ArtifactDir(wantID), "shard-0.json")); err != nil {
-		t.Fatalf("migrated artifact not in campaign dir: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "artifacts", "shard-0.json")); !os.IsNotExist(err) {
-		t.Fatalf("migrated artifact still at the v1 path: %v", err)
-	}
-	// The live lease keeps working: the old worker heartbeats and
-	// completes under its pre-migration lease ID.
-	if err := c.Heartbeat(wantID, "w-old", "L7", 1); err != nil {
-		t.Fatalf("heartbeat on a migrated lease: %v", err)
-	}
-	art1, err := experiments.RunShard(campaignCommand, exec.Shard{Index: 1, Count: 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := c.Complete(wantID, "w-old", "L7", 1, art1); err != nil {
-		t.Fatalf("completing a migrated lease: %v", err)
-	}
-	if st, err := c.Status(wantID); err != nil || !st.Complete || !st.Validated {
-		t.Fatalf("migrated campaign did not finish: %+v (%v)", st, err)
-	}
-	// New leases do not collide with pre-migration IDs: seq carried over.
-	id2, _, err := c.Submit(coord.Spec{Command: campaignCommand, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, state, err := c.Lease(id2, "w-new")
-	if err != nil || state != coord.Granted {
-		t.Fatalf("fresh lease after migration: %v %v", state, err)
-	}
-	if g.LeaseID == "L7" {
-		t.Fatal("fresh lease reused a migrated lease ID")
-	}
-	// Migration is one-way and stable: reopening recovers the v2 tenancy.
-	c2, err := coord.New(dir, coord.Options{})
-	if err != nil {
-		t.Fatalf("reopening a migrated directory: %v", err)
-	}
-	if infos := c2.Campaigns(); len(infos) != 2 {
-		t.Fatalf("reopened tenancy = %+v, want 2 campaigns", infos)
-	}
-}
-
-// TestJournalV1MigrationResumesAfterCrash: a crash after the artifact
-// moves but before the v2 journal lands leaves the v1 journal naming
-// files that already sit at their v2 paths; the next open must treat the
-// completed move as success.
-func TestJournalV1MigrationResumesAfterCrash(t *testing.T) {
-	dir, art0 := writeV1Dir(t, flit.EngineVersion)
-	// Simulate the torn state: the file already moved, the journal did not.
-	wantID := coord.CampaignID(coord.Spec{Engine: flit.EngineVersion, Command: campaignCommand, Shards: 2})
-	if err := os.MkdirAll(filepath.Join(dir, "artifacts", wantID), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(filepath.Join(dir, "artifacts", "shard-0.json"),
-		filepath.Join(dir, "artifacts", wantID, "shard-0.json")); err != nil {
-		t.Fatal(err)
-	}
-	c, err := coord.New(dir, coord.Options{})
-	if err != nil {
-		t.Fatalf("resuming a torn migration: %v", err)
-	}
-	st, err := c.Status(wantID)
-	if err != nil || st.Done != 1 {
-		t.Fatalf("resumed migration lost the done shard: %+v (%v)", st, err)
-	}
-	got, err := os.ReadFile(filepath.Join(c.ArtifactDir(wantID), "shard-0.json"))
-	if err != nil || string(got) != string(art0) {
-		t.Fatalf("resumed migration damaged the artifact: %v", err)
-	}
-}
-
-// TestJournalRefusals: journals this build must not adopt — a newer
-// format version (its state may not be schedulable faithfully) and any
-// journal fenced to a foreign engine, in both v1 and v2 forms.
+// TestJournalRefusals: journals this build must not adopt — a v1
+// single-campaign journal (its campaign must be resubmitted), a newer
+// format version (its state may not be schedulable faithfully), and a
+// journal fenced to a foreign engine.
 func TestJournalRefusals(t *testing.T) {
 	t.Run("newer-version", func(t *testing.T) {
 		dir := t.TempDir()
@@ -195,11 +36,16 @@ func TestJournalRefusals(t *testing.T) {
 			t.Fatalf("newer journal adopted: %v", err)
 		}
 	})
-	t.Run("foreign-engine-v1", func(t *testing.T) {
-		dir, _ := writeV1Dir(t, "flit-go/alien")
-		if _, err := coord.New(dir, coord.Options{}); err == nil ||
-			!strings.Contains(err.Error(), "not interchangeable") {
-			t.Fatalf("foreign-engine v1 journal adopted: %v", err)
+	t.Run("v1", func(t *testing.T) {
+		dir := t.TempDir()
+		raw := fmt.Sprintf(`{"version": 1, "spec": {"engine": %q, "command": ["experiments", "table4"], "shards": 2}, "seq": 7, "shards": [{}, {}]}`,
+			flit.EngineVersion)
+		if err := os.WriteFile(filepath.Join(dir, "coord.json"), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := coord.New(dir, coord.Options{})
+		if err == nil || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "resubmit") {
+			t.Fatalf("v1 journal adopted or refused without naming the version and the remedy: %v", err)
 		}
 	})
 	t.Run("foreign-engine-v2", func(t *testing.T) {

@@ -86,13 +86,6 @@ func NewEngineCap(parallelism, cacheCap int) *Engine {
 	return &Engine{pool: exec.New(parallelism), cache: flit.NewCacheCap(cacheCap)}
 }
 
-// NewEngineNoCache returns an engine without build/run memoization — the
-// seed's re-execute-everything behavior. It exists so the benchmarks can
-// quantify what the cache is worth; every real consumer wants NewEngine.
-func NewEngineNoCache(parallelism int) *Engine {
-	return &Engine{pool: exec.New(parallelism)}
-}
-
 // Pool returns the engine's worker pool.
 func (e *Engine) Pool() *exec.Pool { return e.pool }
 
@@ -102,7 +95,6 @@ func (e *Engine) Cache() *flit.Cache { return e.cache }
 // AttachStore attaches a persistent store as the build/run cache's second
 // tier: every in-memory miss consults it before building, every fresh
 // computation writes through. Attach before the first experiment runs.
-// A NewEngineNoCache engine has no cache to attach to; the call is a no-op.
 func (e *Engine) AttachStore(s store.Store) { e.cache.SetStore(s) }
 
 // AttachStoreTiers composes persistent stores into one read-through/
@@ -162,40 +154,4 @@ func (e *Engine) Results() (*flit.Results, error) {
 		e.mfemRes, e.mfemErr = e.Suite().RunMatrix(comp.Matrix())
 	})
 	return e.mfemRes, e.mfemErr
-}
-
-// The package-level experiment functions (Table1, Figure4, ... — the API
-// the CLI, benchmarks, and examples consume) delegate to a process-wide
-// default engine, configured with SetParallelism.
-var (
-	defaultMu  sync.Mutex
-	defaultEng *Engine
-	defaultJ   int // 0 = one worker per CPU
-)
-
-// SetParallelism configures how many evaluations the default engine runs
-// concurrently: n <= 0 means one per CPU, 1 is fully sequential. It takes
-// effect by installing a fresh default engine, so memoized matrix results
-// and the build/run cache of the previous one are discarded — call it
-// before running experiments (the CLI maps -j straight to it).
-func SetParallelism(n int) {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	defaultJ = n
-	defaultEng = nil
-}
-
-// Parallelism reports the default engine's concurrency bound.
-func Parallelism() int {
-	return Default().Pool().Workers()
-}
-
-// Default returns the process-wide engine, creating it on first use.
-func Default() *Engine {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if defaultEng == nil {
-		defaultEng = NewEngine(defaultJ)
-	}
-	return defaultEng
 }

@@ -1,15 +1,46 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/apps/laghos"
+	"repro/internal/bisect"
 	"repro/internal/comp"
+	"repro/internal/flit"
 	"repro/internal/inject"
 )
 
+// testEngine is shared by the package's shape tests, so the MFEM matrix is
+// computed once per test binary.
+var testEngine = NewEngine(0)
+
+// table4TopFunction returns the single most-contributing function of the
+// xlc++ -O3 divergence under a 3-digit comparison — the paper's root cause.
+func table4TopFunction(e *Engine) (string, error) {
+	s := &bisect.Search{
+		Prog:     laghos.Program(),
+		Test:     flit.WithCompare(laghos.NewCase(), flit.DigitL2Diff(3)),
+		Baseline: comp.Compilation{Compiler: comp.XLC, OptLevel: "-O2"},
+		Variable: comp.Compilation{Compiler: comp.XLC, OptLevel: "-O3"},
+		K:        1,
+		Pool:     e.Pool(),
+		Cache:    e.Cache(),
+	}
+	report, err := s.Run()
+	if err != nil {
+		return "", err
+	}
+	syms := report.AllSymbols()
+	if len(syms) == 0 {
+		return "", fmt.Errorf("no function isolated")
+	}
+	return syms[0].Item, nil
+}
+
 func TestTable1Shape(t *testing.T) {
-	rows, err := Table1()
+	rows, err := testEngine.Table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +82,7 @@ func TestTable1Shape(t *testing.T) {
 
 func TestFigure4BothPanels(t *testing.T) {
 	for _, ex := range []int{5, 9} {
-		s, err := Figure4(ex)
+		s, err := testEngine.Figure4(ex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +101,7 @@ func TestFigure4BothPanels(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	rows, err := Figure5()
+	rows, err := testEngine.Figure5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +141,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	rows, err := Figure6()
+	rows, err := testEngine.Figure6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +160,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestTable2Sampled(t *testing.T) {
-	rows, totalVariable, err := Table2(6)
+	rows, totalVariable, err := testEngine.Table2(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +197,7 @@ func TestTable3(t *testing.T) {
 }
 
 func TestFindings(t *testing.T) {
-	fs, err := Findings()
+	fs, err := testEngine.Findings()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +243,7 @@ func TestMotivation(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	rows, err := Table4()
+	rows, err := testEngine.Table4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +272,7 @@ func TestTable4Shape(t *testing.T) {
 		}
 	}
 	// Verify the isolated function really is the culprit for one row.
-	s, err := table4TopFunction()
+	s, err := table4TopFunction(testEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +285,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestNaNBugRediscovery(t *testing.T) {
-	res, err := RunNaNBug()
+	res, err := testEngine.RunNaNBug()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +302,7 @@ func TestNaNBugRediscovery(t *testing.T) {
 }
 
 func TestTable5Sampled(t *testing.T) {
-	sum, err := Table5(29)
+	sum, err := testEngine.Table5(29)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +318,7 @@ func TestTable5Sampled(t *testing.T) {
 }
 
 func TestMPIStudy(t *testing.T) {
-	rows, err := MPIStudy(4, 3)
+	rows, err := testEngine.MPIStudy(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,9 +75,6 @@ type Table4Row struct {
 	Files, Funcs, Runs [3]int
 }
 
-// Table4 reproduces the Laghos Bisect statistics on the default engine.
-func Table4() ([]Table4Row, error) { return Default().Table4() }
-
 // Table4 reproduces the Laghos Bisect statistics: the compilation under
 // test is xlc++ -O3 against three trusted baselines, with digit-restricted
 // comparisons and BisectBiggest k values.
@@ -149,31 +146,6 @@ func RenderTable4(rows []Table4Row) string {
 	return b.String()
 }
 
-// table4TopFunction returns the single most-contributing function of the
-// xlc++ -O3 divergence under a 3-digit comparison — the paper's root cause.
-func table4TopFunction() (string, error) {
-	e := Default()
-	s := &bisect.Search{
-		Prog:     laghos.Program(),
-		Test:     flit.WithCompare(laghos.NewCase(), flit.DigitL2Diff(3)),
-		Baseline: comp.Compilation{Compiler: comp.XLC, OptLevel: "-O2"},
-		Variable: comp.Compilation{Compiler: comp.XLC, OptLevel: "-O3"},
-		K:        1,
-		Pool:     e.Pool(),
-		Cache:    e.Cache(),
-	}
-	report, err := s.Run()
-	e.NoteBisect(report)
-	if err != nil {
-		return "", err
-	}
-	syms := report.AllSymbols()
-	if len(syms) == 0 {
-		return "", fmt.Errorf("no function isolated")
-	}
-	return syms[0].Item, nil
-}
-
 // NaNBugResult is the outcome of re-discovering the public-branch XOR-swap
 // bug: the symbols found and the executions used (the paper: the two
 // visible symbols closest to the issue, in 45 executions).
@@ -185,9 +157,6 @@ type NaNBugResult struct {
 	// timing-dependent diagnostics, excluded from the rendered output.
 	SpecExecs int
 }
-
-// RunNaNBug reproduces the NaN-bug re-discovery on the default engine.
-func RunNaNBug() (*NaNBugResult, error) { return Default().RunNaNBug() }
 
 // RunNaNBug reproduces the automated re-discovery of the xsw
 // undefined-behavior bug.

@@ -9,9 +9,6 @@ import (
 	"repro/internal/inject"
 )
 
-// LULESHStudy returns the injection study driver on the default engine.
-func LULESHStudy() *inject.Study { return Default().LULESHStudy() }
-
 // LULESHStudy returns the injection study driver (§3.5): the LULESH proxy
 // compiled with clang (the paper's pass is an LLVM pass) at -O2. The study
 // fans its independent detect-and-bisect injections out through the
@@ -27,9 +24,6 @@ func (e *Engine) LULESHStudy() *inject.Study {
 		Shard:    e.shard,
 	}
 }
-
-// Table5 runs the injection campaign on the default engine.
-func Table5(stride int) (inject.Summary, error) { return Default().Table5(stride) }
 
 // Table5 runs the injection campaign and aggregates the outcome counts.
 // stride > 1 samples every stride-th site (for quick runs); 1 runs the full

@@ -19,17 +19,7 @@ import (
 
 	"repro/internal/apps/mfem"
 	"repro/internal/comp"
-	"repro/internal/core"
-	"repro/internal/flit"
 )
-
-// MFEMSuite builds the paper's MFEM FLiT suite on the default engine: 19
-// examples, baseline g++ -O0, speedups against g++ -O2.
-func MFEMSuite() *flit.Suite { return Default().Suite() }
-
-// MFEMResults runs (once, cached) the full 244-compilation × 19-example
-// matrix — 4,636 experimental results, as in §3.1.
-func MFEMResults() (*flit.Results, error) { return Default().Results() }
 
 // Table1Row is one compiler's summary (Table 1).
 type Table1Row struct {
@@ -41,9 +31,6 @@ type Table1Row struct {
 	BestFlags    comp.Compilation
 	Speedup      float64
 }
-
-// Table1 reproduces Table 1 on the default engine.
-func Table1() ([]Table1Row, error) { return Default().Table1() }
 
 // Table1 reproduces Table 1: per-compiler variability rates and the best
 // average compilation.
@@ -99,9 +86,6 @@ type Figure4Series struct {
 	HasVariable     bool
 }
 
-// Figure4 reproduces one panel of Figure 4 on the default engine.
-func Figure4(example int) (*Figure4Series, error) { return Default().Figure4(example) }
-
 // Figure4 reproduces one panel of Figure 4: compilations of one example
 // ordered slowest to fastest, marked bitwise-equal or variable.
 func (e *Engine) Figure4(example int) (*Figure4Series, error) {
@@ -146,10 +130,6 @@ type Figure5Row struct {
 	FastestIsReproducible bool
 }
 
-// Figure5 reproduces the performance histogram of Figure 5 on the default
-// engine.
-func Figure5() ([]Figure5Row, error) { return Default().Figure5() }
-
 // Figure5 reproduces the performance histogram of Figure 5.
 func (e *Engine) Figure5() ([]Figure5Row, error) {
 	res, err := e.Results()
@@ -188,9 +168,6 @@ type Figure6Row struct {
 	MedianErr     float64
 	MaxErr        float64
 }
-
-// Figure6 reproduces Figure 6 on the default engine.
-func Figure6() ([]Figure6Row, error) { return Default().Figure6() }
 
 // Figure6 reproduces Figure 6: per-example count of variability-inducing
 // compilations and the spread of relative ℓ2 errors.
@@ -235,10 +212,6 @@ func Table3() []Table3Row {
 	}
 }
 
-// MFEMWorkflow wires the MFEM suite into the multi-level workflow on the
-// default engine.
-func MFEMWorkflow() *core.Workflow { return Default().Workflow() }
-
 // Finding describes one of the two findings reported to the MFEM team.
 type Finding struct {
 	Example int
@@ -249,9 +222,6 @@ type Finding struct {
 	// MaxRelErr is the largest relative error observed.
 	MaxRelErr float64
 }
-
-// Findings reproduces Findings 1 and 2 on the default engine.
-func Findings() ([]Finding, error) { return Default().Findings() }
 
 // Findings reproduces Findings 1 and 2 (§3.2): the multi-function mat/vec
 // blame of example 8 and the single-function AddMult_a_AAt blame of

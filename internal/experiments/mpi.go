@@ -29,9 +29,6 @@ type MPIRow struct {
 	Checked bool
 }
 
-// MPIStudy reproduces §3.6 on the default engine.
-func MPIStudy(np, repeats int) ([]MPIRow, error) { return Default().MPIStudy(np, repeats) }
-
 // MPIStudy reproduces §3.6 on the 2-D MFEM examples (the ones whose
 // assembly a domain decomposition reorders), under np simulated ranks. The
 // per-example rows are independent and fan out through the engine's pool.

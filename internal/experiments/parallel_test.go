@@ -5,36 +5,80 @@ import (
 	"testing"
 
 	"repro/internal/comp"
+	"repro/internal/exec"
+	"repro/internal/flit"
 )
 
-// TestSweepParallelEquivalence is the PR's headline acceptance proof: the
+// TestSweepParallelEquivalence is the end-to-end determinism proof: the
 // full experiments sweep — matrix, Table 2 bisect characterization, Laghos
 // case study, sampled injection campaign — produces byte-identical output
-// at -j 8 and -j 1.
+// at -j 1, warm-started from the -j 1 run's artifact (with zero builds and
+// zero run-cache misses), and as two -j 8 shards merged by a -j 8
+// collector.
 func TestSweepParallelEquivalence(t *testing.T) {
-	seq, err := Sweep(1)
+	seqEng := NewEngine(1)
+	seq, err := seqEng.SweepDigest()
 	if err != nil {
 		t.Fatalf("sequential sweep: %v", err)
-	}
-	par, err := Sweep(8)
-	if err != nil {
-		t.Fatalf("parallel sweep: %v", err)
-	}
-	if seq != par {
-		line := 0
-		seqLines, parLines := strings.Split(seq, "\n"), strings.Split(par, "\n")
-		for i := 0; i < len(seqLines) && i < len(parLines); i++ {
-			if seqLines[i] != parLines[i] {
-				line = i
-				break
-			}
-		}
-		t.Fatalf("sweep digests differ at line %d:\n  -j 1: %q\n  -j 8: %q",
-			line, seqLines[line], parLines[line])
 	}
 	if !strings.Contains(seq, "== Table 5") {
 		t.Fatal("sweep digest missing sections")
 	}
+	// Warm start: every covered evaluation replays from the seeded entry
+	// with no link step, no machine and no test execution.
+	warm := NewEngine(1)
+	if err := warm.WarmStart(seqEng.ExportArtifact(nil)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := warm.SweepDigest()
+	if err != nil {
+		t.Fatalf("warm-started sweep: %v", err)
+	}
+	sameDigest(t, "warm start", seq, got)
+	if m := warm.CacheMetrics(); m.Builds != 0 || m.Runs.Misses != 0 {
+		t.Errorf("warm-started sweep built %d executables and missed the run cache %d times, want 0/0",
+			m.Builds, m.Runs.Misses)
+	}
+
+	// Shard + merge at -j 8: each shard engine computes its half of every
+	// fan-out in parallel; the collector replays the sweep from the union
+	// of their artifacts, speculating at -j 8 over the merged cache.
+	arts := make([]*flit.Artifact, 2)
+	for i := range arts {
+		eng := NewEngine(8)
+		eng.SetShard(exec.Shard{Index: i, Count: len(arts)})
+		if _, err := eng.SweepDigest(); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		arts[i] = eng.ExportArtifact(nil)
+	}
+	merged := NewEngine(8)
+	if err := merged.ImportArtifacts(arts...); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = merged.SweepDigest(); err != nil {
+		t.Fatalf("merged sweep: %v", err)
+	}
+	sameDigest(t, "-j 8 shard+merge", seq, got)
+}
+
+// sameDigest fails the test at the first line where got departs from the
+// sequential sweep digest want.
+func sameDigest(t *testing.T, config, want, got string) {
+	t.Helper()
+	if want == got {
+		return
+	}
+	wantLines, gotLines := strings.Split(want, "\n"), strings.Split(got, "\n")
+	line := min(len(wantLines), len(gotLines)) - 1
+	for i := 0; i <= line; i++ {
+		if wantLines[i] != gotLines[i] {
+			line = i
+			break
+		}
+	}
+	t.Errorf("%s: sweep digest differs at line %d:\n  -j 1: %q\n  %s: %q",
+		config, line, wantLines[line], config, gotLines[line])
 }
 
 // TestBisectFoundSetEquivalence asserts a parallel bisect search returns
@@ -96,24 +140,5 @@ func TestCacheEngages(t *testing.T) {
 	}
 	if hits < misses {
 		t.Errorf("cache hits %d < misses %d; memoization is not engaging", hits, misses)
-	}
-}
-
-// TestSetParallelismRebuildsDefault exercises the package-level knob the
-// CLI's -j flag maps to.
-func TestSetParallelismRebuildsDefault(t *testing.T) {
-	defer SetParallelism(0) // restore the CPU-bound default for other tests
-
-	SetParallelism(3)
-	if got := Parallelism(); got != 3 {
-		t.Errorf("Parallelism() = %d after SetParallelism(3)", got)
-	}
-	first := Default()
-	SetParallelism(1)
-	if got := Parallelism(); got != 1 {
-		t.Errorf("Parallelism() = %d after SetParallelism(1)", got)
-	}
-	if Default() == first {
-		t.Error("SetParallelism did not install a fresh default engine")
 	}
 }

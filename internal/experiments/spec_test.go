@@ -26,6 +26,9 @@ func TestLaghosSpeculativeBisectEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if e.Pool().Workers() == 1 && res.SpecExecs != 0 {
+			t.Errorf("j=1 NaN-bug search performed %d speculative execs", res.SpecExecs)
+		}
 		return digest{files: res.Files, symbols: res.Symbols, execs: res.Execs}
 	}
 	k1Digest := func(e *Engine) digest {

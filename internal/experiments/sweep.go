@@ -5,23 +5,18 @@ import (
 	"strings"
 )
 
-// Sweep runs the experiments suite end to end — the MFEM matrix with
-// Table 1 and Figures 5/6, the Table 2 bisect characterization (capped at
-// sweepTable2Limit searches per compiler; `flit experiments table2` runs
-// all of them), the Laghos case study (motivation, Table 4, NaN bug), and a
-// sampled LULESH injection campaign — on a fresh engine with the given
-// parallelism, and renders everything into one digest string.
+// SweepDigest runs the experiments suite end to end on this engine — the
+// MFEM matrix with Table 1 and Figures 5/6, the Table 2 bisect
+// characterization (capped at sweepTable2Limit searches per compiler;
+// `flit experiments table2` runs all of them), the Laghos case study
+// (motivation, Table 4, NaN bug), and a sampled LULESH injection campaign —
+// and renders everything into one digest string.
 //
 // The digest is the reproduction's end-to-end determinism witness: because
 // every evaluation is a pure function of (compilation, test) and results
-// are collected in submission order, Sweep(1) and Sweep(n) return
-// byte-identical strings. The equivalence tests assert exactly that, and
-// the benchmarks time it at different -j values.
-func Sweep(parallelism int) (string, error) {
-	return NewEngine(parallelism).SweepDigest()
-}
-
-// SweepDigest renders the full experiments suite of this engine.
+// are collected in submission order, engines of any parallelism, shard
+// split, warm start or store tier return byte-identical strings. The
+// equivalence tests assert exactly that.
 func (e *Engine) SweepDigest() (string, error) {
 	var b strings.Builder
 

@@ -29,9 +29,6 @@ type Table2Row struct {
 	FPICRemoved int
 }
 
-// Table2 runs the Bisect characterization on the default engine.
-func Table2(limit int) ([]Table2Row, int, error) { return Default().Table2(limit) }
-
 // Table2 runs FLiT Bisect on the variability-inducing (test, compilation)
 // pairs found by the MFEM matrix and aggregates per compiler, as §3.2 does
 // for all 1,086 variable compilations. limit > 0 caps the number of
@@ -173,11 +170,4 @@ func RenderTable2(rows []Table2Row) string {
 	}
 	b.WriteString("\n")
 	return b.String()
-}
-
-// bisectOne is a small helper for tests: the full hierarchical search for
-// one (test, compilation) pair of the MFEM suite.
-func bisectOne(test flit.TestCase, variable comp.Compilation) (*bisect.Report, error) {
-	wf := MFEMWorkflow()
-	return wf.Bisect(test, variable, 0)
 }

@@ -47,18 +47,13 @@ func RunKey(ex *link.Executable, t TestCase) string {
 
 // PlanRunKey is RunKey computed from an unbuilt plan: link.Plan.Key
 // produces the exact string Executable.Key would after linking (pinned by
-// FuzzPlanKeyMatchesExecutableKey), so the key-first lookups address the
-// same cache entries — and the same artifact records — as the eager path.
+// FuzzPlanKeyMatchesExecutableKey), so a plan and the executable it links
+// to address the same cache entries and the same artifact records.
 func PlanRunKey(b *link.Builder, t TestCase) string {
 	return b.Key() + "\x00" + comp.KeyEscape(TestKey(t))
 }
 
-// costKey addresses the memoized cost model per (executable, root symbol).
-func costKey(ex *link.Executable, root string) string {
-	return ex.Key() + "\x00" + comp.KeyEscape(root)
-}
-
-// planCostKey is costKey computed from an unbuilt plan.
+// planCostKey addresses the memoized cost model per (plan, root symbol).
 func planCostKey(b *link.Builder, root string) string {
 	return b.Key() + "\x00" + comp.KeyEscape(root)
 }
@@ -110,58 +105,19 @@ func NewCacheCap(capacity int) *Cache {
 	return &Cache{runs: exec.NewCacheCap[runVal](capacity), costs: exec.NewCache[float64]()}
 }
 
-// RunAll is the memoizing form of the package-level RunAll: the first
-// evaluation of a (executable, test) pair executes, every repeat — across
+// RunAllPlanned is the memoizing form of the package-level RunAll: the
+// first evaluation of a (plan, test) pair executes, every repeat — across
 // bisect steps, searches, and experiment drivers — is a cache hit with a
-// bit-identical Result. Run errors are memoized too: the toolchain is
-// deterministic, so a crashed combination crashes every time. With a
-// persistent store attached, an in-memory miss consults it before
-// executing and writes any fresh computation through.
-func (c *Cache) RunAll(t TestCase, ex *link.Executable) (Result, error) {
-	if c == nil {
-		return RunAll(t, ex)
-	}
-	key := RunKey(ex, t)
-	v, _ := c.runs.Do(key, func() (runVal, error) {
-		if v, ok := c.storeGetRun(key); ok {
-			return v, nil
-		}
-		r, err := RunAll(t, ex)
-		v := runVal{res: r, err: err}
-		c.storePutRun(key, v)
-		return v, nil
-	})
-	return v.res, v.err
-}
-
-// Cost memoizes the deterministic cost model per (executable, root): the
-// matrix runner charges every cell's runtime through this.
-func (c *Cache) Cost(ex *link.Executable, root string) float64 {
-	if c == nil {
-		return ex.Cost(root)
-	}
-	key := costKey(ex, root)
-	v, _ := c.costs.Do(key, func() (float64, error) {
-		if f, ok := c.storeGetCost(key); ok {
-			return f, nil
-		}
-		f := ex.Cost(root)
-		c.storePutCost(key, f)
-		return f, nil
-	})
-	return v
-}
-
-// RunAllPlanned is the key-first form of RunAll: the cache is consulted by
-// plan identity (PlanRunKey — the string a built Executable's RunKey would
-// be), and the plan is materialized through the builder only on a miss. A
+// bit-identical Result. The cache is consulted by plan identity
+// (PlanRunKey — the string a built Executable's RunKey would be), and the
+// plan is materialized through the builder only on a miss. A
 // warm hit therefore runs no link step, no ABI-hazard scan, and no test —
 // the fast path every covered cell of a warm-started campaign takes. A
 // persistent-store hit is the same fast path one tier out: the store is
 // consulted by the same plan key before the builder materializes, so a
 // second process sharing the store builds nothing for covered cells.
-// Errors, whether from the build or the run, are memoized like the eager
-// path's: a deterministic toolchain fails the same way every time.
+// Errors, whether from the build or the run, are memoized too: a
+// deterministic toolchain fails the same way every time.
 func (c *Cache) RunAllPlanned(t TestCase, b *link.Builder) (Result, error) {
 	if c == nil {
 		ex, err := b.Build()
@@ -192,8 +148,9 @@ func (c *Cache) RunAllPlanned(t TestCase, b *link.Builder) (Result, error) {
 	return v.res, v.err
 }
 
-// CostPlanned is the key-first form of Cost: looked up by plan identity,
-// materializing (and surfacing a build error) only on a miss.
+// CostPlanned memoizes the deterministic cost model per (plan, root) — the
+// matrix runner charges every cell's runtime through it — looked up by plan
+// identity, materializing (and surfacing a build error) only on a miss.
 func (c *Cache) CostPlanned(b *link.Builder, root string) (float64, error) {
 	if c == nil {
 		ex, err := b.Build()

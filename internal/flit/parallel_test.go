@@ -60,20 +60,18 @@ func TestRunMatrixParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestCacheRunAllMemoizes: repeated (executable, test) evaluations through
-// a Cache run once and return the identical result.
+// TestCacheRunAllMemoizes: repeated (plan, test) evaluations through a
+// Cache run once and return the identical result, and the memoized cost is
+// the model's value.
 func TestCacheRunAllMemoizes(t *testing.T) {
 	s := newSuite()
-	ex, err := link.FullBuild(s.Prog, s.Baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := link.FullBuildPlan(s.Prog, s.Baseline)
 	cache := NewCache()
-	first, err := cache.RunAll(s.Tests[0], ex)
+	first, err := cache.RunAllPlanned(s.Tests[0], link.NewBuilder(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := cache.RunAll(s.Tests[0], ex)
+	again, err := cache.RunAllPlanned(s.Tests[0], link.NewBuilder(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +82,15 @@ func TestCacheRunAllMemoizes(t *testing.T) {
 	if hits != 1 || misses != 1 {
 		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
 	}
-	// A nil cache is valid and simply runs.
-	var nc *Cache
-	r, err := nc.RunAll(s.Tests[0], ex)
-	if err != nil || L2Diff(first, r) != 0 {
-		t.Errorf("nil-cache RunAll: %v (diff %g)", err, L2Diff(first, r))
+	ex, err := link.Link(plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Cost memoization returns the model value.
-	if got, want := cache.Cost(ex, "Kernel"), ex.Cost("Kernel"); got != want {
+	got, err := cache.CostPlanned(link.NewBuilder(plan), "Kernel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ex.Cost("Kernel"); got != want {
 		t.Errorf("cached cost %g != %g", got, want)
 	}
 }

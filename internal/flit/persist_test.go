@@ -72,27 +72,6 @@ func TestStoreWarmCacheBuildsNothing(t *testing.T) {
 	if m.Store.Hits != 2 || m.Store.Misses != 0 {
 		t.Fatalf("warm store metrics = %+v, want 2 hits", m.Store)
 	}
-
-	// The eager paths share the same store entries.
-	ex, err := link.Link(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eagerCache := NewCache()
-	eagerCache.SetStore(st)
-	eager, err := eagerCache.RunAll(s.Tests[0], ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if L2Diff(want, eager) != 0 {
-		t.Fatal("eager store hit returned different bits")
-	}
-	if eagerCache.Cost(ex, "Kernel") != wantCost {
-		t.Fatal("eager cost missed the persisted entry")
-	}
-	if m := eagerCache.StoreMetrics(); m.Hits != 2 {
-		t.Fatalf("eager store metrics = %+v, want 2 hits", m)
-	}
 }
 
 // TestStorePersistsRunErrors: a memoized build/run error round-trips

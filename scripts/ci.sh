@@ -3,13 +3,11 @@
 #
 #   go vet           static checks
 #   go build         tier-1, part 1
-#   go test -race    tier-1, part 2, with the race detector (and -cover:
-#                    the parallel execution engine must be data-race-free
-#                    at every -j, and per-package statement coverage is
-#                    appended to BENCH_shard.json so the test-quality
-#                    trajectory is tracked alongside the perf one)
-#   bench smoke      one iteration of the cheap benchmarks, so the
-#                    benchmark harness itself cannot rot
+#   go test -race    tier-1, part 2, with the race detector and -cover (the
+#                    parallel execution engine must be data-race-free at
+#                    every -j; per-package statement coverage is printed)
+#   bench module     vet + race tests of the nested bench/ module (root
+#                    ./... skips it), so the benchmark harness cannot rot
 #   shard smoke      the distributed protocol end to end through real
 #                    binaries: quickstart as 2 shards + merge must be
 #                    byte-identical to the unsharded run
@@ -51,24 +49,9 @@
 #                    re-leases on table3 (cross-campaign isolation), and
 #                    merging the failed campaign's partial artifact set
 #                    must fail naming exactly the missing shard
-#   bench shard      one iteration each of BenchmarkParallelEngineSweep,
-#                    BenchmarkSpeculativeBisect, BenchmarkWarmPath,
-#                    BenchmarkPersistentStore, BenchmarkRemoteStore, and
-#                    BenchmarkCoordCampaign with BENCH_SHARD_JSON set,
-#                    appending this run's engine
-#                    timings (cache cold/warm, fan-out, shard+merge, bisect
-#                    j1/j8 + spec-execs, warm_sweep_sec +
-#                    warm_skipped_builds + cache_speedup_x, store_cold_sec
-#                    + store_warm_sec + store_hits, remote_warm_sec +
-#                    remote_hits + remote_retries, coord_campaigns +
-#                    coord_campaign_sec + coord_campaign2_sec +
-#                    coord_releases + coord_fail_reports +
-#                    coord_quarantined) to BENCH_shard.json —
-#                    the recorded perf trajectory. The warm benches also
-#                    enforce the key-first contract: byte-identical output
-#                    with zero executables built and zero run-cache misses
-#                    (zero builds and nonzero store/remote hits for the
-#                    store benches) on a fully covered re-run
+#   table5           the paper's full Table 5 injection campaign (4,376
+#                    runs) through the real flit binary: zero wrong finds
+#                    and zero missed finds, the precision/recall headline
 #
 # Run from the repository root: ./scripts/ci.sh
 set -eux
@@ -76,27 +59,11 @@ set -eux
 go vet ./...
 go build ./...
 
+go test -race -cover ./...
+(cd bench && go vet . && go test -race .)
+
 SHARD_TMP=$(mktemp -d)
 trap 'rm -rf "$SHARD_TMP"' EXIT
-
-# Race + coverage in one pass; the log is parsed for the coverage record
-# below (a pipe would hide go test's exit status under plain sh).
-go test -race -cover ./... >"$SHARD_TMP/cover.txt"
-cat "$SHARD_TMP/cover.txt"
-{
-	printf '{"bench":"coverage","unix":%s,"packages":{' "$(date +%s)"
-	awk '/coverage:/ {
-		pct = ""
-		for (i = 1; i <= NF; i++) if ($i ~ /%$/) pct = $i
-		if (pct == "") next
-		sub(/%/, "", pct)
-		printf "%s\"%s\":%s", sep, $2, pct
-		sep = ","
-	}' "$SHARD_TMP/cover.txt"
-	printf '}}\n'
-} >>"$PWD/BENCH_shard.json"
-
-go test -run NONE -bench 'BenchmarkTable3CodeStats|BenchmarkMotivation' -benchtime 1x .
 
 # Shard-equivalence smoke: two shards + merge == unsharded, byte for byte.
 go build -o "$SHARD_TMP/quickstart" ./examples/quickstart
@@ -294,6 +261,10 @@ FAILMERGE=0
 test "$FAILMERGE" -ne 0
 grep 'missing shard indices \[1\]' "$SHARD_TMP/coord-fail-merge.txt"
 
-# Record the engine's perf trajectory (appends one JSON line per bench run).
-BENCH_SHARD_JSON="$PWD/BENCH_shard.json" \
-	go test -run NONE -bench 'BenchmarkParallelEngineSweep|BenchmarkSpeculativeBisect|BenchmarkWarmPath|BenchmarkPersistentStore|BenchmarkRemoteStore|BenchmarkCoordCampaign' -benchtime 1x .
+# The paper's Table 5 headline: the full 1,094-site x 4-OP' injection
+# campaign, every injection found — no wrong finds, no missed finds.
+"$SHARD_TMP/flit" experiments -j 2 table5 >"$SHARD_TMP/table5.txt"
+cat "$SHARD_TMP/table5.txt"
+grep -E '^total +4376$' "$SHARD_TMP/table5.txt"
+grep -E '^wrong finds +0$' "$SHARD_TMP/table5.txt"
+grep -E '^missed finds +0$' "$SHARD_TMP/table5.txt"
