@@ -101,14 +101,11 @@ func cmdCoordServe(args []string, stdout, stderr io.Writer) error {
 	maxAttempts := fs.Int("max-shard-attempts", coord.DefaultMaxShardAttempts,
 		"attempts a shard gets (lease grants + failures) before it is quarantined")
 	exitWhenDone := fs.Bool("exit-when-done", false, "exit once every submitted campaign reaches a terminal state (complete or failed)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
 	if *dir == "" {
 		return errors.New("coord serve requires -dir DIR")
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("coord serve takes no positional arguments (got %q)", fs.Args())
 	}
 	if (*commandStr == "") != (*shards == 0) {
 		return errors.New("coord serve wants -command and -shards together (or neither)")
@@ -212,11 +209,8 @@ func cmdCoordStatus(args []string, stdout, stderr io.Writer) error {
 	coordURL := fs.String("coord", "", "campaign coordinator URL (required)")
 	campaign := fs.String("campaign", "", "campaign ID: show per-shard detail instead of the fleet view")
 	retries, timeout := addTransportFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("coord status takes no positional arguments (got %q)", fs.Args())
 	}
 	cl, err := coordClient(*coordURL, *retries, *timeout)
 	if err != nil {
@@ -320,7 +314,7 @@ func cmdCoordSubmit(args []string, stdout, stderr io.Writer) error {
 	maxAttempts := fs.Int("max-shard-attempts", 0,
 		"attempts a shard gets before quarantine (0 = the coordinator's default; not part of the campaign's identity)")
 	retries, timeout := addTransportFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
 	if *commandStr == "" || *shards < 1 {
@@ -328,9 +322,6 @@ func cmdCoordSubmit(args []string, stdout, stderr io.Writer) error {
 	}
 	if *maxAttempts < 0 {
 		return errors.New("coord submit: -max-shard-attempts must be >= 0")
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("coord submit takes no positional arguments (got %q)", fs.Args())
 	}
 	cl, err := coordClient(*coordURL, *retries, *timeout)
 	if err != nil {
@@ -359,11 +350,8 @@ func cmdCoordGC(args []string, stdout, stderr io.Writer) error {
 	keep := fs.Int("keep", 1, "completed generations to keep per command")
 	dryRun := fs.Bool("dry-run", false, "plan the retirement without changing anything")
 	retries, timeout := addTransportFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("coord gc takes no positional arguments (got %q)", fs.Args())
 	}
 	cl, err := coordClient(*coordURL, *retries, *timeout)
 	if err != nil {
@@ -405,14 +393,11 @@ func cmdWork(args []string, stdout, stderr io.Writer) error {
 	stats := fs.Bool("stats", false, "print transport counters to stderr when the loop ends")
 	verbose := fs.Bool("v", false, "log each lease/heartbeat-loss/completion event to stderr")
 	retries, timeout := addTransportFlags(fs)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
 	if *coordURL == "" {
 		return errors.New("work requires -coord URL")
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("work takes no positional arguments (got %q)", fs.Args())
 	}
 	opts, err := transportOptions(*retries, *timeout)
 	if err != nil {
@@ -426,19 +411,10 @@ func cmdWork(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var tiers []store.Store
-	if *storeDir != "" {
-		d, err := store.Open(*storeDir, flit.EngineVersion)
-		if err != nil {
-			return err
-		}
-		tiers = append(tiers, d)
-	}
-	remote, err := store.NewRemote(*coordURL, flit.EngineVersion, opts)
+	tiers, remote, err := storeTiers(*storeDir, *coordURL, opts)
 	if err != nil {
 		return err
 	}
-	tiers = append(tiers, remote)
 	// FLIT_WORK_STALL makes this worker hold each leased shard idle (while
 	// heartbeating) before running it — the deterministic straggler the
 	// SIGKILL smoke needs: kill the stalled worker and its lease expires on

@@ -42,11 +42,9 @@
 // their union, and replays the recorded command — producing output
 // byte-identical to an unsharded run.
 //
-// Observability: -stats prints build/run-cache hit/miss/eviction counters
-// and the bisect engine's execution counters (paper count vs speculative
-// extra) to stderr after the run; -cache-cap M bounds the memoized run
-// results to M entries with LRU eviction (0 = unbounded) so long-lived
-// runs do not grow memory without bound.
+// Observability: -stats prints build/run-cache hit/miss counters and the
+// bisect engine's execution counters (paper count vs speculative extra)
+// to stderr after the run.
 //
 // Incremental runs: -warm-start a.json,b.json seeds the engine's cache
 // from previously exported shard artifacts before the run. Unlike merge,
@@ -230,8 +228,7 @@ with it, -delta-out FILE writes the run's DeltaReport (new/dropped/changed
 keys vs the warmed baseline) and -delta-verify recomputes covered
 evaluations to detect bit-exact divergence instead of trusting them.
 -stats prints cache and bisect execution counters (plus the delta summary
-when warm-started) to stderr; -cache-cap M bounds resident run results
-with LRU eviction (0 = unbounded).
+when warm-started) to stderr.
 
 -store DIR attaches a persistent on-disk run store as the cache's second
 tier: in-memory misses are answered from DIR before any build happens and
@@ -280,7 +277,6 @@ type cliOpts struct {
 	shardStr    *string
 	shardOut    *string
 	stats       *bool
-	cacheCap    *int
 	warmStart   *string
 	deltaOut    *string
 	deltaVerify *bool
@@ -299,7 +295,7 @@ type cliOpts struct {
 
 // newFlagSet builds a subcommand flag set that reports parse errors back
 // to the caller instead of exiting the process, with the shared engine
-// knobs (-j, -shard, -shard-out, -stats, -cache-cap).
+// knobs (-j, -shard, -shard-out, -stats, ...).
 func newFlagSet(name string, stderr io.Writer) (*flag.FlagSet, *cliOpts) {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -308,7 +304,6 @@ func newFlagSet(name string, stderr io.Writer) (*flag.FlagSet, *cliOpts) {
 		shardStr: fs.String("shard", "", `execute one shard "i/N" of the job index space and write an artifact`),
 		shardOut: fs.String("shard-out", "", "artifact file a -shard run writes (required with -shard)"),
 		stats:    fs.Bool("stats", false, "print cache and bisect execution counters to stderr"),
-		cacheCap: fs.Int("cache-cap", 0, "max resident memoized run results, LRU-evicted (0 = unbounded)"),
 		warmStart: fs.String("warm-start", "",
 			"comma-separated shard artifacts whose results seed the cache (no complete set required)"),
 		deltaOut: fs.String("delta-out", "",
@@ -394,44 +389,52 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 	}
 }
 
+// parseFlagsOnly is parseFlags for a subcommand that takes no positional
+// arguments: a stray one is an error, never silently ignored.
+func parseFlagsOnly(fs *flag.FlagSet, args []string) error {
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%s takes no positional arguments (got %q)", fs.Name(), fs.Args())
+	}
+	return nil
+}
+
 // shardMode reports whether the user asked for a shard run at all —
 // including the degenerate but valid "0/1", which executes everything and
 // exports a single-artifact set that `flit merge` accepts as the N=1
 // partition.
 func (o *cliOpts) shardMode() bool { return *o.shardStr != "" }
 
-// engine builds the engine a subcommand runs on, honoring -j, -cache-cap,
-// and -shard.
-func (o *cliOpts) engine() (*experiments.Engine, error) {
+// engine builds the engine a subcommand runs on, honoring -j, -shard,
+// -store/-remote and -warm-start. merge passes its shard set, imported
+// after the store is attached (so its seeds are never written through) and
+// before the -warm-start baseline.
+func (o *cliOpts) engine(shardSet ...*flit.Artifact) (*experiments.Engine, error) {
 	shard, err := exec.ParseShard(*o.shardStr)
 	if err != nil {
 		return nil, err
 	}
-	if o.shardMode() {
-		if *o.shardOut == "" {
-			return nil, errors.New("-shard requires -shard-out FILE")
-		}
-		if *o.cacheCap > 0 {
-			// Eviction would silently drop results from the exported
-			// artifact; a shard's whole product is its complete cache.
-			return nil, errors.New("-cache-cap cannot be combined with -shard (evicted results would be missing from the artifact)")
-		}
+	if o.shardMode() && *o.shardOut == "" {
+		return nil, errors.New("-shard requires -shard-out FILE")
 	}
 	if err := o.checkDeltaFlags(); err != nil {
 		return nil, err
 	}
-	eng := experiments.NewEngineCap(*o.j, *o.cacheCap)
+	eng := experiments.NewEngine(*o.j)
 	eng.SetShard(shard)
 	if err := o.attachStore(eng); err != nil {
 		return nil, err
 	}
-	if *o.warmStart != "" && *o.cacheCap <= 0 {
+	if len(shardSet) > 0 {
+		if err := eng.ImportArtifacts(shardSet...); err != nil {
+			return nil, err
+		}
+	}
+	if *o.warmStart != "" {
 		// Warm starts track provenance: -stats can then summarize the
-		// delta, and -delta-out can write the structured report. Not under
-		// -cache-cap, though — eviction removes entries (and their
-		// provenance) from the cache, so any delta would be fiction;
-		// checkDeltaFlags already rejected the explicit delta flags, and a
-		// capped warm start simply reports no delta at all.
+		// delta, and -delta-out can write the structured report.
 		eng.EnableDelta(*o.deltaVerify)
 	}
 	if err := o.loadWarmStart(eng); err != nil {
@@ -441,14 +444,11 @@ func (o *cliOpts) engine() (*experiments.Engine, error) {
 }
 
 // checkDeltaFlags rejects delta-flag combinations that could not produce a
-// truthful report: no baseline to delta against, or an evicting cache that
-// forgets the provenance the report is built from.
+// truthful report: no baseline to delta against, or a persistent tier
+// whose hits would replay what verify mode must recompute.
 func (o *cliOpts) checkDeltaFlags() error {
 	if (*o.deltaOut != "" || *o.deltaVerify) && *o.warmStart == "" {
 		return errors.New("-delta-out/-delta-verify require -warm-start BASELINE_ARTIFACTS")
-	}
-	if (*o.deltaOut != "" || *o.deltaVerify) && *o.cacheCap > 0 {
-		return errors.New("-delta-out/-delta-verify cannot be combined with -cache-cap (evicted entries would be misreported as dropped)")
 	}
 	if *o.deltaVerify && *o.storeDir != "" {
 		// Verify mode exists to recompute covered evaluations; a store hit
@@ -462,20 +462,9 @@ func (o *cliOpts) checkDeltaFlags() error {
 	return nil
 }
 
-// attachStore builds the engine cache's persistent tier from -store and
-// -remote: the local Disk store (opened, creating if absent, rejecting
-// one fenced to a different engine version or layout) in front of the
-// Remote client when both are given — a read-through/write-through local
-// cache for a shared server — or either alone. A no-op without both.
+// attachStore attaches the -store/-remote tiers (see storeTiers) to the
+// engine's cache. A no-op without both.
 func (o *cliOpts) attachStore(eng *experiments.Engine) error {
-	var tiers []store.Store
-	if *o.storeDir != "" {
-		d, err := store.Open(*o.storeDir, flit.EngineVersion)
-		if err != nil {
-			return err
-		}
-		tiers = append(tiers, d)
-	}
 	opts, err := transportOptions(*o.remoteRetries, *o.remoteTimeout)
 	if err != nil {
 		return err
@@ -483,16 +472,38 @@ func (o *cliOpts) attachStore(eng *experiments.Engine) error {
 	if *o.remoteURL == "" && (*o.remoteRetries != 0 || *o.remoteTimeout != 0) {
 		return errors.New("-remote-retries/-remote-timeout require -remote URL")
 	}
-	if *o.remoteURL != "" {
-		r, err := store.NewRemote(*o.remoteURL, flit.EngineVersion, opts)
-		if err != nil {
-			return err
-		}
-		o.remote = r
-		tiers = append(tiers, r)
+	tiers, remote, err := storeTiers(*o.storeDir, *o.remoteURL, opts)
+	if err != nil {
+		return err
 	}
+	o.remote = remote
 	eng.AttachStoreTiers(tiers...)
 	return nil
+}
+
+// storeTiers opens the persistent tiers a run writes through: the local
+// Disk store at dir (created if absent, rejected if fenced to a different
+// engine version or layout) in front of the Remote client at remoteURL
+// when both are given — a read-through/write-through local cache for a
+// shared server — or either alone. The Remote is also returned on its own
+// (nil without a URL) so -stats can read its transport counters.
+func storeTiers(dir, remoteURL string, opts *store.RemoteOptions) ([]store.Store, *store.Remote, error) {
+	var tiers []store.Store
+	if dir != "" {
+		d, err := store.Open(dir, flit.EngineVersion)
+		if err != nil {
+			return nil, nil, err
+		}
+		tiers = append(tiers, d)
+	}
+	if remoteURL == "" {
+		return tiers, nil, nil
+	}
+	r, err := store.NewRemote(remoteURL, flit.EngineVersion, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return append(tiers, r), r, nil
 }
 
 // emitDelta writes the warm-started run's DeltaReport (-delta-out) and its
@@ -514,19 +525,18 @@ func emitDelta(eng *experiments.Engine, o *cliOpts, command []string, stderr io.
 	return nil
 }
 
-// execute runs a subcommand's renderer through the shard/stats plumbing.
-// Unsharded, the renderer writes its normal output to stdout. Sharded, the
-// rendering is discarded — a shard's product is the artifact holding every
+// execute runs a canonical command — the one a shard artifact records and
+// `flit merge` and `flit work` replay — through the shard/stats plumbing.
+// Unsharded, the command writes its normal output to stdout. Sharded, the
+// output is discarded — a shard's product is the artifact holding every
 // build/run result it computed, written to -shard-out, with a one-line
-// receipt on stdout. command is the canonical replay command recorded in
-// the artifact for `flit merge`.
-func execute(eng *experiments.Engine, o *cliOpts, command []string,
-	render func(w io.Writer) error, stdout, stderr io.Writer) error {
+// receipt on stdout.
+func execute(eng *experiments.Engine, o *cliOpts, command []string, stdout, stderr io.Writer) error {
 	out := stdout
 	if o.shardMode() {
 		out = io.Discard
 	}
-	err := render(out)
+	err := experiments.RunCommand(eng, command, out)
 	if *o.stats {
 		o.printStats(eng, stderr)
 	}
@@ -550,10 +560,10 @@ func execute(eng *experiments.Engine, o *cliOpts, command []string,
 
 func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 	m := eng.CacheMetrics()
-	fmt.Fprintf(w, "cache runs:  hits=%d misses=%d evictions=%d entries=%d cap=%d\n",
-		m.Runs.Hits, m.Runs.Misses, m.Runs.Evictions, m.Runs.Entries, m.Runs.Capacity)
-	fmt.Fprintf(w, "cache costs: hits=%d misses=%d evictions=%d entries=%d cap=%d\n",
-		m.Costs.Hits, m.Costs.Misses, m.Costs.Evictions, m.Costs.Entries, m.Costs.Capacity)
+	fmt.Fprintf(w, "cache runs:  hits=%d misses=%d entries=%d\n",
+		m.Runs.Hits, m.Runs.Misses, m.Runs.Entries)
+	fmt.Fprintf(w, "cache costs: hits=%d misses=%d entries=%d\n",
+		m.Costs.Hits, m.Costs.Misses, m.Costs.Entries)
 	// Key-first build accounting: builds is how many executables this run
 	// actually linked, skipped-builds how many plans were answered entirely
 	// from the cache without ever materializing — on a fully warm-started
@@ -591,7 +601,7 @@ func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 func cmdRun(args []string, stdout, stderr io.Writer) error {
 	fs, o := newFlagSet("run", stderr)
 	test := fs.String("test", "", "restrict output to one test (e.g. Example05)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
 	eng, err := o.engine()
@@ -602,9 +612,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) error {
 	if *test != "" {
 		command = append(command, "-test", *test)
 	}
-	return execute(eng, o, command, func(w io.Writer) error {
-		return experiments.RenderRun(eng, *test, w)
-	}, stdout, stderr)
+	return execute(eng, o, command, stdout, stderr)
 }
 
 func cmdBisect(args []string, stdout, stderr io.Writer) error {
@@ -612,7 +620,7 @@ func cmdBisect(args []string, stdout, stderr io.Writer) error {
 	test := fs.String("test", "", "test name (e.g. Example13)")
 	compStr := fs.String("comp", "", "variable compilation, e.g. 'g++ -O3 -mavx2 -mfma'")
 	k := fs.Int("k", 0, "find only the top-k contributors (0 = all, with verification)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
 	if *test == "" || *compStr == "" {
@@ -629,9 +637,7 @@ func cmdBisect(args []string, stdout, stderr io.Writer) error {
 	// The canonical compilation string (variable.String round-trips through
 	// parseCompilation) keeps the recorded command whitespace-independent.
 	command := []string{"bisect", "-test", *test, "-comp", variable.String(), "-k", strconv.Itoa(*k)}
-	return execute(eng, o, command, func(w io.Writer) error {
-		return experiments.RenderBisect(eng, *test, variable, *k, eng.Shard(), w)
-	}, stdout, stderr)
+	return execute(eng, o, command, stdout, stderr)
 }
 
 func cmdExperiments(args []string, stdout, stderr io.Writer) error {
@@ -649,9 +655,7 @@ func cmdExperiments(args []string, stdout, stderr io.Writer) error {
 			"findings", "motivation", "table4", "laghos-nan", "table2", "table5", "mpi"}
 	}
 	command := append([]string{"experiments"}, names...)
-	return execute(eng, o, command, func(w io.Writer) error {
-		return experiments.RenderExperiments(eng, names, w)
-	}, stdout, stderr)
+	return execute(eng, o, command, stdout, stderr)
 }
 
 // cmdMerge reassembles a complete set of shard artifacts: it validates
@@ -667,11 +671,6 @@ func cmdMerge(args []string, stdout, stderr io.Writer) error {
 	if *o.shardStr != "" || *o.shardOut != "" {
 		return errors.New("merge does not accept -shard/-shard-out (it replays a complete shard set)")
 	}
-	if *o.cacheCap > 0 {
-		// A capped cache would evict the imported results before the
-		// replay reads them, recomputing what the shards already shipped.
-		return errors.New("merge does not accept -cache-cap (imported shard results must stay resident for the replay)")
-	}
 	arts, err := readArtifacts(fs.Args())
 	if err != nil {
 		return err
@@ -679,37 +678,11 @@ func cmdMerge(args []string, stdout, stderr io.Writer) error {
 	if len(arts) == 0 {
 		return errors.New("merge requires at least one shard artifact file")
 	}
-	if err := o.checkDeltaFlags(); err != nil {
-		return err
-	}
-	eng := experiments.NewEngineCap(*o.j, *o.cacheCap)
-	// -store composes with merge: any evaluation the shard set does not
-	// cover is answered from (and written through to) the store. Imported
-	// shard results themselves are never written through — they are seeds,
-	// not computations of this process.
-	if err := o.attachStore(eng); err != nil {
-		return err
-	}
-	if err := eng.ImportArtifacts(arts...); err != nil {
-		return err
-	}
-	// -warm-start composes with merge: extra artifacts (e.g. yesterday's
-	// campaign) seed additional cache entries on top of the shard set, and
-	// with -delta-out/-stats the replay is also diffed against them.
-	if *o.warmStart != "" {
-		eng.EnableDelta(*o.deltaVerify)
-	}
-	if err := o.loadWarmStart(eng); err != nil {
-		return err
-	}
-	err = experiments.RunCommand(eng, arts[0].Command, stdout)
-	if *o.stats {
-		o.printStats(eng, stderr)
-	}
+	eng, err := o.engine(arts...)
 	if err != nil {
 		return err
 	}
-	return emitDelta(eng, o, arts[0].Command, stderr)
+	return execute(eng, o, arts[0].Command, stdout, stderr)
 }
 
 // cmdDelta diffs two artifact sets offline: the -baseline set against the
@@ -760,14 +733,11 @@ func cmdGc(args []string, stdout, stderr io.Writer) error {
 	keep := fs.Int("keep", 1, "generations to keep per (engine, command, shard) slot")
 	dryRun := fs.Bool("dry-run", false, "plan and report only; delete nothing")
 	manifest := fs.String("warm-start", "", "comma-separated artifacts a live campaign still warm-starts from; never pruned")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
 	if *dir == "" {
 		return errors.New("gc requires -dir DIR")
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("gc takes no positional arguments (got %q)", fs.Args())
 	}
 	protect := make(map[string]bool)
 	for _, p := range strings.Split(*manifest, ",") {
@@ -818,14 +788,11 @@ func cmdStore(args []string, stdout, stderr io.Writer) error {
 		fs := flag.NewFlagSet("store stats", flag.ContinueOnError)
 		fs.SetOutput(stderr)
 		dir := fs.String("store", "", "run-store directory (required)")
-		if err := parseFlags(fs, rest); err != nil {
+		if err := parseFlagsOnly(fs, rest); err != nil {
 			return err
 		}
 		if *dir == "" {
 			return errors.New("store stats requires -store DIR")
-		}
-		if fs.NArg() > 0 {
-			return fmt.Errorf("store stats takes no positional arguments (got %q)", fs.Args())
 		}
 		d, err := store.Open(*dir, flit.EngineVersion)
 		if err != nil {
@@ -845,14 +812,11 @@ func cmdStore(args []string, stdout, stderr io.Writer) error {
 		maxEntries := fs.Int("max-entries", 0, "keep at most N entries, oldest pruned first (0 = unlimited)")
 		maxBytes := fs.Int64("max-bytes", 0, "keep at most N payload bytes (0 = unlimited)")
 		dryRun := fs.Bool("dry-run", false, "plan and report only; delete nothing")
-		if err := parseFlags(fs, rest); err != nil {
+		if err := parseFlagsOnly(fs, rest); err != nil {
 			return err
 		}
 		if *dir == "" {
 			return errors.New("store gc requires -store DIR")
-		}
-		if fs.NArg() > 0 {
-			return fmt.Errorf("store gc takes no positional arguments (got %q)", fs.Args())
 		}
 		d, err := store.Open(*dir, flit.EngineVersion)
 		if err != nil {
@@ -889,14 +853,11 @@ func cmdStoreServe(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", "", "Disk store directory to serve (required; created if absent)")
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
 	if *dir == "" {
 		return errors.New("store serve requires -dir DIR")
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("store serve takes no positional arguments (got %q)", fs.Args())
 	}
 	d, err := store.Open(*dir, flit.EngineVersion)
 	if err != nil {

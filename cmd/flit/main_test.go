@@ -85,6 +85,8 @@ func TestRunUsageExit(t *testing.T) {
 			wantErr: "invalid value"},
 		{name: "experiments unknown name", args: []string{"experiments", "no-such-table"}, wantCode: 1,
 			wantErr: `unknown experiment "no-such-table"`},
+		{name: "run unknown test", args: []string{"run", "-test", "NoSuch"}, wantCode: 1,
+			wantErr: `unknown test "NoSuch"`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -102,6 +104,36 @@ func TestRunUsageExit(t *testing.T) {
 				t.Errorf("diagnostic %q printed %d times", tt.wantErr, n)
 			}
 		})
+	}
+}
+
+// TestStrayPositionalArgumentsRejected: every subcommand that takes no
+// positional arguments refuses a stray one before doing any work, even
+// behind otherwise complete flags.
+func TestStrayPositionalArgumentsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-test", "Example05", "stray"},
+		{"bisect", "-test", "Example13", "-comp", "g++ -O3 -mavx2 -mfma", "stray"},
+		{"gc", "-dir", "d", "stray"},
+		{"store", "stats", "-store", "d", "stray"},
+		{"store", "gc", "-store", "d", "stray"},
+		{"store", "serve", "-dir", "d", "stray"},
+		{"coord", "serve", "-dir", "d", "stray"},
+		{"coord", "status", "-coord", "http://127.0.0.1:1", "stray"},
+		{"coord", "submit", "-coord", "http://127.0.0.1:1", "-command", "experiments table3", "-shards", "1", "stray"},
+		{"coord", "gc", "-coord", "http://127.0.0.1:1", "stray"},
+		{"work", "-coord", "http://127.0.0.1:1", "stray"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Errorf("%q: exit %d, want 1 (stderr: %s)", args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), `takes no positional arguments (got ["stray"])`) {
+			t.Errorf("%q: stderr %q does not reject the stray argument", args, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: did work before rejecting: %q", args, stdout.String())
+		}
 	}
 }
 
@@ -279,13 +311,6 @@ func TestShardRequiresShardOut(t *testing.T) {
 	if code := run([]string{"run", "-shard", "2/2", "-shard-out", "x.json"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("bad shard index: exit %d, want 1", code)
 	}
-	// A capped cache would export an incomplete artifact; the combination
-	// is rejected up front.
-	stderr.Reset()
-	code := run([]string{"run", "-shard", "0/2", "-shard-out", "x.json", "-cache-cap", "10"}, &stdout, &stderr)
-	if code != 1 || !strings.Contains(stderr.String(), "-cache-cap") {
-		t.Errorf("shard with cache-cap: exit %d, stderr %q", code, stderr.String())
-	}
 }
 
 // TestShardZeroOfOneExportsArtifact: "0/1" is the valid degenerate shard
@@ -411,26 +436,6 @@ func TestDeltaOutOnWarmStartedRun(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "-warm-start") {
 		t.Errorf("stderr: %s", stderr.String())
-	}
-
-	// So is combining them with an evicting cache: entries (and their
-	// provenance) would vanish mid-run and be misreported as dropped.
-	stderr.Reset()
-	code = run([]string{"experiments", "-warm-start", base, "-delta-out", repPath,
-		"-cache-cap", "10", "table4"}, &stdout, &stderr)
-	if code != 1 || !strings.Contains(stderr.String(), "-cache-cap") {
-		t.Errorf("-delta-out with -cache-cap: exit %d, stderr %q", code, stderr.String())
-	}
-	// A capped warm start without delta flags stays legal (PR 3 behavior);
-	// it just reports no delta summary rather than a wrong one.
-	stderr.Reset()
-	code = run([]string{"experiments", "-warm-start", base, "-cache-cap", "10", "-stats", "table4"},
-		&stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("capped warm start: exit %d, stderr: %s", code, stderr.String())
-	}
-	if strings.Contains(stderr.String(), "delta:") {
-		t.Errorf("capped warm start printed a delta summary it cannot stand behind: %s", stderr.String())
 	}
 }
 

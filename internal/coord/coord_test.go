@@ -99,7 +99,7 @@ func runner(t *testing.T, url string, j int) coord.Runner {
 // reference every converged campaign must reproduce.
 func unshardedOutput(t *testing.T, command []string, j int) string {
 	t.Helper()
-	eng := experiments.NewEngineCap(j, 0)
+	eng := experiments.NewEngine(j)
 	var buf bytes.Buffer
 	if err := experiments.RunCommand(eng, command, &buf); err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func mergedOutput(t *testing.T, c *coord.Coordinator, id string, command []strin
 	if err := flit.ValidateShardSet(arts); err != nil {
 		t.Fatalf("completed campaign fails merge validation: %v", err)
 	}
-	eng := experiments.NewEngineCap(j, 0)
+	eng := experiments.NewEngine(j)
 	if err := eng.ImportArtifacts(arts...); err != nil {
 		t.Fatal(err)
 	}

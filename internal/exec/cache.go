@@ -19,14 +19,6 @@ var ErrComputePanicked = errors.New("exec: cache computation panicked")
 // caller observes the same value. Values must be treated as immutable by
 // all callers — they are shared, not copied.
 //
-// A cache may be size-capped (NewCacheCap), in which case completed entries
-// are evicted least-recently-used when the entry count exceeds the cap.
-// Eviction never breaks waiters — an evicted entry's value still reaches
-// every caller already blocked on it — and an evicted key simply recomputes
-// on next use, with fresh single-flight semantics. Because everything the
-// reproduction memoizes is a pure function of its key, eviction trades
-// recomputation for memory and cannot change any result.
-//
 // The reproduction uses it to memoize test runs keyed by build plan: the
 // simulated toolchain is deterministic, so a cache hit is bit-identical to
 // a re-run, and repeated evaluations during bisect hit the cache instead
@@ -34,16 +26,10 @@ var ErrComputePanicked = errors.New("exec: cache computation panicked")
 // Errors are memoized too (a deterministic toolchain fails the same way
 // every time).
 type Cache[V any] struct {
-	mu sync.Mutex
-	m  map[string]*cacheEntry[V]
-	// cap is the maximum entry count; 0 means unbounded. In-flight entries
-	// are never evicted, so the count may transiently exceed cap while more
-	// than cap computations overlap; it is re-enforced as each completes.
-	cap        int
-	head, tail *cacheEntry[V] // recency list, head = most recently used
-	hits       atomic.Int64
-	misses     atomic.Int64
-	evictions  atomic.Int64
+	mu     sync.Mutex
+	m      map[string]*cacheEntry[V]
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
 type cacheEntry[V any] struct {
@@ -56,22 +42,12 @@ type cacheEntry[V any] struct {
 	// rather than computed here; uses counts how many Do calls this entry
 	// answered. Both guarded by Cache.mu — the provenance the incremental
 	// campaign engine's delta detector reads back through EachInfo.
-	seeded     bool
-	uses       int64
-	prev, next *cacheEntry[V]
+	seeded bool
+	uses   int64
 }
 
-// NewCache returns an empty, unbounded cache.
-func NewCache[V any]() *Cache[V] { return NewCacheCap[V](0) }
-
-// NewCacheCap returns an empty cache evicting least-recently-used completed
-// entries once it holds more than capacity keys. capacity <= 0 is unbounded.
-func NewCacheCap[V any](capacity int) *Cache[V] {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Cache[V]{m: make(map[string]*cacheEntry[V]), cap: capacity}
-}
+// NewCache returns an empty cache.
+func NewCache[V any]() *Cache[V] { return &Cache[V]{m: make(map[string]*cacheEntry[V])} }
 
 // Do returns the memoized value for key, computing it with fn on first use.
 // A nil cache computes without memoizing, so callers can plumb an optional
@@ -83,7 +59,6 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (V, error) {
 	c.mu.Lock()
 	if e, ok := c.m[key]; ok {
 		e.uses++
-		c.moveToFront(e)
 		c.mu.Unlock()
 		c.hits.Add(1)
 		<-e.done
@@ -91,7 +66,6 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (V, error) {
 	}
 	e := &cacheEntry[V]{key: key, done: make(chan struct{}), uses: 1}
 	c.m[key] = e
-	c.pushFront(e)
 	c.mu.Unlock()
 	c.misses.Add(1)
 	// The done channel must close even if fn panics (a waiter blocked on
@@ -104,13 +78,9 @@ func (c *Cache[V]) Do(key string, fn func() (V, error)) (V, error) {
 		c.mu.Lock()
 		if completed {
 			e.completed = true
-			c.evictLocked()
 		} else {
 			e.err = ErrComputePanicked
-			if c.m[e.key] == e {
-				c.unlink(e)
-				delete(c.m, e.key)
-			}
+			delete(c.m, e.key)
 		}
 		c.mu.Unlock()
 		close(e.done)
@@ -138,8 +108,6 @@ func (c *Cache[V]) Seed(key string, val V, err error) bool {
 	e := &cacheEntry[V]{key: key, done: make(chan struct{}), val: val, err: err, completed: true, seeded: true}
 	close(e.done)
 	c.m[key] = e
-	c.pushFront(e)
-	c.evictLocked()
 	return true
 }
 
@@ -188,60 +156,6 @@ func (c *Cache[V]) EachInfo(fn func(key string, val V, err error, info EntryInfo
 	}
 }
 
-// pushFront links a new entry at the head of the recency list (mu held).
-func (c *Cache[V]) pushFront(e *cacheEntry[V]) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-// moveToFront marks an entry most recently used (mu held).
-func (c *Cache[V]) moveToFront(e *cacheEntry[V]) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
-}
-
-// unlink removes an entry from the recency list (mu held).
-func (c *Cache[V]) unlink(e *cacheEntry[V]) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.head == e {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// evictLocked removes least-recently-used completed entries until the cache
-// fits its cap (mu held). In-flight entries are skipped: waiters hold their
-// entry pointer and single-flight must not be torn down mid-computation.
-func (c *Cache[V]) evictLocked() {
-	if c.cap <= 0 {
-		return
-	}
-	for e := c.tail; e != nil && len(c.m) > c.cap; {
-		prev := e.prev
-		if e.completed {
-			c.unlink(e)
-			delete(c.m, e.key)
-			c.evictions.Add(1)
-		}
-		e = prev
-	}
-}
-
 // Len reports how many distinct keys are resident (computed, seeded, or in
 // flight).
 func (c *Cache[V]) Len() int {
@@ -253,30 +167,11 @@ func (c *Cache[V]) Len() int {
 	return len(c.m)
 }
 
-// Capacity reports the eviction cap; 0 means unbounded.
-func (c *Cache[V]) Capacity() int {
-	if c == nil {
-		return 0
-	}
-	return c.cap
-}
-
-// Stats reports cache hits and misses, the observability hook the
-// equivalence tests use to prove memoization actually engages.
-func (c *Cache[V]) Stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.hits.Load(), c.misses.Load()
-}
-
 // Metrics is a point-in-time snapshot of a cache's counters.
 type Metrics struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Entries   int
-	Capacity  int // 0 = unbounded
+	Hits    int64
+	Misses  int64
+	Entries int
 }
 
 // Metrics snapshots the cache's counters and occupancy.
@@ -285,10 +180,8 @@ func (c *Cache[V]) Metrics() Metrics {
 		return Metrics{}
 	}
 	return Metrics{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.Len(),
-		Capacity:  c.cap,
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
+		Entries: c.Len(),
 	}
 }

@@ -140,9 +140,8 @@ func TestCacheSingleFlight(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("cache holds %d keys, want 1", c.Len())
 	}
-	hits, misses := c.Stats()
-	if misses != 1 || hits != 63 {
-		t.Errorf("stats = %d hits / %d misses, want 63/1", hits, misses)
+	if m := c.Metrics(); m.Misses != 1 || m.Hits != 63 {
+		t.Errorf("metrics = %d hits / %d misses, want 63/1", m.Hits, m.Misses)
 	}
 }
 
@@ -201,5 +200,44 @@ func TestCacheDistinctKeys(t *testing.T) {
 	}
 	if c.Len() != 10 {
 		t.Errorf("cache holds %d keys, want 10", c.Len())
+	}
+}
+
+// TestCacheSeedAndEach: seeded entries behave like computed ones (served
+// without recomputation, visible to Each), and Seed refuses to overwrite.
+func TestCacheSeedAndEach(t *testing.T) {
+	c := NewCache[int]()
+	if !c.Seed("a", 10, nil) {
+		t.Fatal("Seed(a) rejected on empty cache")
+	}
+	if c.Seed("a", 99, nil) {
+		t.Fatal("Seed(a) overwrote an existing entry")
+	}
+	v, err := c.Do("a", func() (int, error) {
+		t.Fatal("seeded key recomputed")
+		return 0, nil
+	})
+	if err != nil || v != 10 {
+		t.Fatalf("Do(seeded a) = %d, %v", v, err)
+	}
+	for i := 0; i < 5; i++ {
+		c.Seed(fmt.Sprintf("k%d", i), i, nil)
+	}
+	if got := c.Len(); got != 6 {
+		t.Errorf("Len = %d, want 6", got)
+	}
+	seen := map[string]int{}
+	c.Each(func(key string, val int, err error) { seen[key] = val })
+	if len(seen) != 6 || seen["a"] != 10 || seen["k4"] != 4 {
+		t.Errorf("Each saw %v, want a=10 and k0..k4", seen)
+	}
+	// Nil-cache safety for the seeding surface.
+	var nc *Cache[int]
+	if nc.Seed("x", 1, nil) {
+		t.Error("nil cache accepted a seed")
+	}
+	nc.Each(func(string, int, error) { t.Error("nil cache has entries") })
+	if m := nc.Metrics(); m != (Metrics{}) {
+		t.Errorf("nil cache metrics = %+v", m)
 	}
 }

@@ -41,7 +41,7 @@ func TestDoPanicGivesWaitersSentinelError(t *testing.T) {
 	// The waiter increments the hit counter before blocking on the entry;
 	// only then may the computation be allowed to panic.
 	for {
-		if h, _ := c.Stats(); h >= 1 {
+		if c.Metrics().Hits >= 1 {
 			break
 		}
 		runtime.Gosched()

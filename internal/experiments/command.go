@@ -9,16 +9,19 @@ import (
 	"strings"
 
 	"repro/internal/comp"
+	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/flit"
 	"repro/internal/store"
 )
 
 // This file is the programmatic form of the CLI's subcommands: every
-// renderer `flit` dispatches to, plus the canonical-command replay that
-// `flit merge` and the campaign coordinator's workers both run. It lives
-// here rather than in cmd/flit so that a worker process can execute a
-// recorded campaign command — the exact []string a shard artifact or a
-// coordinator grant carries — without shelling out to its own binary.
+// renderer plus RunCommand, the one entry point through which `flit run`,
+// `flit bisect`, `flit experiments`, `flit merge` and the campaign
+// coordinator's workers all execute a canonical command. It lives here
+// rather than in cmd/flit so that a worker process can execute a recorded
+// campaign command — the exact []string a shard artifact or a coordinator
+// grant carries — without shelling out to its own binary.
 
 // ParseCompilation parses the CLI's "compiler -Olevel [switches]" form.
 func ParseCompilation(s string) (comp.Compilation, error) {
@@ -33,9 +36,23 @@ func ParseCompilation(s string) (comp.Compilation, error) {
 	}, nil
 }
 
+// lookupTest resolves a test name of the MFEM suite, the check `flit run
+// -test` and `flit bisect -test` share.
+func lookupTest(wf *core.Workflow, test string) (flit.TestCase, error) {
+	if tc := wf.TestByName(test); tc != nil {
+		return tc, nil
+	}
+	return nil, fmt.Errorf("unknown test %q (Example01..Example19)", test)
+}
+
 // RenderRun writes the `flit run` compilation-matrix table, optionally
 // restricted to one test.
 func RenderRun(eng *Engine, test string, w io.Writer) error {
+	if test != "" {
+		if _, err := lookupTest(eng.Workflow(), test); err != nil {
+			return err
+		}
+	}
 	res, err := eng.Results()
 	if err != nil {
 		return err
@@ -61,9 +78,9 @@ func RenderRun(eng *Engine, test string, w io.Writer) error {
 func RenderBisect(eng *Engine, test string, variable comp.Compilation,
 	k int, shard exec.Shard, w io.Writer) error {
 	wf := eng.Workflow()
-	tc := wf.TestByName(test)
-	if tc == nil {
-		return fmt.Errorf("unknown test %q (Example01..Example19)", test)
+	tc, err := lookupTest(wf, test)
+	if err != nil {
+		return err
 	}
 	report, err := wf.BisectSharded(tc, variable, k, shard)
 	eng.NoteBisect(report)
@@ -241,11 +258,11 @@ func RunExperiment(eng *Engine, name string, w io.Writer) error {
 	return nil
 }
 
-// RunCommand replays a canonical recorded command — the []string a shard
-// artifact records and a coordinator grant carries — against eng, writing
-// the command's normal output to w. The engine's own shard setting
-// applies, so the same entry point serves merge replays (unsharded) and
-// coordinator workers (sharded).
+// RunCommand runs a canonical command — the []string a shard artifact
+// records and a coordinator grant carries — against eng, writing the
+// command's normal output to w. The engine's own shard setting applies, so
+// the same entry point serves live CLI runs and merge replays (unsharded)
+// and shard runs and coordinator workers (sharded).
 func RunCommand(eng *Engine, command []string, w io.Writer) error {
 	if len(command) == 0 {
 		return errors.New("no command to run")
@@ -294,7 +311,7 @@ func RunShard(command []string, shard exec.Shard, j int, tiers ...store.Store) (
 	if err := shard.Validate(); err != nil {
 		return nil, err
 	}
-	eng := NewEngineCap(j, 0)
+	eng := NewEngine(j)
 	eng.SetShard(shard)
 	eng.AttachStoreTiers(tiers...)
 	if err := RunCommand(eng, command, io.Discard); err != nil {

@@ -74,16 +74,7 @@ func (e *Engine) BisectStats() BisectStats {
 // NewEngine returns an engine running up to parallelism evaluations at
 // once (<= 0 means one per CPU) with a fresh build/run cache.
 func NewEngine(parallelism int) *Engine {
-	return NewEngineCap(parallelism, 0)
-}
-
-// NewEngineCap is NewEngine with a size-capped build/run cache: at most
-// cacheCap memoized run results are resident, evicted least-recently-used
-// (<= 0 means unbounded). Eviction trades recomputation for memory and
-// never changes any output — every memoized value is a pure function of
-// its key.
-func NewEngineCap(parallelism, cacheCap int) *Engine {
-	return &Engine{pool: exec.New(parallelism), cache: flit.NewCacheCap(cacheCap)}
+	return &Engine{pool: exec.New(parallelism), cache: flit.NewCache()}
 }
 
 // Pool returns the engine's worker pool.

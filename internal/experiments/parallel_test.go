@@ -134,11 +134,11 @@ func TestCacheEngages(t *testing.T) {
 	if _, err := e.Table4(); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := e.Cache().Stats()
-	if misses == 0 {
+	m := e.CacheMetrics().Runs
+	if m.Misses == 0 {
 		t.Fatal("cache recorded no misses — nothing went through it")
 	}
-	if hits < misses {
-		t.Errorf("cache hits %d < misses %d; memoization is not engaging", hits, misses)
+	if m.Hits < m.Misses {
+		t.Errorf("cache hits %d < misses %d; memoization is not engaging", m.Hits, m.Misses)
 	}
 }

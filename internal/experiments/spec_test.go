@@ -128,7 +128,7 @@ func TestWarmStartSkipsRecomputation(t *testing.T) {
 	if !reflect.DeepEqual(rows, rows2) {
 		t.Fatal("warm-started Table4 differs from the cold run")
 	}
-	if _, misses := warmed.Cache().Stats(); misses != 0 {
+	if misses := warmed.CacheMetrics().Runs.Misses; misses != 0 {
 		t.Fatalf("warm-started run recomputed %d evaluations", misses)
 	}
 

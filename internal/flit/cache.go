@@ -69,10 +69,6 @@ type runVal struct {
 // step is cheap map construction and is not memoized.) Cached Results are
 // shared — callers must treat them as read-only, which every comparison in
 // the reproduction does. A nil *Cache is valid and simply runs everything.
-//
-// A capped cache (NewCacheCap) evicts least-recently-used run entries; the
-// toolchain is deterministic, so eviction trades recomputation for memory
-// and can never change a result.
 type Cache struct {
 	runs  *exec.Cache[runVal]
 	costs *exec.Cache[float64]
@@ -94,15 +90,9 @@ type Cache struct {
 	skippedBuilds atomic.Int64
 }
 
-// NewCache returns an empty, unbounded build/run cache.
-func NewCache() *Cache { return NewCacheCap(0) }
-
-// NewCacheCap returns a build/run cache whose run store is capped at
-// capacity entries with LRU eviction (<= 0 means unbounded). Run results
-// carry whole mesh vectors and dominate the cache's memory; the cost store
-// holds one float64 per key and stays unbounded.
-func NewCacheCap(capacity int) *Cache {
-	return &Cache{runs: exec.NewCacheCap[runVal](capacity), costs: exec.NewCache[float64]()}
+// NewCache returns an empty build/run cache.
+func NewCache() *Cache {
+	return &Cache{runs: exec.NewCache[runVal](), costs: exec.NewCache[float64]()}
 }
 
 // RunAllPlanned is the memoizing form of the package-level RunAll: the
@@ -224,14 +214,6 @@ func (c *Cache) RunEntries() []RunEntry {
 	return out
 }
 
-// Stats reports (hits, misses) of the run cache.
-func (c *Cache) Stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.runs.Stats()
-}
-
 // CacheMetrics snapshots both stores of a build/run cache, plus the
 // key-first build accounting: Builds counts plans actually materialized
 // through RunAllPlanned/CostPlanned, SkippedBuilds the builders whose every
@@ -247,7 +229,7 @@ type CacheMetrics struct {
 	Store StoreMetrics
 }
 
-// Metrics snapshots hit/miss/eviction counters and occupancy of both
+// Metrics snapshots hit/miss counters and occupancy of both
 // stores — the observability surface behind the CLI's -stats flag.
 func (c *Cache) Metrics() CacheMetrics {
 	if c == nil {

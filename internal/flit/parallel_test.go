@@ -78,9 +78,8 @@ func TestCacheRunAllMemoizes(t *testing.T) {
 	if L2Diff(first, again) != 0 {
 		t.Error("cached result differs from first run")
 	}
-	hits, misses := cache.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
+	if m := cache.Metrics().Runs; m.Hits != 1 || m.Misses != 1 {
+		t.Errorf("run metrics = %d hits / %d misses, want 1/1", m.Hits, m.Misses)
 	}
 	ex, err := link.Link(plan)
 	if err != nil {

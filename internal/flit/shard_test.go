@@ -64,7 +64,7 @@ func TestShardMergeMatrixEquivalence(t *testing.T) {
 		if got := matrixFingerprint(res); got != want {
 			t.Errorf("N=%d: merged fingerprint differs from unsharded -j1 run", n)
 		}
-		if _, misses := merged.Cache.Stats(); misses != 0 {
+		if misses := merged.Cache.Metrics().Runs.Misses; misses != 0 {
 			t.Errorf("N=%d: merged replay recomputed %d runs; shards did not cover the matrix", n, misses)
 		}
 	}

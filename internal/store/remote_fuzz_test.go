@@ -29,8 +29,8 @@ func FuzzRemoteDecode(f *testing.F) {
 
 	f.Add([]byte{})
 	f.Add(valid(`{"key":"k","scalar":4609434218613702656}`))
-	f.Add(valid(`{"v":1}`)[:20])                          // truncated mid-envelope
-	f.Add(append(valid(`{"v":1}`), "{}garbage"...))       // trailing garbage
+	f.Add(valid(`{"v":1}`)[:20])                    // truncated mid-envelope
+	f.Add(append(valid(`{"v":1}`), "{}garbage"...)) // trailing garbage
 	jkey, _ := json.Marshal(key)
 	f.Add([]byte(`{"engine":"` + engine + `","key":` + string(jkey) + `,"sum":"0000","data":{"v":1}}`)) // bad sum
 	f.Add([]byte(`{"engine":"flit-engine/other","key":"x","sum":"","data":null}`))

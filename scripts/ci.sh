@@ -2,6 +2,7 @@
 # ci.sh — the canonical tier-1+ gate (see ROADMAP.md).
 #
 #   go vet           static checks
+#   gofmt            formatting gate: `gofmt -l .` must list no file
 #   go build         tier-1, part 1
 #   go test -race    tier-1, part 2, with the race detector and -cover (the
 #                    parallel execution engine must be data-race-free at
@@ -57,6 +58,7 @@
 set -eux
 
 go vet ./...
+test -z "$(gofmt -l .)"
 go build ./...
 
 go test -race -cover ./...
