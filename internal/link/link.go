@@ -4,14 +4,14 @@
 // overriding individual exported symbols via the strong/weak-symbol trick
 // (Symbol Bisect, paper §2.3 and Figure 3).
 //
-// Linking yields an Executable. Running application code against an
-// Executable resolves, per function invocation, which compilation's
-// "generated code" executes, and hands the application an fp.Env with that
-// compilation's floating-point semantics. Internal (non-exported) symbols
-// cannot be overridden individually: like real translation units, they
-// travel with whichever copy of their file the caller came from — which is
-// exactly what makes the paper's "indirect finds" and -fPIC limitations
-// appear.
+// Linking yields an Executable, which resolves once which compilation's
+// "generated code" each symbol binds to. Running application code against
+// it hands every function invocation an fp.Env with that compilation's
+// floating-point semantics. Internal (non-exported) symbols cannot be
+// overridden individually: like real translation units, they travel with
+// whichever copy of their file the caller came from, decided per
+// invocation from the call stack — which is exactly what makes the paper's
+// "indirect finds" and -fPIC limitations appear.
 package link
 
 import (
@@ -124,6 +124,17 @@ type Executable struct {
 	driver   string
 	crash    bool
 
+	// comps lists the executable's distinct compilations, deduplicated by
+	// == (so injection plans by pointer identity).
+	comps []comp.Compilation
+	// symTab maps a symbol ID to the index in comps of the compilation the
+	// symbol binds to when no same-file caller is on the stack: for an
+	// exported symbol, the copy providing its strong definition; for an
+	// internal one, its file's compilation. Like comps, it is written once
+	// by Link and only read afterwards, so Machines on many goroutines can
+	// share one Executable.
+	symTab []int32
+
 	keyOnce sync.Once
 	key     string
 }
@@ -165,7 +176,61 @@ func Link(p Plan) (*Executable, error) {
 		driver:   driver,
 	}
 	ex.crash = ex.abiHazard()
+	ex.resolveSymbols()
 	return ex, nil
+}
+
+// resolveSymbols fills comps and symTab: the one place the linker's
+// binding rule lives. A file with no symbol override binds to its
+// file-level compilation (the plan's FileComp entry, else the baseline). A
+// file holding a symbol override is linked as two -fPIC copies: the
+// overridden symbols bind to their SymbolComp entry, its other exported
+// symbols to the baseline -fPIC copy. Internal symbols bind to their
+// file-level compilation here; at run time Machine.Fn binds them to the
+// copy of their nearest same-file caller instead, when one is on the
+// stack.
+func (e *Executable) resolveSymbols() {
+	files := e.prog.Files()
+	fileTab := make([]int32, len(files))
+	for i, f := range files {
+		c, ok := e.fileComp[f.Name]
+		if !ok {
+			c = e.baseline
+		}
+		fileTab[i] = e.intern(c)
+	}
+	twoCopies := make([]bool, len(files))
+	for s := range e.symComp {
+		twoCopies[e.prog.Symbol(s).FileID()] = true
+	}
+	e.symTab = make([]int32, e.prog.NumSymbols())
+	for id := range e.symTab {
+		sym := e.prog.SymbolAt(id)
+		c, overridden := e.symComp[sym.Name]
+		switch {
+		case !sym.Exported:
+			e.symTab[id] = fileTab[sym.FileID()]
+		case overridden:
+			e.symTab[id] = e.intern(c)
+		case twoCopies[sym.FileID()]:
+			e.symTab[id] = e.intern(e.baseline.WithFPIC())
+		default:
+			e.symTab[id] = fileTab[sym.FileID()]
+		}
+	}
+}
+
+// intern returns the index of c in comps, appending it on first sight. An
+// executable has a handful of distinct compilations, so a scan is cheaper
+// than a map.
+func (e *Executable) intern(c comp.Compilation) int32 {
+	for i, have := range e.comps {
+		if have == c {
+			return int32(i)
+		}
+	}
+	e.comps = append(e.comps, c)
+	return int32(len(e.comps) - 1)
 }
 
 // abiHazard evaluates the deterministic binary-compatibility rules.
@@ -220,64 +285,24 @@ func (e *Executable) Driver() string { return e.driver }
 // Program returns the application this executable was built from.
 func (e *Executable) Program() *prog.Program { return e.prog }
 
-// fileCompilation returns the compilation assigned to a whole file.
-func (e *Executable) fileCompilation(file string) comp.Compilation {
-	if c, ok := e.fileComp[file]; ok {
-		return c
-	}
-	return e.baseline
-}
-
-// exportedCompilation resolves the compilation providing an exported
-// symbol's strong definition.
-func (e *Executable) exportedCompilation(sym *prog.Symbol) comp.Compilation {
-	if c, ok := e.symComp[sym.Name]; ok {
-		return c
-	}
-	if e.fileHasSymbolOverrides(sym.File) {
-		// The file is linked as two -fPIC copies; non-overridden exported
-		// symbols bind to the baseline copy.
-		return e.baseline.WithFPIC()
-	}
-	return e.fileCompilation(sym.File)
-}
-
-func (e *Executable) fileHasSymbolOverrides(file string) bool {
-	for s := range e.symComp {
-		if e.prog.Symbol(s).File == file {
-			return true
-		}
-	}
-	return false
-}
-
 // Cost returns the deterministic runtime cost of executing the program from
 // the given roots under this executable's symbol resolution. Internal
 // symbols are charged at their file's compilation.
 func (e *Executable) Cost(roots ...string) float64 {
 	var total float64
 	for _, sym := range sortedSymbols(e.prog.Reachable(roots...)) {
-		var c comp.Compilation
-		if sym.Exported {
-			c = e.exportedCompilation(sym)
-		} else {
-			c = e.fileCompilation(sym.File)
-		}
-		total += sym.Work * comp.SpeedFactor(c, sym)
+		total += sym.Work * comp.SpeedFactor(e.comps[e.symTab[sym.ID()]], sym)
 	}
 	return total
 }
 
 // sortedSymbols gives deterministic iteration over a reachability set.
+// Names are unique, so the order, and with it Cost's float sum, is fixed.
 func sortedSymbols(set map[string]*prog.Symbol) []*prog.Symbol {
 	out := make([]*prog.Symbol, 0, len(set))
 	for _, s := range set {
 		out = append(out, s)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Name > out[j].Name; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

@@ -22,30 +22,25 @@ import (
 type Machine struct {
 	ex    *Executable
 	stack []frame
-	// envs caches one fp.Env per (symbol, providing compilation) for the
-	// lifetime of the run, so a function's dynamic instruction counter
-	// accumulates across invocations — an injection at static instruction
-	// k of a function called many times fires on every pass through its
-	// body, exactly like a real static-instruction perturbation.
-	//
-	// The key is a comparable struct, not a serialized string: Fn runs once
-	// per simulated function invocation, and building a key string there
-	// (the pre-sharding code used sym + "\x00" + c.Key()) dominated whole-
-	// study profiles. Within one machine every compilation resolves from
-	// the executable's own plan values, so struct equality — including the
-	// Inject plan's pointer identity — is exactly the sharing the dynamic
-	// instruction counters need.
-	envs map[envKey]*fp.Env
+	// envs holds one fp.Env per (symbol, providing compilation) for the
+	// lifetime of the run, at index symbolID*len(ex.comps) + the
+	// compilation's index in ex.comps, and is filled on first entry. A
+	// function's dynamic instruction counter therefore accumulates across
+	// invocations — an injection at static instruction k of a function
+	// called many times fires on every pass through its body, exactly
+	// like a real static-instruction perturbation. Because ex.comps
+	// deduplicates by ==, an injection plan is told apart by pointer
+	// identity, which is the sharing those counters need.
+	envs []*fp.Env
+	// done is the frame-leaving function Fn returns, bound once so that
+	// entering a function allocates nothing.
+	done func()
 }
 
-type envKey struct {
-	sym string
-	c   comp.Compilation
-}
-
+// frame is one simulated activation: the caller's file ID and the index
+// in ex.comps of the compilation providing it.
 type frame struct {
-	sym *prog.Symbol
-	c   comp.Compilation
+	file, comp int32
 }
 
 // NewMachine returns a machine for one run of the executable. It returns
@@ -54,7 +49,9 @@ func (e *Executable) NewMachine() (*Machine, error) {
 	if e.crash {
 		return nil, ErrSegfault
 	}
-	return &Machine{ex: e, envs: make(map[envKey]*fp.Env)}, nil
+	m := &Machine{ex: e, envs: make([]*fp.Env, e.prog.NumSymbols()*len(e.comps))}
+	m.done = m.pop
+	return m, nil
 }
 
 // Fn enters the named function: it resolves which compilation provides this
@@ -64,47 +61,47 @@ func (e *Executable) NewMachine() (*Machine, error) {
 func (m *Machine) Fn(symbol string) (*fp.Env, func()) {
 	sym := m.ex.prog.MustSymbol(symbol)
 	c := m.resolve(sym)
-	m.stack = append(m.stack, frame{sym: sym, c: c})
-	env := m.buildEnv(sym, c)
-	return env, m.pop
+	m.stack = append(m.stack, frame{file: int32(sym.FileID()), comp: c})
+	return m.env(sym, c), m.done
 }
 
 func (m *Machine) pop() {
 	m.stack = m.stack[:len(m.stack)-1]
 }
 
-// resolve decides which compilation's code runs for this invocation.
-func (m *Machine) resolve(sym *prog.Symbol) comp.Compilation {
-	if sym.Exported {
-		return m.ex.exportedCompilation(sym)
-	}
-	// Internal symbol: bound to the copy of its file that the nearest
-	// same-file caller on the stack came from. With no same-file caller
-	// (e.g. a test harness calling an internal function directly) it
-	// binds to the file-level compilation.
-	for i := len(m.stack) - 1; i >= 0; i-- {
-		if m.stack[i].sym.File == sym.File {
-			return m.stack[i].c
+// resolve returns the index in ex.comps of the compilation whose code runs
+// for this invocation. An internal symbol is bound to the copy of its file
+// that the nearest same-file caller on the stack came from; everything
+// else, including an internal symbol with no same-file caller (e.g. a test
+// harness calling it directly), takes the binding Link resolved.
+func (m *Machine) resolve(sym *prog.Symbol) int32 {
+	if !sym.Exported {
+		file := int32(sym.FileID())
+		for i := len(m.stack) - 1; i >= 0; i-- {
+			if m.stack[i].file == file {
+				return m.stack[i].comp
+			}
 		}
 	}
-	return m.ex.fileCompilation(sym.File)
+	return m.ex.symTab[sym.ID()]
 }
 
-// buildEnv returns the run-scoped fp.Env for one symbol under one
-// compilation, creating it on first entry.
-func (m *Machine) buildEnv(sym *prog.Symbol, c comp.Compilation) *fp.Env {
-	key := envKey{sym: sym.Name, c: c}
-	if env, ok := m.envs[key]; ok {
+// env returns the run-scoped fp.Env for one symbol under the compilation at
+// index c of ex.comps, creating it on first entry.
+func (m *Machine) env(sym *prog.Symbol, c int32) *fp.Env {
+	slot := sym.ID()*len(m.ex.comps) + int(c)
+	if env := m.envs[slot]; env != nil {
 		return env
 	}
-	sem := comp.ApplyLinkStep(m.ex.driver, sym, comp.Semantics(c, sym))
+	cc := m.ex.comps[c]
+	sem := comp.ApplyLinkStep(m.ex.driver, sym, comp.Semantics(cc, sym))
 	var env *fp.Env
-	if c.Inject != nil && c.Inject.Symbol == sym.Name {
-		env = fp.NewInjectedEnv(sem, sym.FPOps, c.Inject.Inj)
+	if cc.Inject != nil && cc.Inject.Symbol == sym.Name {
+		env = fp.NewInjectedEnv(sem, sym.FPOps, cc.Inject.Inj)
 	} else {
 		env = fp.NewEnv(sem)
 	}
-	m.envs[key] = env
+	m.envs[slot] = env
 	return env
 }
 
@@ -117,7 +114,7 @@ func (m *Machine) Comp() comp.Compilation {
 	if len(m.stack) == 0 {
 		return m.ex.baseline
 	}
-	return m.stack[len(m.stack)-1].c
+	return m.ex.comps[m.stack[len(m.stack)-1].comp]
 }
 
 // Depth returns the current simulated call-stack depth (for tests).

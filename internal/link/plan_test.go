@@ -211,31 +211,6 @@ func TestAbiHazardSymbolMixDedupsFiles(t *testing.T) {
 	}
 }
 
-// TestFileHasSymbolOverrides: only the file that actually holds an
-// overridden symbol is linked as two -fPIC copies; exported symbols in
-// other files keep their plain file-level compilation.
-func TestFileHasSymbolOverrides(t *testing.T) {
-	p := testProgram()
-	ex, err := SymbolMixBuild(p, baseC, varC, []string{"Dot"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ex.fileHasSymbolOverrides("math.cpp") {
-		t.Error("math.cpp holds the Dot override but reports none")
-	}
-	if ex.fileHasSymbolOverrides("driver.cpp") {
-		t.Error("driver.cpp reports overrides it does not hold")
-	}
-	// Exported, non-overridden symbol of the overridden file: the -fPIC
-	// baseline copy. Exported symbol of the untouched file: plain baseline.
-	if got := ex.exportedCompilation(p.MustSymbol("Scale")); got != baseC.WithFPIC() {
-		t.Errorf("Scale bound to %s, want baseline -fPIC", got)
-	}
-	if got := ex.exportedCompilation(p.MustSymbol("Main")); got != baseC {
-		t.Errorf("Main bound to %s, want plain baseline", got)
-	}
-}
-
 // TestCostMultiRoot: Cost over several roots charges the union of their
 // call-graph closures — disjoint closures sum exactly, overlapping ones
 // never double-charge, and no roots cost nothing.

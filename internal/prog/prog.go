@@ -35,7 +35,20 @@ type Symbol struct {
 	Callees []string
 	// SLOC is the body's source-lines-of-code for Table 3 style statistics.
 	SLOC int
+
+	// owner, id and fileID are set once, by AddFile.
+	owner  *Program
+	id     int32
+	fileID int32
 }
+
+// ID returns the symbol's dense index in its program: symbols are numbered
+// 0..NumSymbols()-1 in AddFile order, so per-symbol tables can be slices
+// indexed by ID instead of maps keyed by name.
+func (s *Symbol) ID() int { return int(s.id) }
+
+// FileID returns the index of the symbol's file in Files().
+func (s *Symbol) FileID() int { return int(s.fileID) }
 
 // Features flags which floating-point patterns a function body contains.
 // A compiler transformation can only change a function's results if the body
@@ -70,6 +83,7 @@ type Program struct {
 	Name  string
 	files []*File
 	syms  map[string]*Symbol
+	byID  []*Symbol
 }
 
 // New creates an empty program.
@@ -77,9 +91,11 @@ func New(name string) *Program {
 	return &Program{Name: name, syms: make(map[string]*Symbol)}
 }
 
-// AddFile registers a translation unit and its symbols. It panics on a
-// duplicate file or symbol name — program definitions are static tables
-// written by hand, so a duplicate is a programming error.
+// AddFile registers a translation unit and its symbols, numbering the
+// symbols after those already registered. It panics on a duplicate file or
+// symbol name, and on a *Symbol already registered in a program (a second
+// registration would renumber it) — program definitions are static tables
+// written by hand, so each is a programming error.
 func (p *Program) AddFile(name string, symbols ...*Symbol) *File {
 	for _, f := range p.files {
 		if f.Name == name {
@@ -91,6 +107,9 @@ func (p *Program) AddFile(name string, symbols ...*Symbol) *File {
 		if s.Name == "" {
 			panic(fmt.Sprintf("prog: empty symbol name in file %q", name))
 		}
+		if s.owner != nil {
+			panic(fmt.Sprintf("prog: symbol %q is already registered in program %q", s.Name, s.owner.Name))
+		}
 		if _, dup := p.syms[s.Name]; dup {
 			panic(fmt.Sprintf("prog: duplicate symbol %q", s.Name))
 		}
@@ -98,7 +117,9 @@ func (p *Program) AddFile(name string, symbols ...*Symbol) *File {
 		if s.Work <= 0 {
 			s.Work = 1
 		}
+		s.owner, s.id, s.fileID = p, int32(len(p.byID)), int32(len(p.files))
 		p.syms[s.Name] = s
+		p.byID = append(p.byID, s)
 		f.Symbols = append(f.Symbols, s)
 	}
 	p.files = append(p.files, f)
@@ -126,6 +147,13 @@ func (p *Program) File(name string) *File {
 	}
 	return nil
 }
+
+// NumSymbols returns the number of registered symbols, one more than the
+// largest symbol ID.
+func (p *Program) NumSymbols() int { return len(p.byID) }
+
+// SymbolAt returns the symbol with the given ID.
+func (p *Program) SymbolAt(id int) *Symbol { return p.byID[id] }
 
 // Symbol returns the named symbol, or nil.
 func (p *Program) Symbol(name string) *Symbol { return p.syms[name] }

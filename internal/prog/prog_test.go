@@ -65,6 +65,52 @@ func TestDuplicateSymbolPanics(t *testing.T) {
 	p.AddFile("other.cpp", &Symbol{Name: "Dot"})
 }
 
+// TestSymbolIDsDense: AddFile numbers symbols 0..NumSymbols()-1 in
+// registration order, FileID is the file's index in Files(), and SymbolAt
+// inverts ID.
+func TestSymbolIDsDense(t *testing.T) {
+	p := sample()
+	if got := p.NumSymbols(); got != 6 {
+		t.Fatalf("NumSymbols() = %d, want 6", got)
+	}
+	id := 0
+	for fi, f := range p.Files() {
+		for _, s := range f.Symbols {
+			if s.ID() != id {
+				t.Errorf("%s: ID %d, want %d (AddFile order)", s.Name, s.ID(), id)
+			}
+			if s.FileID() != fi {
+				t.Errorf("%s: FileID %d, want %d (index of %s in Files())", s.Name, s.FileID(), fi, f.Name)
+			}
+			if p.SymbolAt(s.ID()) != s {
+				t.Errorf("SymbolAt(%d) is not %s", s.ID(), s.Name)
+			}
+			id++
+		}
+	}
+}
+
+func TestReregisteredSymbolPanics(t *testing.T) {
+	p := sample()
+	q := New("other")
+	for _, add := range []func(){
+		func() { q.AddFile("copy.cpp", p.Symbol("Dot")) },
+		func() { p.AddFile("again.cpp", &Symbol{Name: "X"}, p.SymbolAt(0)) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(r.(string), "already registered") {
+					t.Errorf("expected already-registered panic, got %v", r)
+				}
+			}()
+			add()
+		}()
+	}
+	if p.Symbol("Dot").ID() != 0 || p.Symbol("Dot").FileID() != 0 {
+		t.Fatal("a refused registration renumbered Dot")
+	}
+}
+
 func TestMustSymbolPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {

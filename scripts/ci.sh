@@ -7,6 +7,9 @@
 #   go test -race    tier-1, part 2, with the race detector and -cover (the
 #                    parallel execution engine must be data-race-free at
 #                    every -j; per-package statement coverage is printed)
+#   micro-bench      BenchmarkMachineFn at a fixed 100 iterations, so the
+#                    simulated-call dispatch benchmark keeps compiling and
+#                    running
 #   bench module     vet + race tests of the nested bench/ module (root
 #                    ./... skips it), so the benchmark harness cannot rot
 #   shard smoke      the distributed protocol end to end through real
@@ -62,6 +65,7 @@ test -z "$(gofmt -l .)"
 go build ./...
 
 go test -race -cover ./...
+go test -run '^$' -bench BenchmarkMachineFn -benchtime 100x ./internal/link
 (cd bench && go vet . && go test -race .)
 
 SHARD_TMP=$(mktemp -d)
