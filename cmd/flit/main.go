@@ -52,17 +52,18 @@
 // version will do; covered evaluations become cache hits, everything else
 // is recomputed, and the output is byte-identical to a cold run.
 //
-// Persistence: -store DIR attaches an on-disk content-addressed run store
-// as the cache's second tier. Every in-memory miss consults the store by
-// plan key before building anything, and every fresh computation is
-// written through — so a second process pointed at the same DIR serves
-// covered evaluations with zero materialized builds, no -warm-start
-// manifest required. The store is fenced to this build's engine version
-// (a foreign store is rejected at startup), writes are atomic, and
-// corrupt or truncated entries are treated as misses and recomputed,
-// never replayed. `flit store stats` reports entry count, bytes, and
-// corruption; `flit store gc` prunes corrupt files and the oldest entries
-// down to -max-entries/-max-bytes.
+// Persistence: -store DIR attaches an on-disk run store as the cache's
+// second tier. Every in-memory miss consults the store by plan key before
+// building anything, and every fresh computation is written through — so
+// a second process pointed at the same DIR serves covered evaluations
+// with zero materialized builds, no -warm-start manifest required. The
+// store is fenced to this build's engine version (a foreign store is
+// rejected at startup), each process appends checksummed records to a
+// segment of its own, and damaged or torn records are treated as misses
+// and recomputed, never replayed. `flit store stats` reports entry count,
+// bytes, and corruption; `flit store gc` compacts the segments, dropping
+// damaged records and then the oldest entries down to
+// -max-entries/-max-bytes.
 //
 // Remote stores: `flit store serve -dir DIR -addr HOST:PORT` exposes a
 // Disk store over HTTP, and -remote URL on any subcommand attaches it as
@@ -772,8 +773,9 @@ func cmdGc(args []string, stdout, stderr io.Writer) error {
 
 // cmdStore inspects, maintains, and serves a persistent run-store
 // directory: "stats" scans it and reports entry count, bytes, and
-// corruption; "gc" prunes corrupt files first, then the oldest entries,
-// down to -max-entries/-max-bytes; "serve" exposes it over HTTP for
+// corruption; "gc" compacts it, dropping damaged records first, then the
+// oldest entries, down to -max-entries/-max-bytes; "serve" exposes it
+// over HTTP for
 // -remote clients. All open the store with this build's engine fence, so
 // a foreign store is rejected rather than misreported.
 func cmdStore(args []string, stdout, stderr io.Writer) error {
@@ -810,7 +812,7 @@ func cmdStore(args []string, stdout, stderr io.Writer) error {
 		fs.SetOutput(stderr)
 		dir := fs.String("store", "", "run-store directory (required)")
 		maxEntries := fs.Int("max-entries", 0, "keep at most N entries, oldest pruned first (0 = unlimited)")
-		maxBytes := fs.Int64("max-bytes", 0, "keep at most N payload bytes (0 = unlimited)")
+		maxBytes := fs.Int64("max-bytes", 0, "keep at most N record bytes (0 = unlimited)")
 		dryRun := fs.Bool("dry-run", false, "plan and report only; delete nothing")
 		if err := parseFlagsOnly(fs, rest); err != nil {
 			return err
@@ -846,8 +848,8 @@ func cmdStore(args []string, stdout, stderr io.Writer) error {
 // foreign directory is rejected before it can serve anything), the bound
 // address is announced on stdout as a full URL (use -addr with port 0 to
 // let the OS pick — scripts read the URL off the first line), and the
-// process serves until killed. Writes reuse the Disk store's atomic
-// discipline; a PUT of a key the store already holds is a no-op.
+// process serves until killed. Writes append to the served Disk handle's
+// own segment; a PUT of a key the store already holds is a no-op.
 func cmdStoreServe(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("store serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -35,20 +35,15 @@ func TestKey(t TestCase) string {
 	}
 }
 
-// RunKey is the canonical identity of one test execution: the executable's
-// build-plan key and the test's cache key, NUL-separated. The executable
-// key is escape-encoded and NUL-free and the test key is escaped here, so
-// no two distinct (program, build plan, test) tuples share a RunKey — the
-// injectivity the build/run cache and the shard-artifact merge depend on,
-// enforced by FuzzRunKeyInjective.
-func RunKey(ex *link.Executable, t TestCase) string {
-	return ex.Key() + "\x00" + comp.KeyEscape(TestKey(t))
-}
-
-// PlanRunKey is RunKey computed from an unbuilt plan: link.Plan.Key
+// PlanRunKey is the canonical identity of one test execution: the build
+// plan's key and the test's cache key, NUL-separated. link.Plan.Key
 // produces the exact string Executable.Key would after linking (pinned by
 // FuzzPlanKeyMatchesExecutableKey), so a plan and the executable it links
-// to address the same cache entries and the same artifact records.
+// to address the same cache entries and the same artifact records. The
+// plan key is escape-encoded and NUL-free and the test key is escaped
+// here, so no two distinct (program, build plan, test) tuples share a run
+// key — the injectivity the build/run cache and the shard-artifact merge
+// depend on, enforced by FuzzRunKeyInjective.
 func PlanRunKey(b *link.Builder, t TestCase) string {
 	return b.Key() + "\x00" + comp.KeyEscape(TestKey(t))
 }

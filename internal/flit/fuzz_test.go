@@ -13,7 +13,7 @@ import (
 )
 
 // fuzzTest is a minimal TestCase whose identity is its name — the handle
-// the key fuzzer uses to vary the test component of a RunKey.
+// the key fuzzer uses to vary the test component of a run key.
 type fuzzTest struct{ name string }
 
 func (t fuzzTest) Name() string                                 { return t.name }
@@ -25,15 +25,11 @@ func (t fuzzTest) Compare(baseline, other Result) float64       { return 0 }
 
 // fuzzRunKey builds the cache/artifact key for one (program, plan, test)
 // tuple assembled from free-form strings.
-func fuzzRunKey(t *testing.T, progName, compiler, opt, switches, test string) string {
-	t.Helper()
+func fuzzRunKey(progName, compiler, opt, switches, test string) string {
 	p := prog.New(progName)
 	p.AddFile("f.cpp", &prog.Symbol{Name: "S", Exported: true, Work: 1})
-	ex, err := link.FullBuild(p, comp.Compilation{Compiler: compiler, OptLevel: opt, Switches: switches})
-	if err != nil {
-		t.Fatalf("FullBuild(%q,%q,%q,%q): %v", progName, compiler, opt, switches, err)
-	}
-	return RunKey(ex, fuzzTest{name: test})
+	plan := link.FullBuildPlan(p, comp.Compilation{Compiler: compiler, OptLevel: opt, Switches: switches})
+	return PlanRunKey(link.NewBuilder(plan), fuzzTest{name: test})
 }
 
 // FuzzRunKeyInjective is the shard/cache key safety net: no two distinct
@@ -62,8 +58,8 @@ func FuzzRunKeyInjective(f *testing.F) {
 		prog1, comp1, opt1, sw1, test1,
 		prog2, comp2, opt2, sw2, test2 string) {
 		same := prog1 == prog2 && comp1 == comp2 && opt1 == opt2 && sw1 == sw2 && test1 == test2
-		k1 := fuzzRunKey(t, prog1, comp1, opt1, sw1, test1)
-		k2 := fuzzRunKey(t, prog2, comp2, opt2, sw2, test2)
+		k1 := fuzzRunKey(prog1, comp1, opt1, sw1, test1)
+		k2 := fuzzRunKey(prog2, comp2, opt2, sw2, test2)
 		if same && k1 != k2 {
 			t.Fatalf("identical tuples produced different keys:\n%q\n%q", k1, k2)
 		}

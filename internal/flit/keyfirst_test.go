@@ -10,7 +10,7 @@ import (
 )
 
 // TestPlanRunKeyMatchesEagerKeys: a plan-derived run key is byte-identical
-// to the RunKey its built executable produces, so key-first lookups hit the
+// to the key built from its linked executable, so key-first lookups hit the
 // entries recorded in imported artifacts.
 func TestPlanRunKeyMatchesEagerKeys(t *testing.T) {
 	s := newSuite()
@@ -20,8 +20,8 @@ func TestPlanRunKeyMatchesEagerKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := PlanRunKey(b, s.Tests[0]), RunKey(ex, s.Tests[0]); got != want {
-		t.Fatalf("PlanRunKey %q != RunKey %q", got, want)
+	if got, want := PlanRunKey(b, s.Tests[0]), ex.Key()+"\x00"+comp.KeyEscape(TestKey(s.Tests[0])); got != want {
+		t.Fatalf("PlanRunKey %q != executable run key %q", got, want)
 	}
 	if b.Built() {
 		t.Fatal("key construction materialized the plan")

@@ -1,8 +1,8 @@
 package flit
 
 import (
+	"encoding/binary"
 	"encoding/json"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -211,7 +211,7 @@ func TestStoreWriteFailureDoesNotFailRun(t *testing.T) {
 // (fresh caches with fresh Disk handles on the same directory, at -j 1 and
 // fanned out) that reproduce it byte-identically with zero materialized
 // builds and no warm-start manifest. A store claimed by a different engine
-// version must be rejected at Open, and a truncated entry must be
+// version must be rejected at Open, and a damaged entry must be
 // recomputed — and thereby healed — never replayed.
 func TestStoreCrossProcessMatrixBuildsNothing(t *testing.T) {
 	dir := t.TempDir()
@@ -272,35 +272,36 @@ func TestStoreCrossProcessMatrixBuildsNothing(t *testing.T) {
 		t.Fatal("store written by this engine opened under a foreign version")
 	}
 
-	// Truncate one entry mid-file: the damaged key recomputes (exactly one
-	// build), the output is unchanged, and the write-through heals the entry
-	// so the next process is back to zero builds.
-	victim := ""
-	filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, ent fs.DirEntry, err error) error {
-		if err == nil && !ent.IsDir() && victim == "" {
-			victim = path
-		}
-		return nil
-	})
-	if victim == "" {
-		t.Fatal("no object files on disk after a cold run")
+	// Flip one payload byte of one record: the damaged key recomputes
+	// (exactly one build), the output is unchanged, and the write-through
+	// appends a newer record that wins, so the next process is back to zero
+	// builds.
+	segs, err := filepath.Glob(filepath.Join(dir, "segments", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments on disk after a cold run (%v)", err)
 	}
-	raw, err := os.ReadFile(victim)
+	raw, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(victim, raw[:len(raw)/2], 0o644); err != nil {
+	// The first record follows the segment header (magic, engine length,
+	// engine); its payload is its last bytes.
+	hdr := 8 + 4 + len(EngineVersion)
+	keyLen := binary.LittleEndian.Uint32(raw[hdr:])
+	dataLen := binary.LittleEndian.Uint32(raw[hdr+4:])
+	raw[hdr+40+int(keyLen)+int(dataLen)-2] ^= 0x01
+	if err := os.WriteFile(segs[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m, d := warmRun(8)
 	if d.CorruptReads() == 0 {
-		t.Error("truncated entry not counted as a corrupt read")
+		t.Error("damaged entry not counted as a corrupt read")
 	}
-	if m.Builds == 0 {
-		t.Error("truncated entry served a hit instead of recomputing")
+	if m.Builds != 1 {
+		t.Errorf("damaged entry: %d builds, want exactly one recomputation", m.Builds)
 	}
 	if m, _ := warmRun(8); m.Builds != 0 {
-		t.Errorf("truncated entry did not heal: %d builds on the follow-up run", m.Builds)
+		t.Errorf("damaged entry did not heal: %d builds on the follow-up run", m.Builds)
 	}
 }
 

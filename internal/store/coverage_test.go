@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -94,14 +95,22 @@ func TestDiskPutErrors(t *testing.T) {
 	if err := d.Put("k", []byte("{not json")); err == nil {
 		t.Fatal("Put accepted a non-JSON payload")
 	}
-	// A shard directory blocked by a regular file makes MkdirAll fail.
-	blocked := "blocked-key"
-	shard := filepath.Dir(d.path(blocked))
-	if err := os.WriteFile(shard, []byte("in the way"), 0o644); err != nil {
+	// A key or payload past the scan bounds would end its segment for every
+	// reader, so it is refused up front.
+	if err := d.Put(strings.Repeat("k", maxKeyLen+1), []byte(`1`)); err == nil {
+		t.Fatal("Put accepted a key longer than the segment format allows")
+	}
+	// A segments directory blocked by a regular file: the handle cannot
+	// create its segment, so the Put must fail rather than vanish.
+	seg := filepath.Join(d.Dir(), segmentsDir)
+	if err := os.RemoveAll(seg); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put(blocked, []byte(`{"v":1}`)); err == nil {
-		t.Fatal("Put through a blocked shard directory succeeded")
+	if err := os.WriteFile(seg, []byte("in the way"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("blocked-key", []byte(`{"v":1}`)); err == nil {
+		t.Fatal("Put through a blocked segments directory succeeded")
 	}
 }
 
@@ -113,11 +122,8 @@ func TestDiskStatsCountsCorrupt(t *testing.T) {
 	if err := d.Put("good", []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	rot := filepath.Join(d.Dir(), objectsDir, "zz")
-	if err := os.MkdirAll(rot, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(rot, "deadbeef"), []byte("not an envelope"), 0o644); err != nil {
+	rot := filepath.Join(d.Dir(), segmentsDir, "00000000000000000000-deadbeef"+segmentExt)
+	if err := os.WriteFile(rot, []byte("not a segment"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := d.Stats()
@@ -125,7 +131,7 @@ func TestDiskStatsCountsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Entries != 1 || st.Corrupt != 1 {
-		t.Fatalf("stats = %+v, want 1 entry and 1 corrupt file", st)
+		t.Fatalf("stats = %+v, want 1 entry and 1 corrupt segment", st)
 	}
 }
 
@@ -134,16 +140,19 @@ func TestDiskScanErrorsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rip out the object tree underneath the handle: both walkers must
-	// surface the error instead of reporting an empty healthy store.
-	if err := os.RemoveAll(filepath.Join(d.Dir(), objectsDir)); err != nil {
+	if err := d.Put("k", []byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	// Rip out the segments directory underneath the handle: both scans
+	// must surface the error instead of reporting an empty healthy store.
+	if err := os.RemoveAll(filepath.Join(d.Dir(), segmentsDir)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Stats(); err == nil {
-		t.Error("Stats over a missing object tree succeeded")
+		t.Error("Stats over a missing segments directory succeeded")
 	}
 	if _, err := d.GC(1, 0, false); err == nil {
-		t.Error("GC over a missing object tree succeeded")
+		t.Error("GC over a missing segments directory succeeded")
 	}
 }
 
@@ -162,14 +171,8 @@ func TestNewMemDefaultCap(t *testing.T) {
 // --- remote.go ---
 
 func TestDecodeEnvelopeWrongKey(t *testing.T) {
-	d, err := Open(t.TempDir(), testEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Put("key-a", []byte(`{"v":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(d.path("key-a"))
+	data := []byte(`{"v":1}`)
+	raw, err := json.Marshal(entry{Engine: testEngine, Key: "key-a", Sum: sumHex(data), Data: data})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,8 @@ import (
 // client's engine version in the X-Flit-Engine header and every response
 // echoes the server's — the same fence the Disk manifest enforces, applied
 // per request because the two processes share no filesystem. A GET body is
-// the same JSON envelope the Disk backend stores (engine + key + payload
-// SHA-256 + payload), and the client re-validates all three fields against
+// a JSON envelope (engine + key + payload SHA-256 + payload; the entry
+// type), and the client re-validates all three fields against
 // what it asked for: a lying, truncating, or bit-flipping server reads as
 // a miss, never as a result.
 const (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -86,29 +85,27 @@ func TestRemoteRoundTrip(t *testing.T) {
 }
 
 // TestRemoteConditionalPut: re-offering a key the server already holds is
-// a no-op answered 204 — the entry file's mtime must not move (a PUT storm
-// from many warm workers must not look like fresh writes to GC).
+// a no-op answered 204 — nothing is appended to the server's segments (a
+// PUT storm from many warm workers must not grow the store).
 func TestRemoteConditionalPut(t *testing.T) {
 	disk, _, srv := newServed(t)
 	r := newRemote(t, srv.URL, nil)
 	if err := r.Put("k", []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	path := disk.path("k")
-	before, err := fileModTime(path)
+	before, err := disk.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
 	if err := r.Put("k", []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	after, err := fileModTime(path)
+	after, err := disk.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !after.Equal(before) {
-		t.Errorf("conditional PUT rewrote the entry: mtime %v -> %v", before, after)
+	if after != before {
+		t.Errorf("conditional PUT rewrote the entry: stats %+v -> %+v", before, after)
 	}
 	if m := r.Metrics(); m.Puts != 2 {
 		t.Errorf("both puts should count as successful: %+v", m)
@@ -439,11 +436,3 @@ type failStore struct{}
 
 func (failStore) Get(string) ([]byte, bool) { return nil, false }
 func (failStore) Put(string, []byte) error  { return fmt.Errorf("failStore: down") }
-
-func fileModTime(path string) (time.Time, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return time.Time{}, err
-	}
-	return fi.ModTime(), nil
-}

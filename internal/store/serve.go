@@ -10,12 +10,15 @@ import (
 // Handler returns the HTTP serving side of a Disk store: the other end of
 // the Remote client's wire protocol, mounted by `flit store serve`. It is
 // a thin, stateless shim over the Disk backend, so every durability
-// property is inherited rather than re-implemented — writes are the same
-// atomic temp+rename, reads go through the same envelope validation (a
-// corrupt on-disk entry serves a 404, not a lie), and the engine fence
-// the Disk manifest enforces at Open is re-checked per request against
-// the client's X-Flit-Engine header, answered with StatusEngineMismatch
-// so a foreign client can tell a fence from a miss.
+// property is inherited rather than re-implemented — an accepted PUT is
+// one record appended to the served handle's segment (it survives a crash
+// of the server process, not a power loss), reads go through the same
+// record verification (a damaged record serves a 404, not a lie), and
+// the engine fence the Disk manifest enforces at Open is re-checked per
+// request against the client's X-Flit-Engine header, answered with
+// StatusEngineMismatch so a foreign client can tell a fence from a miss.
+// The served handle sees only its own writes and what was on disk when it
+// was opened.
 func Handler(d *Disk) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(remotePathPrefix, func(w http.ResponseWriter, req *http.Request) {

@@ -7,12 +7,17 @@
 // computation, so a second process (or a later campaign) pointed at the
 // same store gets zero-build warm hits with no artifact manifest at all.
 //
-// Two backends ship: Mem, an LRU-capped in-memory map (tests, and the
-// degenerate no-persistence configuration), and Disk, a content-addressed
-// on-disk store (one file per key under a sharded hash directory, atomic
-// temp-file+rename writes, engine-version fencing via a store manifest).
-// A remote backend feeding the flitd coordinator slots in behind the same
-// interface later.
+// Three backends ship: Mem, an LRU-capped in-memory map (tests, and the
+// degenerate no-persistence configuration); Disk, an on-disk store of
+// append-only segments (each writing handle appends checksummed records to
+// a segment of its own with one write(2) per Put, Open indexes every
+// segment once, a store manifest fences the directory to one engine
+// version); and Remote, the HTTP client of a Disk served by Handler. Tier
+// composes them.
+//
+// Durability: a Put that returned has reached the kernel, so it survives
+// the crash of the process that made it, but not a power loss or a kernel
+// crash. Nothing depends on more: a lost entry is a miss.
 //
 // The contract every backend must honor: a Get may only return bytes that
 // a Put stored under exactly that key — corrupt, truncated, foreign, or
@@ -35,8 +40,11 @@ type Store interface {
 	// Get returns the bytes stored under key. ok is false on any miss:
 	// absent, corrupt, truncated, or written by a different engine.
 	Get(key string) (data []byte, ok bool)
-	// Put durably stores data under key, replacing any previous entry.
-	// A failed Put leaves the previous entry (or absence) intact.
+	// Put stores data under key, replacing any previous entry. Once it
+	// returns, a Get through any handle opened afterwards sees the entry,
+	// and the entry survives the crash of the calling process; whether it
+	// survives a power loss depends on the backend (Disk's does not). A
+	// failed Put leaves the previous entry (or absence) intact.
 	Put(key string, data []byte) error
 }
 

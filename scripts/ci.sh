@@ -7,9 +7,10 @@
 #   go test -race    tier-1, part 2, with the race detector and -cover (the
 #                    parallel execution engine must be data-race-free at
 #                    every -j; per-package statement coverage is printed)
-#   micro-bench      BenchmarkMachineFn at a fixed 100 iterations, so the
-#                    simulated-call dispatch benchmark keeps compiling and
-#                    running
+#   micro-bench      BenchmarkMachineFn, BenchmarkDiskPut and
+#                    BenchmarkDiskGet at a fixed 100 iterations, so the
+#                    simulated-call dispatch and store segment benchmarks
+#                    keep compiling and running
 #   bench module     vet + race tests of the nested bench/ module (root
 #                    ./... skips it), so the benchmark harness cannot rot
 #   shard smoke      the distributed protocol end to end through real
@@ -28,8 +29,10 @@
 #                    real flit binary: two identical runs sharing only a
 #                    -store directory must print byte-identical output, the
 #                    second materializing zero builds with nonzero store
-#                    hits; `flit store stats`/`gc` must see and prune the
-#                    entries
+#                    hits; `flit store stats`/`gc` must see and compact the
+#                    entries (one intact entry and no corruption left), and
+#                    a third run over the compacted store must still print
+#                    the cold output byte for byte
 #   remote smoke     the remote store tier cross-machine through real
 #                    binaries: `flit store serve` on a loopback port, then
 #                    two runs sharing nothing but the URL — the second must
@@ -66,6 +69,7 @@ go build ./...
 
 go test -race -cover ./...
 go test -run '^$' -bench BenchmarkMachineFn -benchtime 100x ./internal/link
+go test -run '^$' -bench 'BenchmarkDisk(Put|Get)$' -benchtime 100x ./internal/store
 (cd bench && go vet . && go test -race .)
 
 SHARD_TMP=$(mktemp -d)
@@ -114,7 +118,10 @@ diff "$SHARD_TMP/laghos-j1.txt" "$SHARD_TMP/laghos-j8.txt"
 # Persistent-store smoke: two processes sharing only a -store directory.
 # The second run must reproduce the first byte for byte without building a
 # single executable — no artifact export, no -warm-start manifest — and the
-# store subcommands must see and prune the persisted entries.
+# store subcommands must see and compact the persisted entries: after
+# `store gc -max-entries 1` exactly one intact entry is left, and a third
+# run over the compacted store recomputes the rest and still reproduces the
+# cold output byte for byte.
 STORE_DIR="$SHARD_TMP/runstore"
 "$SHARD_TMP/flit" experiments -j 2 -store "$STORE_DIR" -stats table4 \
 	>"$SHARD_TMP/store-cold.txt" 2>"$SHARD_TMP/store-cold-stats.txt"
@@ -125,6 +132,11 @@ grep 'builds: materialized=0' "$SHARD_TMP/store-warm-stats.txt"
 grep 'store: hits=[1-9]' "$SHARD_TMP/store-warm-stats.txt"
 "$SHARD_TMP/flit" store stats -store "$STORE_DIR" | grep 'corrupt=0'
 "$SHARD_TMP/flit" store gc -store "$STORE_DIR" -max-entries 1 | grep 'kept=1'
+"$SHARD_TMP/flit" store stats -store "$STORE_DIR" >"$SHARD_TMP/store-gc-stats.txt"
+grep 'entries=1 ' "$SHARD_TMP/store-gc-stats.txt"
+grep 'corrupt=0' "$SHARD_TMP/store-gc-stats.txt"
+"$SHARD_TMP/flit" experiments -j 2 -store "$STORE_DIR" table4 >"$SHARD_TMP/store-third.txt"
+diff "$SHARD_TMP/store-cold.txt" "$SHARD_TMP/store-third.txt"
 
 # Remote-store smoke: `flit store serve` on a loopback port, then two runs
 # sharing nothing but the URL — no -store directory, no artifact, no
