@@ -49,6 +49,7 @@ import (
 	"math"
 	"os"
 	"strings"
+	"sync"
 
 	"repro/internal/comp"
 	"repro/internal/core"
@@ -60,21 +61,24 @@ import (
 )
 
 // Step 1: describe your "source tree". One file, two functions: a dot
-// product kernel (hot: optimizers love it) and a driver.
-func program() *prog.Program {
+// product kernel (hot: optimizers love it) and a driver. Each symbol is
+// also the handle its implementation enters through link.Machine.Fn.
+var (
+	symDotKernel = &prog.Symbol{Name: "DotKernel", Exported: true, Work: 4, FPOps: 4,
+		Features: prog.Features{Reduction: true, MulAdd: true, Hot: true}}
+	symScale = &prog.Symbol{Name: "Scale", Exported: true, Work: 1, FPOps: 1,
+		Features: prog.Features{ShortExpr: true}}
+	symMain = &prog.Symbol{Name: "main_quickstart", Exported: true, Work: 1, FPOps: 2,
+		Callees: []string{"DotKernel", "Scale"}}
+)
+
+// program registers the symbols once: a symbol belongs to one program.
+var program = sync.OnceValue(func() *prog.Program {
 	p := prog.New("quickstart")
-	p.AddFile("kernel.cpp",
-		&prog.Symbol{Name: "DotKernel", Exported: true, Work: 4, FPOps: 4,
-			Features: prog.Features{Reduction: true, MulAdd: true, Hot: true}},
-		&prog.Symbol{Name: "Scale", Exported: true, Work: 1, FPOps: 1,
-			Features: prog.Features{ShortExpr: true}},
-	)
-	p.AddFile("main.cpp",
-		&prog.Symbol{Name: "main_quickstart", Exported: true, Work: 1, FPOps: 2,
-			Callees: []string{"DotKernel", "Scale"}},
-	)
+	p.AddFile("kernel.cpp", symDotKernel, symScale)
+	p.AddFile("main.cpp", symMain)
 	return p
-}
+})
 
 // Step 2: write the FLiT test case — the paper's four-method protocol.
 type myTest struct{ p *prog.Program }
@@ -85,16 +89,16 @@ func (t *myTest) GetInputsPerRun() int       { return 1 }
 func (t *myTest) GetDefaultInput() []float64 { return []float64{0.7} }
 
 func (t *myTest) Run(input []float64, m *link.Machine) (flit.Result, error) {
-	_, done := m.Fn("main_quickstart")
+	_, done := m.Fn(symMain)
 	defer done()
 	xs := make([]float64, 1000)
 	for i := range xs {
 		xs[i] = math.Sin(input[0] + float64(i)*0.01)
 	}
-	envK, doneK := m.Fn("DotKernel")
+	envK, doneK := m.Fn(symDotKernel)
 	v := envK.Dot(xs, xs)
 	doneK()
-	envS, doneS := m.Fn("Scale")
+	envS, doneS := m.Fn(symScale)
 	v = envS.Mul(v, 0.25)
 	doneS()
 	return flit.ScalarResult(v), nil

@@ -52,7 +52,7 @@ func NewDomain(n int, seed float64) *Domain {
 // Run advances the domain the given number of steps and returns the result
 // vector FLiT compares (energies, positions, and the final timestep).
 func Run(m *link.Machine, steps int, seed float64) []float64 {
-	env, done := m.Fn("main_lulesh")
+	env, done := m.Fn(symMainLulesh)
 	defer done()
 	d := NewDomain(16, seed)
 	for s := 0; s < steps; s++ {
@@ -75,7 +75,7 @@ func Run(m *link.Machine, steps int, seed float64) []float64 {
 
 // TimeIncrement computes the new timestep from the constraint minima.
 func TimeIncrement(m *link.Machine, d *Domain) {
-	env, done := m.Fn("TimeIncrement")
+	env, done := m.Fn(symTimeIncrement)
 	defer done()
 	target := env.Mul(d.DT, 1.1)
 	if d.DTCourant < target {
@@ -95,7 +95,7 @@ func TimeIncrement(m *link.Machine, d *Domain) {
 
 // LagrangeLeapFrog is one whole timestep.
 func LagrangeLeapFrog(m *link.Machine, d *Domain) {
-	_, done := m.Fn("LagrangeLeapFrog")
+	_, done := m.Fn(symLagrangeLeapFrog)
 	defer done()
 	LagrangeNodal(m, d)
 	LagrangeElemental(m, d)
@@ -104,7 +104,7 @@ func LagrangeLeapFrog(m *link.Machine, d *Domain) {
 
 // LagrangeNodal advances the node-centered quantities.
 func LagrangeNodal(m *link.Machine, d *Domain) {
-	env, done := m.Fn("LagrangeNodal")
+	env, done := m.Fn(symLagrangeNodal)
 	defer done()
 	CalcForceForNodes(m, d)
 	CalcAccelerationForNodes(m, d)
@@ -119,7 +119,7 @@ func LagrangeNodal(m *link.Machine, d *Domain) {
 
 // CalcForceForNodes gathers stress and hourglass forces.
 func CalcForceForNodes(m *link.Machine, d *Domain) {
-	env, done := m.Fn("CalcForceForNodes")
+	env, done := m.Fn(symCalcForceForNodes)
 	defer done()
 	for i := range d.F {
 		d.F[i] = 0
@@ -134,7 +134,7 @@ func CalcForceForNodes(m *link.Machine, d *Domain) {
 
 // IntegrateStressForElems turns element stress into nodal forces.
 func IntegrateStressForElems(m *link.Machine, d *Domain) {
-	env, done := m.Fn("IntegrateStressForElems")
+	env, done := m.Fn(symIntegrateStressForElems)
 	defer done()
 	sig := InitStressTermsForElems(m, d)
 	normals := SumElemFaceNormal(m, d)
@@ -151,7 +151,7 @@ func IntegrateStressForElems(m *link.Machine, d *Domain) {
 
 // InitStressTermsForElems computes -(p+q) per element.
 func InitStressTermsForElems(m *link.Machine, d *Domain) []float64 {
-	env, done := m.Fn("InitStressTermsForElems")
+	env, done := m.Fn(symInitStressTermsForElems)
 	defer done()
 	out := make([]float64, d.N)
 	for c := 0; c < d.N; c++ {
@@ -162,7 +162,7 @@ func InitStressTermsForElems(m *link.Machine, d *Domain) []float64 {
 
 // SumElemFaceNormal computes per-element face weights from geometry.
 func SumElemFaceNormal(m *link.Machine, d *Domain) []float64 {
-	env, done := m.Fn("SumElemFaceNormal")
+	env, done := m.Fn(symSumElemFaceNormal)
 	defer done()
 	out := make([]float64, d.N)
 	for c := 0; c < d.N; c++ {
@@ -177,7 +177,7 @@ func SumElemFaceNormal(m *link.Machine, d *Domain) []float64 {
 
 // CalcHourglassControlForElems damps spurious zero-energy modes.
 func CalcHourglassControlForElems(m *link.Machine, d *Domain) {
-	env, done := m.Fn("CalcHourglassControlForElems")
+	env, done := m.Fn(symCalcHourglassControlForElems)
 	defer done()
 	const hgcoef = 0.03
 	ders := VoluDer(m, d)
@@ -191,7 +191,7 @@ func CalcHourglassControlForElems(m *link.Machine, d *Domain) {
 
 // VoluDer computes volume derivatives with respect to node motion.
 func VoluDer(m *link.Machine, d *Domain) []float64 {
-	env, done := m.Fn("VoluDer")
+	env, done := m.Fn(symVoluDer)
 	defer done()
 	out := make([]float64, d.N)
 	for c := 0; c < d.N; c++ {
@@ -205,7 +205,7 @@ func VoluDer(m *link.Machine, d *Domain) []float64 {
 // CalcFBHourglassForceForElems computes the Flanagan-Belytschko hourglass
 // force magnitudes.
 func CalcFBHourglassForceForElems(m *link.Machine, d *Domain, ders []float64) []float64 {
-	env, done := m.Fn("CalcFBHourglassForceForElems")
+	env, done := m.Fn(symCalcFBHourglassForceForElems)
 	defer done()
 	out := make([]float64, d.N)
 	for c := 0; c < d.N; c++ {
@@ -224,7 +224,7 @@ func CalcFBHourglassForceForElems(m *link.Machine, d *Domain, ders []float64) []
 
 // CalcAccelerationForNodes computes xdd = F/m with lumped nodal masses.
 func CalcAccelerationForNodes(m *link.Machine, d *Domain) {
-	env, done := m.Fn("CalcAccelerationForNodes")
+	env, done := m.Fn(symCalcAccelerationForNodes)
 	defer done()
 	for i := 0; i <= d.N; i++ {
 		var nm float64
@@ -245,7 +245,7 @@ func CalcAccelerationForNodes(m *link.Machine, d *Domain) {
 // CalcVelocityForNodes advances velocities, zeroing negligible ones — the
 // LULESH u_cut cutoff branch.
 func CalcVelocityForNodes(m *link.Machine, d *Domain) {
-	env, done := m.Fn("CalcVelocityForNodes")
+	env, done := m.Fn(symCalcVelocityForNodes)
 	defer done()
 	const ucut = 1e-12
 	for i := 0; i <= d.N; i++ {
@@ -259,7 +259,7 @@ func CalcVelocityForNodes(m *link.Machine, d *Domain) {
 
 // CalcPositionForNodes advances positions.
 func CalcPositionForNodes(m *link.Machine, d *Domain) {
-	env, done := m.Fn("CalcPositionForNodes")
+	env, done := m.Fn(symCalcPositionForNodes)
 	defer done()
 	for i := 0; i <= d.N; i++ {
 		d.X[i] = env.MulAdd(d.DT, d.Xd[i], d.X[i])
@@ -268,7 +268,7 @@ func CalcPositionForNodes(m *link.Machine, d *Domain) {
 
 // LagrangeElemental advances the element-centered quantities.
 func LagrangeElemental(m *link.Machine, d *Domain) {
-	env, done := m.Fn("LagrangeElemental")
+	env, done := m.Fn(symLagrangeElemental)
 	defer done()
 	CalcLagrangeElements(m, d)
 	CalcQForElems(m, d)
@@ -282,7 +282,7 @@ func LagrangeElemental(m *link.Machine, d *Domain) {
 
 // CalcLagrangeElements updates kinematic element quantities.
 func CalcLagrangeElements(m *link.Machine, d *Domain) {
-	env, done := m.Fn("CalcLagrangeElements")
+	env, done := m.Fn(symCalcLagrangeElements)
 	defer done()
 	CalcKinematicsForElems(m, d)
 	for c := 0; c < d.N; c++ {
@@ -296,7 +296,7 @@ func CalcLagrangeElements(m *link.Machine, d *Domain) {
 
 // CalcKinematicsForElems computes new volumes and velocity gradients.
 func CalcKinematicsForElems(m *link.Machine, d *Domain) {
-	env, done := m.Fn("CalcKinematicsForElems")
+	env, done := m.Fn(symCalcKinematicsForElems)
 	defer done()
 	for c := 0; c < d.N; c++ {
 		vol := CalcElemVolume(m, d, c)
@@ -317,7 +317,7 @@ func CalcKinematicsForElems(m *link.Machine, d *Domain) {
 // CalcElemVolume returns the element's current volume through the
 // hexahedron-style triple-product form collapsed to 1-D.
 func CalcElemVolume(m *link.Machine, d *Domain, c int) float64 {
-	env, done := m.Fn("CalcElemVolume")
+	env, done := m.Fn(symCalcElemVolume)
 	defer done()
 	x0, x1 := d.X[c], d.X[c+1]
 	h := env.Sub(x1, x0)
@@ -329,7 +329,7 @@ func CalcElemVolume(m *link.Machine, d *Domain, c int) float64 {
 
 // CalcElemCharacteristicLength returns the shock-resolution length scale.
 func CalcElemCharacteristicLength(m *link.Machine, d *Domain, c int) float64 {
-	env, done := m.Fn("CalcElemCharacteristicLength")
+	env, done := m.Fn(symCalcElemCharacteristicLength)
 	defer done()
 	h := env.Sub(d.X[c+1], d.X[c])
 	area := env.Mul(h, h)
@@ -339,7 +339,7 @@ func CalcElemCharacteristicLength(m *link.Machine, d *Domain, c int) float64 {
 // CalcElemShapeFunctionDerivatives returns the determinant-like diagnostic
 // of the (here trivial) shape-function Jacobian.
 func CalcElemShapeFunctionDerivatives(m *link.Machine, d *Domain, c int) float64 {
-	env, done := m.Fn("CalcElemShapeFunctionDerivatives")
+	env, done := m.Fn(symCalcElemShapeFunctionDerivatives)
 	defer done()
 	h := env.Sub(d.X[c+1], d.X[c])
 	j := env.Mul(0.5, h)
@@ -349,7 +349,7 @@ func CalcElemShapeFunctionDerivatives(m *link.Machine, d *Domain, c int) float64
 
 // CalcQForElems computes artificial viscosity.
 func CalcQForElems(m *link.Machine, d *Domain) {
-	env, done := m.Fn("CalcQForElems")
+	env, done := m.Fn(symCalcQForElems)
 	defer done()
 	grads := CalcMonotonicQGradientsForElems(m, d)
 	CalcMonotonicQRegionForElems(m, d, grads)
@@ -360,7 +360,7 @@ func CalcQForElems(m *link.Machine, d *Domain) {
 
 // CalcMonotonicQGradientsForElems returns per-element velocity gradients.
 func CalcMonotonicQGradientsForElems(m *link.Machine, d *Domain) []float64 {
-	env, done := m.Fn("CalcMonotonicQGradientsForElems")
+	env, done := m.Fn(symCalcMonotonicQGradientsForElems)
 	defer done()
 	out := make([]float64, d.N)
 	for c := 0; c < d.N; c++ {
@@ -374,7 +374,7 @@ func CalcMonotonicQGradientsForElems(m *link.Machine, d *Domain) []float64 {
 
 // CalcMonotonicQRegionForElems limits and applies the viscosity.
 func CalcMonotonicQRegionForElems(m *link.Machine, d *Domain, grads []float64) {
-	env, done := m.Fn("CalcMonotonicQRegionForElems")
+	env, done := m.Fn(symCalcMonotonicQRegionForElems)
 	defer done()
 	const qlcMonoq, qqcMonoq = 0.5, 2.0 / 3.0
 	for c := 0; c < d.N; c++ {
@@ -393,7 +393,7 @@ func CalcMonotonicQRegionForElems(m *link.Machine, d *Domain, grads []float64) {
 
 // ApplyMaterialPropertiesForElems runs the EOS over all elements.
 func ApplyMaterialPropertiesForElems(m *link.Machine, d *Domain) {
-	env, done := m.Fn("ApplyMaterialPropertiesForElems")
+	env, done := m.Fn(symApplyMaterialPropertiesForElems)
 	defer done()
 	for c := 0; c < d.N; c++ {
 		d.V[c] = env.Mul(d.V[c], 1.0)
@@ -403,7 +403,7 @@ func ApplyMaterialPropertiesForElems(m *link.Machine, d *Domain) {
 
 // EvalEOSForElems drives the energy/pressure/sound-speed solve.
 func EvalEOSForElems(m *link.Machine, d *Domain) {
-	env, done := m.Fn("EvalEOSForElems")
+	env, done := m.Fn(symEvalEOSForElems)
 	defer done()
 	for c := 0; c < d.N; c++ {
 		comp := env.Add(env.Sub(env.Div(1.0, d.V[c]), 1.0), 0)
@@ -415,7 +415,7 @@ func EvalEOSForElems(m *link.Machine, d *Domain) {
 // CalcEnergyForElems advances the element energy (LULESH's predictor-
 // corrector EOS energy iteration, condensed).
 func CalcEnergyForElems(m *link.Machine, d *Domain, c int, comp float64) {
-	env, done := m.Fn("CalcEnergyForElems")
+	env, done := m.Fn(symCalcEnergyForElems)
 	defer done()
 	const emin = 1e-9
 	work := env.Mul(env.Add(d.P[c], d.Q[c]), env.Mul(0.5, d.Delv[c]))
@@ -437,7 +437,7 @@ func CalcEnergyForElems(m *link.Machine, d *Domain, c int, comp float64) {
 // CalcPressureForElems evaluates the gamma-law pressure with the LULESH
 // small-pressure cutoff branch.
 func CalcPressureForElems(m *link.Machine, d *Domain, c int, e, comp float64) float64 {
-	env, done := m.Fn("CalcPressureForElems")
+	env, done := m.Fn(symCalcPressureForElems)
 	defer done()
 	const c1s = 2.0 / 3.0
 	bvc := env.MulAdd(c1s, comp, 1.0)
@@ -453,7 +453,7 @@ func CalcPressureForElems(m *link.Machine, d *Domain, c int, e, comp float64) fl
 
 // CalcSoundSpeedForElems updates the element sound speed.
 func CalcSoundSpeedForElems(m *link.Machine, d *Domain, c int) {
-	env, done := m.Fn("CalcSoundSpeedForElems")
+	env, done := m.Fn(symCalcSoundSpeedForElems)
 	defer done()
 	rho := env.Div(d.Mass[c], env.Div(d.V[c], float64(d.N)))
 	ss2 := env.Div(env.Mul(1.4, d.P[c]), rho)
@@ -465,7 +465,7 @@ func CalcSoundSpeedForElems(m *link.Machine, d *Domain, c int) {
 
 // UpdateVolumesForElems commits the relative volumes with the v_cut branch.
 func UpdateVolumesForElems(m *link.Machine, d *Domain) {
-	env, done := m.Fn("UpdateVolumesForElems")
+	env, done := m.Fn(symUpdateVolumesForElems)
 	defer done()
 	const vcut = 1e-10
 	for c := 0; c < d.N; c++ {
@@ -481,7 +481,7 @@ func UpdateVolumesForElems(m *link.Machine, d *Domain) {
 
 // CalcTimeConstraintsForElems refreshes the Courant and hydro limits.
 func CalcTimeConstraintsForElems(m *link.Machine, d *Domain) {
-	env, done := m.Fn("CalcTimeConstraintsForElems")
+	env, done := m.Fn(symCalcTimeConstraintsForElems)
 	defer done()
 	d.DTCourant = env.Mul(env.Add(CalcCourantConstraintForElems(m, d), 0), 1.0)
 	d.DTHydro = env.Mul(env.Add(CalcHydroConstraintForElems(m, d), 0), 1.0)
@@ -489,7 +489,7 @@ func CalcTimeConstraintsForElems(m *link.Machine, d *Domain) {
 
 // CalcCourantConstraintForElems returns min over elements of l/ss.
 func CalcCourantConstraintForElems(m *link.Machine, d *Domain) float64 {
-	env, done := m.Fn("CalcCourantConstraintForElems")
+	env, done := m.Fn(symCalcCourantConstraintForElems)
 	defer done()
 	min := 1e20
 	for c := 0; c < d.N; c++ {
@@ -504,7 +504,7 @@ func CalcCourantConstraintForElems(m *link.Machine, d *Domain) float64 {
 
 // CalcHydroConstraintForElems returns min over elements of c/|delv|.
 func CalcHydroConstraintForElems(m *link.Machine, d *Domain) float64 {
-	env, done := m.Fn("CalcHydroConstraintForElems")
+	env, done := m.Fn(symCalcHydroConstraintForElems)
 	defer done()
 	min := 1e20
 	for c := 0; c < d.N; c++ {
@@ -525,21 +525,21 @@ func CalcHydroConstraintForElems(m *link.Machine, d *Domain) float64 {
 
 // AreaFace computes a quad face area (unreached here).
 func AreaFace(m *link.Machine, x, y float64) float64 {
-	env, done := m.Fn("AreaFace")
+	env, done := m.Fn(symAreaFace)
 	defer done()
 	return env.MulAdd(x, y, env.Mul(x, y))
 }
 
 // CombineDerivs merges partial derivatives (unreached here).
 func CombineDerivs(m *link.Machine, parts []float64) float64 {
-	env, done := m.Fn("CombineDerivs")
+	env, done := m.Fn(symCombineDerivs)
 	defer done()
 	return env.Sum(parts)
 }
 
 // CalcElemNodeNormals accumulates nodal normals (unreached here).
 func CalcElemNodeNormals(m *link.Machine, x []float64) []float64 {
-	env, done := m.Fn("CalcElemNodeNormals")
+	env, done := m.Fn(symCalcElemNodeNormals)
 	defer done()
 	out := make([]float64, len(x))
 	for i := range x {

@@ -21,7 +21,7 @@ func One2D(*link.Machine, float64, float64) float64 { return 1 }
 // MassElement1D computes the 2×2 element mass matrix ∫ c φi φj over
 // element e.
 func MassElement1D(m *link.Machine, mesh *Mesh1D, e int, c Coeff1D) *Dense {
-	env, done := m.Fn("MassIntegrator::Element1D")
+	env, done := m.Fn(symMassIntegratorElement1D)
 	defer done()
 	pts, wts := Gauss2(m)
 	w := IsoWeight1D(m, mesh, e)
@@ -44,7 +44,7 @@ func MassElement1D(m *link.Machine, mesh *Mesh1D, e int, c Coeff1D) *Dense {
 // DiffusionElement1D computes the 2×2 element stiffness matrix
 // ∫ c φi' φj' over element e.
 func DiffusionElement1D(m *link.Machine, mesh *Mesh1D, e int, c Coeff1D) *Dense {
-	env, done := m.Fn("DiffusionIntegrator::Element1D")
+	env, done := m.Fn(symDiffusionIntegratorElement1D)
 	defer done()
 	pts, wts := Gauss2(m)
 	w := IsoWeight1D(m, mesh, e)
@@ -68,7 +68,7 @@ func DiffusionElement1D(m *link.Machine, mesh *Mesh1D, e int, c Coeff1D) *Dense 
 
 // MassElement2D computes the 4×4 element mass matrix on a quad element.
 func MassElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) *Dense {
-	env, done := m.Fn("MassIntegrator::Element2D")
+	env, done := m.Fn(symMassIntegratorElement2D)
 	defer done()
 	pts, wts := Gauss2(m)
 	jw := IsoWeight2D(m, mesh, ex, ey)
@@ -91,7 +91,7 @@ func MassElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) *Dense 
 
 // DiffusionElement2D computes the 4×4 element stiffness matrix on a quad.
 func DiffusionElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) *Dense {
-	env, done := m.Fn("DiffusionIntegrator::Element2D")
+	env, done := m.Fn(symDiffusionIntegratorElement2D)
 	defer done()
 	pts, wts := Gauss2(m)
 	nodes := mesh.ElemNodes(ex, ey)
@@ -121,7 +121,7 @@ func DiffusionElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) *D
 // ConvectionElement1D computes the 2×2 element convection matrix
 // ∫ v φi' φj for constant velocity v.
 func ConvectionElement1D(m *link.Machine, mesh *Mesh1D, e int, v float64) *Dense {
-	env, done := m.Fn("ConvectionIntegrator::Element1D")
+	env, done := m.Fn(symConvectionIntegratorElement1D)
 	defer done()
 	pts, wts := Gauss2(m)
 	w := IsoWeight1D(m, mesh, e)
@@ -143,7 +143,7 @@ func ConvectionElement1D(m *link.Machine, mesh *Mesh1D, e int, v float64) *Dense
 
 // scatter adds element matrix ke into the global builder at the given dofs.
 func scatter(m *link.Machine, b *csrBuilder, dofs []int, ke *Dense) {
-	env, done := m.Fn("scatterElement")
+	env, done := m.Fn(symScatterElement)
 	defer done()
 	for i, gi := range dofs {
 		for j, gj := range dofs {
@@ -156,7 +156,7 @@ func scatter(m *link.Machine, b *csrBuilder, dofs []int, ke *Dense) {
 
 // AssembleMass1D assembles the global mass matrix of a 1-D mesh.
 func AssembleMass1D(m *link.Machine, mesh *Mesh1D, c Coeff1D) *CSR {
-	_, done := m.Fn("BilinearForm::AssembleMass1D")
+	_, done := m.Fn(symBilinearFormAssembleMass1D)
 	defer done()
 	b := newCSRBuilder(mesh.N + 1)
 	for e := 0; e < mesh.N; e++ {
@@ -169,7 +169,7 @@ func AssembleMass1D(m *link.Machine, mesh *Mesh1D, c Coeff1D) *CSR {
 // AssembleDiffusion1D assembles the global stiffness matrix of a 1-D mesh
 // with homogeneous Dirichlet conditions applied to the boundary rows.
 func AssembleDiffusion1D(m *link.Machine, mesh *Mesh1D, c Coeff1D) *CSR {
-	_, done := m.Fn("BilinearForm::AssembleDiffusion1D")
+	_, done := m.Fn(symBilinearFormAssembleDiffusion1D)
 	defer done()
 	n := mesh.N + 1
 	b := newCSRBuilder(n)
@@ -183,7 +183,7 @@ func AssembleDiffusion1D(m *link.Machine, mesh *Mesh1D, c Coeff1D) *CSR {
 
 // AssembleMass2D assembles the global 2-D mass matrix.
 func AssembleMass2D(m *link.Machine, mesh *Mesh2D, c Coeff2D) *CSR {
-	_, done := m.Fn("BilinearForm::AssembleMass2D")
+	_, done := m.Fn(symBilinearFormAssembleMass2D)
 	defer done()
 	b := newCSRBuilder(mesh.NumNodes())
 	for _, e := range mesh.elementSeq() {
@@ -198,7 +198,7 @@ func AssembleMass2D(m *link.Machine, mesh *Mesh2D, c Coeff2D) *CSR {
 // AssembleDiffusion2D assembles the global 2-D stiffness matrix with
 // Dirichlet conditions on the whole boundary.
 func AssembleDiffusion2D(m *link.Machine, mesh *Mesh2D, c Coeff2D) *CSR {
-	_, done := m.Fn("BilinearForm::AssembleDiffusion2D")
+	_, done := m.Fn(symBilinearFormAssembleDiffusion2D)
 	defer done()
 	b := newCSRBuilder(mesh.NumNodes())
 	for _, e := range mesh.elementSeq() {
@@ -214,7 +214,7 @@ func AssembleDiffusion2D(m *link.Machine, mesh *Mesh2D, c Coeff2D) *CSR {
 // applyDirichlet replaces the given rows with identity rows.
 func applyDirichlet(b *csrBuilder, rows []int) {
 	for _, r := range rows {
-		b.rows[r] = map[int]float64{r: 1}
+		b.rows[r] = append(b.rows[r][:0], csrEntry{col: r, val: 1})
 	}
 }
 
@@ -235,7 +235,7 @@ func boundaryNodes(mesh *Mesh2D) []int {
 // AssembleRHS1D assembles the load vector ∫ f φi with a 3-point rule,
 // zeroing Dirichlet rows.
 func AssembleRHS1D(m *link.Machine, mesh *Mesh1D, f Coeff1D) []float64 {
-	env, done := m.Fn("LinearForm::Assemble1D")
+	env, done := m.Fn(symLinearFormAssemble1D)
 	defer done()
 	n := mesh.N + 1
 	rhs := make([]float64, n)
@@ -257,7 +257,7 @@ func AssembleRHS1D(m *link.Machine, mesh *Mesh1D, f Coeff1D) []float64 {
 
 // AssembleRHS2D assembles the 2-D load vector, zeroing boundary rows.
 func AssembleRHS2D(m *link.Machine, mesh *Mesh2D, f Coeff2D) []float64 {
-	env, done := m.Fn("LinearForm::Assemble2D")
+	env, done := m.Fn(symLinearFormAssemble2D)
 	defer done()
 	rhs := make([]float64, mesh.NumNodes())
 	pts, wts := Gauss2(m)

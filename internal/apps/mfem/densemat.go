@@ -24,7 +24,7 @@ func (d *Dense) Row(i int) []float64 { return d.A[i*d.C : (i+1)*d.C] }
 
 // DenseMult computes y = D·x.
 func DenseMult(m *link.Machine, d *Dense, x, y []float64) {
-	env, done := m.Fn("DenseMatrix::Mult")
+	env, done := m.Fn(symDenseMatrixMult)
 	defer done()
 	for i := 0; i < d.R; i++ {
 		y[i] = env.Dot(d.Row(i), x)
@@ -33,7 +33,7 @@ func DenseMult(m *link.Machine, d *Dense, x, y []float64) {
 
 // DenseMultTranspose computes y = Dᵀ·x.
 func DenseMultTranspose(m *link.Machine, d *Dense, x, y []float64) {
-	env, done := m.Fn("DenseMatrix::MultTranspose")
+	env, done := m.Fn(symDenseMatrixMultTranspose)
 	defer done()
 	col := make([]float64, d.R)
 	for j := 0; j < d.C; j++ {
@@ -48,7 +48,7 @@ func DenseMultTranspose(m *link.Machine, d *Dense, x, y []float64) {
 // of the paper's Finding 2, the single function blamed for MFEM example
 // 13's 183–197% relative error under FMA/AVX2 compilations.
 func AddMultAAt(m *link.Machine, a float64, A, M *Dense) {
-	env, done := m.Fn("DenseMatrix::AddMult_a_AAt")
+	env, done := m.Fn(symDenseMatrixAddMult_a_AAt)
 	defer done()
 	for i := 0; i < A.R; i++ {
 		for j := 0; j < A.R; j++ {
@@ -60,14 +60,14 @@ func AddMultAAt(m *link.Machine, a float64, A, M *Dense) {
 
 // Det2 returns the determinant of the top-left 2×2 block.
 func Det2(m *link.Machine, d *Dense) float64 {
-	env, done := m.Fn("DenseMatrix::Det2")
+	env, done := m.Fn(symDenseMatrixDet2)
 	defer done()
 	return env.MulSub(d.At(0, 0), d.At(1, 1), env.Mul(d.At(0, 1), d.At(1, 0)))
 }
 
 // Trace returns the sum of the diagonal.
 func Trace(m *link.Machine, d *Dense) float64 {
-	env, done := m.Fn("DenseMatrix::Trace")
+	env, done := m.Fn(symDenseMatrixTrace)
 	defer done()
 	n := d.R
 	if d.C < n {
@@ -82,7 +82,7 @@ func Trace(m *link.Machine, d *Dense) float64 {
 
 // FNorm returns the Frobenius norm.
 func FNorm(m *link.Machine, d *Dense) float64 {
-	env, done := m.Fn("DenseMatrix::FNorm")
+	env, done := m.Fn(symDenseMatrixFNorm)
 	defer done()
 	return env.Sqrt(env.Dot(d.A, d.A))
 }
@@ -90,7 +90,7 @@ func FNorm(m *link.Machine, d *Dense) float64 {
 // Invert2x2 inverts the top-left 2×2 block in place and returns the
 // determinant it divided by.
 func Invert2x2(m *link.Machine, d *Dense) float64 {
-	env, done := m.Fn("DenseMatrix::Invert2x2")
+	env, done := m.Fn(symDenseMatrixInvert2x2)
 	defer done()
 	det := Det2(m, d)
 	inv := env.Div(1, det)
@@ -105,7 +105,7 @@ func Invert2x2(m *link.Machine, d *Dense) float64 {
 // LSolve solves L·x = b in place for a lower-triangular L with nonzero
 // diagonal (forward substitution).
 func LSolve(m *link.Machine, L *Dense, b []float64) {
-	env, done := m.Fn("DenseMatrix::LSolve")
+	env, done := m.Fn(symDenseMatrixLSolve)
 	defer done()
 	for i := 0; i < L.R; i++ {
 		s := env.Dot(L.Row(i)[:i], b[:i])

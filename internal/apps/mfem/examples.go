@@ -92,7 +92,7 @@ var exampleFuncs = [19]exampleFunc{
 
 // enter brackets an example's main symbol.
 func enter(m *link.Machine, n int) func() {
-	_, done := m.Fn(exampleSymbol(n))
+	_, done := m.Fn(exampleSyms[n-1])
 	return done
 }
 

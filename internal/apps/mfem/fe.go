@@ -7,21 +7,21 @@ import "repro/internal/link"
 
 // Shape1D evaluates the two linear hat functions at reference point x∈[0,1].
 func Shape1D(m *link.Machine, x float64) (n0, n1 float64) {
-	env, done := m.Fn("FE::Shape1D")
+	env, done := m.Fn(symFEShape1D)
 	defer done()
 	return env.Sub(1, x), x
 }
 
 // DShape1D returns the reference derivatives of the linear hats.
 func DShape1D(m *link.Machine) (d0, d1 float64) {
-	_, done := m.Fn("FE::DShape1D")
+	_, done := m.Fn(symFEDShape1D)
 	defer done()
 	return -1, 1
 }
 
 // Shape2D evaluates the four bilinear shape functions at (x,y)∈[0,1]².
 func Shape2D(m *link.Machine, x, y float64) [4]float64 {
-	env, done := m.Fn("FE::Shape2D")
+	env, done := m.Fn(symFEShape2D)
 	defer done()
 	n0x, n1x := Shape1D(m, x)
 	n0y, n1y := Shape1D(m, y)
@@ -36,7 +36,7 @@ func Shape2D(m *link.Machine, x, y float64) [4]float64 {
 // DShape2D returns the reference gradients of the bilinear shape functions
 // as a 4×2 array [shape][dx,dy].
 func DShape2D(m *link.Machine, x, y float64) [4][2]float64 {
-	env, done := m.Fn("FE::DShape2D")
+	env, done := m.Fn(symFEDShape2D)
 	defer done()
 	n0x, n1x := Shape1D(m, x)
 	n0y, n1y := Shape1D(m, y)
@@ -51,7 +51,7 @@ func DShape2D(m *link.Machine, x, y float64) [4][2]float64 {
 
 // Gauss2 returns the 2-point Gauss-Legendre rule on [0,1].
 func Gauss2(m *link.Machine) (pts, wts [2]float64) {
-	env, done := m.Fn("QuadRule::Gauss2")
+	env, done := m.Fn(symQuadRuleGauss2)
 	defer done()
 	r := env.Div(1, env.Mul(env.Sqrt(3), 2)) // 1/(2*sqrt(3))
 	pts[0] = env.Sub(0.5, r)
@@ -62,7 +62,7 @@ func Gauss2(m *link.Machine) (pts, wts [2]float64) {
 
 // Gauss3 returns the 3-point Gauss-Legendre rule on [0,1].
 func Gauss3(m *link.Machine) (pts, wts [3]float64) {
-	env, done := m.Fn("QuadRule::Gauss3")
+	env, done := m.Fn(symQuadRuleGauss3)
 	defer done()
 	r := env.Mul(0.5, env.Sqrt(env.Div(3, 5)))
 	pts[0] = env.Sub(0.5, r)
@@ -76,21 +76,21 @@ func Gauss3(m *link.Machine) (pts, wts [3]float64) {
 
 // MapToInterval maps a reference point t∈[0,1] onto [a,b].
 func MapToInterval(m *link.Machine, t, a, b float64) float64 {
-	env, done := m.Fn("QuadRule::MapToInterval")
+	env, done := m.Fn(symQuadRuleMapToInterval)
 	defer done()
 	return env.MulAdd(t, env.Sub(b, a), a)
 }
 
 // IsoMap1D maps a reference point inside element e to physical space.
 func IsoMap1D(m *link.Machine, mesh *Mesh1D, e int, t float64) float64 {
-	env, done := m.Fn("IsoTrans::Map1D")
+	env, done := m.Fn(symIsoTransMap1D)
 	defer done()
 	return env.MulAdd(t, env.Sub(mesh.X[e+1], mesh.X[e]), mesh.X[e])
 }
 
 // IsoWeight1D returns the 1-D Jacobian (element width).
 func IsoWeight1D(m *link.Machine, mesh *Mesh1D, e int) float64 {
-	env, done := m.Fn("IsoTrans::Weight1D")
+	env, done := m.Fn(symIsoTransWeight1D)
 	defer done()
 	return env.Sub(mesh.X[e+1], mesh.X[e])
 }
@@ -98,7 +98,7 @@ func IsoWeight1D(m *link.Machine, mesh *Mesh1D, e int) float64 {
 // IsoMap2D maps a reference point in element (ex,ey) to physical space
 // using the bilinear shape functions.
 func IsoMap2D(m *link.Machine, mesh *Mesh2D, ex, ey int, x, y float64) (px, py float64) {
-	env, done := m.Fn("IsoTrans::Map2D")
+	env, done := m.Fn(symIsoTransMap2D)
 	defer done()
 	sh := Shape2D(m, x, y)
 	nodes := mesh.ElemNodes(ex, ey)
@@ -114,7 +114,7 @@ func IsoMap2D(m *link.Machine, mesh *Mesh2D, ex, ey int, x, y float64) (px, py f
 // IsoWeight2D returns the Jacobian determinant of the bilinear map for a
 // structured element (constant per element on a Cartesian mesh).
 func IsoWeight2D(m *link.Machine, mesh *Mesh2D, ex, ey int) float64 {
-	env, done := m.Fn("IsoTrans::Weight2D")
+	env, done := m.Fn(symIsoTransWeight2D)
 	defer done()
 	nodes := mesh.ElemNodes(ex, ey)
 	dx := env.Sub(mesh.X[nodes[1]], mesh.X[nodes[0]])
@@ -125,14 +125,14 @@ func IsoWeight2D(m *link.Machine, mesh *Mesh2D, ex, ey int) float64 {
 // CoeffPoly evaluates the polynomial coefficient 1 + x(2 + 3x) used by the
 // projection examples (Horner form: mul-add chain).
 func CoeffPoly(m *link.Machine, x float64) float64 {
-	env, done := m.Fn("Coefficient::Poly")
+	env, done := m.Fn(symCoefficientPoly)
 	defer done()
 	return env.MulAdd(x, env.MulAdd(x, 3, 2), 1)
 }
 
 // CoeffRunge evaluates 1/(1+25x²).
 func CoeffRunge(m *link.Machine, x float64) float64 {
-	env, done := m.Fn("Coefficient::Runge")
+	env, done := m.Fn(symCoefficientRunge)
 	defer done()
 	return env.Div(1, env.MulAdd(env.Mul(25, x), x, 1))
 }
@@ -140,14 +140,14 @@ func CoeffRunge(m *link.Machine, x float64) float64 {
 // CoeffSqrtRadius evaluates sqrt(x²+y²+0.25): a libm-bearing coefficient,
 // so examples using it pick up Intel link-step variability.
 func CoeffSqrtRadius(m *link.Machine, x, y float64) float64 {
-	env, done := m.Fn("Coefficient::SqrtRadius")
+	env, done := m.Fn(symCoefficientSqrtRadius)
 	defer done()
 	return env.Sqrt(env.MulAdd(x, x, env.MulAdd(y, y, 0.25)))
 }
 
 // CoeffExpDecay evaluates exp(-2x): the second libm-bearing coefficient.
 func CoeffExpDecay(m *link.Machine, x float64) float64 {
-	env, done := m.Fn("Coefficient::ExpDecay")
+	env, done := m.Fn(symCoefficientExpDecay)
 	defer done()
 	return env.Exp(env.Mul(-2, x))
 }

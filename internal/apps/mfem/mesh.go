@@ -34,7 +34,7 @@ func (me *Mesh2D) elementSeq() []int {
 
 // MakeCartesian1D builds a uniform 1-D mesh.
 func MakeCartesian1D(m *link.Machine, n int, length float64) *Mesh1D {
-	env, done := m.Fn("Mesh::MakeCartesian1D")
+	env, done := m.Fn(symMeshMakeCartesian1D)
 	defer done()
 	h := env.Div(length, float64(n))
 	mesh := &Mesh1D{N: n, X: make([]float64, n+1)}
@@ -47,7 +47,7 @@ func MakeCartesian1D(m *link.Machine, n int, length float64) *Mesh1D {
 
 // MakeCartesian2D builds a uniform quadrilateral mesh.
 func MakeCartesian2D(m *link.Machine, nx, ny int, lx, ly float64) *Mesh2D {
-	env, done := m.Fn("Mesh::MakeCartesian2D")
+	env, done := m.Fn(symMeshMakeCartesian2D)
 	defer done()
 	hx := env.Div(lx, float64(nx))
 	hy := env.Div(ly, float64(ny))
@@ -76,7 +76,7 @@ func (me *Mesh2D) ElemNodes(ex, ey int) [4]int {
 
 // ElementSize1D returns the width of element e.
 func ElementSize1D(m *link.Machine, mesh *Mesh1D, e int) float64 {
-	env, done := m.Fn("Mesh::ElementSize")
+	env, done := m.Fn(symMeshElementSize)
 	defer done()
 	return env.Sub(mesh.X[e+1], mesh.X[e])
 }
@@ -85,7 +85,7 @@ func ElementSize1D(m *link.Machine, mesh *Mesh1D, e int) float64 {
 // boundary-preserving perturbation used by tests that need non-uniform
 // meshes.
 func PerturbNodes1D(m *link.Machine, mesh *Mesh1D, amp float64) {
-	env, done := m.Fn("Mesh::PerturbNodes")
+	env, done := m.Fn(symMeshPerturbNodes)
 	defer done()
 	for i := 1; i < mesh.N; i++ {
 		x := mesh.X[i]

@@ -532,3 +532,21 @@ func TestNewCasePanicsOutOfRange(t *testing.T) {
 	}()
 	NewCase(20)
 }
+
+// BenchmarkAssembleDiffusion2D times the sparse assembly of example 2's
+// 6×6 stiffness matrix: element integrators, scatter and the CSR build.
+func BenchmarkAssembleDiffusion2D(b *testing.B) {
+	ex, err := link.FullBuild(Program(), comp.Compilation{Compiler: comp.GCC, OptLevel: "-O3", Switches: "-mavx2 -mfma"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := ex.NewMachine()
+	if err != nil {
+		b.Fatal(err)
+	}
+	mesh := MakeCartesian2D(m, 6, 6, 1, 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		AssembleDiffusion2D(m, mesh, One2D)
+	}
+}

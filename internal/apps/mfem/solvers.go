@@ -11,7 +11,7 @@ import "repro/internal/link"
 // tiny rounding changes alter the whole trajectory (MFEM example 8's
 // divergent convergence).
 func CGSolve(m *link.Machine, a *CSR, b, x []float64, tol float64, maxIter int) int {
-	env, done := m.Fn("CG::Solve")
+	env, done := m.Fn(symCGSolve)
 	defer done()
 	n := a.N
 	r := make([]float64, n)
@@ -45,7 +45,7 @@ func CGSolve(m *link.Machine, a *CSR, b, x []float64, tol float64, maxIter int) 
 
 // PCGSolve runs Jacobi-preconditioned conjugate gradients.
 func PCGSolve(m *link.Machine, a *CSR, b, x []float64, tol float64, maxIter int) int {
-	env, done := m.Fn("PCG::Solve")
+	env, done := m.Fn(symPCGSolve)
 	defer done()
 	n := a.N
 	diag := make([]float64, n)
@@ -93,7 +93,7 @@ func PCGSolve(m *link.Machine, a *CSR, b, x []float64, tol float64, maxIter int)
 
 // JacobiIterate runs k damped-Jacobi sweeps.
 func JacobiIterate(m *link.Machine, a *CSR, b, x []float64, w float64, k int) {
-	_, done := m.Fn("Jacobi::Iterate")
+	_, done := m.Fn(symJacobiIterate)
 	defer done()
 	for i := 0; i < k; i++ {
 		JacobiSmooth(m, a, b, x, w)
@@ -103,7 +103,7 @@ func JacobiIterate(m *link.Machine, a *CSR, b, x []float64, w float64, k int) {
 // PowerIterationRun estimates the dominant eigenvalue of A with k steps of
 // normalized power iteration, returning the Rayleigh-quotient estimate.
 func PowerIterationRun(m *link.Machine, a *CSR, x []float64, k int) float64 {
-	_, done := m.Fn("PowerIteration::Run")
+	_, done := m.Fn(symPowerIterationRun)
 	defer done()
 	y := make([]float64, a.N)
 	for i := 0; i < k; i++ {
@@ -117,7 +117,7 @@ func PowerIterationRun(m *link.Machine, a *CSR, x []float64, k int) float64 {
 
 // Project1D evaluates a coefficient at the mesh nodes.
 func Project1D(m *link.Machine, mesh *Mesh1D, c Coeff1D) []float64 {
-	_, done := m.Fn("GridFunction::Project1D")
+	_, done := m.Fn(symGridFunctionProject1D)
 	defer done()
 	out := make([]float64, mesh.N+1)
 	for i := range out {
@@ -128,7 +128,7 @@ func Project1D(m *link.Machine, mesh *Mesh1D, c Coeff1D) []float64 {
 
 // Project2D evaluates a coefficient at the 2-D mesh nodes.
 func Project2D(m *link.Machine, mesh *Mesh2D, c Coeff2D) []float64 {
-	_, done := m.Fn("GridFunction::Project2D")
+	_, done := m.Fn(symGridFunctionProject2D)
 	defer done()
 	out := make([]float64, mesh.NumNodes())
 	for i := range out {
@@ -139,7 +139,7 @@ func Project2D(m *link.Machine, mesh *Mesh2D, c Coeff2D) []float64 {
 
 // L2Error returns ||u - v||₂ through the library kernels.
 func L2Error(m *link.Machine, u, v []float64) float64 {
-	_, done := m.Fn("GridFunction::L2Error")
+	_, done := m.Fn(symGridFunctionL2Error)
 	defer done()
 	d := make([]float64, len(u))
 	Subtract(m, d, u, v)
@@ -148,7 +148,7 @@ func L2Error(m *link.Machine, u, v []float64) float64 {
 
 // RK2Step advances u by one midpoint-rule step of du/dt = f(u).
 func RK2Step(m *link.Machine, u []float64, dt float64, f func(u, du []float64)) {
-	env, done := m.Fn("RK2::Step")
+	env, done := m.Fn(symRK2Step)
 	defer done()
 	n := len(u)
 	k1 := make([]float64, n)
@@ -163,7 +163,7 @@ func RK2Step(m *link.Machine, u []float64, dt float64, f func(u, du []float64)) 
 // Upwind returns the upwind flux v>0 ? v*ul : v*ur. The branch on a
 // computed value makes downstream results jump when rounding flips it.
 func Upwind(m *link.Machine, v, ul, ur float64) float64 {
-	env, done := m.Fn("UpwindFlux")
+	env, done := m.Fn(symUpwindFlux)
 	defer done()
 	if v > 0 {
 		return env.Mul(v, ul)

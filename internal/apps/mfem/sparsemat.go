@@ -10,36 +10,69 @@ type CSR struct {
 	Val    []float64
 }
 
-// csrBuilder accumulates entries densely per row (meshes here are small)
-// and compresses with deterministic column ordering.
+// csrBuilder accumulates entries per row and compresses with increasing
+// column order. A row of a low-order mesh holds a handful of entries, so
+// each row is a short slice searched linearly rather than a map.
 type csrBuilder struct {
 	n    int
-	rows []map[int]float64
+	rows [][]csrEntry
 }
 
+type csrEntry struct {
+	col int
+	val float64
+}
+
+// rowCap is the entries preallocated per row: a node of a quad mesh
+// couples to at most 9 nodes. A longer row grows on its own.
+const rowCap = 9
+
 func newCSRBuilder(n int) *csrBuilder {
-	b := &csrBuilder{n: n, rows: make([]map[int]float64, n)}
+	b := &csrBuilder{n: n, rows: make([][]csrEntry, n)}
+	backing := make([]csrEntry, n*rowCap)
 	for i := range b.rows {
-		b.rows[i] = make(map[int]float64, 9)
+		b.rows[i] = backing[i*rowCap : i*rowCap : (i+1)*rowCap]
 	}
 	return b
 }
 
 // add accumulates v into entry (i,j) with plain addition. Assembly order is
 // fixed by the element loop, so accumulation itself is deterministic; the
-// value-changing arithmetic happens inside the integrator kernels.
-func (b *csrBuilder) add(i, j int, v float64) { b.rows[i][j] += v }
+// value-changing arithmetic happens inside the integrator kernels. A new
+// entry starts at +0 and takes v by the same addition, so a first
+// contribution of -0 is stored as +0.
+func (b *csrBuilder) add(i, j int, v float64) {
+	row := b.rows[i]
+	k := 0
+	for k < len(row) && row[k].col != j {
+		k++
+	}
+	if k == len(row) {
+		row = append(row, csrEntry{col: j})
+		b.rows[i] = row
+	}
+	row[k].val += v
+}
 
 func (b *csrBuilder) build() *CSR {
-	c := &CSR{N: b.n, RowPtr: make([]int, b.n+1)}
+	total := 0
+	for _, row := range b.rows {
+		total += len(row)
+	}
+	c := &CSR{N: b.n, RowPtr: make([]int, b.n+1),
+		Col: make([]int, 0, total), Val: make([]float64, 0, total)}
 	for i, row := range b.rows {
 		c.RowPtr[i] = len(c.Col)
-		// Columns in increasing order for determinism.
-		for j := 0; j < b.n; j++ {
-			if v, ok := row[j]; ok {
-				c.Col = append(c.Col, j)
-				c.Val = append(c.Val, v)
+		// Columns in increasing order for determinism; rows are short,
+		// so insertion sort.
+		for k := 1; k < len(row); k++ {
+			for m := k; m > 0 && row[m].col < row[m-1].col; m-- {
+				row[m], row[m-1] = row[m-1], row[m]
 			}
+		}
+		for _, e := range row {
+			c.Col = append(c.Col, e.col)
+			c.Val = append(c.Val, e.val)
 		}
 	}
 	c.RowPtr[b.n] = len(c.Col)
@@ -54,7 +87,7 @@ func (c *CSR) rowSlices(i int) ([]int, []float64) {
 
 // SpMult computes y = A·x.
 func SpMult(m *link.Machine, a *CSR, x, y []float64) {
-	env, done := m.Fn("SparseMatrix::Mult")
+	env, done := m.Fn(symSparseMatrixMult)
 	defer done()
 	xs := make([]float64, 0, 16)
 	for i := 0; i < a.N; i++ {
@@ -69,7 +102,7 @@ func SpMult(m *link.Machine, a *CSR, x, y []float64) {
 
 // SpAddMult computes y += alpha·A·x.
 func SpAddMult(m *link.Machine, alpha float64, a *CSR, x, y []float64) {
-	env, done := m.Fn("SparseMatrix::AddMult")
+	env, done := m.Fn(symSparseMatrixAddMult)
 	defer done()
 	xs := make([]float64, 0, 16)
 	for i := 0; i < a.N; i++ {
@@ -84,7 +117,7 @@ func SpAddMult(m *link.Machine, alpha float64, a *CSR, x, y []float64) {
 
 // SpInnerProduct returns xᵀ·A·y.
 func SpInnerProduct(m *link.Machine, a *CSR, x, y []float64) float64 {
-	_, done := m.Fn("SparseMatrix::InnerProduct")
+	_, done := m.Fn(symSparseMatrixInnerProduct)
 	defer done()
 	tmp := make([]float64, a.N)
 	SpMult(m, a, y, tmp)
@@ -93,7 +126,7 @@ func SpInnerProduct(m *link.Machine, a *CSR, x, y []float64) float64 {
 
 // SpGetDiag extracts the diagonal of A into d.
 func SpGetDiag(m *link.Machine, a *CSR, d []float64) {
-	_, done := m.Fn("SparseMatrix::GetDiag")
+	_, done := m.Fn(symSparseMatrixGetDiag)
 	defer done()
 	for i := 0; i < a.N; i++ {
 		cols, vals := a.rowSlices(i)
@@ -110,7 +143,7 @@ func SpGetDiag(m *link.Machine, a *CSR, d []float64) {
 // JacobiSmooth performs one damped-Jacobi sweep:
 // x' = x + w·D⁻¹·(b - A·x).
 func JacobiSmooth(m *link.Machine, a *CSR, b, x []float64, w float64) {
-	env, done := m.Fn("SparseMatrix::JacobiSmooth")
+	env, done := m.Fn(symSparseMatrixJacobiSmooth)
 	defer done()
 	r := make([]float64, a.N)
 	SpMult(m, a, x, r)
@@ -124,7 +157,7 @@ func JacobiSmooth(m *link.Machine, a *CSR, b, x []float64, w float64) {
 
 // GaussSeidel performs one forward Gauss-Seidel sweep in place.
 func GaussSeidel(m *link.Machine, a *CSR, b, x []float64) {
-	env, done := m.Fn("SparseMatrix::GaussSeidel")
+	env, done := m.Fn(symSparseMatrixGaussSeidel)
 	defer done()
 	for i := 0; i < a.N; i++ {
 		cols, vals := a.rowSlices(i)

@@ -7,28 +7,28 @@ import "repro/internal/link"
 
 // Dot returns x·y.
 func Dot(m *link.Machine, x, y []float64) float64 {
-	env, done := m.Fn("Vector::Dot")
+	env, done := m.Fn(symVectorDot)
 	defer done()
 	return env.Dot(x, y)
 }
 
 // Norml2 returns ||x||₂ via the Dot kernel.
 func Norml2(m *link.Machine, x []float64) float64 {
-	env, done := m.Fn("Vector::Norml2")
+	env, done := m.Fn(symVectorNorml2)
 	defer done()
 	return env.Sqrt(Dot(m, x, x))
 }
 
 // Sum returns the sum of the entries of x.
 func Sum(m *link.Machine, x []float64) float64 {
-	env, done := m.Fn("Vector::Sum")
+	env, done := m.Fn(symVectorSum)
 	defer done()
 	return env.Sum(x)
 }
 
 // Add stores a+b into dst.
 func Add(m *link.Machine, dst, a, b []float64) {
-	env, done := m.Fn("Vector::Add")
+	env, done := m.Fn(symVectorAdd)
 	defer done()
 	for i := range dst {
 		dst[i] = env.Add(a[i], b[i])
@@ -37,7 +37,7 @@ func Add(m *link.Machine, dst, a, b []float64) {
 
 // Subtract stores a-b into dst.
 func Subtract(m *link.Machine, dst, a, b []float64) {
-	env, done := m.Fn("Vector::Subtract")
+	env, done := m.Fn(symVectorSubtract)
 	defer done()
 	for i := range dst {
 		dst[i] = env.Sub(a[i], b[i])
@@ -46,14 +46,14 @@ func Subtract(m *link.Machine, dst, a, b []float64) {
 
 // Scale multiplies x by alpha in place.
 func Scale(m *link.Machine, alpha float64, x []float64) {
-	env, done := m.Fn("Vector::Scale")
+	env, done := m.Fn(symVectorScale)
 	defer done()
 	env.Scale(alpha, x)
 }
 
 // Axpy computes y += alpha*x.
 func Axpy(m *link.Machine, alpha float64, x, y []float64) {
-	env, done := m.Fn("Vector::Axpy")
+	env, done := m.Fn(symVectorAxpy)
 	defer done()
 	env.Axpy(alpha, x, y)
 }
@@ -61,7 +61,7 @@ func Axpy(m *link.Machine, alpha float64, x, y []float64) {
 // Normalize scales x to unit 2-norm and returns the original norm.
 // A zero vector is left unchanged.
 func Normalize(m *link.Machine, x []float64) float64 {
-	env, done := m.Fn("Vector::Normalize")
+	env, done := m.Fn(symVectorNormalize)
 	defer done()
 	n := Norml2(m, x)
 	if n == 0 {
@@ -74,7 +74,7 @@ func Normalize(m *link.Machine, x []float64) float64 {
 // DistanceTo returns ||a-b||₂ computed with a fused difference-square
 // accumulation.
 func DistanceTo(m *link.Machine, a, b []float64) float64 {
-	env, done := m.Fn("Vector::DistanceTo")
+	env, done := m.Fn(symVectorDistanceTo)
 	defer done()
 	d := make([]float64, len(a))
 	for i := range a {
@@ -86,7 +86,7 @@ func DistanceTo(m *link.Machine, a, b []float64) float64 {
 // Max returns the largest entry of x (0 for an empty vector). Comparison
 // only: never variable.
 func Max(m *link.Machine, x []float64) float64 {
-	_, done := m.Fn("Vector::Max")
+	_, done := m.Fn(symVectorMax)
 	defer done()
 	if len(x) == 0 {
 		return 0

@@ -41,6 +41,7 @@ func (driverTest) GetInputsPerRun() int       { return 1 }
 func (driverTest) GetDefaultInput() []float64 { return []float64{0.3} }
 
 func (driverTest) Run(input []float64, m *link.Machine) (flit.Result, error) {
+	p := m.Executable().Program()
 	xs := make([]float64, 500)
 	ys := make([]float64, 500)
 	for i := range xs {
@@ -49,23 +50,23 @@ func (driverTest) Run(input []float64, m *link.Machine) (flit.Result, error) {
 	}
 	var out []float64
 
-	envA, doneA := m.Fn("Alpha")
+	envA, doneA := m.Fn(p.MustSymbol("Alpha"))
 	out = append(out, envA.Dot(xs, ys))
 	doneA()
 
-	envAH, doneAH := m.Fn("AlphaHelper")
+	envAH, doneAH := m.Fn(p.MustSymbol("AlphaHelper"))
 	out = append(out, envAH.Div(envAH.Sum3(xs[1], xs[2], xs[3]), 7.0))
 	doneAH()
 
-	envB, doneB := m.Fn("Beta")
+	envB, doneB := m.Fn(p.MustSymbol("Beta"))
 	out = append(out, envB.Sum(ys))
 	doneB()
 
-	envG, doneG := m.Fn("Gamma")
+	envG, doneG := m.Fn(p.MustSymbol("Gamma"))
 	out = append(out, envG.Add(xs[0], ys[0]))
 	doneG()
 
-	envD, doneD := m.Fn("Delta")
+	envD, doneD := m.Fn(p.MustSymbol("Delta"))
 	out = append(out, envD.Mul(xs[1], ys[1]))
 	doneD()
 

@@ -1,6 +1,9 @@
 package comp
 
-import "repro/internal/prog"
+import (
+	"repro/internal/fp"
+	"repro/internal/prog"
+)
 
 // The deterministic cost model. Runtimes in the paper come from wall-clock
 // measurements of the compiled executables; here a run's cost is the sum
@@ -36,7 +39,11 @@ func optBase(compiler, level string) float64 {
 // SpeedFactor returns the time multiplier for one symbol compiled under c,
 // relative to the same symbol under g++ -O2. Smaller is faster.
 func SpeedFactor(c Compilation, sym *prog.Symbol) float64 {
-	s := Semantics(c, sym)
+	return speedFactor(c, sym, Semantics(c, sym))
+}
+
+// speedFactor is SpeedFactor given the symbol's semantics under c.
+func speedFactor(c Compilation, sym *prog.Symbol, s fp.Semantics) float64 {
 	f := optBase(c.Compiler, c.OptLevel)
 
 	// Value-changing transformations that were actually applied to this

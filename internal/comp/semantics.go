@@ -1,6 +1,8 @@
 package comp
 
 import (
+	"sync"
+
 	"repro/internal/fp"
 	"repro/internal/prog"
 )
@@ -230,21 +232,65 @@ func applyGate(g genGates, hot bool, key, sym, tag string, opt int) bool {
 	return int(hash64(sym, tag)%1000) < thr
 }
 
+// compileLevel is the part of a compilation's semantics that does not
+// depend on the symbol: the transformation potential, the code-generation
+// gates, the gate hash key, the numeric -O level and -fPIC. It reads
+// neither the injection plan nor any symbol, so one value serves every
+// symbol of every injected variant of the compilation.
+type compileLevel struct {
+	e    effects
+	g    genGates
+	key  string
+	opt  int
+	fpic bool
+}
+
+// newCompileLevel derives the compilation-level part from scratch.
+func newCompileLevel(c Compilation) *compileLevel {
+	return &compileLevel{
+		e:    compileEffects(c),
+		g:    gatesFor(c.Compiler),
+		key:  c.Compiler + "|" + c.OptLevel + "|" + c.Switches,
+		opt:  optNum(c.OptLevel),
+		fpic: c.FPIC,
+	}
+}
+
+// compileLevels memoizes compileLevel per distinct (Compiler, OptLevel,
+// Switches, FPIC), the way keyInterns memoizes Key: a process evaluates a
+// few hundred distinct compilations but enters their functions and prices
+// their executables hundreds of thousands of times, and deriving the
+// effects re-splits the switch string on every call.
+var compileLevels sync.Map // Compilation with nil Inject -> *compileLevel
+
+// levelOf returns the memoized compilation-level part of c.
+func levelOf(c Compilation) *compileLevel {
+	c.Inject = nil
+	if v, ok := compileLevels.Load(c); ok {
+		return v.(*compileLevel)
+	}
+	v, _ := compileLevels.LoadOrStore(c, newCompileLevel(c))
+	return v.(*compileLevel)
+}
+
 // Semantics maps one symbol of a program to the floating-point semantics the
 // compilation's generated code evaluates under. Deterministic: equal inputs
 // always produce equal semantics.
 func Semantics(c Compilation, sym *prog.Symbol) fp.Semantics {
-	e := compileEffects(c)
-	g := gatesFor(c.Compiler)
-	key := c.Compiler + "|" + c.OptLevel + "|" + c.Switches
-	opt := optNum(c.OptLevel)
+	return symbolSemantics(levelOf(c), sym)
+}
+
+// symbolSemantics is the per-symbol part of Semantics: which of the
+// transformations the compilation licenses fire in this function's body.
+func symbolSemantics(l *compileLevel, sym *prog.Symbol) fp.Semantics {
+	e, g, key, opt := l.e, l.g, l.key, l.opt
 	hot := sym.Features.Hot
 	s := fp.Strict
 
 	// -fPIC defeats cross-procedural optimization for some files: when the
 	// kill gate fires, every value-changing transform in this file is lost
 	// (the paper's "variability removed by -fPIC" case in §2.3).
-	fpicKilled := c.FPIC && gate(g.fpicKill, key, sym.File, "fpic-kill")
+	fpicKilled := l.fpic && gate(g.fpicKill, key, sym.File, "fpic-kill")
 
 	if !fpicKilled {
 		if e.fma && (sym.Features.MulAdd || sym.Features.Reduction) &&

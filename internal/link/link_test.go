@@ -2,6 +2,8 @@ package link
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/comp"
@@ -49,7 +51,7 @@ func TestFullBuildResolvesEverySymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, done := m.Fn("Dot")
+	env, done := m.Fn(p.MustSymbol("Dot"))
 	if m.Comp() != varC {
 		t.Fatalf("Dot bound to %s, want %s", m.Comp(), varC)
 	}
@@ -58,6 +60,38 @@ func TestFullBuildResolvesEverySymbol(t *testing.T) {
 	if m.Depth() != 0 {
 		t.Fatalf("stack depth %d after done", m.Depth())
 	}
+}
+
+// TestFnRejectsForeignSymbol: Fn enters only symbols registered in the
+// executable's program. A same-named symbol of another program, or one
+// registered nowhere, panics with a message naming the symbol and the
+// program.
+func TestFnRejectsForeignSymbol(t *testing.T) {
+	ex, err := FullBuild(testProgram(), baseC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newTestMachine(t, ex)
+	for _, sym := range []*prog.Symbol{
+		testProgram().MustSymbol("Dot"),
+		{Name: "Loose"},
+	} {
+		msg := fnPanic(m, sym)
+		if !strings.Contains(msg, fmt.Sprintf("%q", sym.Name)) || !strings.Contains(msg, `"linktest"`) {
+			t.Errorf("Fn(%s): panic %q does not name the symbol and the program", sym.Name, msg)
+		}
+		if m.Depth() != 0 {
+			t.Errorf("Fn(%s) pushed a frame before panicking", sym.Name)
+		}
+	}
+}
+
+// fnPanic calls m.Fn(sym) and returns its panic message, "" if none.
+func fnPanic(m *Machine, sym *prog.Symbol) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	_, done := m.Fn(sym)
+	done()
+	return ""
 }
 
 func TestLinkValidation(t *testing.T) {
@@ -98,12 +132,12 @@ func TestFileMixBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := ex.NewMachine()
-	_, done := m.Fn("Dot")
+	_, done := m.Fn(p.MustSymbol("Dot"))
 	if m.Comp() != varC {
 		t.Fatalf("math.cpp symbol bound to %s", m.Comp())
 	}
 	done()
-	_, done = m.Fn("Main")
+	_, done = m.Fn(p.MustSymbol("Main"))
 	if m.Comp() != baseC {
 		t.Fatalf("driver.cpp symbol bound to %s", m.Comp())
 	}
@@ -124,12 +158,12 @@ func TestInternalSymbolFollowsCallerCopy(t *testing.T) {
 
 	// Called under Dot (variable copy), helper binds to the variable
 	// compilation with fPIC.
-	_, doneDot := m.Fn("Dot")
+	_, doneDot := m.Fn(p.MustSymbol("Dot"))
 	wantVar := varC.WithFPIC()
 	if got := m.Comp(); got != wantVar {
 		t.Fatalf("Dot bound to %s, want %s", got, wantVar)
 	}
-	_, doneHelper := m.Fn("helper")
+	_, doneHelper := m.Fn(p.MustSymbol("helper"))
 	if got := m.Comp(); got != wantVar {
 		t.Fatalf("helper under Dot bound to %s, want %s", got, wantVar)
 	}
@@ -138,12 +172,12 @@ func TestInternalSymbolFollowsCallerCopy(t *testing.T) {
 
 	// Called under Scale (baseline copy of the same file), helper binds to
 	// the baseline (fPIC) compilation.
-	_, doneScale := m.Fn("Scale")
+	_, doneScale := m.Fn(p.MustSymbol("Scale"))
 	wantBase := baseC.WithFPIC()
 	if got := m.Comp(); got != wantBase {
 		t.Fatalf("Scale bound to %s, want %s", got, wantBase)
 	}
-	_, doneHelper = m.Fn("helper")
+	_, doneHelper = m.Fn(p.MustSymbol("helper"))
 	if got := m.Comp(); got != wantBase {
 		t.Fatalf("helper under Scale bound to %s, want %s", got, wantBase)
 	}
@@ -152,7 +186,7 @@ func TestInternalSymbolFollowsCallerCopy(t *testing.T) {
 
 	// Called with no same-file caller, helper binds to the file-level
 	// compilation (baseline: no file override in a symbol mix).
-	_, doneHelper = m.Fn("helper")
+	_, doneHelper = m.Fn(p.MustSymbol("helper"))
 	if got := m.Comp(); got != baseC {
 		t.Fatalf("bare helper bound to %s, want %s", got, baseC)
 	}
@@ -169,9 +203,9 @@ func TestCrossFileCalleeUnaffectedByCallerCopy(t *testing.T) {
 		t.Skip("ABI-hazardous pair")
 	}
 	m, _ := ex.NewMachine()
-	_, doneMain := m.Fn("Main")
+	_, doneMain := m.Fn(p.MustSymbol("Main"))
 	// Dot is exported and lives in another file: it keeps its own binding.
-	_, doneDot := m.Fn("Dot")
+	_, doneDot := m.Fn(p.MustSymbol("Dot"))
 	if got := m.Comp(); got != baseC {
 		t.Fatalf("exported cross-file callee bound to %s, want baseline", got)
 	}
@@ -229,7 +263,7 @@ func TestIcpcDriverSubstitutesSVML(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := ex.NewMachine()
-	env, done := m.Fn("Main") // Main has SqrtLibm
+	env, done := m.Fn(p.MustSymbol("Main")) // Main has SqrtLibm
 	defer done()
 	if !env.Sem().ApproxMath {
 		t.Fatal("icpc-driven link did not substitute approximate libm at -O0")
@@ -243,7 +277,7 @@ func TestIcpcDriverSubstitutesSVML(t *testing.T) {
 		t.Skip("hazardous pair")
 	}
 	m2, _ := ex2.NewMachine()
-	env2, done2 := m2.Fn("Main")
+	env2, done2 := m2.Fn(p.MustSymbol("Main"))
 	defer done2()
 	if env2.Sem().ApproxMath {
 		t.Fatal("g++-driven link still substituted SVML")
@@ -259,12 +293,12 @@ func TestInjectionPlanReachesEnv(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := ex.NewMachine()
-	env, done := m.Fn("Dot")
+	env, done := m.Fn(p.MustSymbol("Dot"))
 	if !env.Injected() {
 		t.Fatal("injected compilation produced clean env for target symbol")
 	}
 	done()
-	env2, done2 := m.Fn("Scale")
+	env2, done2 := m.Fn(p.MustSymbol("Scale"))
 	if env2.Injected() {
 		t.Fatal("injection leaked to non-target symbol")
 	}
@@ -315,7 +349,7 @@ func TestFPICProbeBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := ex.NewMachine()
-	_, done := m.Fn("Dot")
+	_, done := m.Fn(p.MustSymbol("Dot"))
 	got := m.Comp()
 	done()
 	if !got.FPIC {

@@ -1,6 +1,8 @@
 package link
 
 import (
+	"fmt"
+
 	"repro/internal/comp"
 	"repro/internal/fp"
 	"repro/internal/prog"
@@ -14,10 +16,12 @@ import (
 //
 // Application functions bracket their bodies with:
 //
-//	env, done := m.Fn("SymbolName")
+//	env, done := m.Fn(symDot)
 //	defer done()
 //
-// and perform all floating-point arithmetic through env. A Machine is not
+// where symDot is the *prog.Symbol the application registered for the
+// function (its handle), and perform all floating-point arithmetic
+// through env. A Machine is not
 // safe for concurrent use; create one Machine per goroutine.
 type Machine struct {
 	ex    *Executable
@@ -54,12 +58,16 @@ func (e *Executable) NewMachine() (*Machine, error) {
 	return m, nil
 }
 
-// Fn enters the named function: it resolves which compilation provides this
+// Fn enters the function sym: it resolves which compilation provides this
 // invocation, builds the fp.Env for that compilation's semantics (including
 // link-driver effects and any injection plan), and returns it together with
-// a function that must be deferred to leave the frame.
-func (m *Machine) Fn(symbol string) (*fp.Env, func()) {
-	sym := m.ex.prog.MustSymbol(symbol)
+// a function that must be deferred to leave the frame. sym must be
+// registered in the executable's program; a symbol of another program (or
+// of none) is a programming error and panics.
+func (m *Machine) Fn(sym *prog.Symbol) (*fp.Env, func()) {
+	if sym.Owner() != m.ex.prog {
+		panic(fmt.Sprintf("link: symbol %q is not registered in program %q", sym.Name, m.ex.prog.Name))
+	}
 	c := m.resolve(sym)
 	m.stack = append(m.stack, frame{file: int32(sym.FileID()), comp: c})
 	return m.env(sym, c), m.done

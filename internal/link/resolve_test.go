@@ -73,7 +73,7 @@ func TestResolutionMatchesReference(t *testing.T) {
 				if got := ex.comps[ex.symTab[sym.ID()]]; got != want {
 					t.Errorf("%s: table binds %s, reference rule %s", sym.Name, got, want)
 				}
-				_, done := m.Fn(sym.Name)
+				_, done := m.Fn(sym)
 				if got := m.Comp(); got != want {
 					t.Errorf("%s: bare Fn bound to %s, want %s", sym.Name, got, want)
 				}
@@ -112,10 +112,10 @@ func TestEnvSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := newTestMachine(t, ex)
-	first, done := m.Fn("Dot")
+	first, done := m.Fn(p.MustSymbol("Dot"))
 	first.Add(1, 2)
 	done()
-	again, done := m.Fn("Dot")
+	again, done := m.Fn(p.MustSymbol("Dot"))
 	again.Add(1, 2)
 	done()
 	if again != first {
@@ -130,10 +130,10 @@ func TestEnvSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = newTestMachine(t, ex)
-	dot, doneDot := m.Fn("Dot")
+	dot, doneDot := m.Fn(p.MustSymbol("Dot"))
 	dotComp := m.Comp()
 	doneDot()
-	scale, doneScale := m.Fn("Scale")
+	scale, doneScale := m.Fn(p.MustSymbol("Scale"))
 	scaleComp := m.Comp()
 	doneScale()
 	if dotComp != scaleComp {
@@ -149,9 +149,9 @@ func TestEnvSharing(t *testing.T) {
 	}
 	m = newTestMachine(t, ex)
 	helperUnder := func(caller string) *fp.Env {
-		_, doneCaller := m.Fn(caller)
+		_, doneCaller := m.Fn(p.MustSymbol(caller))
 		defer doneCaller()
-		env, done := m.Fn("helper")
+		env, done := m.Fn(p.MustSymbol("helper"))
 		done()
 		return env
 	}
@@ -170,9 +170,9 @@ func TestFnSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	m := fnBenchMachine(t)
-	callChain(m)
-	if n := testing.AllocsPerRun(100, func() { callChain(m) }); n != 0 {
+	m, s := fnBenchMachine(t)
+	callChain(m, s)
+	if n := testing.AllocsPerRun(100, func() { callChain(m, s) }); n != 0 {
 		t.Fatalf("Fn+done allocated %v times per call chain, want 0", n)
 	}
 }
@@ -181,20 +181,25 @@ func TestFnSteadyStateAllocs(t *testing.T) {
 // on a symbol-mix executable: the internal helper resolves through the
 // stack walk, the rest through the link table.
 func BenchmarkMachineFn(b *testing.B) {
-	m := fnBenchMachine(b)
+	m, s := fnBenchMachine(b)
 	b.ReportAllocs()
 	for b.Loop() {
-		callChain(m)
+		callChain(m, s)
 	}
 }
 
-func fnBenchMachine(tb testing.TB) *Machine {
+// chainSyms are the handles callChain enters.
+type chainSyms struct{ main, dot, helper, scale *prog.Symbol }
+
+func fnBenchMachine(tb testing.TB) (*Machine, chainSyms) {
 	tb.Helper()
-	ex, err := SymbolMixBuild(testProgram(), baseC, varC, []string{"Dot"})
+	p := testProgram()
+	ex, err := SymbolMixBuild(p, baseC, varC, []string{"Dot"})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return newTestMachine(tb, ex)
+	s := chainSyms{p.MustSymbol("Main"), p.MustSymbol("Dot"), p.MustSymbol("helper"), p.MustSymbol("Scale")}
+	return newTestMachine(tb, ex), s
 }
 
 func newTestMachine(tb testing.TB, ex *Executable) *Machine {
@@ -206,13 +211,13 @@ func newTestMachine(tb testing.TB, ex *Executable) *Machine {
 	return m
 }
 
-func callChain(m *Machine) {
-	_, doneMain := m.Fn("Main")
-	_, doneDot := m.Fn("Dot")
-	_, doneHelper := m.Fn("helper")
+func callChain(m *Machine, s chainSyms) {
+	_, doneMain := m.Fn(s.main)
+	_, doneDot := m.Fn(s.dot)
+	_, doneHelper := m.Fn(s.helper)
 	doneHelper()
 	doneDot()
-	_, doneScale := m.Fn("Scale")
+	_, doneScale := m.Fn(s.scale)
 	doneScale()
 	doneMain()
 }

@@ -50,6 +50,10 @@ func (s *Symbol) ID() int { return int(s.id) }
 // FileID returns the index of the symbol's file in Files().
 func (s *Symbol) FileID() int { return int(s.fileID) }
 
+// Owner returns the program the symbol is registered in, or nil before
+// AddFile registers it.
+func (s *Symbol) Owner() *Program { return s.owner }
+
 // Features flags which floating-point patterns a function body contains.
 // A compiler transformation can only change a function's results if the body
 // contains a pattern the transformation rewrites.
@@ -158,9 +162,9 @@ func (p *Program) SymbolAt(id int) *Symbol { return p.byID[id] }
 // Symbol returns the named symbol, or nil.
 func (p *Program) Symbol(name string) *Symbol { return p.syms[name] }
 
-// MustSymbol returns the named symbol or panics. Application code uses it
-// when entering one of its own registered functions, where a missing entry
-// is a table bug.
+// MustSymbol returns the named symbol or panics, for callers holding a
+// name their own tables guarantee is registered, where a missing entry is
+// a table bug.
 func (p *Program) MustSymbol(name string) *Symbol {
 	s := p.syms[name]
 	if s == nil {

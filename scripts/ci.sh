@@ -7,10 +7,11 @@
 #   go test -race    tier-1, part 2, with the race detector and -cover (the
 #                    parallel execution engine must be data-race-free at
 #                    every -j; per-package statement coverage is printed)
-#   micro-bench      BenchmarkMachineFn, BenchmarkDiskPut and
-#                    BenchmarkDiskGet at a fixed 100 iterations, so the
-#                    simulated-call dispatch and store segment benchmarks
-#                    keep compiling and running
+#   micro-bench      BenchmarkMachineFn, BenchmarkAssembleDiffusion2D,
+#                    BenchmarkDiskPut and BenchmarkDiskGet at a fixed 100
+#                    iterations, so the simulated-call dispatch, sparse
+#                    assembly and store segment benchmarks keep compiling
+#                    and running
 #   bench module     vet + race tests of the nested bench/ module (root
 #                    ./... skips it), so the benchmark harness cannot rot
 #   shard smoke      the distributed protocol end to end through real
@@ -69,6 +70,7 @@ go build ./...
 
 go test -race -cover ./...
 go test -run '^$' -bench BenchmarkMachineFn -benchtime 100x ./internal/link
+go test -run '^$' -bench BenchmarkAssembleDiffusion2D -benchtime 100x ./internal/apps/mfem
 go test -run '^$' -bench 'BenchmarkDisk(Put|Get)$' -benchtime 100x ./internal/store
 (cd bench && go vet . && go test -race .)
 
