@@ -10,23 +10,120 @@ import (
 	"time"
 )
 
-// startCoordServe launches `flit coord serve` on a free loopback port and
-// returns its announced URL — read off stdout exactly as scripts do.
+// startCoordServe launches `flit coord serve` for a 2-shard
+// `experiments table4` campaign on a free loopback port and returns its
+// announced URL — read off stdout exactly as scripts do. extra flags go
+// before the trailing command.
 func startCoordServe(t *testing.T, dir string, extra ...string) string {
 	t.Helper()
 	out := &syncBuffer{}
-	args := append([]string{"coord", "serve", "-dir", dir, "-addr", "127.0.0.1:0",
-		"-command", "experiments table4", "-shards", "2"}, extra...)
-	go run(args, out, out)
+	args := append([]string{"coord", "serve", "-dir", dir, "-addr", "127.0.0.1:0", "-shards", "2"}, extra...)
+	go run(append(args, "experiments", "table4"), out, out)
+	return announcedURL(t, out)
+}
+
+// announcedURL waits for a server started on out to announce its URL.
+func announcedURL(t *testing.T, out *syncBuffer) string {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if s := out.String(); strings.Contains(s, "on http://") {
 			line := s[strings.Index(s, "on http://")+len("on "):]
 			return strings.TrimSpace(strings.SplitN(line, "\n", 2)[0])
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("coord serve never announced a URL: %q", out.String())
+	t.Fatalf("server never announced a URL: %q", out.String())
 	return ""
+}
+
+// TestBisectCampaignEndToEnd: a bisect campaign's -comp value contains
+// spaces and must reach the workers as one argument. A 2-shard campaign
+// drains with no failed attempt, and merging its artifacts prints exactly
+// the bytes `flit bisect` prints for the same arguments.
+func TestBisectCampaignEndToEnd(t *testing.T) {
+	bisect := []string{"bisect", "-test", "Example13", "-comp", "g++ -O3 -mavx2 -mfma"}
+	var want, stderr bytes.Buffer
+	if code := run(append([]string{"bisect", "-j", "2"}, bisect[1:]...), &want, &stderr); code != 0 {
+		t.Fatalf("flit bisect: exit %d, stderr: %s", code, stderr.String())
+	}
+
+	dir := t.TempDir()
+	out := &syncBuffer{}
+	codec := make(chan int, 1)
+	go func() {
+		codec <- run(append([]string{"coord", "serve", "-dir", dir, "-addr", "127.0.0.1:0",
+			"-shards", "2", "-exit-when-done"}, bisect...), out, out)
+	}()
+	url := announcedURL(t, out)
+	var wout bytes.Buffer
+	if code := run([]string{"work", "-coord", url, "-j", "2", "-stats"}, &wout, &wout); code != 0 {
+		t.Fatalf("worker: exit %d: %s\ncoord output: %s", code, wout.String(), out.String())
+	}
+	if !strings.Contains(wout.String(), "coord: completed=2 lost=0 failed=0") {
+		t.Errorf("worker did not complete both shards without a failed attempt: %s", wout.String())
+	}
+	select {
+	case code := <-codec:
+		if code != 0 {
+			t.Fatalf("coord serve exited %d: %s", code, out.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("coord serve did not exit after the campaign completed: %s", out.String())
+	}
+	if want := `-comp \"g++ -O3 -mavx2 -mfma\" -k 0`; !strings.Contains(out.String(), want) {
+		t.Errorf("coordinator does not print the campaign as the CLI accepts it (%s): %s", want, out.String())
+	}
+
+	arts, err := filepath.Glob(filepath.Join(dir, "artifacts", "*", "shard-*.json"))
+	if err != nil || len(arts) != 2 {
+		t.Fatalf("campaign artifacts = %v (err %v), want 2 files", arts, err)
+	}
+	var got bytes.Buffer
+	stderr.Reset()
+	if code := run(append([]string{"merge"}, arts...), &got, &stderr); code != 0 {
+		t.Fatalf("merge: exit %d, stderr: %s", code, stderr.String())
+	}
+	if got.String() != want.String() {
+		t.Errorf("merged bisect campaign differs from flit bisect:\n--- merged ---\n%s\n--- flit bisect ---\n%s",
+			got.String(), want.String())
+	}
+}
+
+// TestCoordSubmitRejectsBadCommands: a misspelt experiment, an unknown
+// test and a malformed compilation are refused, naming what is wrong,
+// before anything reaches the coordinator.
+func TestCoordSubmitRejectsBadCommands(t *testing.T) {
+	url := startCoordServe(t, t.TempDir())
+	for _, tc := range []struct {
+		command []string
+		want    string
+	}{
+		{[]string{"experiments", "tabel4"}, `unknown experiment "tabel4"`},
+		{[]string{"bisect", "-test", "Example99", "-comp", "g++ -O3"}, `unknown test "Example99"`},
+		{[]string{"bisect", "-test", "Example13", "-comp", "g++"}, `compilation "g++"`},
+		{[]string{"experiments", "all", "table1"}, `unknown experiment "all"`},
+		{[]string{"merge", "s0.json"}, `unknown command "merge"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"coord", "submit", "-coord", url, "-shards", "2"}, tc.command...)
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Errorf("%q: exit %d, want 1", tc.command, code)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%q: stderr %q does not contain %q", tc.command, stderr.String(), tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: printed %q", tc.command, stdout.String())
+		}
+	}
+	var fleet, stderr bytes.Buffer
+	if code := run([]string{"coord", "status", "-coord", url}, &fleet, &stderr); code != 0 {
+		t.Fatalf("status: exit %d: %s", code, stderr.String())
+	}
+	if n := strings.Count(fleet.String(), "campaign c"); n != 1 {
+		t.Errorf("fleet view lists %d campaigns, want only the one served at boot: %s", n, fleet.String())
+	}
 }
 
 // TestWorkCampaignEndToEnd drives the whole distributed protocol through
@@ -106,7 +203,7 @@ func TestCoordServeExitWhenDone(t *testing.T) {
 	codec := make(chan int, 1)
 	go func() {
 		codec <- run([]string{"coord", "serve", "-dir", dir, "-addr", "127.0.0.1:0",
-			"-command", "experiments table4", "-shards", "2", "-exit-when-done"}, out, out)
+			"-shards", "2", "-exit-when-done", "experiments", "table4"}, out, out)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	url := ""
@@ -140,8 +237,8 @@ func TestCoordServeExitWhenDone(t *testing.T) {
 }
 
 // TestCoordServeResumesJournal: a second `coord serve` over the same
-// directory resumes the journaled tenancy (no -command needed), and a
-// *different* -command over the same directory is no longer a refusal —
+// directory resumes the journaled tenancy (no command needed), and a
+// *different* command over the same directory is no longer a refusal —
 // it joins the tenancy as a second campaign and the fleet drains it too.
 func TestCoordServeResumesJournal(t *testing.T) {
 	dir := t.TempDir()
@@ -151,7 +248,7 @@ func TestCoordServeResumesJournal(t *testing.T) {
 		t.Fatalf("worker: exit %d: %s", code, wout.String())
 	}
 
-	// Resume with no -command: adopts the journal, campaign already done.
+	// Resume with no command: adopts the journal, campaign already done.
 	out := &syncBuffer{}
 	codec := make(chan int, 1)
 	go func() {
@@ -175,7 +272,7 @@ func TestCoordServeResumesJournal(t *testing.T) {
 	codec2 := make(chan int, 1)
 	go func() {
 		codec2 <- run([]string{"coord", "serve", "-dir", dir, "-addr", "127.0.0.1:0",
-			"-command", "experiments table3", "-shards", "2", "-exit-when-done"}, out2, out2)
+			"-shards", "2", "-exit-when-done", "experiments", "table3"}, out2, out2)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	url2 := ""
@@ -214,7 +311,7 @@ func TestCoordSubmitStatusGC(t *testing.T) {
 
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"coord", "submit", "-coord", url,
-		"-command", "experiments table3", "-shards", "2"}, &stdout, &stderr); code != 0 {
+		"-shards", "2", "experiments", "table3"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("submit: exit %d: %s", code, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "submitted \"experiments table3\" as 2 shards") {
@@ -222,7 +319,7 @@ func TestCoordSubmitStatusGC(t *testing.T) {
 	}
 	stdout.Reset()
 	if code := run([]string{"coord", "submit", "-coord", url,
-		"-command", "experiments table3", "-shards", "2"}, &stdout, &stderr); code != 0 {
+		"-shards", "2", "experiments", "table3"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("re-submit: exit %d: %s", code, stderr.String())
 	}
 	if !strings.Contains(stdout.String(), "already registered") {
@@ -281,19 +378,19 @@ func TestWorkFlagValidation(t *testing.T) {
 	if code := run([]string{"work", "-coord", "ftp://elsewhere"}, &stdout, &stderr); code != 1 {
 		t.Errorf("bad -coord scheme: exit %d, want 1", code)
 	}
-	// -command and -shards travel together: one without the other is a
+	// A command and -shards travel together: one without the other is a
 	// usage error (an empty pair is fine — campaigns arrive via submit).
 	stderr.Reset()
-	if code := run([]string{"coord", "serve", "-dir", t.TempDir(), "-command", "experiments table4"},
+	if code := run([]string{"coord", "serve", "-dir", t.TempDir(), "experiments", "table4"},
 		&stdout, &stderr); code != 1 {
-		t.Errorf("coord serve with -command but no -shards: exit %d, want 1", code)
+		t.Errorf("coord serve with a command but no -shards: exit %d, want 1", code)
 	}
-	if !strings.Contains(stderr.String(), "-command and -shards together") {
+	if !strings.Contains(stderr.String(), "a command and -shards together") {
 		t.Errorf("diagnostic does not explain the pairing: %s", stderr.String())
 	}
 	stderr.Reset()
 	if code := run([]string{"coord", "submit", "-coord", "http://127.0.0.1:1"}, &stdout, &stderr); code != 1 {
-		t.Errorf("coord submit without -command: exit %d, want 1", code)
+		t.Errorf("coord submit without a command: exit %d, want 1", code)
 	}
 	stderr.Reset()
 	if code := run([]string{"coord", "status"}, &stdout, &stderr); code != 1 {
@@ -362,8 +459,8 @@ func TestWorkPoisonedShardQuarantine(t *testing.T) {
 	codec := make(chan int, 1)
 	go func() {
 		codec <- run([]string{"coord", "serve", "-dir", dir, "-addr", "127.0.0.1:0",
-			"-command", "experiments table2", "-shards", "2",
-			"-max-shard-attempts", "2", "-exit-when-done"}, out, out)
+			"-shards", "2", "-max-shard-attempts", "2", "-exit-when-done",
+			"experiments", "table2"}, out, out)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	url := ""
@@ -380,7 +477,7 @@ func TestWorkPoisonedShardQuarantine(t *testing.T) {
 
 	var sout, serr bytes.Buffer
 	if code := run([]string{"coord", "submit", "-coord", url,
-		"-command", "experiments table4", "-shards", "2"}, &sout, &serr); code != 0 {
+		"-shards", "2", "experiments", "table4"}, &sout, &serr); code != 0 {
 		t.Fatalf("submit healthy campaign: exit %d: %s", code, serr.String())
 	}
 	healthyID := strings.SplitN(afterToken(sout.String(), "campaign "), ":", 2)[0]

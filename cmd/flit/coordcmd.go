@@ -84,7 +84,7 @@ func cmdCoord(args []string, stdout, stderr io.Writer) error {
 // object store; its HTTP mux serves both the coordination protocol
 // (/v1/coord/) and the object-store protocol (/v1/objects/), so workers
 // point a single -coord URL at it for scheduling *and* result
-// write-through. The coordinator is multi-tenant: -command/-shards
+// write-through. The coordinator is multi-tenant: -shards N COMMAND
 // submits an initial campaign, `flit coord submit` adds more while it
 // runs, and a directory with a journal resumes every campaign in it —
 // crash recovery is just restarting with the same -dir. A v1
@@ -95,32 +95,38 @@ func cmdCoordServe(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	dir := fs.String("dir", "", "coordinator directory: journal, shard artifacts, object store (required)")
 	addr := fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port)")
-	commandStr := fs.String("command", "", `initial campaign command, e.g. "experiments table4" (more arrive via flit coord submit)`)
-	shards := fs.Int("shards", 0, "shard count for the initial campaign")
+	shards := fs.Int("shards", 0, "shard count for the initial campaign (the command trailing the flags)")
 	leaseTTL := fs.Duration("lease-ttl", 10*time.Second, "lease lifetime without a heartbeat")
 	maxAttempts := fs.Int("max-shard-attempts", coord.DefaultMaxShardAttempts,
 		"attempts a shard gets (lease grants + failures) before it is quarantined")
 	exitWhenDone := fs.Bool("exit-when-done", false, "exit once every submitted campaign reaches a terminal state (complete or failed)")
-	if err := parseFlagsOnly(fs, args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *dir == "" {
 		return errors.New("coord serve requires -dir DIR")
 	}
-	if (*commandStr == "") != (*shards == 0) {
-		return errors.New("coord serve wants -command and -shards together (or neither)")
+	var command []string
+	if fs.NArg() > 0 {
+		var err error
+		if command, _, err = experiments.ParseCommand(fs.Args()); err != nil {
+			return err
+		}
+	}
+	if (command == nil) != (*shards == 0) {
+		return errors.New("coord serve wants a command and -shards together (or neither)")
 	}
 	c, err := coord.New(*dir, coord.Options{LeaseTTL: *leaseTTL, MaxShardAttempts: *maxAttempts})
 	if err != nil {
 		return err
 	}
-	if *commandStr != "" {
-		id, created, err := c.Submit(coord.Spec{Command: strings.Fields(*commandStr), Shards: *shards})
+	if command != nil {
+		id, created, err := c.Submit(coord.Spec{Command: command, Shards: *shards})
 		if err != nil {
 			return err
 		}
 		if created {
-			fmt.Fprintf(stdout, "campaign %s: submitted %q as %d shards\n", id, *commandStr, *shards)
+			fmt.Fprintf(stdout, "campaign %s: submitted %q as %d shards\n", id, coord.CommandString(command), *shards)
 		} else {
 			fmt.Fprintf(stdout, "campaign %s: already registered, resuming\n", id)
 		}
@@ -301,24 +307,28 @@ func excerptLine(excerpt string) string {
 	return ""
 }
 
-// cmdCoordSubmit registers a campaign with a running coordinator.
-// Submission is idempotent: re-submitting the same command and shard
-// count names the existing campaign, so supervisors can submit on every
-// start without double-scheduling.
+// cmdCoordSubmit validates the command trailing its flags and registers
+// it as a campaign with a running coordinator. Submission is idempotent:
+// re-submitting the same command and shard count names the existing
+// campaign, so supervisors can submit on every start without
+// double-scheduling.
 func cmdCoordSubmit(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("coord submit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	coordURL := fs.String("coord", "", "campaign coordinator URL (required)")
-	commandStr := fs.String("command", "", `campaign command, e.g. "experiments table4" (required)`)
 	shards := fs.Int("shards", 0, "shard count (required)")
 	maxAttempts := fs.Int("max-shard-attempts", 0,
 		"attempts a shard gets before quarantine (0 = the coordinator's default; not part of the campaign's identity)")
 	retries, timeout := addTransportFlags(fs)
-	if err := parseFlagsOnly(fs, args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if *commandStr == "" || *shards < 1 {
-		return errors.New(`coord submit requires -command "..." and -shards N`)
+	if fs.NArg() == 0 || *shards < 1 {
+		return errors.New("coord submit requires -shards N and a command, e.g. experiments table4")
+	}
+	command, _, err := experiments.ParseCommand(fs.Args())
+	if err != nil {
+		return err
 	}
 	if *maxAttempts < 0 {
 		return errors.New("coord submit: -max-shard-attempts must be >= 0")
@@ -327,12 +337,12 @@ func cmdCoordSubmit(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	id, created, err := cl.Submit(context.Background(), strings.Fields(*commandStr), *shards, *maxAttempts)
+	id, created, err := cl.Submit(context.Background(), command, *shards, *maxAttempts)
 	if err != nil {
 		return err
 	}
 	if created {
-		fmt.Fprintf(stdout, "campaign %s: submitted %q as %d shards\n", id, *commandStr, *shards)
+		fmt.Fprintf(stdout, "campaign %s: submitted %q as %d shards\n", id, coord.CommandString(command), *shards)
 	} else {
 		fmt.Fprintf(stdout, "campaign %s: already registered\n", id)
 	}

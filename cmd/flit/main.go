@@ -16,9 +16,9 @@
 //	flit store stats -store DIR
 //	flit store gc -store DIR [-max-entries N] [-max-bytes N] [-dry-run]
 //	flit store serve -dir DIR [-addr HOST:PORT]
-//	flit coord serve -dir DIR [-command "experiments sweep" -shards N]
-//	                 [-addr HOST:PORT] [-lease-ttl D] [-exit-when-done]
-//	flit coord submit -coord URL -command "experiments sweep" -shards N
+//	flit coord serve -dir DIR [-addr HOST:PORT] [-lease-ttl D] [-exit-when-done]
+//	                 [-shards N COMMAND]
+//	flit coord submit -coord URL -shards N COMMAND
 //	flit coord status -coord URL [-campaign ID]
 //	flit coord gc -coord URL [-keep N] [-dry-run]
 //	flit work -coord URL [-j N] [-name ID] [-store DIR]
@@ -26,7 +26,10 @@
 // "sweep" renders the sampled end-to-end digest of every subsystem on a
 // fresh engine — the determinism witness the equivalence tests compare
 // across -j values. It is not part of "all" (which already regenerates
-// each full artifact individually).
+// each full artifact individually), and "all" stands alone.
+//
+// COMMAND is a run, bisect or experiments invocation without the engine
+// flags, validated with the CLI's own grammar before it is submitted.
 //
 // Every subcommand accepts -j N: the number of (compilation, test)
 // evaluations executed concurrently by the parallel engine (0, the
@@ -84,7 +87,7 @@
 // by a campaign ID derived from exactly those coordinates — and `flit
 // work -coord URL` workers lease shard indices from it instead of being
 // assigned them by hand, draining one campaign and picking up the next.
-// Campaigns are submitted at boot (-command/-shards) or while the
+// Campaigns are submitted at boot (-shards N COMMAND) or while the
 // coordinator runs (`flit coord submit`); submission is idempotent by
 // spec. Leases are time-bounded and renewed by heartbeat; a worker that
 // crashes or stalls stops heartbeating and its shard is re-leased to the
@@ -129,7 +132,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -160,12 +162,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var err error
 	switch args[0] {
-	case "run":
-		err = cmdRun(args[1:], stdout, stderr)
-	case "bisect":
-		err = cmdBisect(args[1:], stdout, stderr)
-	case "experiments":
-		err = cmdExperiments(args[1:], stdout, stderr)
+	case "run", "bisect", "experiments":
+		err = cmdCommand(args[0], args[1:], stdout, stderr)
 	case "merge":
 		err = cmdMerge(args[1:], stdout, stderr)
 	case "delta":
@@ -206,16 +204,19 @@ func usage(w io.Writer) {
   flit store stats -store DIR
   flit store gc -store DIR [-max-entries N] [-max-bytes N] [-dry-run]
   flit store serve -dir DIR [-addr HOST:PORT]
-  flit coord serve -dir DIR [-command "experiments sweep" -shards N]
-                   [-addr HOST:PORT] [-lease-ttl D] [-exit-when-done]
-  flit coord submit -coord URL -command "experiments sweep" -shards N
+  flit coord serve -dir DIR [-addr HOST:PORT] [-lease-ttl D] [-exit-when-done]
+                   [-shards N COMMAND]
+  flit coord submit -coord URL -shards N COMMAND
   flit coord status -coord URL [-campaign ID]
   flit coord gc -coord URL [-keep N] [-dry-run]
   flit work -coord URL [-j N] [-name ID] [-store DIR]
 
 experiment names: table1 figure4 figure5 figure6 table2 table3 findings
   motivation table4 laghos-nan table5 mpi, or "sweep" for the sampled
-  end-to-end digest of every subsystem
+  end-to-end digest of every subsystem; "all", alone, runs the twelve
+
+COMMAND is a run, bisect or experiments invocation without the engine
+flags, e.g. bisect -test Example13 -comp "g++ -O3", checked up front.
 
 -j N runs up to N evaluations in parallel (0 = one per CPU, 1 = the
 paper's sequential order); output is bit-identical at every -j.
@@ -478,7 +479,7 @@ func (o *cliOpts) attachStore(eng *experiments.Engine) error {
 		return err
 	}
 	o.remote = remote
-	eng.AttachStoreTiers(tiers...)
+	eng.AttachStore(store.Tier(tiers...))
 	return nil
 }
 
@@ -599,63 +600,25 @@ func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 		bs.Searches, bs.Execs, bs.SpecExecs)
 }
 
-func cmdRun(args []string, stdout, stderr io.Writer) error {
-	fs, o := newFlagSet("run", stderr)
-	test := fs.String("test", "", "restrict output to one test (e.g. Example05)")
-	if err := parseFlagsOnly(fs, args); err != nil {
-		return err
-	}
-	eng, err := o.engine()
+// cmdCommand runs run, bisect or experiments: the grammar package
+// experiments declares for the command, plus the engine flags.
+func cmdCommand(name string, args []string, stdout, stderr io.Writer) error {
+	fs, o := newFlagSet(name, stderr)
+	canonical, err := experiments.DeclareCommand(name, fs)
 	if err != nil {
 		return err
 	}
-	command := []string{"run"}
-	if *test != "" {
-		command = append(command, "-test", *test)
-	}
-	return execute(eng, o, command, stdout, stderr)
-}
-
-func cmdBisect(args []string, stdout, stderr io.Writer) error {
-	fs, o := newFlagSet("bisect", stderr)
-	test := fs.String("test", "", "test name (e.g. Example13)")
-	compStr := fs.String("comp", "", "variable compilation, e.g. 'g++ -O3 -mavx2 -mfma'")
-	k := fs.Int("k", 0, "find only the top-k contributors (0 = all, with verification)")
-	if err := parseFlagsOnly(fs, args); err != nil {
-		return err
-	}
-	if *test == "" || *compStr == "" {
-		return fmt.Errorf("bisect requires -test and -comp")
-	}
-	variable, err := experiments.ParseCompilation(*compStr)
-	if err != nil {
-		return err
-	}
-	eng, err := o.engine()
-	if err != nil {
-		return err
-	}
-	// The canonical compilation string (variable.String round-trips through
-	// parseCompilation) keeps the recorded command whitespace-independent.
-	command := []string{"bisect", "-test", *test, "-comp", variable.String(), "-k", strconv.Itoa(*k)}
-	return execute(eng, o, command, stdout, stderr)
-}
-
-func cmdExperiments(args []string, stdout, stderr io.Writer) error {
-	fs, o := newFlagSet("experiments", stderr)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	command, _, err := canonical()
+	if err != nil {
+		return err
+	}
 	eng, err := o.engine()
 	if err != nil {
 		return err
 	}
-	names := fs.Args()
-	if len(names) == 0 || names[0] == "all" {
-		names = []string{"table1", "figure4", "figure5", "figure6", "table3",
-			"findings", "motivation", "table4", "laghos-nan", "table2", "table5", "mpi"}
-	}
-	command := append([]string{"experiments"}, names...)
 	return execute(eng, o, command, stdout, stderr)
 }
 

@@ -87,6 +87,10 @@ func TestRunUsageExit(t *testing.T) {
 			wantErr: `unknown experiment "no-such-table"`},
 		{name: "run unknown test", args: []string{"run", "-test", "NoSuch"}, wantCode: 1,
 			wantErr: `unknown test "NoSuch"`},
+		{name: "experiments misspelt after a valid name", args: []string{"experiments", "table3", "tabel4"},
+			wantCode: 1, wantErr: `unknown experiment "tabel4"`},
+		{name: "experiments all beside another name", args: []string{"experiments", "all", "table1"},
+			wantCode: 1, wantErr: `unknown experiment "all"`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -98,6 +102,10 @@ func TestRunUsageExit(t *testing.T) {
 			if !strings.Contains(stderr.String(), tt.wantErr) {
 				t.Errorf("stderr %q does not contain %q", stderr.String(), tt.wantErr)
 			}
+			// Every usage error is caught before any output is written.
+			if stdout.Len() != 0 {
+				t.Errorf("run(%v) printed before failing: %q", tt.args, stdout.String())
+			}
 			// Flag-parse diagnostics come from the FlagSet itself and must
 			// not be echoed a second time by the dispatcher.
 			if n := strings.Count(stderr.String(), tt.wantErr); n > 1 {
@@ -107,32 +115,39 @@ func TestRunUsageExit(t *testing.T) {
 	}
 }
 
-// TestStrayPositionalArgumentsRejected: every subcommand that takes no
-// positional arguments refuses a stray one before doing any work, even
-// behind otherwise complete flags.
+// TestStrayPositionalArgumentsRejected: every subcommand refuses a stray
+// positional argument before doing any work, even behind otherwise
+// complete flags. Those that take no positional arguments say so; `coord
+// serve` and `coord submit` read theirs as the campaign command, so the
+// command grammar rejects the stray word.
 func TestStrayPositionalArgumentsRejected(t *testing.T) {
-	for _, args := range [][]string{
-		{"run", "-test", "Example05", "stray"},
-		{"bisect", "-test", "Example13", "-comp", "g++ -O3 -mavx2 -mfma", "stray"},
-		{"gc", "-dir", "d", "stray"},
-		{"store", "stats", "-store", "d", "stray"},
-		{"store", "gc", "-store", "d", "stray"},
-		{"store", "serve", "-dir", "d", "stray"},
-		{"coord", "serve", "-dir", "d", "stray"},
-		{"coord", "status", "-coord", "http://127.0.0.1:1", "stray"},
-		{"coord", "submit", "-coord", "http://127.0.0.1:1", "-command", "experiments table3", "-shards", "1", "stray"},
-		{"coord", "gc", "-coord", "http://127.0.0.1:1", "stray"},
-		{"work", "-coord", "http://127.0.0.1:1", "stray"},
+	const noPositional = `takes no positional arguments (got ["stray"])`
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"run", "-test", "Example05", "stray"}, noPositional},
+		{[]string{"bisect", "-test", "Example13", "-comp", "g++ -O3 -mavx2 -mfma", "stray"}, noPositional},
+		{[]string{"gc", "-dir", "d", "stray"}, noPositional},
+		{[]string{"store", "stats", "-store", "d", "stray"}, noPositional},
+		{[]string{"store", "gc", "-store", "d", "stray"}, noPositional},
+		{[]string{"store", "serve", "-dir", "d", "stray"}, noPositional},
+		{[]string{"coord", "serve", "-dir", "d", "stray"}, `unknown command "stray"`},
+		{[]string{"coord", "status", "-coord", "http://127.0.0.1:1", "stray"}, noPositional},
+		{[]string{"coord", "submit", "-coord", "http://127.0.0.1:1", "-shards", "1", "experiments", "table3", "stray"},
+			`unknown experiment "stray"`},
+		{[]string{"coord", "gc", "-coord", "http://127.0.0.1:1", "stray"}, noPositional},
+		{[]string{"work", "-coord", "http://127.0.0.1:1", "stray"}, noPositional},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 1 {
-			t.Errorf("%q: exit %d, want 1 (stderr: %s)", args, code, stderr.String())
+		if code := run(tc.args, &stdout, &stderr); code != 1 {
+			t.Errorf("%q: exit %d, want 1 (stderr: %s)", tc.args, code, stderr.String())
 		}
-		if !strings.Contains(stderr.String(), `takes no positional arguments (got ["stray"])`) {
-			t.Errorf("%q: stderr %q does not reject the stray argument", args, stderr.String())
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%q: stderr %q does not reject the stray argument with %q", tc.args, stderr.String(), tc.want)
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("%q: did work before rejecting: %q", args, stdout.String())
+			t.Errorf("%q: did work before rejecting: %q", tc.args, stdout.String())
 		}
 	}
 }

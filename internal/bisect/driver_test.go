@@ -89,7 +89,7 @@ func bruteForceSymbols(t *testing.T, p *prog.Program, base, variable comp.Compil
 	}
 	truth := map[string]bool{}
 	for _, sym := range p.ExportedSymbols(file) {
-		ex, err := link.SymbolMixBuild(p, base, variable, []string{sym.Name})
+		ex, err := link.Link(link.SymbolMixPlan(p, base, variable, []string{sym.Name}))
 		if err != nil {
 			t.Fatal(err)
 		}

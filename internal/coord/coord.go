@@ -41,10 +41,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"repro/internal/flit"
 	"repro/internal/store"
@@ -442,7 +445,7 @@ func (c *Coordinator) Submit(spec Spec) (id string, created bool, err error) {
 		// The ID is a digest of the spec, so a held ID should mean an equal
 		// spec; check anyway — scheduling against a colliding spec would
 		// hand out leases for work nobody records.
-		if cp.spec.Engine != spec.Engine || !equalCommand(cp.spec.Command, spec.Command) || cp.spec.Shards != spec.Shards {
+		if cp.spec.Engine != spec.Engine || !slices.Equal(cp.spec.Command, spec.Command) || cp.spec.Shards != spec.Shards {
 			return "", false, fmt.Errorf("coord: campaign ID collision: %s already names %q as %d shards", id, CommandString(cp.spec.Command), cp.spec.Shards)
 		}
 		return id, false, nil
@@ -673,7 +676,7 @@ func (c *Coordinator) Complete(campaign, worker, leaseID string, shard int, arti
 	if a.Engine != spec.Engine {
 		return false, false, false, badRequest{fmt.Errorf("coord: completion artifact from engine %q, campaign is %q", a.Engine, spec.Engine)}
 	}
-	if !equalCommand(a.Command, spec.Command) {
+	if !slices.Equal(a.Command, spec.Command) {
 		return false, false, false, badRequest{fmt.Errorf("coord: completion artifact records command %q, campaign is %q", a.Command, spec.Command)}
 	}
 	count := a.Shard.Count
@@ -1082,17 +1085,16 @@ func (c *Coordinator) GC(keep int, dryRun bool) (GCResult, error) {
 	return res, nil
 }
 
-func equalCommand(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// CommandString renders a campaign command the way the CLI accepts it:
+// arguments joined by spaces, each one that contains whitespace quoted, so
+// a printed bisect campaign's -comp value pastes back as one argument.
+func CommandString(command []string) string {
+	parts := make([]string, len(command))
+	for i, arg := range command {
+		if strings.ContainsFunc(arg, unicode.IsSpace) {
+			arg = strconv.Quote(arg)
 		}
+		parts[i] = arg
 	}
-	return true
+	return strings.Join(parts, " ")
 }
-
-// CommandString renders a campaign command the way the CLI accepts it.
-func CommandString(command []string) string { return strings.Join(command, " ") }

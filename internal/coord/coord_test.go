@@ -667,3 +667,22 @@ func TestWorkDrainCancelsScheduling(t *testing.T) {
 		t.Fatal("cancelled Work did not return promptly; drain is riding out transport deadlines")
 	}
 }
+
+// TestCommandStringQuotesWhitespace: a printed campaign pastes back into
+// the CLI — an argument holding spaces is quoted, everything else is
+// joined unchanged.
+func TestCommandStringQuotesWhitespace(t *testing.T) {
+	for _, tc := range []struct {
+		command []string
+		want    string
+	}{
+		{campaignCommand, "experiments table4"},
+		{[]string{"run", "-test", "Example05"}, "run -test Example05"},
+		{[]string{"bisect", "-test", "Example13", "-comp", "g++ -O3 -mavx2 -mfma", "-k", "0"},
+			`bisect -test Example13 -comp "g++ -O3 -mavx2 -mfma" -k 0`},
+	} {
+		if got := coord.CommandString(tc.command); got != tc.want {
+			t.Errorf("CommandString(%q) = %s, want %s", tc.command, got, tc.want)
+		}
+	}
+}

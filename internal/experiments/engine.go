@@ -88,21 +88,6 @@ func (e *Engine) Cache() *flit.Cache { return e.cache }
 // computation writes through. Attach before the first experiment runs.
 func (e *Engine) AttachStore(s store.Store) { e.cache.SetStore(s) }
 
-// AttachStoreTiers composes persistent stores into one read-through/
-// write-through hierarchy (first tier consulted first — the local Disk
-// cache in front of a shared Remote is the intended shape) and attaches
-// it like AttachStore. Deeper-tier hits are filled forward into the tiers
-// above, and every fresh computation writes through to all of them; the
-// tiered lookup happens inside the cache's single-flight miss closure, so
-// one in-memory miss costs at most one remote round trip however many
-// goroutines wanted the key. Nil tiers are dropped; attaching none is a
-// no-op.
-func (e *Engine) AttachStoreTiers(tiers ...store.Store) {
-	if s := store.Tier(tiers...); s != nil {
-		e.cache.SetStore(s)
-	}
-}
-
 // CacheMetrics snapshots the engine's cache counters — the numbers the
 // CLI's -stats flag prints.
 func (e *Engine) CacheMetrics() flit.CacheMetrics { return e.cache.Metrics() }

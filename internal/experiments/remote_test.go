@@ -53,7 +53,7 @@ func TestRemoteSweepAcrossMachines(t *testing.T) {
 	}
 
 	cold := NewEngine(8)
-	cold.AttachStoreTiers(openLocal(), newClient())
+	cold.AttachStore(store.Tier(openLocal(), newClient()))
 	want, err := cold.SweepDigest()
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestRemoteSweepAcrossMachines(t *testing.T) {
 			storetest.Corrupt, storetest.WrongEngine, storetest.Err503)
 		warm := NewEngine(j)
 		remote := newClient()
-		warm.AttachStoreTiers(remote) // URL only: no local dir, no manifest
+		warm.AttachStore(remote) // URL only: no local dir, no manifest
 		got, err := warm.SweepDigest()
 		if err != nil {
 			t.Fatalf("j=%d: faulted sweep failed instead of recomputing: %v", j, err)
@@ -87,7 +87,7 @@ func TestRemoteSweepAcrossMachines(t *testing.T) {
 	// The cold write-through put every result in the local tier as well:
 	// drop the remote and the local directory alone must carry the sweep.
 	localOnly := NewEngine(4)
-	localOnly.AttachStoreTiers(openLocal())
+	localOnly.AttachStore(openLocal())
 	got, err := localOnly.SweepDigest()
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -264,7 +265,7 @@ func ValidateShardSet(arts []*Artifact) error {
 		if err := a.Check(); err != nil {
 			return fmt.Errorf("artifact %d: %w", i, err)
 		}
-		if !equalCommand(a.Command, arts[0].Command) {
+		if !slices.Equal(a.Command, arts[0].Command) {
 			return fmt.Errorf("artifact %d records command %q, artifact 0 records %q",
 				i, a.Command, arts[0].Command)
 		}
@@ -320,18 +321,6 @@ func formatIndices(idx []int) string {
 		parts[i] = strconv.Itoa(v)
 	}
 	return "[" + strings.Join(parts, " ") + "]"
-}
-
-func equalCommand(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // WriteJSON serializes the artifact (indented, key-sorted, deterministic).

@@ -127,7 +127,7 @@ func TestDefaultDriverIsBaselineCompiler(t *testing.T) {
 
 func TestFileMixBinding(t *testing.T) {
 	p := testProgram()
-	ex, err := FileMixBuild(p, baseC, varC, []string{"math.cpp"})
+	ex, err := Link(FileMixPlan(p, baseC, varC, []string{"math.cpp"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFileMixBinding(t *testing.T) {
 func TestInternalSymbolFollowsCallerCopy(t *testing.T) {
 	p := testProgram()
 	// Symbol mix: Dot overridden with the variable compilation.
-	ex, err := SymbolMixBuild(p, baseC, varC, []string{"Dot"})
+	ex, err := Link(SymbolMixPlan(p, baseC, varC, []string{"Dot"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestInternalSymbolFollowsCallerCopy(t *testing.T) {
 
 func TestCrossFileCalleeUnaffectedByCallerCopy(t *testing.T) {
 	p := testProgram()
-	ex, err := SymbolMixBuild(p, baseC, varC, []string{"Main"})
+	ex, err := Link(SymbolMixPlan(p, baseC, varC, []string{"Main"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestCrashingExecutable(t *testing.T) {
 		if c.Compiler != comp.ICPC {
 			continue
 		}
-		ex, err := FileMixBuild(p, baseC, c, []string{"math.cpp"})
+		ex, err := Link(FileMixPlan(p, baseC, c, []string{"math.cpp"}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestGccGccMixNeverCrashes(t *testing.T) {
 		if c.Compiler != comp.GCC {
 			continue
 		}
-		ex, err := FileMixBuild(p, baseC, c, p.FileNames())
+		ex, err := Link(FileMixPlan(p, baseC, c, p.FileNames()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func TestIcpcDriverSubstitutesSVML(t *testing.T) {
 		t.Fatal("icpc-driven link did not substitute approximate libm at -O0")
 	}
 	// The same compilation's objects linked by g++ lose the substitution.
-	ex2, err := FileMixBuild(p, baseC, icpcO0, p.FileNames())
+	ex2, err := Link(FileMixPlan(p, baseC, icpcO0, p.FileNames()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestCostReflectsMixedResolution(t *testing.T) {
 		t.Fatalf("-O0 cost %g not slower than -O2 cost %g", cO0, cFull)
 	}
 	// Mixed: only math.cpp at -O0 should cost between the two extremes.
-	mix, _ := FileMixBuild(p, comp.PerfReference(), baseC, []string{"math.cpp"})
+	mix, _ := Link(FileMixPlan(p, comp.PerfReference(), baseC, []string{"math.cpp"}))
 	cMix := mix.Cost("Main")
 	if !(cFull < cMix && cMix < cO0) {
 		t.Fatalf("mixed cost %g not between %g and %g", cMix, cFull, cO0)
@@ -344,7 +344,7 @@ func TestMachineCompOutsideFrame(t *testing.T) {
 
 func TestFPICProbeBuild(t *testing.T) {
 	p := testProgram()
-	ex, err := FPICProbeBuild(p, baseC, varC, "math.cpp")
+	ex, err := Link(FPICProbePlan(p, baseC, varC, "math.cpp"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ func TestAbiHazardFileMix(t *testing.T) {
 		if c.Compiler != comp.ICPC {
 			continue
 		}
-		ex, err := FileMixBuild(p, baseC, c, []string{"math.cpp"})
+		ex, err := Link(FileMixPlan(p, baseC, c, []string{"math.cpp"}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestAbiHazardFileMix(t *testing.T) {
 		if c.Compiler != comp.GCC && c.Compiler != comp.Clang {
 			continue
 		}
-		ex, err := FileMixBuild(p, baseC, c, p.FileNames())
+		ex, err := Link(FileMixPlan(p, baseC, c, p.FileNames()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +196,11 @@ func TestAbiHazardSymbolMixDedupsFiles(t *testing.T) {
 		if c.Compiler != comp.GCC {
 			continue
 		}
-		one, err := SymbolMixBuild(p, baseC, c, []string{"Dot"})
+		one, err := Link(SymbolMixPlan(p, baseC, c, []string{"Dot"}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := SymbolMixBuild(p, baseC, c, []string{"Dot", "Scale"})
+		two, err := Link(SymbolMixPlan(p, baseC, c, []string{"Dot", "Scale"}))
 		if err != nil {
 			t.Fatal(err)
 		}

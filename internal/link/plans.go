@@ -36,12 +36,6 @@ func FileMixPlan(p *prog.Program, baseline, variable comp.Compilation, files []s
 	return Plan{Prog: p, Baseline: baseline, FileComp: fileComp}
 }
 
-// FileMixBuild links the named files compiled under the variable
-// compilation and everything else under the baseline.
-func FileMixBuild(p *prog.Program, baseline, variable comp.Compilation, files []string) (*Executable, error) {
-	return Link(FileMixPlan(p, baseline, variable, files))
-}
-
 // SymbolMixPlan describes the Test executable of Symbol Bisect (Figure 3,
 // right): two -fPIC copies of one file — the named exported symbols strong
 // from the variable compilation, the rest strong from the baseline — plus
@@ -54,13 +48,6 @@ func SymbolMixPlan(p *prog.Program, baseline, variable comp.Compilation, symbols
 	return Plan{Prog: p, Baseline: baseline, SymbolComp: symComp}
 }
 
-// SymbolMixBuild links two -fPIC copies of one file — the named exported
-// symbols strong from the variable compilation, the rest strong from the
-// baseline — plus baseline objects for all other files.
-func SymbolMixBuild(p *prog.Program, baseline, variable comp.Compilation, symbols []string) (*Executable, error) {
-	return Link(SymbolMixPlan(p, baseline, variable, symbols))
-}
-
 // FPICProbePlan describes rebuilding one whole file under the variable
 // compilation with -fPIC added and the rest under the baseline. Symbol
 // Bisect runs this probe first: if the variability disappears, -fPIC
@@ -68,12 +55,6 @@ func SymbolMixBuild(p *prog.Program, baseline, variable comp.Compilation, symbol
 // file granularity (paper §2.3).
 func FPICProbePlan(p *prog.Program, baseline, variable comp.Compilation, file string) Plan {
 	return FileMixPlan(p, baseline, variable.WithFPIC(), []string{file})
-}
-
-// FPICProbeBuild rebuilds one whole file under the variable compilation
-// with -fPIC added and the rest under the baseline.
-func FPICProbeBuild(p *prog.Program, baseline, variable comp.Compilation, file string) (*Executable, error) {
-	return Link(FPICProbePlan(p, baseline, variable, file))
 }
 
 // Builder is a lazily-materialized build: it exposes the plan's cache key

@@ -85,7 +85,7 @@ func TestResolutionMatchesReference(t *testing.T) {
 	// Only the file that holds an overridden symbol is linked as two
 	// -fPIC copies: its other exported symbols take the baseline -fPIC
 	// copy, and exported symbols of other files keep the plain baseline.
-	ex, err := SymbolMixBuild(p, baseC, varC, []string{"Dot"})
+	ex, err := Link(SymbolMixPlan(p, baseC, varC, []string{"Dot"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestEnvSharing(t *testing.T) {
 		t.Fatalf("injected Dot counted %d ops over two entries, want 2", n)
 	}
 
-	ex, err = SymbolMixBuild(p, baseC, varC, []string{"Dot", "Scale"})
+	ex, err = Link(SymbolMixPlan(p, baseC, varC, []string{"Dot", "Scale"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestEnvSharing(t *testing.T) {
 		t.Fatal("two overridden symbols with equal compilations share one env")
 	}
 
-	ex, err = SymbolMixBuild(p, baseC, varC, []string{"Dot"})
+	ex, err = Link(SymbolMixPlan(p, baseC, varC, []string{"Dot"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ type chainSyms struct{ main, dot, helper, scale *prog.Symbol }
 func fnBenchMachine(tb testing.TB) (*Machine, chainSyms) {
 	tb.Helper()
 	p := testProgram()
-	ex, err := SymbolMixBuild(p, baseC, varC, []string{"Dot"})
+	ex, err := Link(SymbolMixPlan(p, baseC, varC, []string{"Dot"}))
 	if err != nil {
 		tb.Fatal(err)
 	}

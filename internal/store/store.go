@@ -49,10 +49,9 @@ type Store interface {
 }
 
 // Mem is the in-memory Store backend: a concurrency-safe map with optional
-// LRU eviction by entry count — the same recency discipline the in-process
-// run cache uses, behind the pluggable interface. It exists for tests and
-// for composing store-layer logic without touching a filesystem; it
-// persists nothing across processes by definition.
+// LRU eviction by entry count. It exists for tests and for composing
+// store-layer logic without touching a filesystem; it persists nothing
+// across processes by definition.
 type Mem struct {
 	mu  sync.Mutex
 	cap int // max entries; 0 = unbounded

@@ -191,7 +191,7 @@ grep 'shutting down' "$SHARD_TMP/serve.txt"
 # exactly the missing shard.
 COORD_DIR="$SHARD_TMP/campaign-coord"
 "$SHARD_TMP/flit" coord serve -dir "$COORD_DIR" -addr 127.0.0.1:0 \
-	-command "experiments table4" -shards 2 -lease-ttl 2s -exit-when-done \
+	-shards 2 -lease-ttl 2s -exit-when-done experiments table4 \
 	>"$SHARD_TMP/coord.txt" 2>&1 &
 COORD_PID=$!
 trap 'kill "$COORD_PID" 2>/dev/null || true; rm -rf "$SHARD_TMP"' EXIT
@@ -220,10 +220,10 @@ grep "campaign $CAMPAIGN4: \"experiments table4\"" "$SHARD_TMP/coord-fleet.txt"
 	>"$SHARD_TMP/coord-detail.txt"
 grep 'leased to straggler' "$SHARD_TMP/coord-detail.txt"
 CAMPAIGN3=$("$SHARD_TMP/flit" coord submit -coord "$COORD_URL" \
-	-command "experiments table3" -shards 2 | sed -n 's/^campaign \(c[0-9a-f]*\):.*/\1/p')
+	-shards 2 experiments table3 | sed -n 's/^campaign \(c[0-9a-f]*\):.*/\1/p')
 test -n "$CAMPAIGN3"
 CAMPAIGN2=$("$SHARD_TMP/flit" coord submit -coord "$COORD_URL" \
-	-command "experiments table2" -shards 2 -max-shard-attempts 2 \
+	-shards 2 -max-shard-attempts 2 experiments table2 \
 	| sed -n 's/^campaign \(c[0-9a-f]*\):.*/\1/p')
 test -n "$CAMPAIGN2"
 FLIT_WORK_FAIL=table2:1 "$SHARD_TMP/flit" work -coord "$COORD_URL" -j 2 -v \
