@@ -421,7 +421,7 @@ func cmdWork(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	tiers, remote, err := storeTiers(*storeDir, *coordURL, opts)
+	tier, remote, err := store.OpenTiers(*storeDir, *coordURL, flit.EngineVersion, opts)
 	if err != nil {
 		return err
 	}
@@ -460,7 +460,7 @@ func cmdWork(args []string, stdout, stderr io.Writer) error {
 			strings.Contains(coord.CommandString(command), failSubstr) {
 			return nil, fmt.Errorf("FLIT_WORK_FAIL: injected deterministic failure for %q shard %d", failSubstr, shard.Index)
 		}
-		return experiments.RunShard(command, shard, *j, tiers...)
+		return experiments.RunShard(command, shard, *j, tier)
 	}
 	logW := io.Discard
 	if *verbose {
@@ -470,12 +470,7 @@ func cmdWork(args []string, stdout, stderr io.Writer) error {
 	defer stop()
 	wstats, werr := coord.Work(ctx, cl, runner, coord.WorkerOptions{Name: *name, Log: logW})
 	if *stats {
-		rm := remote.Metrics()
-		fmt.Fprintf(stderr, "remote: hits=%d misses=%d puts=%d retries=%d errors=%d\n",
-			rm.Hits, rm.Misses, rm.Puts, rm.Retries, rm.Errors)
-		ro := cl.Options()
-		fmt.Fprintf(stderr, "remote config: attempts=%d attempt-timeout=%s timeout=%s\n",
-			ro.Attempts, ro.AttemptTimeout, ro.Deadline)
+		printRemoteStats(stderr, remote.Metrics(), cl.Options())
 		fmt.Fprintf(stderr, "coord: completed=%d lost=%d failed=%d retries=%d\n",
 			wstats.Completed, wstats.Lost, wstats.Failed, cl.Retries())
 	}

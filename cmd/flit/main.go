@@ -345,38 +345,6 @@ func transportOptions(retries int, timeout time.Duration) (*store.RemoteOptions,
 	return &store.RemoteOptions{Attempts: retries, Deadline: timeout}, nil
 }
 
-// readArtifacts loads a list of artifact files, skipping empty entries
-// (comma-split flag values may contain them).
-func readArtifacts(paths []string) ([]*flit.Artifact, error) {
-	arts := make([]*flit.Artifact, 0, len(paths))
-	for _, p := range paths {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		a, err := flit.ReadArtifactFile(p)
-		if err != nil {
-			return nil, err
-		}
-		arts = append(arts, a)
-	}
-	return arts, nil
-}
-
-// loadWarmStart seeds an engine's cache from the -warm-start artifact
-// list. Unlike merge it tolerates any subset of artifacts — warm-starting
-// reuses results, it does not replay a command.
-func (o *cliOpts) loadWarmStart(eng *experiments.Engine) error {
-	if *o.warmStart == "" {
-		return nil
-	}
-	arts, err := readArtifacts(strings.Split(*o.warmStart, ","))
-	if err != nil {
-		return fmt.Errorf("-warm-start: %w", err)
-	}
-	return eng.WarmStart(arts...)
-}
-
 // parseFlags parses and maps failures to errParsed (the FlagSet has
 // already written the diagnostic to stderr) and -h to errHelp (usage was
 // printed; the invocation succeeded).
@@ -410,9 +378,9 @@ func parseFlagsOnly(fs *flag.FlagSet, args []string) error {
 func (o *cliOpts) shardMode() bool { return *o.shardStr != "" }
 
 // engine builds the engine a subcommand runs on, honoring -j, -shard,
-// -store/-remote and -warm-start. merge passes its shard set, imported
-// after the store is attached (so its seeds are never written through) and
-// before the -warm-start baseline.
+// -store/-remote and -warm-start. merge passes its shard set, merged into
+// the cache after the store is attached (so its seeds are never written
+// through) and before the -warm-start baseline.
 func (o *cliOpts) engine(shardSet ...*flit.Artifact) (*experiments.Engine, error) {
 	shard, err := exec.ParseShard(*o.shardStr)
 	if err != nil {
@@ -429,18 +397,22 @@ func (o *cliOpts) engine(shardSet ...*flit.Artifact) (*experiments.Engine, error
 	if err := o.attachStore(eng); err != nil {
 		return nil, err
 	}
+	cache := eng.Cache()
 	if len(shardSet) > 0 {
-		if err := eng.ImportArtifacts(shardSet...); err != nil {
-			return nil, err
+		if err := cache.Merge(shardSet...); err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
 	}
 	if *o.warmStart != "" {
 		// Warm starts track provenance: -stats can then summarize the
 		// delta, and -delta-out can write the structured report.
-		eng.EnableDelta(*o.deltaVerify)
-	}
-	if err := o.loadWarmStart(eng); err != nil {
-		return nil, err
+		arts, err := flit.ReadArtifactFiles(strings.Split(*o.warmStart, ","))
+		if err != nil {
+			return nil, fmt.Errorf("-warm-start: %w", err)
+		}
+		if err := cache.WarmStart(*o.deltaVerify, arts...); err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
 	}
 	return eng, nil
 }
@@ -464,7 +436,7 @@ func (o *cliOpts) checkDeltaFlags() error {
 	return nil
 }
 
-// attachStore attaches the -store/-remote tiers (see storeTiers) to the
+// attachStore attaches the -store/-remote tiers (store.OpenTiers) to the
 // engine's cache. A no-op without both.
 func (o *cliOpts) attachStore(eng *experiments.Engine) error {
 	opts, err := transportOptions(*o.remoteRetries, *o.remoteTimeout)
@@ -474,49 +446,21 @@ func (o *cliOpts) attachStore(eng *experiments.Engine) error {
 	if *o.remoteURL == "" && (*o.remoteRetries != 0 || *o.remoteTimeout != 0) {
 		return errors.New("-remote-retries/-remote-timeout require -remote URL")
 	}
-	tiers, remote, err := storeTiers(*o.storeDir, *o.remoteURL, opts)
+	s, remote, err := store.OpenTiers(*o.storeDir, *o.remoteURL, flit.EngineVersion, opts)
 	if err != nil {
 		return err
 	}
 	o.remote = remote
-	eng.AttachStore(store.Tier(tiers...))
+	eng.AttachStore(s)
 	return nil
-}
-
-// storeTiers opens the persistent tiers a run writes through: the local
-// Disk store at dir (created if absent, rejected if fenced to a different
-// engine version or layout) in front of the Remote client at remoteURL
-// when both are given — a read-through/write-through local cache for a
-// shared server — or either alone. The Remote is also returned on its own
-// (nil without a URL) so -stats can read its transport counters.
-func storeTiers(dir, remoteURL string, opts *store.RemoteOptions) ([]store.Store, *store.Remote, error) {
-	var tiers []store.Store
-	if dir != "" {
-		d, err := store.Open(dir, flit.EngineVersion)
-		if err != nil {
-			return nil, nil, err
-		}
-		tiers = append(tiers, d)
-	}
-	if remoteURL == "" {
-		return tiers, nil, nil
-	}
-	r, err := store.NewRemote(remoteURL, flit.EngineVersion, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return append(tiers, r), r, nil
 }
 
 // emitDelta writes the warm-started run's DeltaReport (-delta-out) and its
 // one-line summary (-stats, on stderr). A no-op without a warmed baseline.
 func emitDelta(eng *experiments.Engine, o *cliOpts, command []string, stderr io.Writer) error {
-	if !eng.DeltaEnabled() {
+	rep := eng.Cache().Delta(command)
+	if rep == nil {
 		return nil
-	}
-	rep, err := eng.DeltaReport(command)
-	if err != nil {
-		return err
 	}
 	if *o.stats {
 		fmt.Fprintln(stderr, rep.Summary())
@@ -579,18 +523,7 @@ func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 			m.Store.Hits, m.Store.Misses, m.Store.Puts, m.Store.Errors)
 	}
 	if o.remote != nil {
-		// The remote tier's own transport counters: retries are the re-sent
-		// requests the backoff loop spent, errors the degraded (non-honest)
-		// misses and failed uploads — a flaky or dying server shows up here
-		// while the run itself stays correct.
-		rm := o.remote.Metrics()
-		fmt.Fprintf(w, "remote: hits=%d misses=%d puts=%d retries=%d errors=%d\n",
-			rm.Hits, rm.Misses, rm.Puts, rm.Retries, rm.Errors)
-		// The effective transport shape (defaults filled in), so a tuned
-		// -remote-retries/-remote-timeout is visible in the run record.
-		ro := o.remote.Options()
-		fmt.Fprintf(w, "remote config: attempts=%d attempt-timeout=%s timeout=%s\n",
-			ro.Attempts, ro.AttemptTimeout, ro.Deadline)
+		printRemoteStats(w, o.remote.Metrics(), o.remote.Options())
 	}
 	// paper-execs is the Tables 2/4 cost measure and is identical at every
 	// -j; spec-execs is the speculative extra (timing-dependent) those
@@ -598,6 +531,19 @@ func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 	bs := eng.BisectStats()
 	fmt.Fprintf(w, "bisect: searches=%d paper-execs=%d spec-execs=%d\n",
 		bs.Searches, bs.Execs, bs.SpecExecs)
+}
+
+// printRemoteStats prints a remote tier's transport counters and the
+// effective transport shape. Retries are the re-sent requests the backoff
+// loop spent, errors the degraded (non-honest) misses and failed uploads —
+// a flaky or dying server shows up here while the run itself stays
+// correct. The shape has its defaults filled in, so a tuned
+// -remote-retries/-remote-timeout is visible in the run record.
+func printRemoteStats(w io.Writer, m store.RemoteMetrics, o store.RemoteOptions) {
+	fmt.Fprintf(w, "remote: hits=%d misses=%d puts=%d retries=%d errors=%d\n",
+		m.Hits, m.Misses, m.Puts, m.Retries, m.Errors)
+	fmt.Fprintf(w, "remote config: attempts=%d attempt-timeout=%s timeout=%s\n",
+		o.Attempts, o.AttemptTimeout, o.Deadline)
 }
 
 // cmdCommand runs run, bisect or experiments: the grammar package
@@ -635,7 +581,7 @@ func cmdMerge(args []string, stdout, stderr io.Writer) error {
 	if *o.shardStr != "" || *o.shardOut != "" {
 		return errors.New("merge does not accept -shard/-shard-out (it replays a complete shard set)")
 	}
-	arts, err := readArtifacts(fs.Args())
+	arts, err := flit.ReadArtifactFiles(fs.Args())
 	if err != nil {
 		return err
 	}
@@ -664,11 +610,11 @@ func cmdDelta(args []string, stdout, stderr io.Writer) error {
 	if *baseline == "" {
 		return errors.New("delta requires -baseline a.json[,b.json...]")
 	}
-	base, err := readArtifacts(strings.Split(*baseline, ","))
+	base, err := flit.ReadArtifactFiles(strings.Split(*baseline, ","))
 	if err != nil {
 		return fmt.Errorf("-baseline: %w", err)
 	}
-	cur, err := readArtifacts(fs.Args())
+	cur, err := flit.ReadArtifactFiles(fs.Args())
 	if err != nil {
 		return err
 	}

@@ -48,6 +48,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -153,60 +154,39 @@ func (o opts) command() []string {
 // the merge replay — the same record/replay protocol `flit merge` uses —
 // with optional warm-start/delta tracking on the run paths.
 func cli(o opts, w io.Writer) error {
-	if o.merge != "" {
-		if o.shard != "" || o.shardOut != "" || o.warmStart != "" || o.deltaOut != "" || o.unroll {
-			return fmt.Errorf("-merge replays recorded artifacts and combines with no other flag")
-		}
-		cache := flit.NewCache()
-		if err := attachStore(cache, o.store, o.remote); err != nil {
-			return err
-		}
-		var arts []*flit.Artifact
-		for _, path := range strings.Split(o.merge, ",") {
-			a, err := flit.ReadArtifactFile(path)
-			if err != nil {
-				return err
-			}
-			arts = append(arts, a)
-		}
-		if err := flit.ValidateShardSet(arts); err != nil {
-			return err
-		}
-		for _, a := range arts {
-			if err := cache.Import(a); err != nil {
-				return err
-			}
-		}
-		// Replay the recorded command — including a recorded -unroll
-		// mutation — with every matrix evaluation answered from the merged
-		// cache: byte-identical to the unsharded run.
-		unroll := false
-		for _, arg := range arts[0].Command {
-			if arg == "-unroll" {
-				unroll = true
-			}
-		}
-		return runWith(w, exec.Shard{}, cache, 0, unroll)
+	if o.merge != "" && (o.shard != "" || o.shardOut != "" || o.warmStart != "" || o.deltaOut != "" || o.unroll) {
+		return fmt.Errorf("-merge replays recorded artifacts and combines with no other flag")
 	}
 	shard, err := exec.ParseShard(o.shard)
 	if err != nil {
 		return err
 	}
 	cache := flit.NewCache()
-	if err := attachStore(cache, o.store, o.remote); err != nil {
+	s, _, err := store.OpenTiers(o.store, o.remote, flit.EngineVersion, nil)
+	if err != nil {
 		return err
 	}
-	var tracker *flit.DeltaTracker
+	cache.SetStore(s)
+	if o.merge != "" {
+		arts, err := flit.ReadArtifactFiles(strings.Split(o.merge, ","))
+		if err != nil {
+			return err
+		}
+		if err := cache.Merge(arts...); err != nil {
+			return err
+		}
+		// Replay the recorded command — including a recorded -unroll
+		// mutation — with every matrix evaluation answered from the merged
+		// cache: byte-identical to the unsharded run.
+		return runWith(w, exec.Shard{}, cache, 0, slices.Contains(arts[0].Command, "-unroll"))
+	}
 	if o.warmStart != "" {
-		tracker = flit.NewDeltaTracker(false)
-		for _, path := range strings.Split(o.warmStart, ",") {
-			a, err := flit.ReadArtifactFile(path)
-			if err != nil {
-				return err
-			}
-			if err := tracker.Seed(cache, a); err != nil {
-				return err
-			}
+		arts, err := flit.ReadArtifactFiles(strings.Split(o.warmStart, ","))
+		if err != nil {
+			return err
+		}
+		if err := cache.WarmStart(false, arts...); err != nil {
+			return err
 		}
 	} else if o.deltaOut != "" {
 		return fmt.Errorf("-delta-out requires -warm-start BASELINE")
@@ -228,47 +208,15 @@ func cli(o opts, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "shard %s: %d runs, %d costs -> %s\n",
 			shard, len(art.Runs), len(art.Costs), o.shardOut)
-		return emitDelta(tracker, cache, o, w)
-	}
-	if err := runWith(w, exec.Shard{}, cache, 0, o.unroll); err != nil {
+	} else if err := runWith(w, exec.Shard{}, cache, 0, o.unroll); err != nil {
 		return err
 	}
-	return emitDelta(tracker, cache, o, w)
-}
-
-// attachStore builds the cache's persistent tier from -store and -remote:
-// the local Disk store (created if absent, rejected if fenced to a
-// different engine version) in front of the Remote client when both are
-// given, or either alone. A no-op with neither.
-func attachStore(cache *flit.Cache, dir, remote string) error {
-	var tiers []store.Store
-	if dir != "" {
-		d, err := store.Open(dir, flit.EngineVersion)
-		if err != nil {
-			return err
-		}
-		tiers = append(tiers, d)
-	}
-	if remote != "" {
-		r, err := store.NewRemote(remote, flit.EngineVersion, nil)
-		if err != nil {
-			return err
-		}
-		tiers = append(tiers, r)
-	}
-	if s := store.Tier(tiers...); s != nil {
-		cache.SetStore(s)
-	}
-	return nil
-}
-
-// emitDelta prints the warm-started run's delta summary and writes the
-// structured report when asked; without a baseline it is a no-op.
-func emitDelta(tracker *flit.DeltaTracker, cache *flit.Cache, o opts, w io.Writer) error {
-	if tracker == nil {
+	// A warm-started run prints its delta summary against the baseline and
+	// writes the structured report when asked.
+	rep := cache.Delta(o.command())
+	if rep == nil {
 		return nil
 	}
-	rep := tracker.Report(cache, o.command())
 	fmt.Fprintln(w, rep.Summary())
 	if o.deltaOut == "" {
 		return nil

@@ -131,3 +131,21 @@ func TestQuickstartIncrementalDelta(t *testing.T) {
 			got.String(), want.String())
 	}
 }
+
+// TestQuickstartMergeRejectsIncompleteSet: -merge validates its input as a
+// complete shard set before replaying anything, so half of a 2-shard set
+// fails naming the missing index and prints no output.
+func TestQuickstartMergeRejectsIncompleteSet(t *testing.T) {
+	s0 := filepath.Join(t.TempDir(), "s0.json")
+	if err := cli(opts{shard: "0/2", shardOut: s0}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	err := cli(opts{merge: s0}, &out)
+	if err == nil || !strings.Contains(err.Error(), "missing shard indices [1]") {
+		t.Fatalf("merging shard 0 of 2: err = %v, want missing shard indices [1]", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("failed merge printed output:\n%s", out.String())
+	}
+}

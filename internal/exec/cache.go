@@ -22,7 +22,8 @@ var ErrComputePanicked = errors.New("exec: cache computation panicked")
 // The reproduction uses it to memoize test runs keyed by build plan: the
 // simulated toolchain is deterministic, so a cache hit is bit-identical to
 // a re-run, and repeated evaluations during bisect hit the cache instead
-// of re-executing the program (the link step itself is cheap and redone).
+// of re-executing the program. Lookups are keyed by the plan before
+// anything is built, so a hit links nothing either.
 // Errors are memoized too (a deterministic toolchain fails the same way
 // every time).
 type Cache[V any] struct {

@@ -31,7 +31,7 @@ func table4Baseline(t *testing.T, n int) []*flit.Artifact {
 // changed, zero fresh executions — at every parallelism j ∈ {1,2,8} and
 // for baselines sharded N ∈ {1,2,4} ways (warm-start needs no complete
 // set, but a complete one must cover everything). Runs under -race in CI,
-// so the tracker's bookkeeping is also proven race-clean against the
+// so the baseline bookkeeping is also proven race-clean against the
 // pool's fan-out.
 func TestWarmStartDeltaEmptyProperty(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
@@ -39,17 +39,13 @@ func TestWarmStartDeltaEmptyProperty(t *testing.T) {
 		for _, j := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("N=%d/j=%d", n, j), func(t *testing.T) {
 				eng := NewEngine(j)
-				eng.EnableDelta(false)
 				if err := eng.WarmStart(arts...); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := eng.Table4(); err != nil {
 					t.Fatal(err)
 				}
-				rep, err := eng.DeltaReport([]string{"experiments", "table4"})
-				if err != nil {
-					t.Fatal(err)
-				}
+				rep := eng.Cache().Delta([]string{"experiments", "table4"})
 				if !rep.Empty() {
 					t.Fatalf("identical re-run produced a delta: %s", rep.Summary())
 				}
@@ -71,17 +67,13 @@ func TestWarmStartDeltaEmptyProperty(t *testing.T) {
 func TestWarmStartDeltaVerifyProperty(t *testing.T) {
 	arts := table4Baseline(t, 2)
 	eng := NewEngine(4)
-	eng.EnableDelta(true)
-	if err := eng.WarmStart(arts...); err != nil {
+	if err := eng.Cache().WarmStart(true, arts...); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Table4(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.DeltaReport([]string{"experiments", "table4"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := eng.Cache().Delta([]string{"experiments", "table4"})
 	if !rep.Empty() {
 		t.Fatalf("deterministic engine diverged from its own baseline: %s", rep.Summary())
 	}
@@ -115,17 +107,13 @@ func TestWarmStartDeltaVerifyFlagsPerturbedBaseline(t *testing.T) {
 		t.Fatal("baseline holds no finite record to perturb")
 	}
 	eng := NewEngine(2)
-	eng.EnableDelta(true)
-	if err := eng.WarmStart(arts...); err != nil {
+	if err := eng.Cache().WarmStart(true, arts...); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Table4(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := eng.DeltaReport(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := eng.Cache().Delta(nil)
 	if len(rep.Changed) != 1 || rep.Changed[0].Key != perturbed {
 		t.Fatalf("perturbation not pinpointed: changed=%+v want key %q", rep.Changed, perturbed)
 	}
@@ -134,10 +122,18 @@ func TestWarmStartDeltaVerifyFlagsPerturbedBaseline(t *testing.T) {
 	}
 }
 
-// TestDeltaReportRequiresEnable: asking for a report without enabling
-// tracking is a caller bug and errors instead of returning an empty delta.
+// TestDeltaReportRequiresEnable: Delta on a never-warm-started cache is
+// nil, not an empty report — there is no baseline to be empty against —
+// while a warm start with no artifacts still turns it on.
 func TestDeltaReportRequiresEnable(t *testing.T) {
-	if _, err := NewEngine(1).DeltaReport(nil); err == nil {
-		t.Fatal("DeltaReport without EnableDelta succeeded")
+	eng := NewEngine(1)
+	if rep := eng.Cache().Delta(nil); rep != nil {
+		t.Fatalf("Delta without WarmStart = %s, want nil", rep.Summary())
+	}
+	if err := eng.WarmStart(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := eng.Cache().Delta(nil); rep == nil || !rep.Empty() {
+		t.Fatalf("Delta after an empty WarmStart = %v, want an empty report", rep)
 	}
 }

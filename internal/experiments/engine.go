@@ -27,9 +27,6 @@ type Engine struct {
 	pool  *exec.Pool
 	cache *flit.Cache
 	shard exec.Shard
-	// delta, when non-nil, records warm-start baselines for the incremental
-	// campaign delta detector (see engine_delta.go).
-	delta *flit.DeltaTracker
 
 	mfemOnce sync.Once
 	mfemRes  *flit.Results

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/flit"
-)
+import "repro/internal/flit"
 
 // Sharded execution of the experiments suite.
 //
@@ -30,46 +26,16 @@ func (e *Engine) ExportArtifact(command []string) *flit.Artifact {
 	return e.cache.Export(e.shard, command)
 }
 
-// ImportArtifacts validates a shard set and seeds this engine's cache with
-// the union of the artifacts' results. Call it on a fresh engine before
-// running any experiment; replaying the artifacts' recorded command then
-// reproduces the unsharded output byte for byte.
-func (e *Engine) ImportArtifacts(arts ...*flit.Artifact) error {
-	if err := flit.ValidateShardSet(arts); err != nil {
-		return fmt.Errorf("experiments: merging shard artifacts: %w", err)
-	}
-	for i, a := range arts {
-		if err := e.cache.Import(a); err != nil {
-			return fmt.Errorf("experiments: shard artifact %d: %w", i, err)
-		}
-	}
-	return nil
-}
+// ImportArtifacts seeds this engine's cache with a complete shard set
+// (flit.Cache.Merge). Call it on a fresh engine before running any
+// experiment; replaying the artifacts' recorded command then reproduces
+// the unsharded output byte for byte.
+func (e *Engine) ImportArtifacts(arts ...*flit.Artifact) error { return e.cache.Merge(arts...) }
 
-// WarmStart seeds this engine's cache from previously exported artifacts
-// without requiring a complete shard set: each artifact is validated
-// individually (format and engine version — foreign results are still
-// rejected), but shard coordinates and recorded commands may differ and
-// gaps are fine. A warm start reuses yesterday's executions, it does not
-// replay a command: whatever the artifacts do not cover is recomputed, and
-// because a cache hit is bit-identical to a recomputation the output is
-// unchanged — only the wall-clock shrinks. This is the incremental half of
-// the shard protocol: any shard artifact doubles as a warm-start cache.
-// With delta tracking enabled (EnableDelta), each artifact also becomes
-// part of the run's baseline: the delta detector classifies every key
-// against it, and in verify mode the artifacts seed nothing — covered
-// evaluations are recomputed and compared bit-exactly instead.
-func (e *Engine) WarmStart(arts ...*flit.Artifact) error {
-	for i, a := range arts {
-		var err error
-		if e.delta != nil {
-			err = e.delta.Seed(e.cache, a)
-		} else {
-			err = e.cache.Import(a)
-		}
-		if err != nil {
-			return fmt.Errorf("experiments: warm-start artifact %d: %w", i, err)
-		}
-	}
-	return nil
-}
+// WarmStart seeds this engine's cache from any prior artifacts, no
+// complete set required, and records them as the delta baseline
+// (flit.Cache.WarmStart in trust mode): covered evaluations become cache
+// hits, everything else is recomputed, and the output is unchanged. This
+// is the incremental half of the shard protocol: any shard artifact
+// doubles as a warm-start cache.
+func (e *Engine) WarmStart(arts ...*flit.Artifact) error { return e.cache.WarmStart(false, arts...) }

@@ -152,32 +152,43 @@ func (c *Cache) Export(shard exec.Shard, command []string) *Artifact {
 	return a
 }
 
-// Import seeds the cache with an artifact's records. Existing entries are
-// never overwritten — on a deterministic engine an artifact entry and a
-// local computation agree, so first-in wins is safe. It rejects artifacts
-// from a different format or engine version: foreign results replayed as
-// local ones would break the byte-identity guarantee silently.
-func (c *Cache) Import(a *Artifact) error {
-	if err := a.Check(); err != nil {
-		return err
+// Merge seeds the cache with the union of a complete shard set, validated
+// by ValidateShardSet (every artifact from this engine version, one
+// command, a complete partition). Replaying the set's recorded command then
+// answers every evaluation from the cache, byte-identical to an unsharded
+// run. Call it before the run and before WarmStart.
+func (c *Cache) Merge(arts ...*Artifact) error {
+	if err := ValidateShardSet(arts); err != nil {
+		return fmt.Errorf("merging shard artifacts: %w", err)
 	}
 	if c == nil {
-		return errors.New("flit: importing into a nil cache")
+		return errNilCache
 	}
+	for _, a := range arts {
+		c.seed(a)
+	}
+	return nil
+}
+
+var errNilCache = errors.New("flit: seeding a nil cache")
+
+// seed installs a checked artifact's records as completed cache entries.
+// Existing entries are never overwritten — on a deterministic engine an
+// artifact entry and a local computation agree, so first-in wins is safe.
+func (c *Cache) seed(a *Artifact) {
 	for _, r := range a.Runs {
 		c.runs.Seed(r.Key, runValOf(r), nil)
 	}
 	for _, co := range a.Costs {
 		c.costs.Seed(co.Key, math.Float64frombits(co.Cost), nil)
 	}
-	return nil
 }
 
 // runValOf deserializes one run record back into the cache's value form:
 // IEEE-754 bit patterns become floats, errors regain their text and — for
 // the one error identity the drivers branch on — their errors.Is
 // behavior. It is the exact inverse of recordOf, shared by artifact
-// import and the persistent run store's decode path.
+// seeding and the persistent run store's decode path.
 func runValOf(r RunRecord) runVal {
 	v := runVal{}
 	if r.IsVec {
@@ -200,7 +211,7 @@ func runValOf(r RunRecord) runVal {
 
 // validate rejects run records whose fields contradict each other — shapes
 // recordOf can never produce, so they mark a hand-edited, torn, or foreign
-// file. Importing one silently would drop data: a scalar-flagged record's
+// file. Seeding one silently would drop data: a scalar-flagged record's
 // vector is never read back, so v.Vec would vanish into a zero scalar.
 func (r RunRecord) validate() error {
 	if !r.IsVec && len(r.Vec) > 0 {
@@ -216,7 +227,7 @@ func (r RunRecord) validate() error {
 // structural integrity. A key appearing twice in one artifact marks a
 // malformed (hand-edited, truncated-and-rejoined, or adversarial) file: a
 // healthy export snapshots a map and can never produce duplicates, and
-// importing one silently would let whichever copy seeds first answer every
+// seeding one silently would let whichever copy lands first answer every
 // evaluation of that key — so duplicates are rejected outright, even when
 // the copies agree. Internally inconsistent run records (a scalar-flagged
 // record carrying a vector, or the reverse) are rejected the same way.
@@ -371,4 +382,22 @@ func ReadArtifactFile(path string) (*Artifact, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return a, nil
+}
+
+// ReadArtifactFiles reads the artifacts at paths in order, skipping blank
+// entries (a comma-split flag value may contain them).
+func ReadArtifactFiles(paths []string) ([]*Artifact, error) {
+	arts := make([]*Artifact, 0, len(paths))
+	for _, p := range paths {
+		p = strings.TrimSpace(p)
+		if p == "" {
+			continue
+		}
+		a, err := ReadArtifactFile(p)
+		if err != nil {
+			return nil, err
+		}
+		arts = append(arts, a)
+	}
+	return arts, nil
 }

@@ -23,7 +23,7 @@ func exportImport(t *testing.T, c *Cache) *Cache {
 		t.Fatal(err)
 	}
 	fresh := NewCache()
-	if err := fresh.Import(art); err != nil {
+	if err := fresh.Merge(art); err != nil {
 		t.Fatal(err)
 	}
 	return fresh
@@ -122,7 +122,7 @@ func TestImportNeverOverwrites(t *testing.T) {
 
 	dst := NewCache()
 	dst.runs.Seed("k", runVal{res: ScalarResult(42)}, nil)
-	if err := dst.Import(art); err != nil {
+	if err := dst.Merge(art); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := dst.runs.Do("k", func() (runVal, error) { return runVal{}, nil })
@@ -152,5 +152,32 @@ func TestArtifactExportDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(build().Bytes(), build().Bytes()) {
 		t.Error("identical cache contents serialized to different bytes")
+	}
+}
+
+// TestWarmStartedExportKeepsUnrequestedBaseline: a warm-started shard
+// re-exports every baseline record it was seeded with, requested or not,
+// next to what it computed. A baseline served as a read-only tier behind
+// the cache instead of seeded into it would lose the unrequested "b".
+func TestWarmStartedExportKeepsUnrequestedBaseline(t *testing.T) {
+	c := NewCache()
+	if err := c.WarmStart(false, art([]string{"run"}, scalarRec("a", 1), scalarRec("b", 2))); err != nil {
+		t.Fatal(err)
+	}
+	c.runs.Do("a", func() (runVal, error) {
+		t.Fatal("seeded key a recomputed")
+		return runVal{}, nil
+	})
+	c.runs.Do("c", func() (runVal, error) { return runVal{res: ScalarResult(3)}, nil })
+
+	got := c.Export(exec.Shard{}, []string{"run"}).Runs
+	want := []RunRecord{scalarRec("a", 1), scalarRec("b", 2), scalarRec("c", 3)}
+	if len(got) != len(want) {
+		t.Fatalf("exported %d runs %+v, want a, b and c", len(got), got)
+	}
+	for i := range want {
+		if !equalRecord(got[i], want[i]) || got[i].Key != want[i].Key {
+			t.Errorf("run %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

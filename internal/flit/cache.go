@@ -83,6 +83,12 @@ type Cache struct {
 	// builds == 0; the CLI surfaces both under -stats.
 	builds        atomic.Int64
 	skippedBuilds atomic.Int64
+
+	// baseline holds the warm-start artifacts' run records, keyed by run
+	// key; it is non-nil once WarmStart has been called, which is what
+	// turns Delta on. baseCmd is the first recorded baseline command.
+	baseline map[string]RunRecord
+	baseCmd  []string
 }
 
 // NewCache returns an empty build/run cache.
@@ -184,29 +190,6 @@ func (c *Cache) BuildStats() (builds, skipped int64) {
 		return 0, 0
 	}
 	return c.builds.Load(), c.skippedBuilds.Load()
-}
-
-// RunEntry is one memoized run with its provenance: the serialized record,
-// whether the value was seeded from an artifact (vs computed by this
-// process), and how many times the cache answered a request with it. The
-// incremental campaign engine's delta detector classifies keys with it.
-type RunEntry struct {
-	Rec    RunRecord
-	Seeded bool
-	Uses   int64
-}
-
-// RunEntries snapshots every completed run entry with provenance, in
-// unspecified order (callers sort).
-func (c *Cache) RunEntries() []RunEntry {
-	if c == nil {
-		return nil
-	}
-	var out []RunEntry
-	c.runs.EachInfo(func(key string, v runVal, _ error, info exec.EntryInfo) {
-		out = append(out, RunEntry{Rec: recordOf(key, v), Seeded: info.Seeded, Uses: info.Uses})
-	})
-	return out
 }
 
 // CacheMetrics snapshots both stores of a build/run cache, plus the

@@ -8,6 +8,8 @@ import (
 	"os"
 	"sort"
 	"strings"
+
+	"repro/internal/exec"
 )
 
 // Delta detection for incremental campaigns.
@@ -16,16 +18,15 @@ import (
 // matrix, or the workload drifts, warm-starting each run from the previous
 // generation's artifacts. The DeltaReport is the answer to the question
 // those re-runs exist to ask: *which* outputs changed against the warmed
-// baseline? Three producers build one:
+// baseline? Two producers build one:
 //
-//   - DeltaTracker observes a warm-started run and classifies every
-//     build/run key by provenance — answered from the baseline
+//   - Cache.Delta classifies a warm-started run (Cache.WarmStart) by
+//     provenance — every build/run key answered from the baseline
 //     (hit-from-baseline), computed fresh, or recomputed in verify mode
-//     and found to diverge from the baseline's recorded bits;
+//     and found to diverge from the baseline's recorded bits. The CLI
+//     writes it with -delta-out and summarizes it under -stats;
 //   - DiffArtifacts diffs two artifact sets offline, with no re-running
-//     (the `flit delta` subcommand);
-//   - experiments.Engine surfaces the tracker on every CLI subcommand via
-//     -delta-out and -stats.
+//     (the `flit delta` subcommand).
 //
 // Values are compared as IEEE-754 bit patterns, never as decimal floats: a
 // variability monitor that rounded away low bits would miss exactly the
@@ -151,121 +152,127 @@ func (r *DeltaReport) sort() {
 	sort.Slice(r.Changed, func(i, j int) bool { return r.Changed[i].Key < r.Changed[j].Key })
 }
 
-// DeltaTracker accumulates a baseline from warm-start artifacts and, after
-// the run, classifies the cache's contents against it. In normal mode the
-// baseline is also seeded into the cache (the incremental fast path: every
-// covered evaluation is a hit). In verify mode nothing is seeded — every
-// evaluation the run requests is recomputed and compared bit-exactly
-// against the baseline's recorded value, turning a warm-started run into a
-// variability monitor for the toolchain itself.
-type DeltaTracker struct {
-	verify   bool
-	baseline map[string]RunRecord
-	baseCmd  []string
+// WarmStart seeds the cache from previously exported artifacts and records
+// them as the baseline Delta reports against. Unlike Merge it needs no
+// complete shard set: each artifact is checked on its own (format and
+// engine version — foreign results are still rejected), shard coordinates
+// and recorded commands may differ, and gaps are fine. Whatever the
+// artifacts do not cover is recomputed, and because a cache hit is
+// bit-identical to a recomputation the output is unchanged. Two artifacts
+// disagreeing on a key's bits are rejected: a self-contradictory baseline
+// cannot anchor a delta.
+//
+// With verify nothing is seeded: every covered evaluation the run requests
+// is recomputed and Delta compares it bit-exactly against the baseline,
+// turning a warm-started run into a variability monitor for the toolchain
+// itself. Call WarmStart before the run (after Merge when both apply);
+// calling it with no artifacts still turns Delta on.
+func (c *Cache) WarmStart(verify bool, arts ...*Artifact) error {
+	if c == nil {
+		return errNilCache
+	}
+	if c.baseline == nil {
+		c.baseline = make(map[string]RunRecord)
+	}
+	for i, a := range arts {
+		if err := c.addBaseline(a); err != nil {
+			return fmt.Errorf("warm-start artifact %d: %w", i, err)
+		}
+		if !verify {
+			c.seed(a)
+		}
+	}
+	return nil
 }
 
-// NewDeltaTracker returns an empty tracker. verify selects
-// recompute-and-compare over seed-and-trust.
-func NewDeltaTracker(verify bool) *DeltaTracker {
-	return &DeltaTracker{verify: verify, baseline: make(map[string]RunRecord)}
-}
-
-// Verify reports the tracker's mode.
-func (t *DeltaTracker) Verify() bool { return t.verify }
-
-// BaselineSize reports how many distinct run keys the baseline records.
-func (t *DeltaTracker) BaselineSize() int { return len(t.baseline) }
-
-// Seed folds one baseline artifact into the tracker and — in normal mode —
-// seeds the cache with it. Artifacts are validated individually like
-// warm-start (format and engine version; no complete shard set required),
-// and two baseline artifacts disagreeing on a key's bits are rejected: a
-// self-contradictory baseline cannot anchor a delta.
-func (t *DeltaTracker) Seed(c *Cache, a *Artifact) error {
+// addBaseline checks one warm-start artifact and folds its run records
+// into the baseline.
+func (c *Cache) addBaseline(a *Artifact) error {
 	if err := a.Check(); err != nil {
 		return err
 	}
 	for _, r := range a.Runs {
-		if prev, ok := t.baseline[r.Key]; ok {
+		if prev, ok := c.baseline[r.Key]; ok {
 			if !equalRecord(prev, r) {
 				return fmt.Errorf("flit: baseline artifacts disagree on key %q", r.Key)
 			}
 			continue
 		}
-		t.baseline[r.Key] = r
+		c.baseline[r.Key] = r
 	}
-	if t.baseCmd == nil {
-		t.baseCmd = a.Command
+	if c.baseCmd == nil {
+		c.baseCmd = a.Command
 	}
-	if t.verify {
-		return nil
-	}
-	return c.Import(a)
+	return nil
 }
 
-// Report classifies every completed run entry of the cache against the
-// baseline and returns the delta. command is recorded as the current run's
-// identity (the baseline's recorded command rides along for context).
+// Delta classifies every completed run entry of the cache against the
+// warm-start baseline and returns the report; it is nil if WarmStart was
+// never called. command is recorded as the current run's identity (the
+// baseline's recorded command rides along for context). Call it after the
+// run completes — the report reflects whatever has executed so far.
 //
 // Provenance, per key: a seeded baseline entry the run requested is a
 // baseline hit — counted unchanged when the served bits equal the
-// baseline's record, changed when another import superseded them (a
-// merge's shard set seeds before the warm-start baseline and Seed never
-// overwrites); a seeded baseline entry
-// the run never requested is a dropped key; an unseeded entry covered by
-// the baseline (verify mode recomputation) is fresh and compares
-// bit-exactly — equal is unchanged, different is a divergence; an unseeded
-// entry the baseline does not cover is a new key. Seeded entries outside
-// the baseline (e.g. a merge's shard set imported alongside) belong to no
-// delta and are skipped.
-func (t *DeltaTracker) Report(c *Cache, command []string) *DeltaReport {
+// baseline's record, changed when another seed superseded them (Merge
+// seeds its shard set before the warm-start baseline and seeding never
+// overwrites); a seeded baseline entry the run never requested is a
+// dropped key; an unseeded entry covered by the baseline (verify mode
+// recomputation) is fresh and compares bit-exactly — equal is unchanged,
+// different is a divergence; an unseeded entry the baseline does not cover
+// is a new key. Seeded entries outside the baseline (e.g. a merge's shard
+// set) belong to no delta and are skipped.
+func (c *Cache) Delta(command []string) *DeltaReport {
+	if c == nil || c.baseline == nil {
+		return nil
+	}
 	rep := &DeltaReport{
 		Engine:          EngineVersion,
-		BaselineCommand: t.baseCmd,
+		BaselineCommand: c.baseCmd,
 		Command:         command,
 		New:             []RunRecord{},
 		Dropped:         []RunRecord{},
 		Changed:         []DeltaChange{},
 	}
-	seen := make(map[string]bool, len(t.baseline))
-	for _, e := range c.RunEntries() {
-		base, inBase := t.baseline[e.Rec.Key]
+	seen := make(map[string]bool, len(c.baseline))
+	c.runs.EachInfo(func(key string, v runVal, _ error, info exec.EntryInfo) {
+		rec := recordOf(key, v)
+		base, inBase := c.baseline[key]
 		switch {
-		case e.Seeded && !inBase:
-			// Imported from outside the baseline; not this delta's concern.
-		case e.Seeded:
-			seen[e.Rec.Key] = true
-			if e.Uses == 0 {
+		case info.Seeded && !inBase:
+			// Seeded from outside the baseline; not this delta's concern.
+		case info.Seeded:
+			seen[key] = true
+			if info.Uses == 0 {
 				rep.Dropped = append(rep.Dropped, base)
 				break
 			}
 			rep.BaselineHits++
-			// The cache entry usually *is* the baseline record (warm-start
-			// seeded it), but when another import got there first — a
-			// merge's shard set seeds before the warm-start baseline, and
-			// Seed never overwrites — the served value is the current
-			// generation's, and it must still be compared bit-exactly.
-			if equalRecord(base, e.Rec) {
+			// The cache entry usually *is* the baseline record, but when a
+			// merge's shard set got there first the served value is the
+			// current generation's, and it must still be compared
+			// bit-exactly.
+			if equalRecord(base, rec) {
 				rep.Unchanged++
 			} else {
-				rep.Changed = append(rep.Changed, DeltaChange{Key: e.Rec.Key, Old: base, New: e.Rec})
+				rep.Changed = append(rep.Changed, DeltaChange{Key: key, Old: base, New: rec})
 			}
 		case inBase:
-			seen[e.Rec.Key] = true
+			seen[key] = true
 			rep.Fresh++
-			if equalRecord(base, e.Rec) {
+			if equalRecord(base, rec) {
 				rep.Unchanged++
 			} else {
-				rep.Changed = append(rep.Changed, DeltaChange{Key: e.Rec.Key, Old: base, New: e.Rec})
+				rep.Changed = append(rep.Changed, DeltaChange{Key: key, Old: base, New: rec})
 			}
 		default:
 			rep.Fresh++
-			rep.New = append(rep.New, e.Rec)
+			rep.New = append(rep.New, rec)
 		}
-	}
+	})
 	// Baseline keys that never reached the cache at all: possible only in
 	// verify mode (nothing was seeded), and exactly the dropped set there.
-	for key, base := range t.baseline {
+	for key, base := range c.baseline {
 		if !seen[key] {
 			rep.Dropped = append(rep.Dropped, base)
 		}

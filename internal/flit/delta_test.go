@@ -125,15 +125,15 @@ func TestDiffArtifactsValidation(t *testing.T) {
 }
 
 // TestArtifactCheckRejectsDuplicateKeys: a key recorded twice in one
-// artifact marks a malformed file, even when the copies agree — Import
+// artifact marks a malformed file, even when the copies agree — seeding
 // must refuse rather than let one copy silently answer for the other.
 func TestArtifactCheckRejectsDuplicateKeys(t *testing.T) {
 	dupRun := art(nil, scalarRec("k", 1), scalarRec("k", 1))
 	if err := dupRun.Check(); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("duplicate run key passed Check: %v", err)
 	}
-	if err := NewCache().Import(dupRun); err == nil {
-		t.Error("duplicate run key imported")
+	if err := NewCache().WarmStart(false, dupRun); err == nil {
+		t.Error("duplicate run key seeded")
 	}
 	dupCost := art(nil)
 	dupCost.Costs = []CostRecord{{Key: "c", Cost: 1}, {Key: "c", Cost: 2}}
@@ -148,18 +148,14 @@ func TestArtifactCheckRejectsDuplicateKeys(t *testing.T) {
 	}
 }
 
-// TestDeltaTrackerSeedAndTrust: in normal mode the tracker seeds the
-// cache (baseline-covered evaluations become hits) and classifies keys by
+// TestDeltaTrackerSeedAndTrust: in trust mode WarmStart seeds the cache
+// (baseline-covered evaluations become hits) and Delta classifies keys by
 // provenance: requested baseline keys are hits, unrequested ones dropped,
 // uncovered computations new.
 func TestDeltaTrackerSeedAndTrust(t *testing.T) {
 	cache := NewCache()
-	tr := NewDeltaTracker(false)
-	if err := tr.Seed(cache, art([]string{"run"}, scalarRec("hit", 1), scalarRec("stale", 2))); err != nil {
+	if err := cache.WarmStart(false, art([]string{"run"}, scalarRec("hit", 1), scalarRec("stale", 2))); err != nil {
 		t.Fatal(err)
-	}
-	if tr.Verify() || tr.BaselineSize() != 2 {
-		t.Fatalf("tracker state: verify=%v size=%d", tr.Verify(), tr.BaselineSize())
 	}
 	// The "run": requests "hit" (a baseline answer) and computes "new".
 	v, _ := cache.runs.Do("hit", func() (runVal, error) {
@@ -171,7 +167,7 @@ func TestDeltaTrackerSeedAndTrust(t *testing.T) {
 	}
 	cache.runs.Do("new", func() (runVal, error) { return runVal{res: ScalarResult(9)}, nil })
 
-	rep := tr.Report(cache, []string{"run", "-next"})
+	rep := cache.Delta([]string{"run", "-next"})
 	if len(rep.New) != 1 || rep.New[0].Key != "new" {
 		t.Errorf("New = %+v", rep.New)
 	}
@@ -186,14 +182,13 @@ func TestDeltaTrackerSeedAndTrust(t *testing.T) {
 	}
 }
 
-// TestDeltaTrackerVerifyDetectsDivergence: verify mode seeds nothing —
-// covered keys are recomputed and compared bit-exactly, so a baseline
+// TestDeltaTrackerVerifyDetectsDivergence: a verify-mode WarmStart seeds
+// nothing — covered keys are recomputed and compared bit-exactly, so a baseline
 // whose recorded bits no longer match the engine's output is flagged as
 // changed with both bit patterns.
 func TestDeltaTrackerVerifyDetectsDivergence(t *testing.T) {
 	cache := NewCache()
-	tr := NewDeltaTracker(true)
-	err := tr.Seed(cache, art([]string{"run"},
+	err := cache.WarmStart(true, art([]string{"run"},
 		scalarRec("stable", 1.5),
 		scalarRec("drifted", 2.5),
 		scalarRec("unrequested", 3.5)))
@@ -206,7 +201,7 @@ func TestDeltaTrackerVerifyDetectsDivergence(t *testing.T) {
 	cache.runs.Do("stable", func() (runVal, error) { return runVal{res: ScalarResult(1.5)}, nil })
 	cache.runs.Do("drifted", func() (runVal, error) { return runVal{res: ScalarResult(2.5000001)}, nil })
 
-	rep := tr.Report(cache, []string{"run"})
+	rep := cache.Delta([]string{"run"})
 	if len(rep.Changed) != 1 || rep.Changed[0].Key != "drifted" {
 		t.Fatalf("Changed = %+v", rep.Changed)
 	}
@@ -222,19 +217,18 @@ func TestDeltaTrackerVerifyDetectsDivergence(t *testing.T) {
 	}
 }
 
-// TestDeltaTrackerComparesSupersededSeeds: when another import seeds a
-// key before the warm-start baseline does (Seed never overwrites — the
-// merge path imports its shard set first), the cache serves the *other*
-// value; a baseline hit must still be compared bit-exactly, not trusted.
+// TestDeltaTrackerComparesSupersededSeeds: when Merge seeds a key before
+// the warm-start baseline does (seeding never overwrites — the merge path
+// seeds its shard set first), the cache serves the *other* value; a
+// baseline hit must still be compared bit-exactly, not trusted.
 func TestDeltaTrackerComparesSupersededSeeds(t *testing.T) {
 	cache := NewCache()
 	// The "shard set" of the current generation arrives first with a
 	// drifted value for k.
-	if err := cache.Import(art([]string{"run"}, scalarRec("k", 2.0))); err != nil {
+	if err := cache.Merge(art([]string{"run"}, scalarRec("k", 2.0))); err != nil {
 		t.Fatal(err)
 	}
-	tr := NewDeltaTracker(false)
-	if err := tr.Seed(cache, art([]string{"run"}, scalarRec("k", 1.0))); err != nil {
+	if err := cache.WarmStart(false, art([]string{"run"}, scalarRec("k", 1.0))); err != nil {
 		t.Fatal(err)
 	}
 	// The replay requests k and is served the current generation's bits.
@@ -245,7 +239,7 @@ func TestDeltaTrackerComparesSupersededSeeds(t *testing.T) {
 	if v.res.Scalar != 2.0 {
 		t.Fatalf("first-in-wins violated: %v", v.res.Scalar)
 	}
-	rep := tr.Report(cache, []string{"run"})
+	rep := cache.Delta([]string{"run"})
 	if len(rep.Changed) != 1 || rep.Changed[0].Key != "k" {
 		t.Fatalf("superseded seed not compared: %s", rep.Summary())
 	}
@@ -262,14 +256,13 @@ func TestDeltaTrackerComparesSupersededSeeds(t *testing.T) {
 // disagreeing on a key's bits cannot anchor a delta.
 func TestDeltaTrackerRejectsConflictingBaselines(t *testing.T) {
 	cache := NewCache()
-	tr := NewDeltaTracker(false)
-	if err := tr.Seed(cache, art(nil, scalarRec("k", 1))); err != nil {
+	if err := cache.WarmStart(false, art(nil, scalarRec("k", 1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Seed(cache, art(nil, scalarRec("k", 2))); err == nil {
+	if err := cache.WarmStart(false, art(nil, scalarRec("k", 2))); err == nil {
 		t.Error("conflicting baseline artifacts accepted")
 	}
-	if err := tr.Seed(cache, art(nil, scalarRec("k", 1))); err != nil {
+	if err := cache.WarmStart(false, art(nil, scalarRec("k", 1))); err != nil {
 		t.Errorf("agreeing overlap rejected: %v", err)
 	}
 }

@@ -97,7 +97,7 @@ func TestWriteArtifactFileAtomic(t *testing.T) {
 // TestCheckRejectsInconsistentRunRecords: a run record claiming to be a
 // scalar while carrying a vector payload (or vice versa) describes two
 // different results at once; Check must reject the artifact rather than
-// let Import pick one interpretation.
+// let seeding pick one interpretation.
 func TestCheckRejectsInconsistentRunRecords(t *testing.T) {
 	cases := map[string]RunRecord{
 		"scalar with vec": {Key: "k", IsVec: false, Vec: []uint64{1, 2}},
@@ -109,8 +109,8 @@ func TestCheckRejectsInconsistentRunRecords(t *testing.T) {
 			if err := a.Check(); err == nil {
 				t.Fatal("inconsistent run record passed Check")
 			}
-			if err := NewCache().Import(a); err == nil {
-				t.Fatal("inconsistent run record imported")
+			if err := NewCache().WarmStart(false, a); err == nil {
+				t.Fatal("inconsistent run record seeded")
 			}
 		})
 	}

@@ -72,7 +72,7 @@ func FuzzRunKeyInjective(f *testing.F) {
 
 // FuzzArtifactDecode hardens the artifact ingestion path against
 // malformed files: whatever bytes arrive, decoding plus validation must
-// either reject with an error or yield an artifact that imports cleanly —
+// either reject with an error or yield an artifact that seeds cleanly —
 // never panic, and never silently merge a malformed file. In particular a
 // duplicate key (the same run recorded twice, however the copies relate)
 // must be rejected: first-in-wins seeding would otherwise let one copy
@@ -136,11 +136,11 @@ func FuzzArtifactDecode(f *testing.F) {
 			t.Fatalf("duplicate-key artifact passed Check: %s", data)
 		}
 		c := NewCache()
-		impErr := c.Import(a)
-		if (checkErr == nil) != (impErr == nil) {
-			t.Fatalf("Check (%v) and Import (%v) disagree", checkErr, impErr)
+		seedErr := c.WarmStart(false, a)
+		if (checkErr == nil) != (seedErr == nil) {
+			t.Fatalf("Check (%v) and WarmStart (%v) disagree", checkErr, seedErr)
 		}
-		if impErr != nil {
+		if seedErr != nil {
 			return
 		}
 		// An accepted artifact must have seeded exactly its distinct keys.
@@ -171,8 +171,8 @@ func FuzzArtifactVersionCheck(f *testing.F) {
 				engine, version, EngineVersion, ArtifactVersion)
 		}
 		if err != nil {
-			if merr := NewCache().Import(a); merr == nil {
-				t.Fatal("Import accepted an artifact Check rejects")
+			if merr := NewCache().WarmStart(false, a); merr == nil {
+				t.Fatal("WarmStart accepted an artifact Check rejects")
 			}
 		}
 	})

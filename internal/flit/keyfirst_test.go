@@ -150,7 +150,7 @@ func TestWarmStartedMatrixBuildsNothing(t *testing.T) {
 		if j > 1 {
 			warm.Pool = exec.New(j)
 		}
-		if err := warm.Cache.Import(art); err != nil {
+		if err := warm.Cache.WarmStart(false, art); err != nil {
 			t.Fatal(err)
 		}
 		warmRes, err := warm.RunMatrix(matrix)
@@ -209,7 +209,7 @@ func TestPartiallyWarmMatrixBuildsOnlyInvalidated(t *testing.T) {
 
 	warm := newSuite()
 	warm.Cache = NewCache()
-	if err := warm.Cache.Import(pruned); err != nil {
+	if err := warm.Cache.WarmStart(false, pruned); err != nil {
 		t.Fatal(err)
 	}
 	warmRes, err := warm.RunMatrix(matrix)

@@ -52,10 +52,8 @@ func TestShardMergeMatrixEquivalence(t *testing.T) {
 		}
 		merged := newSuite()
 		merged.Pool, merged.Cache = exec.Sequential(), NewCache()
-		for _, a := range arts {
-			if err := merged.Cache.Import(a); err != nil {
-				t.Fatalf("N=%d: import: %v", n, err)
-			}
+		if err := merged.Cache.Merge(arts...); err != nil {
+			t.Fatalf("N=%d: merge: %v", n, err)
 		}
 		res, err := merged.RunMatrix(matrix)
 		if err != nil {

@@ -7,13 +7,13 @@
 // computation, so a second process (or a later campaign) pointed at the
 // same store gets zero-build warm hits with no artifact manifest at all.
 //
-// Three backends ship: Mem, an LRU-capped in-memory map (tests, and the
-// degenerate no-persistence configuration); Disk, an on-disk store of
-// append-only segments (each writing handle appends checksummed records to
-// a segment of its own with one write(2) per Put, Open indexes every
-// segment once, a store manifest fences the directory to one engine
-// version); and Remote, the HTTP client of a Disk served by Handler. Tier
-// composes them.
+// Three backends ship: Mem, an LRU-capped in-memory map for tests; Disk,
+// an on-disk store of append-only segments (each writing handle appends
+// checksummed records to a segment of its own with one write(2) per Put,
+// Open indexes every segment once, a store manifest fences the directory
+// to one engine version); and Remote, the HTTP client of a Disk served by
+// Handler. Tier composes them, and OpenTiers opens the Disk-in-front-of-
+// Remote stack a run writes through.
 //
 // Durability: a Put that returned has reached the kernel, so it survives
 // the crash of the process that made it, but not a power loss or a kernel

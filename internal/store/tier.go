@@ -63,3 +63,29 @@ func (t *tiered) Put(key string, data []byte) error {
 	}
 	return errors.Join(errs...)
 }
+
+// OpenTiers opens the persistent tiers a run writes through, fenced to
+// engine: the Disk store at dir (created if absent, rejected if fenced to
+// another engine version or layout) in front of the Remote client at
+// remoteURL when both are given — a read-through/write-through local cache
+// for a shared server — or either alone, composed with Tier. It returns
+// nil with neither. The Remote is also returned on its own (nil without a
+// URL) so callers can report its transport counters.
+func OpenTiers(dir, remoteURL, engine string, opts *RemoteOptions) (Store, *Remote, error) {
+	var tiers []Store
+	if dir != "" {
+		d, err := Open(dir, engine)
+		if err != nil {
+			return nil, nil, err
+		}
+		tiers = append(tiers, d)
+	}
+	if remoteURL == "" {
+		return Tier(tiers...), nil, nil
+	}
+	r, err := NewRemote(remoteURL, engine, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return Tier(append(tiers, r)...), r, nil
+}

@@ -8,10 +8,11 @@
 #                    parallel execution engine must be data-race-free at
 #                    every -j; per-package statement coverage is printed)
 #   micro-bench      BenchmarkMachineFn, BenchmarkAssembleDiffusion2D,
-#                    BenchmarkDiskPut and BenchmarkDiskGet at a fixed 100
-#                    iterations, so the simulated-call dispatch, sparse
-#                    assembly and store segment benchmarks keep compiling
-#                    and running
+#                    BenchmarkDiskPut, BenchmarkDiskGet and
+#                    BenchmarkCoordHeartbeat at a fixed 100 iterations, so
+#                    the simulated-call dispatch, sparse assembly, store
+#                    segment and coordinator heartbeat benchmarks keep
+#                    compiling and running
 #   bench module     vet + race tests of the nested bench/ module (root
 #                    ./... skips it), so the benchmark harness cannot rot
 #   shard smoke      the distributed protocol end to end through real
@@ -72,6 +73,7 @@ go test -race -cover ./...
 go test -run '^$' -bench BenchmarkMachineFn -benchtime 100x ./internal/link
 go test -run '^$' -bench BenchmarkAssembleDiffusion2D -benchtime 100x ./internal/apps/mfem
 go test -run '^$' -bench 'BenchmarkDisk(Put|Get)$' -benchtime 100x ./internal/store
+go test -run '^$' -bench BenchmarkCoordHeartbeat -benchtime 100x ./internal/coord
 (cd bench && go vet . && go test -race .)
 
 SHARD_TMP=$(mktemp -d)
