@@ -87,9 +87,11 @@ func cmdCoord(args []string, stdout, stderr io.Writer) error {
 // write-through. The coordinator is multi-tenant: -shards N COMMAND
 // submits an initial campaign, `flit coord submit` adds more while it
 // runs, and a directory with a journal resumes every campaign in it —
-// crash recovery is just restarting with the same -dir. A v1
-// (single-campaign) journal from an older build is refused; resubmit its
-// campaign.
+// crash recovery is just restarting with the same -dir, and every lease
+// the journal holds gets one fresh TTL for its worker to heartbeat. A
+// journal in any format but v3 (the v1 single-campaign and v2
+// pre-containment formats of older builds) is refused; resubmit its
+// campaigns.
 func cmdCoordServe(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("coord serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)

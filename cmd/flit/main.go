@@ -96,10 +96,11 @@
 // -campaign) is a pure read that never disturbs scheduling. Completions
 // are last-writer-wins — shard artifacts are deterministic and
 // unstamped, so duplicate or late uploads carry identical bytes and are
-// accepted idempotently. The coordinator journals its state atomically
-// before every acknowledgment; restarting it with the same -dir resumes
-// every campaign exactly (an older single-campaign journal is refused:
-// resubmit its campaign). The same mux serves the object-store
+// accepted idempotently. The coordinator journals every state change
+// but a heartbeat atomically before acknowledging it; restarting it with
+// the same -dir resumes every campaign exactly, each held lease with one
+// fresh TTL (a journal in any format but v3 is refused: resubmit its
+// campaigns). The same mux serves the object-store
 // protocol, so workers write runs through to the coordinator's shared
 // store and a re-leased shard replays its predecessor's finished cells
 // as warm hits — across campaigns too, because store keys are injective over the same
@@ -255,8 +256,8 @@ from engine, command, and shard count) and leases their shard indices to
 leases: a crashed or stalled worker's shard is re-leased, duplicate or
 late completions are accepted idempotently (artifacts are deterministic),
 and the journaled coordinator resumes every campaign exactly after a
-restart with the same -dir (older single-campaign v1 journals are
-refused: resubmit their campaigns).
+restart with the same -dir (journals in any format but v3 are refused:
+resubmit their campaigns).
 "flit coord submit" registers campaigns while it runs (idempotent by
 spec); workers drain one campaign, then pick up the next. "flit coord
 status" renders the fleet view (or one campaign's leases with -campaign)

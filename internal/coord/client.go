@@ -51,9 +51,6 @@ func NewClient(baseURL, engine string, opts *store.RemoteOptions) (*Client, erro
 	return c, nil
 }
 
-// URL returns the coordinator's base URL.
-func (cl *Client) URL() string { return cl.base }
-
 // Options returns the effective (defaults-filled) transport options.
 func (cl *Client) Options() store.RemoteOptions { return cl.opts }
 
@@ -219,18 +216,17 @@ func (cl *Client) Release(ctx context.Context, campaign, worker, leaseID string,
 // Complete uploads a finished shard artifact. The lease need not still be
 // live — deterministic artifacts make late and duplicate completions
 // safe. campaignDone reports whether this completion finished the
-// campaign, allDone whether it finished every campaign the coordinator
-// holds, allTerminal whether every campaign is complete or terminally
-// failed — which matters under -exit-when-done: the coordinator may be
-// gone before the worker's next poll could say so.
-func (cl *Client) Complete(ctx context.Context, campaign, worker, leaseID string, shard int, artifact []byte) (campaignDone, allDone, allTerminal bool, err error) {
+// campaign, allTerminal whether every campaign the coordinator holds is
+// complete or terminally failed — which matters under -exit-when-done:
+// the coordinator may be gone before the worker's next poll could say so.
+func (cl *Client) Complete(ctx context.Context, campaign, worker, leaseID string, shard int, artifact []byte) (campaignDone, allTerminal bool, err error) {
 	var lr leaseResponse
 	err = cl.call(ctx, campaign, "complete", leaseRequest{Worker: worker, LeaseID: leaseID,
 		Shard: shard, Artifact: json.RawMessage(artifact)}, &lr)
 	if err != nil {
-		return false, false, false, err
+		return false, false, err
 	}
-	return lr.State == "done", lr.AllDone, lr.AllTerminal, nil
+	return lr.State == "done", lr.AllTerminal, nil
 }
 
 // Fail reports a structured shard failure: the lease is released, the

@@ -13,12 +13,12 @@
 // whose heartbeats stop (worker crash, stall, network partition), accepts
 // duplicate completions idempotently (artifacts for the same shard are
 // deterministic and self-validating, so last-writer-wins is safe), and
-// journals every state change through the store's atomic-write helper so
-// a coordinator restart recovers every campaign's leases and completions
-// from disk. When a campaign's partition completes it runs `flit merge`'s
-// complete-partition and engine-fence validation server-side, so a
-// campaign is only reported done when the artifact set provably replays
-// byte-identical.
+// journals every durable state change through the store's atomic-write
+// helper so a coordinator restart recovers every campaign's leases and
+// completions from disk. When a campaign's partition completes it runs
+// `flit merge`'s complete-partition and engine-fence validation
+// server-side, so a campaign is only reported done when the artifact set
+// provably replays byte-identical.
 //
 // Multi-tenancy leans on the same robustness invariant as everything
 // since PR 2/6/7: every shard artifact is a pure, self-describing
@@ -42,7 +42,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,9 +53,9 @@ import (
 )
 
 // JournalVersion is the on-disk format version of the coordinator
-// journal. Version 3 adds failure containment (per-shard attempt
-// counts, failure reports, quarantine); version 2 (multi-tenant) migrates
-// on recovery, and version 1 (one campaign per coordinator) is refused.
+// journal, and the only one recovery reads. Version 3 is the multi-tenant
+// snapshot with failure containment (per-shard attempt counts, failure
+// reports, quarantine); versions 1 and 2 are refused.
 const JournalVersion = 3
 
 // journalName is the journal file at the root of a coordinator directory.
@@ -338,9 +337,11 @@ func (cp *campaign) failProblem() string {
 }
 
 // Coordinator is the multi-campaign state machine. All methods are safe
-// for concurrent use; every mutation is journaled (atomic temp+rename)
-// before it is acknowledged, so an acknowledged submission, lease, or
-// completion survives a coordinator crash.
+// for concurrent use; every mutation but a heartbeat is journaled (atomic
+// temp+rename) before it is acknowledged, so an acknowledged submission,
+// lease, or completion survives a coordinator crash. A heartbeat only
+// moves a lease's deadline, which the journal does not record: recovery
+// gives every journaled lease one fresh TTL instead.
 type Coordinator struct {
 	dir    string
 	engine string
@@ -356,9 +357,9 @@ type Coordinator struct {
 // New opens (creating or recovering) the coordinator rooted at dir. A
 // fresh directory starts empty — campaigns arrive through Submit. A
 // directory holding a journal resumes every campaign in it exactly:
-// done shards stay done, acknowledged leases keep their IDs. A journal
-// from a different engine version, a newer journal format, or the
-// version-1 (single-campaign) format refuses to open.
+// done shards stay done, acknowledged leases keep their IDs and get one
+// fresh TTL. A journal from a different engine version, or in any format
+// but JournalVersion, refuses to open.
 func New(dir string, opts Options) (*Coordinator, error) {
 	opts.withDefaults()
 	if err := os.MkdirAll(filepath.Join(dir, artifactsDir), 0o755); err != nil {
@@ -535,7 +536,9 @@ func (c *Coordinator) Lease(campaign, worker string) (Grant, LeaseState, error) 
 // schedule and saves the work already in flight (a coordinator that was
 // briefly down, or an operator's status poll landing in a heartbeat gap,
 // must not strand the worker). A lease that was superseded or completed
-// answers ErrLeaseLost.
+// answers ErrLeaseLost. The renewal stays in memory — no file I/O, so a
+// heartbeat costs the same in any size of tenancy; a restart grants
+// every journaled lease a fresh TTL in its place.
 func (c *Coordinator) Heartbeat(campaign, worker, leaseID string, shard int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -549,7 +552,7 @@ func (c *Coordinator) Heartbeat(campaign, worker, leaseID string, shard int) err
 	}
 	s.worker = worker
 	s.expiry = c.opts.Now().Add(c.opts.LeaseTTL)
-	return c.journalLocked()
+	return nil
 }
 
 // Release voluntarily returns a leased shard to the pool (the worker is
@@ -645,50 +648,49 @@ func shardByLease(cp *campaign, leaseID string, shard int) (*shardState, error) 
 // identical files.
 //
 // campaignDone reports whether this completion finished the campaign,
-// allDone whether every campaign the coordinator holds completed
-// successfully, and allTerminal whether every campaign is settled
+// and allTerminal whether every campaign the coordinator holds is settled
 // (complete or failed) — what a worker needs to know before polling a
 // coordinator that `-exit-when-done` may already be shutting down. A
 // completion is accepted even for a quarantined shard: a real validated
 // artifact trumps failure history (the late straggler finally made it),
 // so the shard is marked done and its quarantine lifted — though a
 // campaign already latched terminal stays latched for Done().
-func (c *Coordinator) Complete(campaign, worker, leaseID string, shard int, artifact []byte) (campaignDone, allDone, allTerminal bool, err error) {
+func (c *Coordinator) Complete(campaign, worker, leaseID string, shard int, artifact []byte) (campaignDone, allTerminal bool, err error) {
 	c.mu.Lock()
 	cp, err := c.byID(campaign)
 	if err != nil {
 		c.mu.Unlock()
-		return false, false, false, err
+		return false, false, err
 	}
 	spec := cp.spec
 	c.mu.Unlock()
 
 	if shard < 0 || shard >= spec.Shards {
-		return false, false, false, badRequest{fmt.Errorf("coord: completion for shard %d of a %d-shard campaign", shard, spec.Shards)}
+		return false, false, badRequest{fmt.Errorf("coord: completion for shard %d of a %d-shard campaign", shard, spec.Shards)}
 	}
 	a, err := flit.ReadArtifact(bytes.NewReader(artifact))
 	if err != nil {
-		return false, false, false, badRequest{fmt.Errorf("coord: completion artifact: %w", err)}
+		return false, false, badRequest{fmt.Errorf("coord: completion artifact: %w", err)}
 	}
 	if err := a.Check(); err != nil {
-		return false, false, false, badRequest{fmt.Errorf("coord: completion artifact: %w", err)}
+		return false, false, badRequest{fmt.Errorf("coord: completion artifact: %w", err)}
 	}
 	if a.Engine != spec.Engine {
-		return false, false, false, badRequest{fmt.Errorf("coord: completion artifact from engine %q, campaign is %q", a.Engine, spec.Engine)}
+		return false, false, badRequest{fmt.Errorf("coord: completion artifact from engine %q, campaign is %q", a.Engine, spec.Engine)}
 	}
 	if !slices.Equal(a.Command, spec.Command) {
-		return false, false, false, badRequest{fmt.Errorf("coord: completion artifact records command %q, campaign is %q", a.Command, spec.Command)}
+		return false, false, badRequest{fmt.Errorf("coord: completion artifact records command %q, campaign is %q", a.Command, spec.Command)}
 	}
 	count := a.Shard.Count
 	if count < 1 {
 		count = 1
 	}
 	if a.Shard.Index != shard || count != spec.Shards {
-		return false, false, false, badRequest{fmt.Errorf("coord: completion for shard %d carries artifact of shard %s", shard, a.Shard)}
+		return false, false, badRequest{fmt.Errorf("coord: completion for shard %d carries artifact of shard %s", shard, a.Shard)}
 	}
 	name := fmt.Sprintf("shard-%d.json", shard)
 	if err := store.WriteFileAtomic(filepath.Join(c.ArtifactDir(campaign), name), artifact); err != nil {
-		return false, false, false, fmt.Errorf("coord: storing shard artifact: %w", err)
+		return false, false, fmt.Errorf("coord: storing shard artifact: %w", err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -697,7 +699,7 @@ func (c *Coordinator) Complete(campaign, worker, leaseID string, shard int, arti
 	// the source of truth) but the completion is no longer recordable.
 	cp, err = c.byID(campaign)
 	if err != nil {
-		return false, false, false, err
+		return false, false, err
 	}
 	s := &cp.shards[shard]
 	s.done = true
@@ -705,13 +707,13 @@ func (c *Coordinator) Complete(campaign, worker, leaseID string, shard int, arti
 	s.quarantined = false
 	s.leaseID, s.worker, s.expiry = "", "", time.Time{}
 	if err := c.journalLocked(); err != nil {
-		return false, false, false, err
+		return false, false, err
 	}
 	if cp.complete() {
 		c.finishLocked(cp)
 	}
 	c.checkTerminalLocked()
-	return cp.complete(), c.allDoneLocked(), c.allTerminalLocked(), nil
+	return cp.complete(), c.allTerminalLocked(), nil
 }
 
 // sweepLocked expires the campaign's stale leases, returning shards to
@@ -771,24 +773,10 @@ func (c *Coordinator) finishLocked(cp *campaign) {
 	}
 }
 
-// allDoneLocked reports whether every submitted campaign completed
-// successfully.
-func (c *Coordinator) allDoneLocked() bool {
-	if len(c.order) == 0 {
-		return false
-	}
-	for _, id := range c.order {
-		if !c.campaigns[id].complete() {
-			return false
-		}
-	}
-	return true
-}
-
 // allTerminalLocked reports whether every submitted campaign is settled:
-// complete or terminally failed. This — not allDoneLocked — is what
-// drains workers and `-exit-when-done` coordinators: a failed campaign
-// must never keep a fleet spinning.
+// complete or terminally failed. This is what drains workers and
+// `-exit-when-done` coordinators: a failed campaign must never keep a
+// fleet spinning.
 func (c *Coordinator) allTerminalLocked() bool {
 	if len(c.order) == 0 {
 		return false
@@ -871,16 +859,28 @@ func (c *Coordinator) Status(campaign string) (Status, error) {
 }
 
 func (c *Coordinator) statusLocked(cp *campaign) Status {
+	ci := cp.info()
 	st := Status{
-		ID:          cp.id,
+		ID:          ci.ID,
 		Engine:      cp.spec.Engine,
-		Command:     append([]string(nil), cp.spec.Command...),
-		Shards:      cp.spec.Shards,
-		Releases:    cp.releases,
+		Command:     ci.Command,
+		Shards:      ci.Shards,
+		Done:        ci.Done,
+		Releases:    ci.Releases,
 		Completed:   []int{},
 		MaxAttempts: cp.budget(c.opts.MaxShardAttempts),
 		Attempts:    make([]int, len(cp.shards)),
 		State:       "running",
+		Complete:    ci.Complete,
+		Failed:      ci.Failed,
+		Validated:   ci.Validated,
+		Problem:     ci.Problem,
+	}
+	switch {
+	case ci.Complete:
+		st.State = "complete"
+	case ci.Failed:
+		st.State = "failed"
 	}
 	now := c.opts.Now()
 	for i := range cp.shards {
@@ -893,7 +893,6 @@ func (c *Coordinator) statusLocked(cp *campaign) Status {
 			st.Failures = append(st.Failures, ShardFailure{Shard: i, FailureReport: f})
 		}
 		if s.done {
-			st.Done++
 			st.Completed = append(st.Completed, i)
 			continue
 		}
@@ -901,18 +900,6 @@ func (c *Coordinator) statusLocked(cp *campaign) Status {
 			st.Leases = append(st.Leases, LeaseInfo{Shard: i, Worker: s.worker,
 				LeaseID: s.leaseID, ExpiresMS: s.expiry.Sub(now).Milliseconds()})
 		}
-	}
-	sort.Ints(st.Completed)
-	switch {
-	case st.Done == st.Shards:
-		st.State = "complete"
-		st.Complete = true
-		st.Validated = cp.valid
-		st.Problem = cp.valErr
-	case cp.failed():
-		st.State = "failed"
-		st.Failed = true
-		st.Problem = cp.failProblem()
 	}
 	return st
 }
@@ -937,6 +924,34 @@ type CampaignInfo struct {
 	Problem     string   `json:"problem,omitempty"`
 }
 
+// info derives the campaign's fleet-view row — its progress counts and
+// its complete/failed verdict — the one place both status views get them.
+func (cp *campaign) info() CampaignInfo {
+	ci := CampaignInfo{ID: cp.id, Command: append([]string(nil), cp.spec.Command...),
+		Shards: cp.spec.Shards, Releases: cp.releases, FailReports: cp.failReports}
+	for i := range cp.shards {
+		switch {
+		case cp.shards[i].done:
+			ci.Done++
+		case cp.shards[i].leaseID != "":
+			ci.Leases++
+		}
+		if cp.shards[i].quarantined {
+			ci.Quarantined++
+		}
+	}
+	switch {
+	case ci.Done == ci.Shards:
+		ci.Complete = true
+		ci.Validated = cp.valid
+		ci.Problem = cp.valErr
+	case cp.failed():
+		ci.Failed = true
+		ci.Problem = cp.failProblem()
+	}
+	return ci
+}
+
 // Campaigns lists every campaign in submission order. Like Status it is
 // a pure read — no sweep, no journal write.
 func (c *Coordinator) Campaigns() []CampaignInfo {
@@ -944,30 +959,7 @@ func (c *Coordinator) Campaigns() []CampaignInfo {
 	defer c.mu.Unlock()
 	infos := make([]CampaignInfo, 0, len(c.order))
 	for _, id := range c.order {
-		cp := c.campaigns[id]
-		ci := CampaignInfo{ID: id, Command: append([]string(nil), cp.spec.Command...),
-			Shards: cp.spec.Shards, Releases: cp.releases, FailReports: cp.failReports}
-		for i := range cp.shards {
-			switch {
-			case cp.shards[i].done:
-				ci.Done++
-			case cp.shards[i].leaseID != "":
-				ci.Leases++
-			}
-			if cp.shards[i].quarantined {
-				ci.Quarantined++
-			}
-		}
-		switch {
-		case ci.Done == ci.Shards:
-			ci.Complete = true
-			ci.Validated = cp.valid
-			ci.Problem = cp.valErr
-		case cp.failed():
-			ci.Failed = true
-			ci.Problem = cp.failProblem()
-		}
-		infos = append(infos, ci)
+		infos = append(infos, c.campaigns[id].info())
 	}
 	return infos
 }

@@ -373,12 +373,12 @@ func TestHeartbeatLossReLeaseAndDuplicateCompletion(t *testing.T) {
 	}
 	// The ghost returns: duplicate completions under a long-dead lease.
 	for i := 0; i < 2; i++ {
-		campaignDone, allDone, _, err := cl1.Complete(ctx, id, "w1", g1.LeaseID, g1.Shard, art1)
+		campaignDone, allTerminal, err := cl1.Complete(ctx, id, "w1", g1.LeaseID, g1.Shard, art1)
 		if err != nil {
 			t.Fatalf("duplicate completion %d rejected: %v", i, err)
 		}
-		if !campaignDone || !allDone {
-			t.Errorf("duplicate completion %d over a finished campaign reported done=%v allDone=%v", i, campaignDone, allDone)
+		if !campaignDone || !allTerminal {
+			t.Errorf("duplicate completion %d over a finished campaign reported done=%v allTerminal=%v", i, campaignDone, allTerminal)
 		}
 	}
 	after, err := os.ReadFile(artPath)
@@ -423,7 +423,7 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 	if err != nil || state != coord.Granted {
 		t.Fatalf("lease 0: %v %v", state, err)
 	}
-	if _, _, _, err := c1.Complete(id, "w1", g0.LeaseID, g0.Shard, run(g0.Shard, g0.Count)); err != nil {
+	if _, _, err := c1.Complete(id, "w1", g0.LeaseID, g0.Shard, run(g0.Shard, g0.Count)); err != nil {
 		t.Fatal(err)
 	}
 	g1, state, err := c1.Lease(id, "w1")
@@ -456,7 +456,7 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 	// Finish: the in-flight shard completes, a fresh worker takes the last
 	// one. Leasing must hand out exactly the one remaining shard — a
 	// duplicate grant would double-run, a lost one would stall.
-	if _, _, _, err := c2.Complete(id, "w1", g1.LeaseID, g1.Shard, run(g1.Shard, g1.Count)); err != nil {
+	if _, _, err := c2.Complete(id, "w1", g1.LeaseID, g1.Shard, run(g1.Shard, g1.Count)); err != nil {
 		t.Fatal(err)
 	}
 	g2, state, err := c2.Lease(id, "w2")
@@ -466,7 +466,7 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 	if g2.Shard == g0.Shard || g2.Shard == g1.Shard {
 		t.Fatalf("recovered coordinator re-granted shard %d", g2.Shard)
 	}
-	if _, _, _, err := c2.Complete(id, "w2", g2.LeaseID, g2.Shard, run(g2.Shard, g2.Count)); err != nil {
+	if _, _, err := c2.Complete(id, "w2", g2.LeaseID, g2.Shard, run(g2.Shard, g2.Count)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -538,7 +538,7 @@ func TestGCRetiresSupersededGenerations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, _, err := c.Complete(id, "w", g.LeaseID, g.Shard, art); err != nil {
+			if _, _, err := c.Complete(id, "w", g.LeaseID, g.Shard, art); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -609,7 +609,7 @@ func TestCompleteRejectsForeignArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.Complete(id, "w1", g.LeaseID, g.Shard, other); err == nil {
+	if _, _, err := c.Complete(id, "w1", g.LeaseID, g.Shard, other); err == nil {
 		t.Error("artifact with foreign shard coordinates accepted")
 	}
 	// Wrong command — which in the multi-tenant world also means an
@@ -618,11 +618,11 @@ func TestCompleteRejectsForeignArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.Complete(id, "w1", g.LeaseID, g.Shard, foreign); err == nil {
+	if _, _, err := c.Complete(id, "w1", g.LeaseID, g.Shard, foreign); err == nil {
 		t.Error("artifact recording a foreign command accepted")
 	}
 	// Garbage bytes.
-	if _, _, _, err := c.Complete(id, "w1", g.LeaseID, g.Shard, []byte("{")); err == nil {
+	if _, _, err := c.Complete(id, "w1", g.LeaseID, g.Shard, []byte("{")); err == nil {
 		t.Error("undecodable artifact accepted")
 	}
 	if st, err := c.Status(id); err != nil || st.Done != 0 {

@@ -131,7 +131,7 @@ func TestFailPartialCampaignStaysDiagnosable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	campaignDone, _, allTerminal, err := c.Complete(id, "w1", g1.LeaseID, g1.Shard, art)
+	campaignDone, allTerminal, err := c.Complete(id, "w1", g1.LeaseID, g1.Shard, art)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestLateCompletionLiftsQuarantine(t *testing.T) {
 		t.Fatalf("fail: quarantined=%v failed=%v err=%v, want terminal failure", quarantined, failed, err)
 	}
 	// The same worker's upload lands late, under its now-cleared lease.
-	campaignDone, _, _, err := c.Complete(id, "w1", g.LeaseID, g.Shard, art)
+	campaignDone, _, err := c.Complete(id, "w1", g.LeaseID, g.Shard, art)
 	if err != nil || !campaignDone {
 		t.Fatalf("late completion on quarantined shard: done=%v err=%v", campaignDone, err)
 	}

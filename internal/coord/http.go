@@ -23,7 +23,7 @@ import (
 //	POST /v1/coord/<id>/release    {worker,lease_id,shard} → 200 (idempotent)
 //	POST /v1/coord/<id>/complete   {worker,lease_id,shard,
 //	                                artifact: <shard JSON>} → 200 {state:
-//	                                                         ok|done, all_done,
+//	                                                         ok|done,
 //	                                                         all_terminal},
 //	                                                         400 bad artifact
 //	POST /v1/coord/<id>/fail       {worker,lease_id,shard,
@@ -65,12 +65,12 @@ type leaseRequest struct {
 // leaseResponse answers a lease, complete, or fail call: State is
 // "granted" (Grant fields are set), "wait", "ok", "done", or "failed"
 // (the campaign is terminally failed — the worker moves on exactly as
-// for done). AllDone rides along so the worker that lands a
-// coordinator's final completion learns it without another poll;
-// AllTerminal is the drain signal that also counts failed campaigns, so
-// a fleet facing a poisoned tenancy stops instead of spinning — a
-// `-exit-when-done` coordinator may stop accepting connections the
-// moment the last shard reaches a terminal state.
+// for done). AllTerminal rides along so the worker that settles a
+// coordinator's last campaign learns it without another poll; it counts
+// failed campaigns too, so a fleet facing a poisoned tenancy stops
+// instead of spinning — a `-exit-when-done` coordinator may stop
+// accepting connections the moment the last shard reaches a terminal
+// state.
 type leaseResponse struct {
 	State          string   `json:"state"`
 	Shard          int      `json:"shard,omitempty"`
@@ -78,7 +78,6 @@ type leaseResponse struct {
 	Command        []string `json:"command,omitempty"`
 	LeaseID        string   `json:"lease_id,omitempty"`
 	TTLMS          int64    `json:"ttl_ms,omitempty"`
-	AllDone        bool     `json:"all_done,omitempty"`
 	AllTerminal    bool     `json:"all_terminal,omitempty"`
 	Quarantined    bool     `json:"quarantined,omitempty"`
 	CampaignFailed bool     `json:"campaign_failed,omitempty"`
@@ -159,14 +158,8 @@ func serveCoord(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "coordinator calls want POST", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
-	if err != nil || int64(len(body)) > maxRequestBody {
-		http.Error(w, "coord: unreadable or oversized request body", http.StatusBadRequest)
-		return
-	}
 	var req leaseRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		http.Error(w, "coord: malformed request body", http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	switch op {
@@ -196,12 +189,12 @@ func serveCoord(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "coord: completion carries no artifact", http.StatusBadRequest)
 			return
 		}
-		campaignDone, allDone, allTerminal, err := c.Complete(id, req.Worker, req.LeaseID, req.Shard, req.Artifact)
+		campaignDone, allTerminal, err := c.Complete(id, req.Worker, req.LeaseID, req.Shard, req.Artifact)
 		if err != nil {
 			answer(w, err)
 			return
 		}
-		resp := leaseResponse{State: "ok", AllDone: allDone, AllTerminal: allTerminal}
+		resp := leaseResponse{State: "ok", AllTerminal: allTerminal}
 		if campaignDone {
 			resp.State = "done"
 		}
@@ -225,14 +218,8 @@ func serveCampaigns(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, c.Campaigns())
 	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
-		if err != nil || int64(len(body)) > maxRequestBody {
-			http.Error(w, "coord: unreadable or oversized request body", http.StatusBadRequest)
-			return
-		}
 		var req submitRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			http.Error(w, "coord: malformed request body", http.StatusBadRequest)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		id, created, err := c.Submit(Spec{Engine: c.engine, Command: req.Command,
@@ -253,14 +240,8 @@ func serveGC(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "gc wants POST", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
-	if err != nil || int64(len(body)) > maxRequestBody {
-		http.Error(w, "coord: unreadable or oversized request body", http.StatusBadRequest)
-		return
-	}
 	var req gcRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		http.Error(w, "coord: malformed request body", http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	res, err := c.GC(req.Keep, req.DryRun)
@@ -269,6 +250,21 @@ func serveGC(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, res)
+}
+
+// decodeBody reads a size-capped request body into v. On an unreadable,
+// oversized or malformed body it answers 400 itself and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+	if err != nil || int64(len(body)) > maxRequestBody {
+		http.Error(w, "coord: unreadable or oversized request body", http.StatusBadRequest)
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		http.Error(w, "coord: malformed request body", http.StatusBadRequest)
+		return false
+	}
+	return true
 }
 
 // answer maps a coordinator-method error to its HTTP status: lease loss is

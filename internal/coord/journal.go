@@ -5,39 +5,37 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/store"
 )
 
 // The journal is the coordinator's crash-safety story: one JSON file,
-// rewritten through store.WriteFileAtomic after every acknowledged state
+// rewritten through store.WriteFileAtomic after every durable state
 // change, so the file on disk is always one complete, internally
-// consistent snapshot — never a torn one. Recovery is therefore trivial
-// (read the newest snapshot) and conservative: an acknowledged lease
-// stays leased across a restart (its worker keeps heartbeating the same
-// lease ID), an acknowledged completion stays completed, and nothing is
-// ever double-scheduled, because the journal is written *before* the
-// acknowledgment leaves the coordinator.
+// consistent snapshot — never a torn one. It records only what recovery
+// needs: specs, completions, attempt counts, quarantines, failure
+// reports and who holds which lease — never a wall-clock deadline.
+// Submit, grant, release, fail, complete, the expiry sweep and gc are
+// journaled *before* they are acknowledged, so an acknowledged
+// completion stays completed and nothing is ever double-scheduled.
+// Heartbeats only move a lease's deadline, so they stay in memory;
+// recovery instead gives every journaled lease one fresh TTL, which is
+// the grace a live worker needs to heartbeat the restarted coordinator.
 //
-// Version 3 adds failure containment on top of the v2 multi-tenant
-// snapshot: per-shard attempt counts, quarantine flags, retained failure
-// reports, and the per-campaign report counter. A v2 journal is a valid
-// v3 journal with every new field zero, so the v2→v3 migration is a pure
-// in-place re-stamp: decode, rewrite atomically under version 3, done —
-// crash-tolerant because no file ever moves. Version 1 (one campaign per
-// coordinator) is refused: its campaign must be resubmitted.
+// Exactly one format is read: version 3, the multi-tenant snapshot with
+// failure containment (per-shard attempt counts, quarantine flags,
+// retained failure reports, the per-campaign report counter). Any other
+// version is refused and its campaigns must be resubmitted.
 
 // journalShard is one shard's persisted state.
 type journalShard struct {
-	Done         bool            `json:"done,omitempty"`
-	Artifact     string          `json:"artifact,omitempty"`
-	LeaseID      string          `json:"lease_id,omitempty"`
-	Worker       string          `json:"worker,omitempty"`
-	ExpiryUnixMS int64           `json:"expiry_unix_ms,omitempty"`
-	Attempts     int             `json:"attempts,omitempty"`
-	Quarantined  bool            `json:"quarantined,omitempty"`
-	Failures     []FailureReport `json:"failures,omitempty"`
+	Done        bool            `json:"done,omitempty"`
+	Artifact    string          `json:"artifact,omitempty"`
+	LeaseID     string          `json:"lease_id,omitempty"`
+	Worker      string          `json:"worker,omitempty"`
+	Attempts    int             `json:"attempts,omitempty"`
+	Quarantined bool            `json:"quarantined,omitempty"`
+	Failures    []FailureReport `json:"failures,omitempty"`
 }
 
 // journalCampaign is one campaign's persisted state.
@@ -68,14 +66,10 @@ func (c *Coordinator) journalLocked() error {
 			Shards: make([]journalShard, len(cp.shards))}
 		for i := range cp.shards {
 			s := &cp.shards[i]
-			js := journalShard{Done: s.done, Artifact: s.artifact,
+			jc.Shards[i] = journalShard{Done: s.done, Artifact: s.artifact,
 				LeaseID: s.leaseID, Worker: s.worker,
 				Attempts: s.attempts, Quarantined: s.quarantined,
 				Failures: s.failures}
-			if !s.expiry.IsZero() {
-				js.ExpiryUnixMS = s.expiry.UnixMilli()
-			}
-			jc.Shards[i] = js
 		}
 		jf.Campaigns = append(jf.Campaigns, jc)
 	}
@@ -89,11 +83,12 @@ func (c *Coordinator) journalLocked() error {
 	return nil
 }
 
-// recover rebuilds the tenancy from a journal's bytes. A v2 journal is
-// re-stamped in place; a v1 journal refuses (its single campaign must be
-// resubmitted), as does a newer version (it may record state this build
-// cannot schedule faithfully) and a journal fenced to a different engine —
-// its artifacts are not interchangeable with anything this build would run.
+// recover rebuilds the tenancy from a journal's bytes. Any version but
+// JournalVersion refuses (v1 and v2 predate failure containment; a newer
+// one may record state this build cannot schedule faithfully), as does a
+// journal fenced to a different engine — its artifacts are not
+// interchangeable with anything this build would run. Every recovered
+// lease keeps its ID and expires one TTL from now.
 func (c *Coordinator) recover(raw []byte) error {
 	var probe struct {
 		Version int `json:"version"`
@@ -102,29 +97,19 @@ func (c *Coordinator) recover(raw []byte) error {
 		return fmt.Errorf("coord: %s holds an unreadable journal (%v) — refusing to treat it as a coordinator directory",
 			c.dir, err)
 	}
-	var jf journalFile
-	restamp := false
-	switch probe.Version {
-	case JournalVersion, 2:
-		// A v2 snapshot is shape-compatible with v3 (the containment
-		// fields simply decode to their zero values), so migration is a
-		// re-stamp: decode here, rewrite under the current version once
-		// the tenancy is rebuilt. A crash between decode and rewrite
-		// leaves the v2 file untouched, so migration just reruns.
-		if err := json.Unmarshal(raw, &jf); err != nil {
-			return fmt.Errorf("coord: parsing journal: %w", err)
-		}
-		if jf.Engine != c.engine {
-			return fmt.Errorf("coord: journaled tenancy is engine %q, this build is %q: results are not interchangeable",
-				jf.Engine, c.engine)
-		}
-		restamp = probe.Version != JournalVersion
-	case 1:
-		return fmt.Errorf("coord: %s holds a v1 single-campaign journal, which this build no longer reads — resubmit its campaign into a fresh -dir",
-			c.dir)
-	default:
-		return fmt.Errorf("coord: journal format v%d, this build reads v2-v%d", probe.Version, JournalVersion)
+	if probe.Version != JournalVersion {
+		return fmt.Errorf("coord: %s holds journal format v%d, this build reads only v%d — resubmit its campaigns into a fresh -dir",
+			c.dir, probe.Version, JournalVersion)
 	}
+	var jf journalFile
+	if err := json.Unmarshal(raw, &jf); err != nil {
+		return fmt.Errorf("coord: parsing journal: %w", err)
+	}
+	if jf.Engine != c.engine {
+		return fmt.Errorf("coord: journaled tenancy is engine %q, this build is %q: results are not interchangeable",
+			jf.Engine, c.engine)
+	}
+	expiry := c.opts.Now().Add(c.opts.LeaseTTL)
 	for _, jc := range jf.Campaigns {
 		if jc.Spec.Shards < 1 || len(jc.Shards) != jc.Spec.Shards {
 			return fmt.Errorf("coord: journal campaign %s declares %d shards but records %d", jc.ID, jc.Spec.Shards, len(jc.Shards))
@@ -160,8 +145,8 @@ func (c *Coordinator) recover(raw []byte) error {
 				// half could resurrect a quarantined shard as leasable.
 				return fmt.Errorf("coord: journal campaign %s marks shard %d both complete and quarantined — refusing a corrupt journal", jc.ID, i)
 			}
-			if js.ExpiryUnixMS != 0 {
-				s.expiry = time.UnixMilli(js.ExpiryUnixMS)
+			if s.leaseID != "" {
+				s.expiry = expiry
 			}
 			if s.done {
 				// A completed shard must still have its artifact; a journal that
@@ -181,13 +166,6 @@ func (c *Coordinator) recover(raw []byte) error {
 		}
 		c.campaigns[jc.ID] = cp
 		c.order = append(c.order, jc.ID)
-	}
-	if restamp {
-		// Rewrite the freshly validated tenancy under the current journal
-		// version so migration runs at most once.
-		if err := c.journalLocked(); err != nil {
-			return fmt.Errorf("coord: re-stamping migrated journal: %w", err)
-		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package coord_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,9 +21,10 @@ import (
 )
 
 // TestJournalRefusals: journals this build must not adopt — a v1
-// single-campaign journal (its campaign must be resubmitted), a newer
-// format version (its state may not be schedulable faithfully), and a
-// journal fenced to a foreign engine.
+// single-campaign journal and a v2 journal without containment state
+// (their campaigns must be resubmitted), a newer format version (its
+// state may not be schedulable faithfully), and a journal fenced to a
+// foreign engine.
 func TestJournalRefusals(t *testing.T) {
 	t.Run("newer-version", func(t *testing.T) {
 		dir := t.TempDir()
@@ -48,9 +50,20 @@ func TestJournalRefusals(t *testing.T) {
 			t.Fatalf("v1 journal adopted or refused without naming the version and the remedy: %v", err)
 		}
 	})
-	t.Run("foreign-engine-v2", func(t *testing.T) {
+	t.Run("v2", func(t *testing.T) {
 		dir := t.TempDir()
-		// Write a valid v2 journal under an alien engine, then reopen with
+		raw := fmt.Sprintf(`{"version": 2, "engine": %q, "campaigns": []}`, flit.EngineVersion)
+		if err := os.WriteFile(filepath.Join(dir, "coord.json"), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := coord.New(dir, coord.Options{})
+		if err == nil || !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), "resubmit") {
+			t.Fatalf("v2 journal adopted or refused without naming the version and the remedy: %v", err)
+		}
+	})
+	t.Run("foreign-engine", func(t *testing.T) {
+		dir := t.TempDir()
+		// Write a valid journal under an alien engine, then reopen with
 		// this build's fence.
 		c, err := coord.New(dir, coord.Options{Engine: "flit-go/alien"})
 		if err != nil {
@@ -61,7 +74,7 @@ func TestJournalRefusals(t *testing.T) {
 		}
 		if _, err := coord.New(dir, coord.Options{}); err == nil ||
 			!strings.Contains(err.Error(), "not interchangeable") {
-			t.Fatalf("foreign-engine v2 journal adopted: %v", err)
+			t.Fatalf("foreign-engine journal adopted: %v", err)
 		}
 	})
 	t.Run("garbage", func(t *testing.T) {
@@ -141,7 +154,7 @@ func TestClientCtxCancelAborts(t *testing.T) {
 }
 
 // rewriteJournal decodes dir's coord.json into a generic map, applies
-// mutate, and writes it back — the hand-editing the migration and
+// mutate, and writes it back — the hand-editing the restart and
 // corruption tests need to simulate journals this build did not write.
 func rewriteJournal(t *testing.T, dir string, mutate func(j map[string]any)) {
 	t.Helper()
@@ -172,73 +185,86 @@ func journalShardField(j map[string]any, campaign, shard int, field string, v an
 	sh[shard].(map[string]any)[field] = v
 }
 
-// TestJournalV2Migration: a PR 9 multi-tenant journal (version 2 — the
-// v3 shape minus the containment fields) is adopted in place: the
-// tenancy resumes with zero attempts and no quarantine, and the file on
-// disk is atomically re-stamped to the current version so migration runs
-// at most once.
-func TestJournalV2Migration(t *testing.T) {
+// TestRestartGrantsJournaledLeasesAFreshTTL: the journal records who
+// holds a lease, never when it expires, so a restart gives every
+// journaled lease one full TTL. A coordinator down longer than the lease's
+// last deadline must therefore not hand the shard to the first worker
+// that asks, and the holder's next heartbeat must land.
+func TestRestartGrantsJournaledLeasesAFreshTTL(t *testing.T) {
+	now := time.Unix(1000, 0)
+	opts := coord.Options{LeaseTTL: 10 * time.Second, Now: func() time.Time { return now }}
 	dir := t.TempDir()
-	c1, err := coord.New(dir, coord.Options{LeaseTTL: time.Minute})
+	c1, err := coord.New(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, _, err := c1.Submit(coord.Spec{Command: campaignCommand, Shards: 2})
+	id, _, err := c1.Submit(coord.Spec{Command: campaignCommand, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, state, err := c1.Lease(id, "w-old")
+	g, state, err := c1.Lease(id, "w1")
 	if err != nil || state != coord.Granted {
 		t.Fatalf("lease: state=%v err=%v", state, err)
 	}
-	// Rewind the snapshot to version 2: strip every v3 field, exactly as a
-	// PR 9 build would have written it.
+	now = now.Add(8 * time.Second)
+	if err := c1.Heartbeat(id, "w1", g.LeaseID, g.Shard); err != nil {
+		t.Fatal(err)
+	}
+	// Crash, and come back 25s after the grant: past the 18s deadline the
+	// heartbeat set, but within one TTL of the restart. A v3 journal from
+	// an earlier build also recorded that deadline; recovery ignores it.
 	rewriteJournal(t, dir, func(j map[string]any) {
-		j["version"] = 2
-		for _, ci := range j["campaigns"].([]any) {
-			cm := ci.(map[string]any)
-			delete(cm, "fail_reports")
-			for _, si := range cm["shards"].([]any) {
-				sm := si.(map[string]any)
-				delete(sm, "attempts")
-				delete(sm, "quarantined")
-				delete(sm, "failures")
-			}
-		}
+		journalShardField(j, 0, 0, "expiry_unix_ms", now.Add(10*time.Second).UnixMilli())
 	})
-	c2, err := coord.New(dir, coord.Options{LeaseTTL: time.Minute})
+	now = now.Add(17 * time.Second)
+	c2, err := coord.New(dir, opts)
 	if err != nil {
-		t.Fatalf("migrating a v2 journal: %v", err)
+		t.Fatalf("restart: %v", err)
 	}
-	st, err := c2.Status(id)
+	if g2, state, err := c2.Lease(id, "w2"); err != nil || state != coord.Wait {
+		t.Fatalf("second worker after restart: state=%v grant=%+v err=%v, want Wait", state, g2, err)
+	}
+	if err := c2.Heartbeat(id, "w1", g.LeaseID, g.Shard); err != nil {
+		t.Fatalf("holder's heartbeat after restart: %v", err)
+	}
+	if n := c2.Releases(); n != 0 {
+		t.Fatalf("releases = %d after restart, want 0", n)
+	}
+}
+
+// TestHeartbeatLeavesJournalUntouched: a heartbeat only moves a lease's
+// deadline, which the journal does not record, so coord.json stays byte
+// for byte what the grant wrote.
+func TestHeartbeatLeavesJournalUntouched(t *testing.T) {
+	now := time.Unix(1000, 0)
+	dir := t.TempDir()
+	c, err := coord.New(dir, coord.Options{LeaseTTL: 10 * time.Second, Now: func() time.Time { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Quarantined) != 0 || len(st.Failures) != 0 {
-		t.Fatalf("v2 migration invented containment state: %+v", st)
-	}
-	// The migrated lease keeps working under its pre-migration ID. The
-	// grant's attempt predates v3 accounting, so attempts start at zero.
-	if err := c2.Heartbeat(id, "w-old", g.LeaseID, g.Shard); err != nil {
-		t.Fatalf("heartbeat on a migrated lease: %v", err)
-	}
-	// The file was re-stamped in place.
-	raw, err := os.ReadFile(filepath.Join(dir, "coord.json"))
+	id, _, err := c.Submit(coord.Spec{Command: campaignCommand, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var probe struct {
-		Version int `json:"version"`
+	g, state, err := c.Lease(id, "w1")
+	if err != nil || state != coord.Granted {
+		t.Fatalf("lease: state=%v err=%v", state, err)
 	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
+	path := filepath.Join(dir, "coord.json")
+	before, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.Version != coord.JournalVersion {
-		t.Fatalf("migrated journal on disk is v%d, want re-stamp to v%d", probe.Version, coord.JournalVersion)
+	now = now.Add(3 * time.Second)
+	if err := c.Heartbeat(id, "w1", g.LeaseID, g.Shard); err != nil {
+		t.Fatal(err)
 	}
-	// Stable: a third open is an ordinary current-version recovery.
-	if _, err := coord.New(dir, coord.Options{}); err != nil {
-		t.Fatalf("reopening a migrated directory: %v", err)
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("heartbeat rewrote the journal:\nbefore %s\nafter  %s", before, after)
 	}
 }
 
@@ -265,7 +291,7 @@ func TestJournalV3CorruptionRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := c.Complete(id, "w1", g.LeaseID, g.Shard, art); err != nil {
+		if _, _, err := c.Complete(id, "w1", g.LeaseID, g.Shard, art); err != nil {
 			t.Fatal(err)
 		}
 		return dir, id

@@ -204,7 +204,6 @@ type shardOutcome struct {
 	quarantined    bool
 	campaignDone   bool
 	campaignFailed bool
-	allDone        bool
 	allTerminal    bool
 }
 
@@ -310,7 +309,7 @@ func runShard(cl *Client, campaign string, run Runner, g Grant,
 		stats.Lost++
 		return shardOutcome{lost: true}, nil
 	}
-	campaignDone, allDone, allTerminal, err := cl.Complete(context.Background(), campaign, opts.Name, g.LeaseID, g.Shard, artifact)
+	campaignDone, allTerminal, err := cl.Complete(context.Background(), campaign, opts.Name, g.LeaseID, g.Shard, artifact)
 	if err != nil {
 		if errors.Is(err, ErrLeaseLost) {
 			stats.Lost++
@@ -319,5 +318,5 @@ func runShard(cl *Client, campaign string, run Runner, g Grant,
 		return shardOutcome{}, err
 	}
 	stats.Completed++
-	return shardOutcome{campaignDone: campaignDone, allDone: allDone, allTerminal: allTerminal}, nil
+	return shardOutcome{campaignDone: campaignDone, allTerminal: allTerminal}, nil
 }

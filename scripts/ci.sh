@@ -12,7 +12,11 @@
 #                    BenchmarkCoordHeartbeat at a fixed 100 iterations, so
 #                    the simulated-call dispatch, sparse assembly, store
 #                    segment and coordinator heartbeat benchmarks keep
-#                    compiling and running
+#                    compiling and running (a heartbeat renews its lease
+#                    in memory, so its time must not grow with the shards)
+#   journal fuzz     FuzzJournalDecode for 2000 inputs: whatever bytes
+#                    coord.json holds, recovery never panics and never
+#                    makes a quarantined shard leasable again
 #   bench module     vet + race tests of the nested bench/ module (root
 #                    ./... skips it), so the benchmark harness cannot rot
 #   shard smoke      the distributed protocol end to end through real
@@ -74,6 +78,7 @@ go test -run '^$' -bench BenchmarkMachineFn -benchtime 100x ./internal/link
 go test -run '^$' -bench BenchmarkAssembleDiffusion2D -benchtime 100x ./internal/apps/mfem
 go test -run '^$' -bench 'BenchmarkDisk(Put|Get)$' -benchtime 100x ./internal/store
 go test -run '^$' -bench BenchmarkCoordHeartbeat -benchtime 100x ./internal/coord
+go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 2000x ./internal/coord
 (cd bench && go vet . && go test -race .)
 
 SHARD_TMP=$(mktemp -d)
