@@ -72,7 +72,7 @@
 // Disk store over HTTP, and -remote URL on any subcommand attaches it as
 // a persistent tier — the cross-machine form of -store, with the same
 // engine fencing (per request, via headers) and corruption-as-miss
-// discipline (every envelope is SHA-256 re-validated client-side).
+// discipline (every record is SHA-256 re-validated client-side).
 // Transport faults are retried with exponential backoff and degrade to
 // cache misses when exhausted, so a dead server costs recomputation,
 // never a wrong result and never a failed campaign. -store DIR composes
@@ -242,7 +242,7 @@ entries read as misses and are recomputed. "flit store stats" and "flit
 store gc" inspect and prune a store directory.
 
 -remote URL attaches a run store served by "flit store serve" (the
-cross-machine form of -store): engine-fenced per request, every envelope
+cross-machine form of -store): engine-fenced per request, every record
 SHA-256 re-validated client-side, transport faults retried with backoff
 and degraded to cache misses when exhausted — a dead server never fails a
 campaign. Composes with -store DIR as a local read-through/write-through

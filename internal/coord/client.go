@@ -1,79 +1,63 @@
 package coord
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/store"
 )
 
-// Client speaks the coordinator protocol under the same transport
-// discipline as store.Remote — bounded retries with backoff and jitter on
-// 5xx/timeouts/connection errors, a per-operation deadline — because a
-// worker mid-campaign sees exactly the network a remote store client
-// does. Unlike the store client it does NOT fail open: scheduling calls
-// are cheap and their answers change what the worker does next, so an
-// exhausted retry budget surfaces as an error the worker loop backs off
-// on, not as a silent miss. Every method takes a context: the retry
-// loop's deadline is clipped to it, so a draining worker's cancellation
-// interrupts an in-flight backoff instead of riding it out.
+// Client speaks the coordinator protocol over a store.Conn, under the
+// same transport discipline as store.Remote — bounded retries with
+// backoff and jitter on 5xx/timeouts/connection errors, a per-operation
+// deadline — because a worker mid-campaign sees exactly the network a
+// remote store client does. Unlike the store client it does NOT fail
+// open: scheduling calls are cheap and their answers change what the
+// worker does next, so an exhausted retry budget surfaces as an error the
+// worker loop backs off on, not as a silent miss. Every method takes a
+// context: the retry loop's deadline is clipped to it, so a draining
+// worker's cancellation interrupts an in-flight backoff instead of riding
+// it out.
 type Client struct {
-	base    string
-	engine  string
-	opts    store.RemoteOptions
-	retries atomic.Int64
+	conn *store.Conn
 }
 
 // NewClient returns a coordinator client for the service at baseURL,
 // fenced to the given engine version. opts may be nil; zero fields take
 // the store transport defaults.
 func NewClient(baseURL, engine string, opts *store.RemoteOptions) (*Client, error) {
-	u, err := url.Parse(baseURL)
+	conn, err := store.Dial(baseURL, engine, opts)
 	if err != nil {
-		return nil, fmt.Errorf("coord: coordinator URL %q: %w", baseURL, err)
+		return nil, fmt.Errorf("coord: coordinator %w", err)
 	}
-	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		return nil, fmt.Errorf("coord: coordinator URL %q: want http(s)://host[:port]", baseURL)
-	}
-	c := &Client{base: strings.TrimRight(u.String(), "/"), engine: engine}
-	if opts != nil {
-		c.opts = *opts
-	}
-	c.opts = c.opts.WithDefaults()
-	return c, nil
+	return &Client{conn: conn}, nil
 }
 
 // Options returns the effective (defaults-filled) transport options.
-func (cl *Client) Options() store.RemoteOptions { return cl.opts }
+func (cl *Client) Options() store.RemoteOptions { return cl.conn.Options() }
 
 // Retries reports how many requests the client re-sent.
-func (cl *Client) Retries() int64 { return cl.retries.Load() }
+func (cl *Client) Retries() int64 { return cl.conn.Retries() }
 
 // do runs one coordinator operation under the retry loop and classifies
 // the terminal answer. When out is non-nil a 200 body must decode into it
 // — a 200 whose body does not parse is a damaged response (truncation,
-// bit rot), which is a transport failure of that attempt and retried,
-// exactly as the store client treats a damaged envelope. The damaged
-// attempt keeps its status and body so an exhausted budget reports what
-// the server actually said, not "status 0".
+// bit rot), which the Conn retries like a transport failure.
 func (cl *Client) do(ctx context.Context, method, op string, body []byte, out any) error {
-	res, exhausted := cl.opts.Retry(ctx, func(ctx context.Context) store.Attempt {
-		a := cl.send(ctx, method, op, body)
-		if a.Err == nil && a.Status == http.StatusOK && out != nil {
-			if err := json.Unmarshal(a.Body, out); err != nil {
-				a.Err = fmt.Errorf("malformed response: %w", err)
+	var check func([]byte) error
+	if out != nil {
+		check = func(b []byte) error {
+			if err := json.Unmarshal(b, out); err != nil {
+				return fmt.Errorf("malformed response: %w", err)
 			}
+			return nil
 		}
-		return a
-	}, func() { cl.retries.Add(1) })
+	}
+	res, exhausted := cl.conn.Do(ctx, method, coordPathPrefix+op, body, check)
 	if exhausted {
 		if res.Err != nil {
 			if res.Status != 0 {
@@ -95,32 +79,6 @@ func (cl *Client) call(ctx context.Context, campaign, op string, req leaseReques
 	return cl.do(ctx, http.MethodPost, campaign+"/"+op, body, out)
 }
 
-// send issues one request and reads a size-capped body.
-func (cl *Client) send(ctx context.Context, method, op string, body []byte) store.Attempt {
-	var reader io.Reader
-	if body != nil {
-		reader = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, cl.base+coordPathPrefix+op, reader)
-	if err != nil {
-		return store.Attempt{Err: err}
-	}
-	req.Header.Set(engineHeader, cl.engine)
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := cl.opts.Client.Do(req)
-	if err != nil {
-		return store.Attempt{Err: err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBody+1))
-	if err != nil {
-		return store.Attempt{Err: err}
-	}
-	return store.Attempt{Status: resp.StatusCode, Body: data}
-}
-
 // classify turns a terminal non-2xx attempt into the caller-facing error.
 func classify(op string, res store.Attempt) error {
 	switch res.Status {
@@ -130,7 +88,7 @@ func classify(op string, res store.Attempt) error {
 		return ErrLeaseLost
 	case http.StatusNotFound:
 		return fmt.Errorf("%w (%s)", ErrNoCampaign, op)
-	case http.StatusPreconditionFailed:
+	case store.StatusEngineMismatch:
 		return fmt.Errorf("coord: %s: coordinator runs a different engine: %s", op, strings.TrimSpace(string(res.Body)))
 	default:
 		return fmt.Errorf("coord: %s: status %d: %s", op, res.Status, strings.TrimSpace(string(res.Body)))

@@ -686,3 +686,45 @@ func TestCommandStringQuotesWhitespace(t *testing.T) {
 		}
 	}
 }
+
+// TestHandlerFencesForeignEngine: the coordinator answers a request from
+// another engine with the store's fence status and echoes its own engine
+// on every answer, fenced or not; a foreign client surfaces the fence as
+// an error naming it, without retrying.
+func TestHandlerFencesForeignEngine(t *testing.T) {
+	c, _ := newCoord(t, coord.Options{}, coord.Spec{Command: campaignCommand, Shards: 1})
+	srv := httptest.NewServer(coord.Handler(c))
+	t.Cleanup(srv.Close)
+	for _, engine := range []string{"flit-engine/other", flit.EngineVersion} {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/coord/campaigns", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Flit-Engine", engine)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := http.StatusOK
+		if engine != flit.EngineVersion {
+			want = store.StatusEngineMismatch
+		}
+		if resp.StatusCode != want {
+			t.Errorf("engine %q answered %d, want %d", engine, resp.StatusCode, want)
+		}
+		if got := resp.Header.Get("X-Flit-Engine"); got != flit.EngineVersion {
+			t.Errorf("engine %q: echo %q, want %q", engine, got, flit.EngineVersion)
+		}
+	}
+	foreign, err := coord.NewClient(srv.URL, "flit-engine/other", fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := foreign.Campaigns(t.Context()); err == nil || !strings.Contains(err.Error(), "different engine") {
+		t.Fatalf("foreign client Campaigns error = %v, want the engine fence", err)
+	}
+	if foreign.Retries() != 0 {
+		t.Errorf("the fence was retried %d times", foreign.Retries())
+	}
+}

@@ -3,10 +3,11 @@ package coord
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
+
+	"repro/internal/store"
 )
 
 // Wire protocol of the coordinator (served by Handler, spoken by Client),
@@ -37,15 +38,13 @@ import (
 // An unknown campaign ID answers 404 — a worker skips it and re-lists
 // (GC may have retired the campaign under it). Every request carries the
 // client's engine version in X-Flit-Engine and is fenced against the
-// coordinator's — the same per-request fence the object protocol
-// applies, because a worker built from a different engine would compute
-// artifacts that are not interchangeable. 409 is the one
-// coordination-specific status: the lease named in the request is no
-// longer the shard's current one, and the worker must abandon the shard.
-const (
-	coordPathPrefix = "/v1/coord/"
-	engineHeader    = "X-Flit-Engine"
-)
+// coordinator's by store.Fence — the per-request fence the object
+// protocol applies, echoing the coordinator's engine on every answer —
+// because a worker built from a different engine would compute artifacts
+// that are not interchangeable. 409 is the one coordination-specific
+// status: the lease named in the request is no longer the shard's current
+// one, and the worker must abandon the shard.
+const coordPathPrefix = "/v1/coord/"
 
 // StatusLeaseLost is the HTTP rendering of ErrLeaseLost.
 const StatusLeaseLost = http.StatusConflict
@@ -107,10 +106,6 @@ type gcRequest struct {
 	DryRun bool `json:"dry_run"`
 }
 
-// maxRequestBody bounds a coordinator request body. Shard artifacts are
-// the largest payload and share the object store's envelope bound.
-const maxRequestBody = 64 << 20
-
 // Handler serves the coordinator protocol for c. Mount it at the root of
 // the same mux as store.Handler — the paths do not overlap.
 func Handler(c *Coordinator) http.Handler {
@@ -122,9 +117,7 @@ func Handler(c *Coordinator) http.Handler {
 }
 
 func serveCoord(c *Coordinator, w http.ResponseWriter, r *http.Request) {
-	if got := r.Header.Get(engineHeader); got != c.engine {
-		http.Error(w, fmt.Sprintf("coord: coordinator is engine %q, request is %q", c.engine, got),
-			http.StatusPreconditionFailed)
+	if !store.Fence(w, r, c.engine) {
 		return
 	}
 	rest := strings.TrimPrefix(r.URL.Path, coordPathPrefix)
@@ -255,8 +248,8 @@ func serveGC(c *Coordinator, w http.ResponseWriter, r *http.Request) {
 // decodeBody reads a size-capped request body into v. On an unreadable,
 // oversized or malformed body it answers 400 itself and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
-	if err != nil || int64(len(body)) > maxRequestBody {
+	body, err := io.ReadAll(io.LimitReader(r.Body, store.DefaultMaxBody+1))
+	if err != nil || int64(len(body)) > store.DefaultMaxBody {
 		http.Error(w, "coord: unreadable or oversized request body", http.StatusBadRequest)
 		return false
 	}

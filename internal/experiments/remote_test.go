@@ -16,7 +16,7 @@ import (
 // through a local Disk cache AND over the wire into a served shared
 // store. Then: fresh remote-only engines sharing nothing but the URL
 // reproduce the digest at -j 1 and -j 8 through a fault script (503s,
-// stalls, truncated and corrupted envelopes, foreign fences) — faults
+// stalls, truncated and corrupted records, foreign fences) — faults
 // must cost retries and recomputation, never the digest and never the
 // run — and a local-tier-only engine proves the write-through filled
 // the local cache too.

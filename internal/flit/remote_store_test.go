@@ -1,7 +1,13 @@
 package flit
 
 import (
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,5 +252,60 @@ func TestRemoteFaultsRecomputeAndSelfHeal(t *testing.T) {
 	}
 	if m := clean.Cache.Metrics(); m.Builds != 0 || m.Store.Misses != 0 {
 		t.Errorf("faults did not self-heal: %+v", m)
+	}
+}
+
+// TestRemoteOldEnvelopeServerRecomputes: a mixed fleet, this build's
+// client against a server of the previous wire format, which answers
+// every hit with a JSON envelope (engine, key, hex SHA-256, payload)
+// under an honest engine echo. Each such answer is a degraded miss, never
+// a hit, so the run recomputes and still matches the clean run.
+func TestRemoteOldEnvelopeServerRecomputes(t *testing.T) {
+	matrix := comp.Matrix()[:8]
+	disk, err := store.Open(t.TempDir(), EngineVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := store.Handler(disk)
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		raw, _ := base64.RawURLEncoding.DecodeString(strings.TrimPrefix(req.URL.Path, "/v1/objects/"))
+		data, ok := disk.Get(string(raw))
+		if req.Method != http.MethodGet || !ok {
+			current.ServeHTTP(w, req)
+			return
+		}
+		w.Header().Set("X-Flit-Engine", EngineVersion)
+		json.NewEncoder(w).Encode(map[string]any{"engine": EngineVersion, "key": string(raw),
+			"sum": fmt.Sprintf("%x", sha256.Sum256(data)), "data": json.RawMessage(data)})
+	}))
+	defer old.Close()
+
+	run := func() (string, CacheMetrics, store.RemoteMetrics) {
+		s := newSuite()
+		s.Cache = NewCache()
+		remote, err := store.NewRemote(old.URL, EngineVersion, remoteOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Cache.SetStore(remote)
+		res, err := s.RunMatrix(matrix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return matrixFingerprint(res), s.Cache.Metrics(), remote.Metrics()
+	}
+	want, cold, _ := run()
+	if cold.Builds == 0 || cold.Store.Puts == 0 {
+		t.Fatalf("cold run metrics %+v — nothing computed or persisted", cold)
+	}
+	got, warm, rm := run()
+	if got != want {
+		t.Error("the run against the old-envelope server differs from the clean run")
+	}
+	if warm.Builds != cold.Builds || warm.Store.Hits != 0 {
+		t.Errorf("old envelopes served hits: %d builds (cold %d), store %+v", warm.Builds, cold.Builds, warm.Store)
+	}
+	if rm.Hits != 0 || rm.Errors != rm.Misses || rm.Errors == 0 || rm.Retries != 0 {
+		t.Errorf("remote metrics %+v; want every lookup a degraded miss, none retried", rm)
 	}
 }

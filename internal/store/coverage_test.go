@@ -1,8 +1,8 @@
 package store
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -90,10 +90,23 @@ func TestDiskPutErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Payloads are embedded as json.RawMessage; bytes that are not JSON
-	// cannot be enveloped and must be refused, not stored mangled.
-	if err := d.Put("k", []byte("{not json")); err == nil {
-		t.Fatal("Put accepted a non-JSON payload")
+	// Payloads are opaque bytes: one that is not JSON round-trips intact,
+	// through this handle and a fresh one.
+	opaque, err := Open(t.TempDir(), testEngine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := opaque.Put("k", []byte("{not json\x00\xff")); err != nil {
+		t.Fatalf("Put refused a non-JSON payload: %v", err)
+	}
+	reopened, err := Open(opaque.Dir(), testEngine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Disk{opaque, reopened} {
+		if data, ok := h.Get("k"); !ok || string(data) != "{not json\x00\xff" {
+			t.Fatalf("non-JSON payload read back as %q, %v", data, ok)
+		}
 	}
 	// A key or payload past the scan bounds would end its segment for every
 	// reader, so it is refused up front.
@@ -170,18 +183,13 @@ func TestNewMemDefaultCap(t *testing.T) {
 
 // --- remote.go ---
 
-func TestDecodeEnvelopeWrongKey(t *testing.T) {
-	data := []byte(`{"v":1}`)
-	raw, err := json.Marshal(entry{Engine: testEngine, Key: "key-a", Sum: sumHex(data), Data: data})
-	if err != nil {
-		t.Fatal(err)
+func TestDecodeRecordWrongKey(t *testing.T) {
+	rec := encodeRecord("key-a", []byte(`{"v":1}`))
+	if data, ok := decodeRecord(rec, "key-a"); !ok || string(data) != `{"v":1}` {
+		t.Fatalf("record does not decode under its own key: %q, %v", data, ok)
 	}
-	if _, derr := decodeEnvelope(raw, testEngine, "key-a"); derr != nil {
-		t.Fatalf("envelope does not decode under its own key: %v", derr)
-	}
-	_, derr := decodeEnvelope(raw, testEngine, "key-b")
-	if derr == nil || !strings.Contains(derr.Error(), "different key") {
-		t.Fatalf("a replayed envelope for another key was accepted: %v", derr)
+	if _, ok := decodeRecord(rec, "key-b"); ok {
+		t.Fatal("a replayed record for another key was accepted")
 	}
 }
 
@@ -192,7 +200,7 @@ func TestBackoffBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for attempt := 0; attempt < 8; attempt++ {
-		if d := capped.opts.backoff(attempt); d > 4*time.Millisecond {
+		if d := capped.conn.opts.backoff(attempt); d > 4*time.Millisecond {
 			t.Fatalf("backoff(%d) = %v exceeds MaxDelay", attempt, d)
 		}
 	}
@@ -202,7 +210,7 @@ func TestBackoffBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tiny.opts.backoff(0); d != 1 {
+	if d := tiny.conn.opts.backoff(0); d != 1 {
 		t.Fatalf("backoff with a 1ns delay = %v, want 1ns", d)
 	}
 }
@@ -268,7 +276,7 @@ func TestRetryCtxCancelAbortsOperation(t *testing.T) {
 			t.Fatalf("cancellation took %v; the retry loop rode out its deadline", res.elapsed)
 		}
 	case <-time.After(3 * time.Second):
-		t.Fatal("cancelled GetCtx did not return; ctx is not threaded through Retry")
+		t.Fatal("cancelled GetCtx did not return; ctx is not threaded through Conn.Do")
 	}
 	// PutCtx on an already-cancelled context gives up immediately too.
 	start = time.Now()
@@ -342,18 +350,17 @@ func TestServePutBodyAndStoreFailures(t *testing.T) {
 		t.Errorf("torn upload answered %d, want %d", rec.Code, http.StatusRequestEntityTooLarge)
 	}
 
-	// A payload whose checksum matches but which the Disk backend cannot
-	// envelope (not JSON): the server must answer 500, not store garbage.
-	bad := []byte("{not json")
-	req = httptest.NewRequest(http.MethodPut, remoteKeyPath("k"), strings.NewReader(string(bad)))
+	// An intact record the Disk backend cannot store (a key past the
+	// segment format's bound): the server must answer 500, not store it.
+	long := strings.Repeat("k", maxKeyLen+1)
+	req = httptest.NewRequest(http.MethodPut, remoteKeyPath(long), bytes.NewReader(encodeRecord(long, []byte(`1`))))
 	req.Header.Set(engineHeader, testEngine)
-	req.Header.Set(sumHeader, sumHex(bad))
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("unstorable payload answered %d, want 500", rec.Code)
+		t.Errorf("unstorable record answered %d, want 500", rec.Code)
 	}
-	if _, ok := d.Get("k"); ok {
-		t.Error("unstorable payload was stored anyway")
+	if _, ok := d.Get(long); ok {
+		t.Error("unstorable record was stored anyway")
 	}
 }

@@ -63,18 +63,6 @@ type manifest struct {
 	Engine  string `json:"engine"`
 }
 
-// entry is the JSON envelope the remote wire protocol carries for one
-// object. The envelope repeats the key (a URL tells a reader nothing it
-// can trust), the engine, and a SHA-256 of the payload, so a torn or
-// bit-rotted response reads as a miss, not as a result. Payload bytes are
-// the caller's own JSON record.
-type entry struct {
-	Engine string          `json:"engine"`
-	Key    string          `json:"key"`
-	Sum    string          `json:"sum"`
-	Data   json.RawMessage `json:"data"`
-}
-
 // Disk is the on-disk Store backend, a directory of append-only
 // segments:
 //
@@ -259,6 +247,16 @@ func (d *Disk) listSegments() (segs, debris []string, err error) {
 // a record cut short, lengths, key or SHA-256 that disagree — is a miss;
 // the ones that found a record are additionally counted as corrupt.
 func (d *Disk) Get(key string) ([]byte, bool) {
+	rec, ok := d.record(key)
+	if !ok {
+		return nil, false
+	}
+	return rec[recordHeaderLen+len(key):], true
+}
+
+// record reads and verifies the whole record stored under key: what Get
+// returns the payload of, and what Handler serves verbatim.
+func (d *Disk) record(key string) ([]byte, bool) {
 	id := sha256.Sum256([]byte(key))
 	d.mu.Lock()
 	l, ok := d.index[id]
@@ -275,29 +273,31 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 		d.corrupt.Add(1)
 		return nil, false
 	}
-	data, ok := verifyRecord(rec, key, l.sum)
-	if !ok {
+	if _, ok := verifyRecord(rec, key, l.sum); !ok {
 		d.corrupt.Add(1)
 		return nil, false
 	}
-	return data, true
+	return rec, true
 }
 
 // Put appends a record of data under key to this handle's segment, which
 // it creates on the first call. The record reaches the kernel in one
 // write(2) before Put returns, so any handle opened afterwards — in this
 // process or another — sees it, and a crash of this process cannot lose
-// it; a power loss can, and then the key reads as a miss. Payloads must be
-// JSON (they travel inside the remote envelope verbatim).
+// it; a power loss can, and then the key reads as a miss. Payloads are
+// opaque bytes.
 func (d *Disk) Put(key string, data []byte) error {
-	if len(key) > maxKeyLen || len(data) > maxDataLen {
-		return fmt.Errorf("store: entry too large (key %d bytes, payload %d bytes)", len(key), len(data))
+	return d.appendRecord(key, encodeRecord(key, data))
+}
+
+// appendRecord writes rec, a framed record of key, to this handle's segment
+// and indexes it. A key or payload past the scan bounds is refused.
+func (d *Disk) appendRecord(key string, rec []byte) error {
+	dataLen := len(rec) - recordHeaderLen - len(key)
+	if len(key) > maxKeyLen || dataLen > maxDataLen {
+		return fmt.Errorf("store: entry too large (key %d bytes, payload %d bytes)", len(key), dataLen)
 	}
-	if !json.Valid(data) {
-		return fmt.Errorf("store: payload is not JSON")
-	}
-	rec := encodeRecord(key, data)
-	l := loc{keyLen: uint32(len(key)), dataLen: uint32(len(data))}
+	l := loc{keyLen: uint32(len(key)), dataLen: uint32(dataLen)}
 	copy(l.sum[:], rec[8:recordHeaderLen])
 	id := sha256.Sum256([]byte(key))
 
@@ -375,9 +375,11 @@ func encodeRecord(key string, data []byte) []byte {
 	return rec
 }
 
-// verifyRecord checks one whole record read back from a segment against
-// the key asked for and the SHA-256 the index holds, and returns its
-// payload.
+// verifyRecord is the one checksum rule of a record, whether it was read
+// back from a segment (sum is what the index holds) or arrived over the
+// wire (sum is what the record declares, see decodeRecord): the record
+// must frame exactly key and a payload filling the rest, and its SHA-256
+// must be sum. It returns the payload.
 func verifyRecord(rec []byte, key string, sum [sha256.Size]byte) ([]byte, bool) {
 	if len(rec) < recordHeaderLen+len(key) ||
 		binary.LittleEndian.Uint32(rec[0:]) != uint32(len(key)) ||
@@ -394,6 +396,18 @@ func verifyRecord(rec []byte, key string, sum [sha256.Size]byte) ([]byte, bool) 
 		return nil, false
 	}
 	return rec[recordHeaderLen+len(key):], true
+}
+
+// decodeRecord checks one record that arrived over the wire against the
+// key asked for and the SHA-256 it declares, and returns its payload.
+// Truncation, trailing bytes, lengths past the body, another key and a
+// flipped byte all fail; this is the trust boundary FuzzRemoteDecode
+// hammers.
+func decodeRecord(rec []byte, key string) ([]byte, bool) {
+	if len(rec) < recordHeaderLen {
+		return nil, false
+	}
+	return verifyRecord(rec, key, [sha256.Size]byte(rec[8:recordHeaderLen]))
 }
 
 // record is one framed record found by a segment scan.
@@ -488,11 +502,6 @@ func consume(br *bufio.Reader, n int64, hs ...hash.Hash) bool {
 // CorruptReads reports how many Get calls found a record they could not
 // trust since this handle was opened.
 func (d *Disk) CorruptReads() int64 { return d.corrupt.Load() }
-
-func sumHex(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
 
 // Stats is one verifying pass over the store's segments: what `flit
 // store stats` prints. Entries counts keys with an intact record; Bytes

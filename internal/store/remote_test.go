@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -272,7 +275,7 @@ func TestRemoteDeadlineBounds(t *testing.T) {
 }
 
 // TestRemoteOversizedBody: a response larger than MaxBody never becomes a
-// hit (and never panics), however honest the rest of the envelope is.
+// hit (and never panics), however honest the rest of the record is.
 func TestRemoteOversizedBody(t *testing.T) {
 	_, _, srv := newServed(t)
 	opts := fastOpts()
@@ -315,8 +318,8 @@ func TestRemoteConcurrent(t *testing.T) {
 }
 
 // TestHandlerRejectsDamage: the serving side's own trust boundary —
-// malformed paths, wrong methods, and uploads whose checksum disagrees
-// with their body must be rejected and never stored.
+// malformed paths, wrong methods, and uploads that are not one intact
+// record of the key in the path must be rejected and never stored.
 func TestHandlerRejectsDamage(t *testing.T) {
 	disk, _, srv := newServed(t)
 	do := func(method, path string, body string, hdr map[string]string) int {
@@ -351,17 +354,107 @@ func TestHandlerRejectsDamage(t *testing.T) {
 	if got := do(http.MethodDelete, remoteKeyPath("k"), "", nil); got != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE: %d; want 405", got)
 	}
-	// A PUT whose declared checksum does not match the body (a torn upload).
-	if got := do(http.MethodPut, remoteKeyPath("k"), `{"v":1}`,
-		map[string]string{sumHeader: sumHex([]byte("something else"))}); got != http.StatusBadRequest {
-		t.Errorf("checksum-mismatched PUT: %d; want 400", got)
+	// A PUT whose record fails its SHA-256 (a torn or bit-flipped upload),
+	// and an intact record of another key.
+	flipped := encodeRecord("k", []byte(`{"v":1}`))
+	flipped[len(flipped)-2] ^= 0x40
+	if got := do(http.MethodPut, remoteKeyPath("k"), string(flipped), nil); got != http.StatusBadRequest {
+		t.Errorf("damaged-record PUT: %d; want 400", got)
+	}
+	if got := do(http.MethodPut, remoteKeyPath("k"), string(encodeRecord("other", []byte(`{"v":1}`))), nil); got != http.StatusBadRequest {
+		t.Errorf("other-key PUT: %d; want 400", got)
+	}
+	// A bare payload with no record around it.
+	if got := do(http.MethodPut, remoteKeyPath("k"), `{"v":1}`, nil); got != http.StatusBadRequest {
+		t.Errorf("unframed PUT: %d; want 400", got)
+	}
+	// A client of the previous wire format: a JSON envelope declaring its
+	// payload's SHA-256 in an X-Flit-Sum header. A mixed fleet costs
+	// recomputation, never a mangled entry.
+	sum := sha256.Sum256([]byte(`{"v":1}`))
+	envelope := fmt.Sprintf(`{"engine":%q,"key":"k","sum":"%x","data":{"v":1}}`, testEngine, sum)
+	if got := do(http.MethodPut, remoteKeyPath("k"), envelope,
+		map[string]string{"X-Flit-Sum": fmt.Sprintf("%x", sum)}); got != http.StatusBadRequest {
+		t.Errorf("old envelope PUT: %d; want 400", got)
 	}
 	if _, ok := disk.Get("k"); ok {
 		t.Fatal("a damaged upload was stored")
 	}
-	// And one without any checksum at all.
-	if got := do(http.MethodPut, remoteKeyPath("k"), `{"v":1}`, nil); got != http.StatusBadRequest {
-		t.Errorf("sum-less PUT: %d; want 400", got)
+}
+
+// TestRemoteRequiresEngineEcho: a 200 is accepted only when the server
+// echoes the client's engine. An intact record under a missing or foreign
+// echo is a degraded miss, answered at once rather than retried.
+func TestRemoteRequiresEngineEcho(t *testing.T) {
+	for name, echo := range map[string]string{"missing": "", "foreign": "flit-engine/other"} {
+		t.Run(name, func(t *testing.T) {
+			d, err := Open(t.TempDir(), testEngine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Put("k", []byte(`{"v":1}`)); err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				rec := httptest.NewRecorder()
+				Handler(d).ServeHTTP(rec, req)
+				if echo != "" {
+					w.Header().Set(engineHeader, echo)
+				}
+				w.WriteHeader(rec.Code)
+				w.Write(rec.Body.Bytes())
+			}))
+			t.Cleanup(srv.Close)
+			r := newRemote(t, srv.URL, nil)
+			if data, ok := r.Get("k"); ok {
+				t.Fatalf("a 200 with a %s engine echo served a hit: %q", name, data)
+			}
+			if m := r.Metrics(); m.Misses != 1 || m.Errors != 1 || m.Retries != 0 {
+				t.Errorf("metrics %+v; want one degraded miss, no retries", m)
+			}
+		})
+	}
+}
+
+// TestCorruptFaultFlipsOnlyPayload: the harness's Corrupt fault damages an
+// object record the way bit rot does — the served body keeps its honest
+// header and key, and only its SHA-256 check fails — so the fault tests
+// exercise the checksum, not a key mismatch.
+func TestCorruptFaultFlipsOnlyPayload(t *testing.T) {
+	_, flaky, srv := newServed(t)
+	key := "run\x00" + strings.Repeat("plan-token|", 80) // plan keys average ~900 bytes
+	payload := []byte(`{"key":"k","scalar":4609434218613702656}`)
+	r := newRemote(t, srv.URL, nil)
+	if err := r.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	flaky.Push(storetest.Corrupt)
+	req, err := http.NewRequest(http.MethodGet, srv.URL+remoteKeyPath(key), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(engineHeader, testEngine)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encodeRecord(key, payload)
+	if len(body) != len(want) {
+		t.Fatalf("corrupted body is %d bytes, the record %d", len(body), len(want))
+	}
+	if n := recordHeaderLen + len(key); !bytes.Equal(body[:n], want[:n]) {
+		t.Fatal("the Corrupt fault damaged the record's header or key")
+	}
+	if bytes.Equal(body, want) {
+		t.Fatal("the Corrupt fault left the payload intact")
+	}
+	if _, ok := decodeRecord(body, key); ok {
+		t.Fatal("a corrupted payload passed its SHA-256")
 	}
 }
 
@@ -371,15 +464,22 @@ func TestNewRemoteRejectsBadURLs(t *testing.T) {
 			t.Errorf("NewRemote(%q) accepted", bad)
 		}
 	}
-	r, err := NewRemote("http://example.com/prefix/", testEngine, nil)
+	// A path prefix the server mounts the protocol under is kept, with its
+	// trailing slash trimmed, and every request carries the engine.
+	var path, engine string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		path, engine = req.URL.Path, req.Header.Get(engineHeader)
+	}))
+	t.Cleanup(srv.Close)
+	c, err := Dial(srv.URL+"/prefix/", testEngine, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.URL() != "http://example.com/prefix" {
-		t.Errorf("URL = %q; want trailing slash trimmed", r.URL())
+	if res, _ := c.Do(t.Context(), http.MethodGet, "/v1/x", nil, nil); res.Err != nil || res.Status != http.StatusOK {
+		t.Fatalf("Do = %+v", res)
 	}
-	if r.Engine() != testEngine {
-		t.Errorf("Engine = %q", r.Engine())
+	if path != "/prefix/v1/x" || engine != testEngine {
+		t.Errorf("request went to %q with engine %q; want /prefix/v1/x and %q", path, engine, testEngine)
 	}
 }
 

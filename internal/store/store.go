@@ -12,8 +12,11 @@
 // checksummed records to a segment of its own with one write(2) per Put,
 // Open indexes every segment once, a store manifest fences the directory
 // to one engine version); and Remote, the HTTP client of a Disk served by
-// Handler. Tier composes them, and OpenTiers opens the Disk-in-front-of-
-// Remote stack a run writes through.
+// Handler, whose GET and PUT bodies are the very records a segment holds.
+// Tier composes them, and OpenTiers opens the Disk-in-front-of-Remote
+// stack a run writes through. Conn is the HTTP client transport Remote
+// shares with the campaign coordinator's client, and Fence the engine
+// fence both servers apply.
 //
 // Durability: a Put that returned has reached the kernel, so it survives
 // the crash of the process that made it, but not a power loss or a kernel

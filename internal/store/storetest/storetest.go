@@ -14,7 +14,8 @@
 package storetest
 
 import (
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -36,8 +37,8 @@ const (
 	Stall
 	// Truncate writes the real response cut off mid-body.
 	Truncate
-	// Corrupt serves the real response with payload bytes flipped, so the
-	// envelope's checksum no longer matches.
+	// Corrupt serves the real response with payload bytes flipped under
+	// its honest header and key, so the record's SHA-256 no longer matches.
 	Corrupt
 	// WrongEngine rewrites the request's engine fence header to a foreign
 	// engine version before the inner handler sees it, forcing the
@@ -148,10 +149,10 @@ func (f *Flaky) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 }
 
 // mangle records the inner handler's real response, then serves a damaged
-// version of it: the headers (status, engine fence, declared checksum)
-// are always the honest ones, so the damage is exactly what a flaky
-// network or a bit-rotting server would produce — a body that no longer
-// matches its own declaration.
+// version of it: the headers (status, engine echo) are always the honest
+// ones, so the damage is exactly what a flaky network or a bit-rotting
+// server would produce — a body that no longer matches its own
+// declaration.
 func (f *Flaky) mangle(fault Fault, w http.ResponseWriter, req *http.Request) {
 	rec := httptest.NewRecorder()
 	f.inner.ServeHTTP(rec, req)
@@ -162,7 +163,7 @@ func (f *Flaky) mangle(fault Fault, w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	// The truthful Content-Length would let the client detect truncation
-	// for free; drop it so the damaged body has to be caught by envelope
+	// for free; drop it so the damaged body has to be caught by record
 	// validation, the defense that also catches a lying length.
 	w.Header().Del("Content-Length")
 	w.WriteHeader(rec.Code)
@@ -186,27 +187,28 @@ func (f *Flaky) mangle(fault Fault, w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// corruptPayload damages a response body the way bit rot does: when the
-// body parses as a store envelope, the payload is replaced under the
-// original declared checksum — a structurally valid envelope that fails
-// SHA-256 re-validation, the exact lie the client must catch. Anything
-// else gets its tail bytes flipped.
+// corruptPayload damages a response body the way bit rot does. An object
+// record ([keyLen u32][dataLen u32][sha256][key][data]) keeps its honest
+// header and key and has its payload bytes flipped — a structurally valid
+// record of the right key that fails SHA-256 re-validation, the exact lie
+// the client must catch. Any other body (a coordinator answer, an empty
+// PUT reply) gets its second half flipped.
 func corruptPayload(body []byte) []byte {
-	var e struct {
-		Engine string          `json:"engine"`
-		Key    string          `json:"key"`
-		Sum    string          `json:"sum"`
-		Data   json.RawMessage `json:"data"`
-	}
-	if err := json.Unmarshal(body, &e); err == nil && e.Sum != "" {
-		e.Data = json.RawMessage(`{"storetest":"bit-rot"}`)
-		if damaged, err := json.Marshal(e); err == nil {
-			return damaged
+	damaged := append([]byte(nil), body...)
+	from := len(damaged) / 2
+	if len(body) >= recordHeaderLen {
+		keyLen := int64(binary.LittleEndian.Uint32(body[0:]))
+		dataLen := int64(binary.LittleEndian.Uint32(body[4:]))
+		if dataLen > 0 && recordHeaderLen+keyLen+dataLen == int64(len(body)) {
+			from = recordHeaderLen + int(keyLen)
 		}
 	}
-	damaged := append([]byte(nil), body...)
-	for i := len(damaged) / 2; i < len(damaged); i++ {
+	for i := from; i < len(damaged); i++ {
 		damaged[i] ^= 0x5a
 	}
 	return damaged
 }
+
+// recordHeaderLen is an object record's fixed prefix: two uint32 lengths
+// and the SHA-256.
+const recordHeaderLen = 4 + 4 + sha256.Size

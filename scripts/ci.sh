@@ -17,6 +17,10 @@
 #   journal fuzz     FuzzJournalDecode for 2000 inputs: whatever bytes
 #                    coord.json holds, recovery never panics and never
 #                    makes a quarantined shard leasable again
+#   record fuzz      FuzzRemoteDecode for 2000 inputs: whatever bytes a
+#                    remote store answers, the record decoder never panics
+#                    and returns a payload only for an intact record of
+#                    the requested key
 #   bench module     vet + race tests of the nested bench/ module (root
 #                    ./... skips it), so the benchmark harness cannot rot
 #   shard smoke      the distributed protocol end to end through real
@@ -79,6 +83,7 @@ go test -run '^$' -bench BenchmarkAssembleDiffusion2D -benchtime 100x ./internal
 go test -run '^$' -bench 'BenchmarkDisk(Put|Get)$' -benchtime 100x ./internal/store
 go test -run '^$' -bench BenchmarkCoordHeartbeat -benchtime 100x ./internal/coord
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 2000x ./internal/coord
+go test -run '^$' -fuzz '^FuzzRemoteDecode$' -fuzztime 2000x ./internal/store
 (cd bench && go vet . && go test -race .)
 
 SHARD_TMP=$(mktemp -d)
