@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,9 @@ func TestStoreFlagCrossProcess(t *testing.T) {
 	if !strings.Contains(stderr.String(), "store: hits=0") ||
 		!strings.Contains(stderr.String(), "puts=") {
 		t.Errorf("cold run -stats missing the store line:\n%s", stderr.String())
+	}
+	if !regexp.MustCompile(`(?m)^executions: ran=[1-9][0-9]* shared=[1-9]`).MatchString(stderr.String()) {
+		t.Errorf("cold run shared no executions between equally behaving executables:\n%s", stderr.String())
 	}
 
 	stderr.Reset()
@@ -46,6 +50,9 @@ func TestStoreFlagCrossProcess(t *testing.T) {
 	}
 	if !strings.Contains(buildsLine, "materialized=0") {
 		t.Errorf("store-covered run still built executables: %q", buildsLine)
+	}
+	if !strings.Contains(stderr.String(), "executions: ran=0 shared=0\n") {
+		t.Errorf("store-covered run executed tests:\n%s", stderr.String())
 	}
 	if storeLine == "" || strings.Contains(storeLine, "hits=0") {
 		t.Errorf("store-covered run reported no store hits: %q", storeLine)

@@ -343,7 +343,7 @@ func SolveEnergy(m *link.Machine, st *State, p, q []float64, dt float64) {
 func SwapLevels(m *link.Machine, st *State, opt Options) {
 	_, done := m.Fn(symTimeIntegratorSwapLevels)
 	defer done()
-	if opt.NaNBug && m.Comp().Compiler == comp.XLC {
+	if opt.NaNBug && m.Compiler() == comp.XLC {
 		for i := range st.E {
 			st.E[i] = math.NaN()
 		}
@@ -354,7 +354,7 @@ func SwapLevels(m *link.Machine, st *State, opt Options) {
 func RotateBuffers(m *link.Machine, st *State, opt Options) {
 	_, done := m.Fn(symTimeIntegratorRotateBuffers)
 	defer done()
-	if opt.NaNBug && m.Comp().Compiler == comp.XLC {
+	if opt.NaNBug && m.Compiler() == comp.XLC {
 		for i := range st.V {
 			st.V[i] = math.NaN()
 		}

@@ -41,7 +41,7 @@ func (driverTest) GetInputsPerRun() int       { return 1 }
 func (driverTest) GetDefaultInput() []float64 { return []float64{0.3} }
 
 func (driverTest) Run(input []float64, m *link.Machine) (flit.Result, error) {
-	p := m.Executable().Program()
+	p := m.Program()
 	xs := make([]float64, 500)
 	ys := make([]float64, 500)
 	for i := range xs {

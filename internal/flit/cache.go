@@ -64,9 +64,19 @@ type runVal struct {
 // step is cheap map construction and is not memoized.) Cached Results are
 // shared — callers must treat them as read-only, which every comparison in
 // the reproduction does. A nil *Cache is valid and simply runs everything.
+//
+// Under the plan-key entries sits a second memo keyed by what the built
+// executable does (link.Executable.Behavior) and the test: most of the
+// compilation matrix generates value-identical code, so a plan-key miss
+// that builds an executable behaving like one already run shares that
+// run's Result instead of executing again. Only the plan-key entries are
+// exported, persisted or seeded; the behaviour memo is process-local, and
+// only its counters (CacheMetrics.Execs) show outside the process.
 type Cache struct {
 	runs  *exec.Cache[runVal]
 	costs *exec.Cache[float64]
+	// execs memoizes RunAll by (Executable.Behavior, escaped TestKey).
+	execs *exec.Cache[runVal]
 
 	// store, when non-nil, is the persistent second tier (SetStore):
 	// consulted key-first on every in-memory miss before any build work,
@@ -93,7 +103,7 @@ type Cache struct {
 
 // NewCache returns an empty build/run cache.
 func NewCache() *Cache {
-	return &Cache{runs: exec.NewCache[runVal](), costs: exec.NewCache[float64]()}
+	return &Cache{runs: exec.NewCache[runVal](), costs: exec.NewCache[float64](), execs: exec.NewCache[runVal]()}
 }
 
 // RunAllPlanned is the memoizing form of the package-level RunAll: the
@@ -109,6 +119,10 @@ func NewCache() *Cache {
 // second process sharing the store builds nothing for covered cells.
 // Errors, whether from the build or the run, are memoized too: a
 // deterministic toolchain fails the same way every time.
+//
+// A plan that does build executes only if no executable with the same
+// Behavior has run the test yet (see run); the plan-key entry and the
+// store write-through are the same either way.
 func (c *Cache) RunAllPlanned(t TestCase, b *link.Builder) (Result, error) {
 	if c == nil {
 		ex, err := b.Build()
@@ -130,13 +144,23 @@ func (c *Cache) RunAllPlanned(t TestCase, b *link.Builder) (Result, error) {
 			c.storePutRun(key, v)
 			return v, nil
 		}
-		r, err := RunAll(t, ex)
-		v := runVal{res: r, err: err}
+		v := c.run(t, ex)
 		c.storePutRun(key, v)
 		return v, nil
 	})
 	c.noteBuilder(b, !computed)
 	return v.res, v.err
+}
+
+// run executes t on ex once per distinct (behaviour, test): a later
+// executable with equal Behavior shares the first one's Result, which is
+// bit-identical to what running it would produce.
+func (c *Cache) run(t TestCase, ex *link.Executable) runVal {
+	v, _ := c.execs.Do(ex.Behavior()+"\x00"+comp.KeyEscape(TestKey(t)), func() (runVal, error) {
+		r, err := RunAll(t, ex)
+		return runVal{res: r, err: err}, nil
+	})
+	return v
 }
 
 // CostPlanned memoizes the deterministic cost model per (plan, root) — the
@@ -192,14 +216,18 @@ func (c *Cache) BuildStats() (builds, skipped int64) {
 	return c.builds.Load(), c.skippedBuilds.Load()
 }
 
-// CacheMetrics snapshots both stores of a build/run cache, plus the
+// CacheMetrics snapshots the memos of a build/run cache, plus the
 // key-first build accounting: Builds counts plans actually materialized
 // through RunAllPlanned/CostPlanned, SkippedBuilds the builders whose every
 // consulted entry was already cached — executables a warm run never
 // constructed.
 type CacheMetrics struct {
-	Runs          exec.Metrics
-	Costs         exec.Metrics
+	Runs  exec.Metrics
+	Costs exec.Metrics
+	// Execs is the behaviour memo under the plan-key runs: Misses are the
+	// tests actually executed, Hits the plan-key misses answered by an
+	// executable with equal Behavior.
+	Execs         exec.Metrics
 	Builds        int64
 	SkippedBuilds int64
 	// Store is the persistent tier's traffic; zero (Enabled false) when no
@@ -207,8 +235,8 @@ type CacheMetrics struct {
 	Store StoreMetrics
 }
 
-// Metrics snapshots hit/miss counters and occupancy of both
-// stores — the observability surface behind the CLI's -stats flag.
+// Metrics snapshots hit/miss counters and occupancy of every memo — the
+// observability surface behind the CLI's -stats flag.
 func (c *Cache) Metrics() CacheMetrics {
 	if c == nil {
 		return CacheMetrics{}
@@ -216,6 +244,7 @@ func (c *Cache) Metrics() CacheMetrics {
 	return CacheMetrics{
 		Runs:          c.runs.Metrics(),
 		Costs:         c.costs.Metrics(),
+		Execs:         c.execs.Metrics(),
 		Builds:        c.builds.Load(),
 		SkippedBuilds: c.skippedBuilds.Load(),
 		Store:         c.StoreMetrics(),

@@ -41,7 +41,7 @@ func (d *dotTest) GetDefaultInput() []float64 {
 }
 
 func (d *dotTest) Run(input []float64, m *link.Machine) (Result, error) {
-	env, done := m.Fn(m.Executable().Program().MustSymbol("Kernel"))
+	env, done := m.Fn(m.Program().MustSymbol("Kernel"))
 	defer done()
 	xs := make([]float64, 600)
 	ys := make([]float64, 600)

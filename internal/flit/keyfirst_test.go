@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/comp"
 	"repro/internal/exec"
+	"repro/internal/fp"
 	"repro/internal/link"
 )
 
@@ -226,5 +227,50 @@ func TestPartiallyWarmMatrixBuildsOnlyInvalidated(t *testing.T) {
 	if m.Runs.Misses != int64(len(warm.Tests)) {
 		t.Errorf("run misses = %d, want %d (the invalidated cell's tests)",
 			m.Runs.Misses, len(warm.Tests))
+	}
+}
+
+// TestRunAllPlannedSharesEqualBehavior: a plan-key miss whose executable
+// behaves like one already run builds (it is a new plan) but shares that
+// run instead of executing the test again; both plan keys still get their
+// own entry, exported like any other. An executable that behaves
+// differently executes.
+func TestRunAllPlannedSharesEqualBehavior(t *testing.T) {
+	s := newSuite()
+	cache := NewCache()
+	run := func(c comp.Compilation) Result {
+		t.Helper()
+		r, err := cache.RunAllPlanned(s.Tests[0], link.NewBuilder(link.FullBuildPlan(s.Prog, c)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// g++ is value-safe at every -O level without flags: -O0 and -O1
+	// generate the same code under different plan keys.
+	gccO1 := comp.Compilation{Compiler: comp.GCC, OptLevel: "-O1"}
+	first, second := run(s.Baseline), run(gccO1)
+	if L2Diff(first, second) != 0 {
+		t.Fatal("equally behaving executables returned different bits")
+	}
+	m := cache.Metrics()
+	if m.Runs.Misses != 2 || m.Runs.Entries != 2 || m.Builds != 2 {
+		t.Errorf("plan-key layer: %+v, builds %d; want 2 misses, 2 entries, 2 builds", m.Runs, m.Builds)
+	}
+	if m.Execs.Misses != 1 || m.Execs.Hits != 1 {
+		t.Errorf("executions ran=%d shared=%d, want ran=1 shared=1", m.Execs.Misses, m.Execs.Hits)
+	}
+	if got := len(cache.Export(exec.Shard{}, nil).Runs); got != 2 {
+		t.Errorf("artifact holds %d runs, want both plan keys", got)
+	}
+
+	run(s.Baseline.WithInjection("Kernel", fp.Injection{OpIndex: 1, Op: fp.InjAdd, Eps: 0.5}))
+	if m := cache.Metrics(); m.Execs.Misses != 2 || m.Execs.Hits != 1 {
+		t.Errorf("a different behaviour: ran=%d shared=%d, want ran=2 shared=1", m.Execs.Misses, m.Execs.Hits)
+	}
+	// A plan-key hit never reaches the behaviour memo.
+	run(gccO1)
+	if m := cache.Metrics(); m.Execs.Misses+m.Execs.Hits != 3 {
+		t.Errorf("a plan-key hit consulted the behaviour memo: %+v", m.Execs)
 	}
 }

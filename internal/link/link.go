@@ -15,6 +15,7 @@
 package link
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -125,8 +126,10 @@ type Executable struct {
 	crash    bool
 
 	// comps lists the executable's distinct compilations, deduplicated by
-	// == (so injection plans by pointer identity).
-	comps []comp.Compilation
+	// == (so injection plans by pointer identity), and classes what each
+	// of them generates (classOf under this executable's driver).
+	comps   []comp.Compilation
+	classes []*class
 	// symTab maps a symbol ID to the index in comps of the compilation the
 	// symbol binds to when no same-file caller is on the stack: for an
 	// exported symbol, the copy providing its strong definition; for an
@@ -137,6 +140,9 @@ type Executable struct {
 
 	keyOnce sync.Once
 	key     string
+
+	behaviorOnce sync.Once
+	behavior     string
 }
 
 // Link builds an executable from a plan. An error is returned for malformed
@@ -230,6 +236,7 @@ func (e *Executable) intern(c comp.Compilation) int32 {
 		}
 	}
 	e.comps = append(e.comps, c)
+	e.classes = append(e.classes, classOf(e.prog, c, e.driver))
 	return int32(len(e.comps) - 1)
 }
 
@@ -277,6 +284,41 @@ func (e *Executable) Key() string {
 // key-first callers look a plan up in a cache seeded by built executables.
 func (e *Executable) buildKey() string {
 	return planKey(e.prog.Name, e.baseline, e.driver, e.fileComp, e.symComp)
+}
+
+// Behavior returns the identity of what this executable does when it
+// runs, computed once: the program, the crash flag, the baseline compiler
+// (Machine.Compiler outside any frame), the class ID of every entry of
+// comps in order, and symTab. That is everything a Machine reads, so
+// executables with equal Behavior run every test bit for bit identically,
+// NaN payloads included, however their plans were spelled. Equal
+// injection plans held as separate pointers stay apart: they are separate
+// comps entries, with separate counters. The string is opaque and
+// process-local (class IDs are assigned in first-seen order), so it must
+// never be persisted.
+func (e *Executable) Behavior() string {
+	e.behaviorOnce.Do(func() { e.behavior = e.buildBehavior() })
+	return e.behavior
+}
+
+func (e *Executable) buildBehavior() string {
+	b := append([]byte(comp.KeyEscape(e.prog.Name)), 0)
+	if e.crash {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(len(e.baseline.Compiler)))
+	b = append(b, e.baseline.Compiler...)
+	b = binary.AppendUvarint(b, uint64(len(e.classes)))
+	for _, cl := range e.classes {
+		b = binary.AppendUvarint(b, uint64(cl.id))
+	}
+	b = binary.AppendUvarint(b, uint64(len(e.symTab)))
+	for _, c := range e.symTab {
+		b = binary.AppendUvarint(b, uint64(c))
+	}
+	return string(b)
 }
 
 // Driver returns the linking compiler.

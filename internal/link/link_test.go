@@ -35,6 +35,16 @@ func testProgram() *prog.Program {
 	return p
 }
 
+// comp returns the compilation providing the machine's current frame, or
+// the baseline outside any frame: the exact binding the tests assert,
+// where applications may read only Compiler.
+func (m *Machine) comp() comp.Compilation {
+	if len(m.stack) == 0 {
+		return m.ex.baseline
+	}
+	return m.ex.comps[m.stack[len(m.stack)-1].comp]
+}
+
 var (
 	baseC = comp.Baseline()
 	varC  = comp.Compilation{Compiler: comp.GCC, OptLevel: "-O3",
@@ -52,8 +62,8 @@ func TestFullBuildResolvesEverySymbol(t *testing.T) {
 		t.Fatal(err)
 	}
 	env, done := m.Fn(p.MustSymbol("Dot"))
-	if m.Comp() != varC {
-		t.Fatalf("Dot bound to %s, want %s", m.Comp(), varC)
+	if m.comp() != varC {
+		t.Fatalf("Dot bound to %s, want %s", m.comp(), varC)
 	}
 	_ = env
 	done()
@@ -133,13 +143,13 @@ func TestFileMixBinding(t *testing.T) {
 	}
 	m, _ := ex.NewMachine()
 	_, done := m.Fn(p.MustSymbol("Dot"))
-	if m.Comp() != varC {
-		t.Fatalf("math.cpp symbol bound to %s", m.Comp())
+	if m.comp() != varC {
+		t.Fatalf("math.cpp symbol bound to %s", m.comp())
 	}
 	done()
 	_, done = m.Fn(p.MustSymbol("Main"))
-	if m.Comp() != baseC {
-		t.Fatalf("driver.cpp symbol bound to %s", m.Comp())
+	if m.comp() != baseC {
+		t.Fatalf("driver.cpp symbol bound to %s", m.comp())
 	}
 	done()
 }
@@ -160,11 +170,11 @@ func TestInternalSymbolFollowsCallerCopy(t *testing.T) {
 	// compilation with fPIC.
 	_, doneDot := m.Fn(p.MustSymbol("Dot"))
 	wantVar := varC.WithFPIC()
-	if got := m.Comp(); got != wantVar {
+	if got := m.comp(); got != wantVar {
 		t.Fatalf("Dot bound to %s, want %s", got, wantVar)
 	}
 	_, doneHelper := m.Fn(p.MustSymbol("helper"))
-	if got := m.Comp(); got != wantVar {
+	if got := m.comp(); got != wantVar {
 		t.Fatalf("helper under Dot bound to %s, want %s", got, wantVar)
 	}
 	doneHelper()
@@ -174,11 +184,11 @@ func TestInternalSymbolFollowsCallerCopy(t *testing.T) {
 	// the baseline (fPIC) compilation.
 	_, doneScale := m.Fn(p.MustSymbol("Scale"))
 	wantBase := baseC.WithFPIC()
-	if got := m.Comp(); got != wantBase {
+	if got := m.comp(); got != wantBase {
 		t.Fatalf("Scale bound to %s, want %s", got, wantBase)
 	}
 	_, doneHelper = m.Fn(p.MustSymbol("helper"))
-	if got := m.Comp(); got != wantBase {
+	if got := m.comp(); got != wantBase {
 		t.Fatalf("helper under Scale bound to %s, want %s", got, wantBase)
 	}
 	doneHelper()
@@ -187,7 +197,7 @@ func TestInternalSymbolFollowsCallerCopy(t *testing.T) {
 	// Called with no same-file caller, helper binds to the file-level
 	// compilation (baseline: no file override in a symbol mix).
 	_, doneHelper = m.Fn(p.MustSymbol("helper"))
-	if got := m.Comp(); got != baseC {
+	if got := m.comp(); got != baseC {
 		t.Fatalf("bare helper bound to %s, want %s", got, baseC)
 	}
 	doneHelper()
@@ -206,7 +216,7 @@ func TestCrossFileCalleeUnaffectedByCallerCopy(t *testing.T) {
 	_, doneMain := m.Fn(p.MustSymbol("Main"))
 	// Dot is exported and lives in another file: it keeps its own binding.
 	_, doneDot := m.Fn(p.MustSymbol("Dot"))
-	if got := m.Comp(); got != baseC {
+	if got := m.comp(); got != baseC {
 		t.Fatalf("exported cross-file callee bound to %s, want baseline", got)
 	}
 	doneDot()
@@ -334,11 +344,11 @@ func TestMachineCompOutsideFrame(t *testing.T) {
 	p := testProgram()
 	ex, _ := Link(Plan{Prog: p, Baseline: baseC})
 	m, _ := ex.NewMachine()
-	if m.Comp() != baseC {
-		t.Fatal("Comp outside frame should be baseline")
+	if m.comp() != baseC {
+		t.Fatal("comp outside frame should be baseline")
 	}
-	if m.Executable() != ex {
-		t.Fatal("Executable() accessor wrong")
+	if m.ex != ex {
+		t.Fatal("machine runs the wrong executable")
 	}
 }
 
@@ -350,7 +360,7 @@ func TestFPICProbeBuild(t *testing.T) {
 	}
 	m, _ := ex.NewMachine()
 	_, done := m.Fn(p.MustSymbol("Dot"))
-	got := m.Comp()
+	got := m.comp()
 	done()
 	if !got.FPIC {
 		t.Fatalf("probe did not compile with -fPIC: %s", got)

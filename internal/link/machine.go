@@ -3,7 +3,6 @@ package link
 import (
 	"fmt"
 
-	"repro/internal/comp"
 	"repro/internal/fp"
 	"repro/internal/prog"
 )
@@ -23,6 +22,13 @@ import (
 // function (its handle), and perform all floating-point arithmetic
 // through env. A Machine is not
 // safe for concurrent use; create one Machine per goroutine.
+//
+// What a run can observe is exactly what Executable.Behavior identifies:
+// every Env comes from the class of the compilation providing the frame,
+// the binding from symTab and the stack, and the one non-fp fact an
+// application may read is the frame's compiler name (Compiler). Keep it
+// that way: an accessor exposing more of the plan would let two
+// executables with equal Behavior run differently.
 type Machine struct {
 	ex    *Executable
 	stack []frame
@@ -59,11 +65,11 @@ func (e *Executable) NewMachine() (*Machine, error) {
 }
 
 // Fn enters the function sym: it resolves which compilation provides this
-// invocation, builds the fp.Env for that compilation's semantics (including
-// link-driver effects and any injection plan), and returns it together with
-// a function that must be deferred to leave the frame. sym must be
-// registered in the executable's program; a symbol of another program (or
-// of none) is a programming error and panics.
+// invocation, builds the fp.Env for that compilation's semantics (from its
+// class: link-driver effects and any injection plan included), and returns
+// it together with a function that must be deferred to leave the frame.
+// sym must be registered in the executable's program; a symbol of another
+// program (or of none) is a programming error and panics.
 func (m *Machine) Fn(sym *prog.Symbol) (*fp.Env, func()) {
 	if sym.Owner() != m.ex.prog {
 		panic(fmt.Sprintf("link: symbol %q is not registered in program %q", sym.Name, m.ex.prog.Name))
@@ -95,38 +101,33 @@ func (m *Machine) resolve(sym *prog.Symbol) int32 {
 }
 
 // env returns the run-scoped fp.Env for one symbol under the compilation at
-// index c of ex.comps, creating it on first entry.
+// index c of ex.comps, creating it on first entry from that compilation's
+// class — the same class Executable.Behavior keys on, so the key and the
+// machine cannot drift apart.
 func (m *Machine) env(sym *prog.Symbol, c int32) *fp.Env {
 	slot := sym.ID()*len(m.ex.comps) + int(c)
 	if env := m.envs[slot]; env != nil {
 		return env
 	}
-	cc := m.ex.comps[c]
-	sem := comp.ApplyLinkStep(m.ex.driver, sym, comp.Semantics(cc, sym))
-	var env *fp.Env
-	if cc.Inject != nil && cc.Inject.Symbol == sym.Name {
-		env = fp.NewInjectedEnv(sem, sym.FPOps, cc.Inject.Inj)
-	} else {
-		env = fp.NewEnv(sem)
-	}
+	env := m.ex.classes[c].env(sym)
 	m.envs[slot] = env
 	return env
 }
 
-// Comp returns the compilation providing the current (innermost) frame.
-// Application code uses it to model compilation-dependent behavior that is
-// not floating-point semantics, such as undefined-behavior miscompilation
-// (the Laghos xsw macro). Calling Comp outside any frame returns the
-// baseline compilation.
-func (m *Machine) Comp() comp.Compilation {
+// Compiler returns the name of the compiler that generated the current
+// (innermost) frame's code. Application code uses it to model
+// compilation-dependent behavior that is not floating-point semantics,
+// such as undefined-behavior miscompilation (the Laghos xsw macro).
+// Outside any frame it returns the baseline's compiler.
+func (m *Machine) Compiler() string {
 	if len(m.stack) == 0 {
-		return m.ex.baseline
+		return m.ex.baseline.Compiler
 	}
-	return m.ex.comps[m.stack[len(m.stack)-1].comp]
+	return m.ex.classes[m.stack[len(m.stack)-1].comp].compiler
 }
 
 // Depth returns the current simulated call-stack depth (for tests).
 func (m *Machine) Depth() int { return len(m.stack) }
 
-// Executable returns the executable this machine runs.
-func (m *Machine) Executable() *Executable { return m.ex }
+// Program returns the application this machine runs.
+func (m *Machine) Program() *prog.Program { return m.ex.prog }

@@ -74,7 +74,7 @@ func TestResolutionMatchesReference(t *testing.T) {
 					t.Errorf("%s: table binds %s, reference rule %s", sym.Name, got, want)
 				}
 				_, done := m.Fn(sym)
-				if got := m.Comp(); got != want {
+				if got := m.comp(); got != want {
 					t.Errorf("%s: bare Fn bound to %s, want %s", sym.Name, got, want)
 				}
 				done()
@@ -131,10 +131,10 @@ func TestEnvSharing(t *testing.T) {
 	}
 	m = newTestMachine(t, ex)
 	dot, doneDot := m.Fn(p.MustSymbol("Dot"))
-	dotComp := m.Comp()
+	dotComp := m.comp()
 	doneDot()
 	scale, doneScale := m.Fn(p.MustSymbol("Scale"))
-	scaleComp := m.Comp()
+	scaleComp := m.comp()
 	doneScale()
 	if dotComp != scaleComp {
 		t.Fatalf("overrides bound to %s and %s, want one compilation", dotComp, scaleComp)

@@ -38,8 +38,10 @@
 #   store smoke      the persistent run store cross-process through the
 #                    real flit binary: two identical runs sharing only a
 #                    -store directory must print byte-identical output, the
-#                    second materializing zero builds with nonzero store
-#                    hits; `flit store stats`/`gc` must see and compact the
+#                    first sharing some executions between equally behaving
+#                    executables, the second materializing zero builds and
+#                    running zero tests, with nonzero store hits;
+#                    `flit store stats`/`gc` must see and compact the
 #                    entries (one intact entry and no corruption left), and
 #                    a third run over the compacted store must still print
 #                    the cold output byte for byte
@@ -66,6 +68,13 @@
 #                    re-leases on table3 (cross-campaign isolation), and
 #                    merging the failed campaign's partial artifact set
 #                    must fail naming exactly the missing shard
+#   instruction set  flit built a second time with GOAMD64=v3 (FMA, AVX2)
+#                    must write a -j 1 table1 shard artifact identical to
+#                    the default build's: `flit delta` reports nothing new,
+#                    dropped or changed, and runs and costs match byte for
+#                    byte — the Go compiler may fuse x*y+z into an FMA on
+#                    v3, and an unconverted product in the simulated fp
+#                    arithmetic would show here
 #   table5           the paper's full Table 5 injection campaign (4,376
 #                    runs) through the real flit binary: zero wrong finds
 #                    and zero missed finds, the precision/recall headline
@@ -142,7 +151,9 @@ STORE_DIR="$SHARD_TMP/runstore"
 "$SHARD_TMP/flit" experiments -j 2 -store "$STORE_DIR" -stats table4 \
 	>"$SHARD_TMP/store-warm.txt" 2>"$SHARD_TMP/store-warm-stats.txt"
 diff "$SHARD_TMP/store-cold.txt" "$SHARD_TMP/store-warm.txt"
+grep 'executions: ran=[0-9]* shared=[1-9]' "$SHARD_TMP/store-cold-stats.txt"
 grep 'builds: materialized=0' "$SHARD_TMP/store-warm-stats.txt"
+grep 'executions: ran=0 ' "$SHARD_TMP/store-warm-stats.txt"
 grep 'store: hits=[1-9]' "$SHARD_TMP/store-warm-stats.txt"
 "$SHARD_TMP/flit" store stats -store "$STORE_DIR" | grep 'corrupt=0'
 "$SHARD_TMP/flit" store gc -store "$STORE_DIR" -max-entries 1 | grep 'kept=1'
@@ -292,6 +303,19 @@ FAILMERGE=0
 	>/dev/null 2>"$SHARD_TMP/coord-fail-merge.txt" || FAILMERGE=$?
 test "$FAILMERGE" -ne 0
 grep 'missing shard indices \[1\]' "$SHARD_TMP/coord-fail-merge.txt"
+
+# Bit-exactness across instruction sets: a GOAMD64=v3 build may contract
+# x*y+z into one FMA wherever the fp simulation leaves a product
+# unconverted. Its table1 artifact must equal the default build's, bar the
+# creation time.
+GOAMD64=v3 go build -o "$SHARD_TMP/flit-v3" ./cmd/flit
+"$SHARD_TMP/flit" experiments -j 1 -shard 0/1 -shard-out "$SHARD_TMP/isa-default.json" table1
+"$SHARD_TMP/flit-v3" experiments -j 1 -shard 0/1 -shard-out "$SHARD_TMP/isa-v3.json" table1
+"$SHARD_TMP/flit" delta -baseline "$SHARD_TMP/isa-default.json" "$SHARD_TMP/isa-v3.json" \
+	| grep 'delta: new=0 dropped=0 changed=0'
+grep -v '"created_unix"' "$SHARD_TMP/isa-default.json" >"$SHARD_TMP/isa-default.body"
+grep -v '"created_unix"' "$SHARD_TMP/isa-v3.json" >"$SHARD_TMP/isa-v3.body"
+cmp "$SHARD_TMP/isa-default.body" "$SHARD_TMP/isa-v3.body"
 
 # The paper's Table 5 headline: the full 1,094-site x 4-OP' injection
 # campaign, every injection found — no wrong finds, no missed finds.
