@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"slices"
@@ -346,9 +347,41 @@ func (a *Artifact) WriteJSON(w io.Writer) error {
 // concatenated, a file truncated and rejoined, appended garbage — is
 // rejected rather than silently parsing the first object and discarding
 // the rest, which would replay a partial result set as if it were whole.
+//
+// encoding/json defines what the bytes mean. The input is read once and
+// decoded by the schema-specific record decoder (recdec.go), which accepts
+// only input on which encoding/json yields the same Artifact; whatever it
+// declines is decoded by encoding/json from the same bytes. Either way the
+// result, and for rejected input the error text, is encoding/json's.
 func ReadArtifact(r io.Reader) (*Artifact, error) {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		// Size the buffer up front when the reader knows its length (a
+		// bytes.Reader does): growing it while reading a 20 MB artifact
+		// would allocate the input several times over.
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("flit: reading artifact: %w", err)
+	}
+	return decodeArtifact(buf.Bytes())
+}
+
+// decodeArtifact decodes one whole artifact on the fast path, falling
+// back to decodeArtifactJSON for whatever the record decoder declines.
+func decodeArtifact(data []byte) (*Artifact, error) {
+	if a, ok := decodeFast(data, (*recDecoder).artifact); ok {
+		return &a, nil
+	}
+	return decodeArtifactJSON(data)
+}
+
+// decodeArtifactJSON is the reference decoding of an artifact:
+// encoding/json's stream decoder, then a check that nothing but whitespace
+// follows the object.
+func decodeArtifactJSON(data []byte) (*Artifact, error) {
 	var a Artifact
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(bytes.NewReader(data))
 	if err := dec.Decode(&a); err != nil {
 		return nil, fmt.Errorf("flit: reading artifact: %w", err)
 	}
@@ -370,14 +403,19 @@ func WriteArtifactFile(a *Artifact, path string) error {
 	return store.WriteFileAtomic(path, buf.Bytes())
 }
 
-// ReadArtifactFile reads one artifact from path.
+// ReadArtifactFile reads one artifact from path, as ReadArtifact does.
 func ReadArtifactFile(path string) (*Artifact, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		// A file that cannot be opened is reported bare, one that cannot
+		// be read as an artifact read error, as when the file was streamed.
+		var pe *fs.PathError
+		if errors.As(err, &pe) && pe.Op == "open" {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%s: flit: reading artifact: %w", path, err)
 	}
-	defer f.Close()
-	a, err := ReadArtifact(f)
+	a, err := decodeArtifact(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -17,7 +17,11 @@ import (
 // hit is bit-identical to the computation it replaces, exactly like an
 // artifact seed, and the store is fenced to one EngineVersion the same
 // way artifacts are (the Disk backend refuses foreign directories at
-// Open; every decoded record is additionally validated here).
+// Open; every decoded record is additionally validated here). Payloads
+// are written by json.Marshal and read by the record decoder (recdec.go),
+// which accepts a payload only where json.Unmarshal would decode the same
+// record and hands every other payload to json.Unmarshal: a payload means
+// exactly what encoding/json says it means, however it is read.
 //
 // Trust boundary: the store is a cache of recomputable results, never an
 // authority. Anything that does not decode, validate, and match its key
@@ -78,8 +82,8 @@ func (c *Cache) storeGetRun(key string) (runVal, bool) {
 		c.storeC.misses.Add(1)
 		return runVal{}, false
 	}
-	var r RunRecord
-	if err := json.Unmarshal(data, &r); err != nil || r.Key != key || r.validate() != nil {
+	r, err := unmarshalRecord(data, (*recDecoder).runRecord)
+	if err != nil || r.Key != key || r.validate() != nil {
 		c.storeC.misses.Add(1)
 		c.storeC.errors.Add(1)
 		return runVal{}, false
@@ -117,8 +121,8 @@ func (c *Cache) storeGetCost(key string) (float64, bool) {
 		c.storeC.misses.Add(1)
 		return 0, false
 	}
-	var r CostRecord
-	if err := json.Unmarshal(data, &r); err != nil || r.Key != key {
+	r, err := unmarshalRecord(data, (*recDecoder).costRecord)
+	if err != nil || r.Key != key {
 		c.storeC.misses.Add(1)
 		c.storeC.errors.Add(1)
 		return 0, false

@@ -57,8 +57,10 @@ func (inj Injection) String() string {
 }
 
 // Env executes floating-point arithmetic for one function under the
-// semantics its compilation assigned. An Env is created fresh for every
-// executable run (its dynamic operation counter starts at zero) and must not
+// semantics its compilation assigned. An Env without an injection never
+// changes state, so one may be shared by any number of runs and
+// goroutines. An injected Env counts dynamic operations: it is created
+// fresh for every executable run (its counter starts at zero) and must not
 // be shared across goroutines.
 type Env struct {
 	sem Semantics

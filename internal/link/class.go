@@ -3,6 +3,7 @@ package link
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/comp"
@@ -29,6 +30,11 @@ type class struct {
 	sems     []fp.Semantics // by symbol ID, normalized
 	injSym   int            // ID of the injected symbol; -1 when none
 	inj      fp.Injection
+	// envs holds, by symbol ID, an un-injected Env of the symbol's
+	// semantics, built once and shared by every Machine: an Env without an
+	// injection never changes state. Only the injected symbol gets a fresh
+	// Env per run (env), because its Env counts operations.
+	envs []*fp.Env
 }
 
 // classKey addresses the class memo. The compilation is identified by its
@@ -75,7 +81,9 @@ func classOf(p *prog.Program, c comp.Compilation, driver string) *class {
 	return v.(*class)
 }
 
-// newClass derives a class from scratch and interns its ID.
+// newClass derives a class from scratch and interns its ID. An injection
+// changes no symbol's semantics, so an injected class shares the
+// semantics and Envs of the class its compilation has without the plan.
 func newClass(p *prog.Program, c comp.Compilation, driver string) *class {
 	cl := &class{compiler: c.Compiler, sems: make([]fp.Semantics, p.NumSymbols()), injSym: -1}
 	for id := range cl.sems {
@@ -85,6 +93,17 @@ func newClass(p *prog.Program, c comp.Compilation, driver string) *class {
 	if c.Inject != nil {
 		if sym := p.Symbol(c.Inject.Symbol); sym != nil {
 			cl.injSym, cl.inj = sym.ID(), c.Inject.Inj
+		}
+		base := c
+		base.Inject = nil
+		if b := classOf(p, base, driver); slices.Equal(b.sems, cl.sems) {
+			cl.sems, cl.envs = b.sems, b.envs
+		}
+	}
+	if cl.envs == nil {
+		cl.envs = make([]*fp.Env, len(cl.sems))
+		for id, sem := range cl.sems {
+			cl.envs[id] = fp.NewEnv(sem)
 		}
 	}
 	cl.id = internClass(p, cl)
@@ -125,11 +144,12 @@ func internClass(p *prog.Program, cl *class) uint32 {
 	return id
 }
 
-// env returns a fresh Env for one symbol under this class.
+// env returns the Env for one symbol under this class: the shared one, or
+// for the injected symbol a fresh one, its operation counter at zero.
 func (cl *class) env(sym *prog.Symbol) *fp.Env {
 	id := sym.ID()
 	if id == cl.injSym {
 		return fp.NewInjectedEnv(cl.sems[id], sym.FPOps, cl.inj)
 	}
-	return fp.NewEnv(cl.sems[id])
+	return cl.envs[id]
 }

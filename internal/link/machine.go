@@ -34,13 +34,15 @@ type Machine struct {
 	stack []frame
 	// envs holds one fp.Env per (symbol, providing compilation) for the
 	// lifetime of the run, at index symbolID*len(ex.comps) + the
-	// compilation's index in ex.comps, and is filled on first entry. A
-	// function's dynamic instruction counter therefore accumulates across
-	// invocations — an injection at static instruction k of a function
-	// called many times fires on every pass through its body, exactly
-	// like a real static-instruction perturbation. Because ex.comps
-	// deduplicates by ==, an injection plan is told apart by pointer
-	// identity, which is the sharing those counters need.
+	// compilation's index in ex.comps, and is filled on first entry: with
+	// the class's shared Env, or for an injected symbol with one made for
+	// this run. An injected function's dynamic instruction counter
+	// therefore accumulates across invocations — an injection at static
+	// instruction k of a function called many times fires on every pass
+	// through its body, exactly like a real static-instruction
+	// perturbation. Because ex.comps deduplicates by ==, an injection plan
+	// is told apart by pointer identity, which is the sharing those
+	// counters need.
 	envs []*fp.Env
 	// done is the frame-leaving function Fn returns, bound once so that
 	// entering a function allocates nothing.
@@ -65,7 +67,7 @@ func (e *Executable) NewMachine() (*Machine, error) {
 }
 
 // Fn enters the function sym: it resolves which compilation provides this
-// invocation, builds the fp.Env for that compilation's semantics (from its
+// invocation, takes the fp.Env for that compilation's semantics (from its
 // class: link-driver effects and any injection plan included), and returns
 // it together with a function that must be deferred to leave the frame.
 // sym must be registered in the executable's program; a symbol of another
@@ -101,7 +103,7 @@ func (m *Machine) resolve(sym *prog.Symbol) int32 {
 }
 
 // env returns the run-scoped fp.Env for one symbol under the compilation at
-// index c of ex.comps, creating it on first entry from that compilation's
+// index c of ex.comps, taking it on first entry from that compilation's
 // class — the same class Executable.Behavior keys on, so the key and the
 // machine cannot drift apart.
 func (m *Machine) env(sym *prog.Symbol, c int32) *fp.Env {

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/comp"
@@ -161,6 +162,74 @@ func TestEnvSharing(t *testing.T) {
 	}
 	if helperUnder("Dot") != underDot || helperUnder("Scale") != underScale {
 		t.Fatal("helper re-entered from one copy got a fresh env")
+	}
+}
+
+// TestInjectedEnvIsPerRun: every un-injected Env is shared from the class
+// by all Machines (an injected class shares its base class's), so only the
+// injected symbol's Env is per run. Two
+// Machines of one injected executable count operations apart, and
+// concurrent runs leave a shared Env's counter at zero (under -race, a
+// shared Env that changed state would also be reported as a race).
+func TestInjectedEnvIsPerRun(t *testing.T) {
+	p := testProgram()
+	inj := fp.Injection{OpIndex: 1, Op: fp.InjAdd, Eps: 0.125}
+	ex, err := FullBuild(p, baseC.WithInjection("Dot", inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// run enters Dot (injected) for ops additions, then Scale (not).
+	run := func(m *Machine, ops int) (dot, scale *fp.Env) {
+		dot, done := m.Fn(p.MustSymbol("Dot"))
+		for range ops {
+			dot.Add(1, 2)
+		}
+		done()
+		scale, done = m.Fn(p.MustSymbol("Scale"))
+		scale.Mul(2, 3)
+		done()
+		return dot, scale
+	}
+	dot1, scale1 := run(newTestMachine(t, ex), 3)
+	dot2, scale2 := run(newTestMachine(t, ex), 5)
+	if dot1 == dot2 {
+		t.Fatal("two runs share the injected symbol's Env")
+	}
+	if n1, n2 := dot1.OpsExecuted(), dot2.OpsExecuted(); n1 != 3 || n2 != 5 {
+		t.Fatalf("injected Envs counted %d and %d ops, want 3 and 5", n1, n2)
+	}
+	if scale1 != scale2 {
+		t.Fatal("two runs got different Envs for an un-injected symbol")
+	}
+	base, err := FullBuild(p, baseC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, baseScale := run(newTestMachine(t, base), 0); baseScale != scale1 {
+		t.Fatal("an injected class holds its own Envs instead of its base class's")
+	}
+
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := ex.NewMachine()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for range 50 {
+				run(m, 1)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := scale1.OpsExecuted(); n != 0 {
+		t.Fatalf("shared un-injected Env counted %d ops after concurrent runs", n)
+	}
+	if n := dot1.OpsExecuted(); n != 3 {
+		t.Fatalf("other runs moved a finished run's injected counter to %d", n)
 	}
 }
 

@@ -21,6 +21,11 @@
 #                    remote store answers, the record decoder never panics
 #                    and returns a payload only for an intact record of
 #                    the requested key
+#   decoder fuzz     FuzzRecordDecodeMatchesJSON for 2000 inputs: whatever
+#                    bytes an artifact or store payload holds, the
+#                    schema-specific record decoder accepts them only when
+#                    encoding/json decodes the same value, and ReadArtifact
+#                    returns encoding/json's value or error text
 #   bench module     vet + race tests of the nested bench/ module (root
 #                    ./... skips it), so the benchmark harness cannot rot
 #   shard smoke      the distributed protocol end to end through real
@@ -93,6 +98,7 @@ go test -run '^$' -bench 'BenchmarkDisk(Put|Get)$' -benchtime 100x ./internal/st
 go test -run '^$' -bench BenchmarkCoordHeartbeat -benchtime 100x ./internal/coord
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 2000x ./internal/coord
 go test -run '^$' -fuzz '^FuzzRemoteDecode$' -fuzztime 2000x ./internal/store
+go test -run '^$' -fuzz '^FuzzRecordDecodeMatchesJSON$' -fuzztime 2000x ./internal/flit
 (cd bench && go vet . && go test -race .)
 
 SHARD_TMP=$(mktemp -d)
