@@ -46,10 +46,10 @@
 // byte-identical to an unsharded run.
 //
 // Observability: -stats prints build/run-cache hit/miss counters, how
-// many tests actually executed and how many shared the run of an equally
-// behaving executable ("executions: ran=N shared=M"), and the bisect
-// engine's execution counters (paper count vs speculative extra) to
-// stderr after the run.
+// many tests actually executed and how many shared an earlier run whose
+// every read value their executable shares ("executions: ran=N
+// shared=M"), and the bisect engine's execution counters (paper count vs
+// speculative extra) to stderr after the run.
 //
 // Incremental runs: -warm-start a.json,b.json seeds the engine's cache
 // from previously exported shard artifacts before the run. Unlike merge,
@@ -519,8 +519,10 @@ func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 	// run, builds=0 and every covered cell lands in skipped-builds.
 	fmt.Fprintf(w, "builds: materialized=%d skipped-builds=%d\n", m.Builds, m.SkippedBuilds)
 	// Executions behind the plan-key misses: ran is how many tests actually
-	// executed, shared how many built plans reused the Result of an
-	// executable that behaves identically (equal link.Executable.Behavior).
+	// executed, shared how many built plans reused the Result of an earlier
+	// run of the test that read only values the new executable shares (its
+	// link.Trace projects both alike). Exact at -j 1; at -j > 1 two equal
+	// projections may both run, which moves the split, not the output.
 	fmt.Fprintf(w, "executions: ran=%d shared=%d\n", m.Execs.Misses, m.Execs.Hits)
 	if m.Store.Enabled {
 		// The persistent tier's traffic: hits are evaluations answered from

@@ -16,32 +16,34 @@ import (
 	"repro/internal/prog"
 )
 
-// behaviorCells groups (executable, test) pairs by the run memo's key:
-// link.Executable.Behavior plus the test's cache key.
+// behaviorCells runs (plan, test) cells through one flit.Cache, as the
+// engine does, and checks every run the memo shares against an uncached
+// run of the same executable.
 type behaviorCells struct {
-	t      *testing.T
-	groups map[string][]behaviorCell
-	order  []string
-}
-
-type behaviorCell struct {
-	kind string
-	ex   *link.Executable
-	test flit.TestCase
+	t     *testing.T
+	cache *flit.Cache
+	pairs map[string]int // shared runs by kind of plan
 }
 
 func (g *behaviorCells) add(kind string, p link.Plan, tests ...flit.TestCase) {
 	g.t.Helper()
-	ex, err := link.Link(p)
-	if err != nil {
-		g.t.Fatal(err)
-	}
+	b := link.NewBuilder(p)
 	for _, tc := range tests {
-		k := ex.Behavior() + "\x00" + flit.TestKey(tc)
-		if _, ok := g.groups[k]; !ok {
-			g.order = append(g.order, k)
+		before := g.cache.Metrics().Execs.Hits
+		got, gotErr := g.cache.RunAllPlanned(tc, b)
+		if g.cache.Metrics().Execs.Hits == before {
+			continue
 		}
-		g.groups[k] = append(g.groups[k], behaviorCell{kind, ex, tc})
+		ex, err := b.Build()
+		if err != nil {
+			g.t.Fatal(err)
+		}
+		want, wantErr := flit.RunAll(tc, ex)
+		if d := sameRun(want, got, wantErr, gotErr); d != nil {
+			g.t.Errorf("%s on %s: the memo shared a run that differs from running it: %v",
+				flit.TestKey(tc), ex.Key(), d)
+		}
+		g.pairs[kind]++
 	}
 }
 
@@ -81,14 +83,15 @@ func sameRun(a, b flit.Result, aErr, bErr error) error {
 }
 
 // TestEqualBehaviorRunsIdentically is the other half of the run memo's
-// trust boundary (link's TestBehaviorKeySeparates is the first): with no
-// cache anywhere, every (executable, test) pair sharing a key runs bit for
-// bit identically. The plans are the ones the memo shares between in
-// practice — matrix full builds, Table 2 file and symbol mixes, the Laghos
-// NaN-bug mixes (whose result reads the frame's compiler name) and
-// injected LULESH builds with their bisect mixes.
+// trust boundary (link's TestBehaviorKeySeparates is the first): every run
+// the memo shares gives the same Float64bits, NaN payloads included, and
+// the same error as an uncached run of the executable it was shared with.
+// The plans are the ones the memo shares between in practice — matrix
+// full builds, Table 2 file and symbol mixes, the Laghos NaN-bug mixes
+// (whose result reads the frame's compiler name) and injected LULESH
+// builds with their bisect mixes.
 func TestEqualBehaviorRunsIdentically(t *testing.T) {
-	g := &behaviorCells{t: t, groups: map[string][]behaviorCell{}}
+	g := &behaviorCells{t: t, cache: flit.NewCache(), pairs: map[string]int{}}
 
 	mp := mfem.Program()
 	base := comp.Baseline()
@@ -133,9 +136,15 @@ func TestEqualBehaviorRunsIdentically(t *testing.T) {
 		for _, op := range fp.AllInjectOps {
 			v := clangO2.WithInjection(site.Symbol,
 				fp.Injection{OpIndex: site.OpIndex, Op: op, Eps: inject.EpsFor(site, op)})
+			// A file bisect tests both halves of the files: their plans
+			// have equal layouts, with the injection carried by
+			// compilation 0 in one and by compilation 1 in the other.
+			files := up.FileNames()
 			plans := []link.Plan{
 				link.FullBuildPlan(up, v),
-				link.FileMixPlan(up, clangO2, v, up.FileNames()),
+				link.FileMixPlan(up, clangO2, v, files),
+				link.FileMixPlan(up, clangO2, v, files[:len(files)/2]),
+				link.FileMixPlan(up, clangO2, v, files[len(files)/2:]),
 				link.FileMixPlan(up, clangO2, v, []string{file}),
 				link.FPICProbePlan(up, clangO2, v, file),
 			}
@@ -152,28 +161,13 @@ func TestEqualBehaviorRunsIdentically(t *testing.T) {
 		t.Fatalf("only %d injected plans", injected)
 	}
 
-	pairs := map[string]int{}
-	for _, k := range g.order {
-		cells := g.groups[k]
-		if len(cells) < 2 {
-			continue
-		}
-		want, wantErr := flit.RunAll(cells[0].test, cells[0].ex)
-		for _, c := range cells[1:] {
-			got, err := flit.RunAll(c.test, c.ex)
-			if d := sameRun(want, got, wantErr, err); d != nil {
-				t.Errorf("%s: %s and %s share a behaviour key but differ: %v",
-					flit.TestKey(c.test), cells[0].ex.Key(), c.ex.Key(), d)
-			}
-			pairs[c.kind]++
-		}
-	}
 	// Every kind of plan must give the memo something to share, or this
 	// test shows nothing about it.
 	for _, kind := range []string{"matrix", "mfem mix", "laghos", "injected"} {
-		if pairs[kind] == 0 {
-			t.Errorf("no equal-key pairs among the %s plans", kind)
+		if g.pairs[kind] == 0 {
+			t.Errorf("the memo shared no run among the %s plans", kind)
 		}
 	}
-	t.Logf("%d keys, equal-key pairs %v, %d injected plans", len(g.order), pairs, injected)
+	m := g.cache.Metrics().Execs
+	t.Logf("ran %d, shared %v, %d injected plans", m.Misses, g.pairs, injected)
 }

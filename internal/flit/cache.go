@@ -1,6 +1,8 @@
 package flit
 
 import (
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/comp"
@@ -65,18 +67,17 @@ type runVal struct {
 // shared — callers must treat them as read-only, which every comparison in
 // the reproduction does. A nil *Cache is valid and simply runs everything.
 //
-// Under the plan-key entries sits a second memo keyed by what the built
-// executable does (link.Executable.Behavior) and the test: most of the
-// compilation matrix generates value-identical code, so a plan-key miss
-// that builds an executable behaving like one already run shares that
-// run's Result instead of executing again. Only the plan-key entries are
-// exported, persisted or seeded; the behaviour memo is process-local, and
-// only its counters (CacheMetrics.Execs) show outside the process.
+// Under the plan-key entries sits a second memo keyed by what a run
+// read (runMemo): most compilations differ only in flags a test never
+// exercises, so a plan-key miss whose executable agrees with an earlier
+// run on everything that run read shares its Result instead of executing
+// again. Only the plan-key entries are exported, persisted or seeded; the
+// run memo is process-local, and only its counters (CacheMetrics.Execs)
+// show outside the process.
 type Cache struct {
 	runs  *exec.Cache[runVal]
 	costs *exec.Cache[float64]
-	// execs memoizes RunAll by (Executable.Behavior, escaped TestKey).
-	execs *exec.Cache[runVal]
+	execs runMemo
 
 	// store, when non-nil, is the persistent second tier (SetStore):
 	// consulted key-first on every in-memory miss before any build work,
@@ -103,7 +104,8 @@ type Cache struct {
 
 // NewCache returns an empty build/run cache.
 func NewCache() *Cache {
-	return &Cache{runs: exec.NewCache[runVal](), costs: exec.NewCache[float64](), execs: exec.NewCache[runVal]()}
+	return &Cache{runs: exec.NewCache[runVal](), costs: exec.NewCache[float64](),
+		execs: runMemo{groups: map[string][]tracedRuns{}}}
 }
 
 // RunAllPlanned is the memoizing form of the package-level RunAll: the
@@ -120,8 +122,8 @@ func NewCache() *Cache {
 // Errors, whether from the build or the run, are memoized too: a
 // deterministic toolchain fails the same way every time.
 //
-// A plan that does build executes only if no executable with the same
-// Behavior has run the test yet (see run); the plan-key entry and the
+// A plan that does build executes only if no earlier run of the test read
+// values this executable shares (see run); the plan-key entry and the
 // store write-through are the same either way.
 func (c *Cache) RunAllPlanned(t TestCase, b *link.Builder) (Result, error) {
 	if c == nil {
@@ -152,15 +154,74 @@ func (c *Cache) RunAllPlanned(t TestCase, b *link.Builder) (Result, error) {
 	return v.res, v.err
 }
 
-// run executes t on ex once per distinct (behaviour, test): a later
-// executable with equal Behavior shares the first one's Result, which is
-// bit-identical to what running it would produce.
+// run executes t on ex unless an earlier run of t on an executable of the
+// same layout read only values ex shares, whose Result is bit-identical
+// to what running ex would produce.
 func (c *Cache) run(t TestCase, ex *link.Executable) runVal {
-	v, _ := c.execs.Do(ex.Behavior()+"\x00"+comp.KeyEscape(TestKey(t)), func() (runVal, error) {
-		r, err := RunAll(t, ex)
-		return runVal{res: r, err: err}, nil
-	})
+	key := ex.Layout() + "\x00" + comp.KeyEscape(TestKey(t))
+	if v, ok := c.execs.lookup(key, ex); ok {
+		return v
+	}
+	r, tr, err := runTraced(t, ex)
+	v := runVal{res: r, err: err}
+	c.execs.add(key, ex, tr, v)
 	return v
+}
+
+// runMemo groups runs by (link.Executable.Layout, escaped TestKey) and
+// keeps, per group, every distinct trace its runs read, each with their
+// Results keyed by projection. At -j > 1 two runs of equal projections may
+// both execute before either lands; they store the same bits.
+type runMemo struct {
+	mu     sync.Mutex
+	groups map[string][]tracedRuns
+	buf    []byte // projection scratch
+	// ran counts tests executed, shared lookups answered from the memo,
+	// entries distinct (trace, projection) pairs stored.
+	ran, shared, entries atomic.Int64
+}
+
+type tracedRuns struct {
+	trace *link.Trace
+	runs  map[string]runVal
+}
+
+func (m *runMemo) metrics() exec.Metrics {
+	return exec.Metrics{Hits: m.shared.Load(), Misses: m.ran.Load(), Entries: int(m.entries.Load())}
+}
+
+// lookup projects ex under each trace of its group, in the order they
+// were first read, and returns the first stored run it matches.
+func (m *runMemo) lookup(key string, ex *link.Executable) (runVal, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, tr := range m.groups[key] {
+		m.buf = ex.AppendProjection(m.buf[:0], tr.trace)
+		if v, ok := tr.runs[string(m.buf)]; ok {
+			m.shared.Add(1)
+			return v, true
+		}
+	}
+	return runVal{}, false
+}
+
+// add stores v, the run of ex that read tr.
+func (m *runMemo) add(key string, ex *link.Executable, tr *link.Trace, v runVal) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.ran.Add(1)
+	g := m.groups[key]
+	i := slices.IndexFunc(g, func(have tracedRuns) bool { return have.trace.Equal(tr) })
+	if i < 0 {
+		i = len(g)
+		m.groups[key] = append(g, tracedRuns{trace: tr, runs: map[string]runVal{}})
+	}
+	runs := m.groups[key][i].runs
+	k := string(ex.AppendProjection(nil, tr))
+	if _, had := runs[k]; !had {
+		m.entries.Add(1)
+	}
+	runs[k] = v
 }
 
 // CostPlanned memoizes the deterministic cost model per (plan, root) — the
@@ -224,9 +285,10 @@ func (c *Cache) BuildStats() (builds, skipped int64) {
 type CacheMetrics struct {
 	Runs  exec.Metrics
 	Costs exec.Metrics
-	// Execs is the behaviour memo under the plan-key runs: Misses are the
-	// tests actually executed, Hits the plan-key misses answered by an
-	// executable with equal Behavior.
+	// Execs is the run memo under the plan-key runs: Misses are the tests
+	// actually executed, Hits the plan-key misses answered by an earlier
+	// run whose every read value the executable shares, Entries the
+	// distinct (trace, projection) pairs stored.
 	Execs         exec.Metrics
 	Builds        int64
 	SkippedBuilds int64
@@ -244,7 +306,7 @@ func (c *Cache) Metrics() CacheMetrics {
 	return CacheMetrics{
 		Runs:          c.runs.Metrics(),
 		Costs:         c.costs.Metrics(),
-		Execs:         c.execs.Metrics(),
+		Execs:         c.execs.metrics(),
 		Builds:        c.builds.Load(),
 		SkippedBuilds: c.skippedBuilds.Load(),
 		Store:         c.StoreMetrics(),

@@ -159,20 +159,28 @@ func (c compareOverride) Unwrap() TestCase { return c.TestCase }
 // RunAll executes a test (all of its data-driven chunks) against an
 // executable and concatenates the chunk results.
 func RunAll(t TestCase, ex *link.Executable) (Result, error) {
+	r, _, err := runTraced(t, ex)
+	return r, err
+}
+
+// runTraced is RunAll that also returns what the run read (link.Trace). An
+// executable that crashes reads nothing.
+func runTraced(t TestCase, ex *link.Executable) (Result, *link.Trace, error) {
 	m, err := ex.NewMachine()
 	if err != nil {
-		return Result{}, err
+		return Result{}, &link.Trace{}, err
 	}
 	input := t.GetDefaultInput()
 	per := t.GetInputsPerRun()
 	if per <= 0 || per >= len(input) {
-		return t.Run(input, m)
+		r, err := t.Run(input, m)
+		return r, m.Trace(), err
 	}
 	var out Result
 	for off := 0; off+per <= len(input); off += per {
 		r, err := t.Run(input[off:off+per], m)
 		if err != nil {
-			return Result{}, fmt.Errorf("flit: test %s chunk at %d: %w", t.Name(), off, err)
+			return Result{}, m.Trace(), fmt.Errorf("flit: test %s chunk at %d: %w", t.Name(), off, err)
 		}
 		if r.IsVec() {
 			out.Vec = append(out.Vec, r.Vec...)
@@ -180,5 +188,5 @@ func RunAll(t TestCase, ex *link.Executable) (Result, error) {
 			out.Vec = append(out.Vec, r.Scalar)
 		}
 	}
-	return out, nil
+	return out, m.Trace(), nil
 }

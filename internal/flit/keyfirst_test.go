@@ -230,11 +230,23 @@ func TestPartiallyWarmMatrixBuildsOnlyInvalidated(t *testing.T) {
 	}
 }
 
+// arithTest enters Kernel for one addition and one multiplication, which
+// read no Semantics field but FlushSubnormals.
+type arithTest struct{ *dotTest }
+
+func (arithTest) Name() string { return "ArithTest" }
+
+func (a arithTest) Run(input []float64, m *link.Machine) (Result, error) {
+	env, done := m.Fn(a.prog.MustSymbol("Kernel"))
+	defer done()
+	return ScalarResult(env.Mul(env.Add(input[0], input[1]), input[2])), nil
+}
+
 // TestRunAllPlannedSharesEqualBehavior: a plan-key miss whose executable
-// behaves like one already run builds (it is a new plan) but shares that
-// run instead of executing the test again; both plan keys still get their
-// own entry, exported like any other. An executable that behaves
-// differently executes.
+// agrees with an earlier run on everything that run read builds (it is a
+// new plan) but shares that run instead of executing the test again; both
+// plan keys still get their own entry, exported like any other. An
+// executable that differs in something the run read executes.
 func TestRunAllPlannedSharesEqualBehavior(t *testing.T) {
 	s := newSuite()
 	cache := NewCache()
@@ -266,11 +278,32 @@ func TestRunAllPlannedSharesEqualBehavior(t *testing.T) {
 
 	run(s.Baseline.WithInjection("Kernel", fp.Injection{OpIndex: 1, Op: fp.InjAdd, Eps: 0.5}))
 	if m := cache.Metrics(); m.Execs.Misses != 2 || m.Execs.Hits != 1 {
-		t.Errorf("a different behaviour: ran=%d shared=%d, want ran=2 shared=1", m.Execs.Misses, m.Execs.Hits)
+		t.Errorf("an injected run: ran=%d shared=%d, want ran=2 shared=1", m.Execs.Misses, m.Execs.Hits)
 	}
-	// A plan-key hit never reaches the behaviour memo.
+	// A plan-key hit never reaches the run memo.
 	run(gccO1)
 	if m := cache.Metrics(); m.Execs.Misses+m.Execs.Hits != 3 {
-		t.Errorf("a plan-key hit consulted the behaviour memo: %+v", m.Execs)
+		t.Errorf("a plan-key hit consulted the run memo: %+v", m.Execs)
+	}
+
+	// Extended precision changes Kernel's code, so the dot test runs
+	// under both compilations; a test that never reads the field shares
+	// one run between them.
+	icpcO0 := comp.Compilation{Compiler: comp.ICPC, OptLevel: "-O0"}
+	double := comp.Compilation{Compiler: comp.ICPC, OptLevel: "-O1", Switches: "-fp-model double"}
+	arith := arithTest{&dotTest{prog: s.Prog}}
+	for _, c := range []comp.Compilation{icpcO0, double} {
+		if _, err := cache.RunAllPlanned(arith, link.NewBuilder(link.FullBuildPlan(s.Prog, c))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := cache.Metrics(); m.Execs.Misses != 3 || m.Execs.Hits != 2 {
+		t.Errorf("a run reading no differing field: ran=%d shared=%d, want ran=3 shared=2", m.Execs.Misses, m.Execs.Hits)
+	}
+	if L2Diff(run(icpcO0), run(double)) == 0 {
+		t.Error("extended precision does not change the dot test's result")
+	}
+	if m := cache.Metrics(); m.Execs.Misses != 5 || m.Execs.Hits != 2 {
+		t.Errorf("a run reading a differing field: ran=%d shared=%d, want ran=5 shared=2", m.Execs.Misses, m.Execs.Hits)
 	}
 }

@@ -57,13 +57,17 @@ func (inj Injection) String() string {
 }
 
 // Env executes floating-point arithmetic for one function under the
-// semantics its compilation assigned. An Env without an injection never
-// changes state, so one may be shared by any number of runs and
-// goroutines. An injected Env counts dynamic operations: it is created
-// fresh for every executable run (its counter starts at zero) and must not
-// be shared across goroutines.
+// semantics its compilation assigned, and records which Semantics fields
+// its operations have read (Reads). Recording writes to the Env, so an Env
+// must not be shared across goroutines: a linked program gives every run
+// its own copies. An injected Env also counts dynamic operations, so it
+// must start fresh (its counter at zero) for every executable run.
 type Env struct {
 	sem Semantics
+	// reads is the set of fields the operations so far have read. It
+	// starts at ReadsFTZ: every operation that rounds may flush, and
+	// testing each result for a subnormal would cost more than it saves.
+	reads Reads
 
 	// Static-instruction model for injection. staticOps == 0 disables
 	// counting entirely (the common, un-injected fast path).
@@ -74,7 +78,7 @@ type Env struct {
 
 // NewEnv returns an Env that evaluates under sem with no injection.
 func NewEnv(sem Semantics) *Env {
-	return &Env{sem: sem.Normalize()}
+	return &Env{sem: sem.Normalize(), reads: ReadsFTZ}
 }
 
 // NewInjectedEnv returns an Env under sem that perturbs static instruction
@@ -83,11 +87,20 @@ func NewInjectedEnv(sem Semantics, staticOps int, inj Injection) *Env {
 	if staticOps <= 0 {
 		staticOps = 1
 	}
-	return &Env{sem: sem.Normalize(), staticOps: staticOps, inj: &inj}
+	return &Env{sem: sem.Normalize(), reads: ReadsFTZ, staticOps: staticOps, inj: &inj}
 }
 
-// Sem returns the semantics this Env evaluates under.
-func (e *Env) Sem() Semantics { return e.sem }
+// Sem returns the semantics this Env evaluates under. The caller may read
+// any field, so every field counts as read.
+func (e *Env) Sem() Semantics {
+	e.reads = ReadsAll
+	return e.sem
+}
+
+// Reads returns the set of Semantics fields the operations so far have
+// read. Two Envs that agree on these fields and on their injection would
+// have returned the same bits for the same calls.
+func (e *Env) Reads() Reads { return e.reads }
 
 // Injected reports whether this Env carries an injection plan.
 func (e *Env) Injected() bool { return e.inj != nil }

@@ -1,6 +1,7 @@
 package fp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -142,9 +143,14 @@ func TestUnsafeDivReciprocal(t *testing.T) {
 func TestUnsafeSumReassociation(t *testing.T) {
 	strict := NewEnv(Strict)
 	unsafe := NewEnv(Semantics{ReassocWidth: 1, UnsafeMath: true})
-	a, b, c, d := 1e16, -1e16, 1.0, -0.5
-	if strict.Sum4(a, b, c, d) == unsafe.Sum4(a, c, b, d) && strict.Sum3(a, c, b) == unsafe.Sum3(a, c, b) {
-		t.Log("catastrophic case did not differ; checking a broader sweep")
+	// Catastrophic case: strict (a+b)+c keeps c, unsafe (a+c)+b loses it
+	// to the rounding of a+c.
+	a, b, c := 1e16, -1e16, 1.0
+	if got := strict.Sum3(a, b, c); got != 1 {
+		t.Fatalf("strict Sum3 = %g, want 1", got)
+	}
+	if got := unsafe.Sum3(a, b, c); got != 0 {
+		t.Fatalf("unsafe Sum3 = %g, want 0 (reassociated)", got)
 	}
 	diff := false
 	x := 0.1
@@ -324,8 +330,8 @@ func TestAxpyScaleLerp(t *testing.T) {
 	if y[0] != 6 || y[2] != 18 {
 		t.Fatalf("Scale wrong: %v", y)
 	}
-	if got := e.Lerp(2, 4, 0.5); got != 3 {
-		t.Fatalf("Lerp(2,4,0.5) = %g", got)
+	if got := e.MulAdd(0.5, e.Sub(4, 2), 2); got != 3 {
+		t.Fatalf("MulAdd(0.5, 4-2, 2) = %g", got)
 	}
 }
 
@@ -428,5 +434,177 @@ func TestPowApproxZeroBase(t *testing.T) {
 	s := NewEnv(Strict)
 	if got := s.Pow(2, 10); got != 1024 {
 		t.Fatalf("Pow(2,10) = %g", got)
+	}
+}
+
+// readsOps is every Env operation, each with the fields it must record.
+var readsOps = []struct {
+	name string
+	want Reads
+	f    func(e *Env, x, y float64) float64
+}{
+	{"Add", 0, func(e *Env, x, y float64) float64 { return e.Add(x, y) }},
+	{"Sub", 0, func(e *Env, x, y float64) float64 { return e.Sub(x, y) }},
+	{"Mul", 0, func(e *Env, x, y float64) float64 { return e.Mul(x, y) }},
+	{"Neg", 0, func(e *Env, x, _ float64) float64 { return e.Neg(x) }},
+	{"Abs", 0, func(e *Env, x, _ float64) float64 { return e.Abs(x) }},
+	{"Scale", 0, func(e *Env, x, y float64) float64 {
+		v := []float64{x, y}
+		e.Scale(y, v)
+		return v[0] + v[1]
+	}},
+	{"Div", ReadsUnsafe, func(e *Env, x, y float64) float64 { return e.Div(x, y) }},
+	{"Sum3", ReadsUnsafe, func(e *Env, x, y float64) float64 { return e.Sum3(x, y, -x) }},
+	{"MulAdd", ReadsFMA | ReadsExtended, func(e *Env, x, y float64) float64 { return e.MulAdd(x, y, -x*y) }},
+	{"MulSub", ReadsFMA | ReadsExtended, func(e *Env, x, y float64) float64 { return e.MulSub(x, y, x*y) }},
+	{"Axpy", ReadsFMA | ReadsExtended, func(e *Env, x, y float64) float64 {
+		v := []float64{-x * y, x}
+		e.Axpy(y, []float64{x, y}, v)
+		return v[0] + v[1]
+	}},
+	{"Sqrt", ReadsApprox, func(e *Env, x, _ float64) float64 { return e.Sqrt(math.Abs(x)) }},
+	{"Exp", ReadsApprox, func(e *Env, x, _ float64) float64 { return e.Exp(x) }},
+	{"Log", ReadsApprox, func(e *Env, x, _ float64) float64 { return e.Log(math.Abs(x)) }},
+	{"Pow", ReadsApprox, func(e *Env, x, y float64) float64 { return e.Pow(math.Abs(x), y) }},
+	{"Sum", ReadsWidth | ReadsExtended, func(e *Env, x, y float64) float64 {
+		return e.Sum([]float64{x, y, 1e16, -1e16, y, x, 0.5, y, x})
+	}},
+	{"Dot", ReadsFMA | ReadsExtended | ReadsWidth, func(e *Env, x, y float64) float64 {
+		return e.Dot([]float64{x, y, x, 1, y, x, 3, x, y}, []float64{y, x, -y, 1e-17, x, y, 1, -x, x})
+	}},
+	{"Norm2", ReadsFMA | ReadsExtended | ReadsWidth | ReadsApprox, func(e *Env, x, y float64) float64 {
+		return e.Norm2([]float64{x, y, x, y, 1e-3})
+	}},
+}
+
+// allSemantics enumerates every Semantics the matrix can produce.
+func allSemantics() []Semantics {
+	var out []Semantics
+	for bits := 0; bits < 32; bits++ {
+		for _, w := range []uint8{1, 4, 8} {
+			out = append(out, Semantics{
+				FuseFMA: bits&1 != 0, UnsafeMath: bits&2 != 0, ExtendedPrecision: bits&4 != 0,
+				FlushSubnormals: bits&8 != 0, ApproxMath: bits&16 != 0, ReassocWidth: w,
+			})
+		}
+	}
+	return out
+}
+
+// TestOpsRecordReads: each operation records exactly the fields it reads,
+// on top of FlushSubnormals, which every Env counts from the start; Sem
+// hands out every field and so records them all.
+func TestOpsRecordReads(t *testing.T) {
+	if got := NewEnv(Strict).Reads(); got != ReadsFTZ {
+		t.Fatalf("a fresh Env reads %#x, want only ReadsFTZ", got)
+	}
+	if got := NewInjectedEnv(Strict, 3, Injection{Op: InjAdd, Eps: 1}).Reads(); got != ReadsFTZ {
+		t.Fatalf("a fresh injected Env reads %#x, want only ReadsFTZ", got)
+	}
+	for _, op := range readsOps {
+		e := NewEnv(Semantics{FuseFMA: true, ReassocWidth: 4})
+		op.f(e, 1.25, 0.75)
+		if got, want := e.Reads(), op.want|ReadsFTZ; got != want {
+			t.Errorf("%s recorded %#x, want %#x", op.name, got, want)
+		}
+	}
+	e := NewEnv(Strict)
+	e.Sem()
+	if e.Reads() != ReadsAll {
+		t.Errorf("Sem recorded %#x, want every field", e.Reads())
+	}
+}
+
+// TestReadsDecideResults is the trust boundary of the recording: two
+// semantics that agree on every field an operation recorded give it the
+// same bits, NaN payloads included, on inputs covering subnormals,
+// cancellation, ±0, ±Inf and NaN.
+func TestReadsDecideResults(t *testing.T) {
+	sems := allSemantics()
+	inputs := [][2]float64{
+		{1.25, 0.75}, {1 + 0x1p-29, 1 - 0x1p-29}, {0x1p-1030, 0x1p-20}, {1e16, -3},
+		{math.Copysign(0, -1), 2}, {math.Inf(1), 0.5}, {math.NaN(), 1}, {0.1, 7},
+	}
+	for _, op := range readsOps {
+		for _, in := range inputs {
+			seen := map[uint16]uint64{}
+			for _, sem := range sems {
+				e := NewEnv(sem)
+				got := math.Float64bits(op.f(e, in[0], in[1]))
+				k := sem.Pack() & uint16(e.Reads())
+				if want, ok := seen[k]; ok && want != got {
+					t.Errorf("%s%v under %v: %x, another semantics agreeing on the recorded fields gave %x",
+						op.name, in, sem, got, want)
+				}
+				seen[k] = got
+			}
+		}
+	}
+}
+
+// TestPackIsInjective: distinct semantics pack apart, so a full mask keeps
+// every field.
+func TestPackIsInjective(t *testing.T) {
+	seen := map[uint16]Semantics{}
+	for _, sem := range allSemantics() {
+		p := sem.Pack()
+		if other, ok := seen[p]; ok {
+			t.Fatalf("%v and %v both pack to %#x", sem, other, p)
+		}
+		seen[p] = sem
+		if p&uint16(ReadsAll) != p {
+			t.Fatalf("%v packs outside ReadsAll: %#x", sem, p)
+		}
+	}
+}
+
+// sink keeps benchmark results alive.
+var sink float64
+
+// BenchmarkEnvOps times every scalar operation, and Dot and Sum of 64
+// elements at widths 1, 4 and 8, with flush-to-zero off and on: the
+// per-call cost of recording reads shows here.
+func BenchmarkEnvOps(b *testing.B) {
+	xs, ys := make([]float64, 64), make([]float64, 64)
+	for i := range xs {
+		xs[i], ys[i] = math.Sin(float64(i)*0.7), math.Cos(float64(i)*0.3)
+	}
+	for _, ftz := range []bool{false, true} {
+		mode := "ftz=off"
+		if ftz {
+			mode = "ftz=on"
+		}
+		for _, op := range readsOps {
+			if op.name == "Dot" || op.name == "Sum" || op.name == "Norm2" {
+				continue
+			}
+			b.Run(op.name+"/"+mode, func(b *testing.B) {
+				e := NewEnv(Semantics{ReassocWidth: 1, FlushSubnormals: ftz})
+				var s float64
+				for b.Loop() {
+					s += op.f(e, 1.25, 0.75)
+				}
+				sink = s
+			})
+		}
+		for _, w := range []uint8{1, 4, 8} {
+			sem := Semantics{ReassocWidth: w, FlushSubnormals: ftz}
+			b.Run(fmt.Sprintf("Dot/w%d/%s", w, mode), func(b *testing.B) {
+				e := NewEnv(sem)
+				var s float64
+				for b.Loop() {
+					s += e.Dot(xs, ys)
+				}
+				sink = s
+			})
+			b.Run(fmt.Sprintf("Sum/w%d/%s", w, mode), func(b *testing.B) {
+				e := NewEnv(sem)
+				var s float64
+				for b.Loop() {
+					s += e.Sum(xs)
+				}
+				sink = s
+			})
+		}
 	}
 }

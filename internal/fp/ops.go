@@ -2,6 +2,10 @@ package fp
 
 import "math"
 
+// Each operation below ORs into e.reads the Semantics fields it reads,
+// once per call and never per element. Add, Sub and Mul read only
+// FlushSubnormals, which every Env counts as read from the start.
+
 // flush applies flush-to-zero when the semantics request it.
 func (e *Env) flush(x float64) float64 {
 	if e.sem.FlushSubnormals && x != 0 && math.Abs(x) < 0x1p-1022 {
@@ -31,6 +35,7 @@ func (e *Env) Mul(a, b float64) float64 {
 // Div returns a/b. Under UnsafeMath it is rewritten to a multiplication by
 // the reciprocal, which rounds twice and may differ in the last ulp.
 func (e *Env) Div(a, b float64) float64 {
+	e.reads |= ReadsUnsafe
 	a = e.step(a)
 	if e.sem.UnsafeMath {
 		return e.flush(a * (1 / b))
@@ -48,6 +53,12 @@ func (e *Env) Abs(a float64) float64 { return math.Abs(a) }
 // intermediates it rounds once (fused); otherwise it rounds the product and
 // the sum separately, exactly like unfused scalar code.
 func (e *Env) MulAdd(a, b, c float64) float64 {
+	e.reads |= ReadsFMA | ReadsExtended
+	return e.mulAdd(a, b, c)
+}
+
+// mulAdd is MulAdd without recording its reads.
+func (e *Env) mulAdd(a, b, c float64) float64 {
 	a = e.step(a)
 	if e.sem.FuseFMA || e.sem.ExtendedPrecision {
 		return e.flush(math.FMA(a, b, c))
@@ -57,6 +68,7 @@ func (e *Env) MulAdd(a, b, c float64) float64 {
 
 // MulSub returns a*b-c with the same contraction rules as MulAdd.
 func (e *Env) MulSub(a, b, c float64) float64 {
+	e.reads |= ReadsFMA | ReadsExtended
 	a = e.step(a)
 	if e.sem.FuseFMA || e.sem.ExtendedPrecision {
 		return e.flush(math.FMA(a, b, -c))
@@ -68,6 +80,7 @@ func (e *Env) MulSub(a, b, c float64) float64 {
 // Newton-refined reciprocal-sqrt implementation that is within a couple of
 // ulps of the correctly rounded result but not always equal to it.
 func (e *Env) Sqrt(a float64) float64 {
+	e.reads |= ReadsApprox
 	a = e.step(a)
 	if e.sem.ApproxMath {
 		return e.flush(approxSqrt(a))
@@ -78,6 +91,7 @@ func (e *Env) Sqrt(a float64) float64 {
 // Exp returns e**a; ApproxMath yields a faithfully-rounded (not
 // correctly-rounded) result.
 func (e *Env) Exp(a float64) float64 {
+	e.reads |= ReadsApprox
 	a = e.step(a)
 	if e.sem.ApproxMath {
 		return e.flush(approxExp(a))
@@ -87,6 +101,7 @@ func (e *Env) Exp(a float64) float64 {
 
 // Log returns the natural logarithm with the same rules as Exp.
 func (e *Env) Log(a float64) float64 {
+	e.reads |= ReadsApprox
 	a = e.step(a)
 	if e.sem.ApproxMath {
 		return e.flush(approxLog(a))
@@ -97,6 +112,7 @@ func (e *Env) Log(a float64) float64 {
 // Pow returns a**b. Under ApproxMath it is computed as exp(b*log(a)) with
 // the approximate kernels (the classic vector-math shortcut).
 func (e *Env) Pow(a, b float64) float64 {
+	e.reads |= ReadsApprox
 	a = e.step(a)
 	if e.sem.ApproxMath {
 		if a == 0 {
@@ -123,6 +139,7 @@ func (e *Env) Dot(xs, ys []float64) float64 {
 	if len(ys) < n {
 		n = len(ys)
 	}
+	e.reads |= ReadsFMA | ReadsExtended
 	if e.sem.FuseFMA || e.sem.ExtendedPrecision {
 		// Fused path: each lane accumulates with a single rounding per
 		// element (or none, for extended precision).
@@ -140,6 +157,7 @@ func (e *Env) Norm2(xs []float64) float64 {
 
 // reduce accumulates n terms produced by f under the reduction semantics.
 func (e *Env) reduce(n int, f func(i int) float64) float64 {
+	e.reads |= ReadsWidth | ReadsExtended
 	w := int(e.sem.ReassocWidth)
 	if w <= 1 {
 		if e.sem.ExtendedPrecision {
@@ -181,6 +199,7 @@ func (e *Env) reduce(n int, f func(i int) float64) float64 {
 // its lane with fma(x, y, lane), one rounding per element; extended
 // precision removes even that rounding via double-double lanes.
 func (e *Env) reduceFMA(n int, xs, ys []float64) float64 {
+	e.reads |= ReadsWidth | ReadsExtended
 	w := int(e.sem.ReassocWidth)
 	if w < 1 {
 		w = 1
@@ -222,6 +241,7 @@ func (e *Env) stepOnly() {
 // Sum3 adds three values. UnsafeMath reassociates (a+c)+b — the kind of
 // reordering -funsafe-math-optimizations performs on short chains.
 func (e *Env) Sum3(a, b, c float64) float64 {
+	e.reads |= ReadsUnsafe
 	a = e.step(a)
 	if e.sem.UnsafeMath {
 		return e.flush((a + c) + b)
@@ -229,25 +249,11 @@ func (e *Env) Sum3(a, b, c float64) float64 {
 	return e.flush((a + b) + c)
 }
 
-// Sum4 adds four values. UnsafeMath uses a balanced tree (a+b)+(c+d) in
-// place of the strict sequential ((a+b)+c)+d.
-func (e *Env) Sum4(a, b, c, d float64) float64 {
-	a = e.step(a)
-	if e.sem.UnsafeMath {
-		return e.flush((a + b) + (c + d))
-	}
-	return e.flush(((a + b) + c) + d)
-}
-
-// Lerp returns a + t*(b-a); contraction applies to the multiply-add.
-func (e *Env) Lerp(a, b, t float64) float64 {
-	return e.MulAdd(t, e.Sub(b, a), a)
-}
-
 // Axpy computes y[i] += alpha*x[i] in place under contraction semantics.
 func (e *Env) Axpy(alpha float64, x, y []float64) {
+	e.reads |= ReadsFMA | ReadsExtended
 	for i := range y {
-		y[i] = e.MulAdd(alpha, x[i], y[i])
+		y[i] = e.mulAdd(alpha, x[i], y[i])
 	}
 }
 

@@ -101,3 +101,37 @@ func (s Semantics) String() string {
 	}
 	return out
 }
+
+// Reads is a set of Semantics fields, laid out as a mask over Pack: an
+// Env's operations OR into it the fields they read, once per call.
+type Reads uint16
+
+// The fields an operation can read. Every Env counts FlushSubnormals as
+// read from the start, because any rounding result may be subnormal.
+const (
+	ReadsFMA      Reads = 1 << 0    // FuseFMA: MulAdd, MulSub, Dot
+	ReadsUnsafe   Reads = 1 << 1    // UnsafeMath: Div, Sum3
+	ReadsExtended Reads = 1 << 2    // ExtendedPrecision: MulAdd, MulSub, reductions
+	ReadsFTZ      Reads = 1 << 3    // FlushSubnormals: always
+	ReadsApprox   Reads = 1 << 4    // ApproxMath: Sqrt, Exp, Log, Pow
+	ReadsWidth    Reads = 0xff << 8 // ReassocWidth: reductions
+	// ReadsAll covers every field.
+	ReadsAll = ReadsFMA | ReadsUnsafe | ReadsExtended | ReadsFTZ | ReadsApprox | ReadsWidth
+)
+
+// Pack lays the normalized s out in 16 bits, one bit per flag (the bit of
+// its Reads constant) and ReassocWidth in the high byte. It is injective,
+// and Pack(s)&uint16(r) keeps exactly the fields r covers, so two
+// semantics agree on those fields exactly when their masked packs are
+// equal.
+func (s Semantics) Pack() uint16 {
+	s = s.Normalize()
+	p := uint16(s.ReassocWidth) << 8
+	// In the order of the Reads bits.
+	for bit, on := range [...]bool{s.FuseFMA, s.UnsafeMath, s.ExtendedPrecision, s.FlushSubnormals, s.ApproxMath} {
+		if on {
+			p |= 1 << bit
+		}
+	}
+	return p
+}

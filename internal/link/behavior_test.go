@@ -2,6 +2,8 @@ package link
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/comp"
@@ -22,20 +24,78 @@ func mustLink(t *testing.T, p Plan) *Executable {
 // of one program.
 func semDiffs(a, b *class) int {
 	n := 0
-	for i := range a.sems {
-		if a.sems[i] != b.sems[i] {
+	for i := range a.packed {
+		if a.packed[i] != b.packed[i] {
 			n++
 		}
 	}
 	return n
 }
 
-// TestBehaviorKeySeparates: Executable.Behavior is a trust boundary — the
-// run memo shares a Result between executables whose keys are equal — so
-// changing exactly one input a Machine reads must change the key. Each
-// case holds every other input fixed.
+// readAll runs every kind of Env operation, so every field counts as read.
+func readAll(env *fp.Env) {
+	env.Div(1, 3)
+	env.MulAdd(1, 2, 3)
+	env.Sqrt(2)
+	env.Dot([]float64{1, 2}, []float64{3, 4})
+}
+
+// chainRun is one run of testProgram: Main calls Dot (which calls helper)
+// and Scale, and Scale calls helper too; each function applies ops to its
+// Env. With compiler set, Dot reads the compiler name.
+type chainRun struct {
+	ops      func(*fp.Env)
+	compiler bool
+	skip     string // a function the run never enters
+}
+
+func (r chainRun) run(t *testing.T, ex *Executable) *Trace {
+	t.Helper()
+	if ex.Crashes() {
+		return &Trace{} // a crashing executable runs nothing
+	}
+	p := ex.prog
+	m := newTestMachine(t, ex)
+	enter := func(name string, body func()) {
+		if name == r.skip {
+			return
+		}
+		env, done := m.Fn(p.MustSymbol(name))
+		defer done()
+		r.ops(env)
+		if body != nil {
+			body()
+		}
+	}
+	enter("Main", func() {
+		enter("Dot", func() {
+			if r.compiler {
+				m.Compiler()
+			}
+			enter("helper", nil)
+		})
+		enter("Scale", func() { enter("helper", nil) })
+	})
+	return m.Trace()
+}
+
+// sameKey reports whether the run memo finds a and b under one key for
+// trace tr: equal layouts (a trace projects only executables of its own
+// layout) and equal projections.
+func sameKey(a, b *Executable, tr *Trace) bool {
+	return a.Layout() == b.Layout() &&
+		string(a.AppendProjection(nil, tr)) == string(b.AppendProjection(nil, tr))
+}
+
+// TestBehaviorKeySeparates: the run memo is a trust boundary — it shares a
+// Result between executables whose layouts and projections under a run's
+// trace are equal — so changing exactly one input a run reads must change
+// the key under that run's trace. Each case holds every other input fixed,
+// and the run reads every field of every function it enters, plus the
+// compiler name.
 func TestBehaviorKeySeparates(t *testing.T) {
 	p := testProgram()
+	gccO1 := comp.Compilation{Compiler: comp.GCC, OptLevel: "-O1"}
 	gccO2 := comp.Compilation{Compiler: comp.GCC, OptLevel: "-O2"}
 	inj := fp.Injection{OpIndex: 1, Op: fp.InjAdd, Eps: 0.25}
 	injected := func(sym string, inj fp.Injection) *Executable {
@@ -69,7 +129,6 @@ search:
 	// Equal semantics under two compiler names, as the variable side of
 	// one file mix: only the class's compiler name differs.
 	clangO0 := comp.Compilation{Compiler: comp.Clang, OptLevel: "-O0"}
-	gccO1 := comp.Compilation{Compiler: comp.GCC, OptLevel: "-O1"}
 	if semDiffs(classOf(p, clangO0, baseC.Compiler), classOf(p, gccO1, baseC.Compiler)) != 0 {
 		t.Fatal("clang++ -O0 and g++ -O1 should generate equal semantics")
 	}
@@ -103,6 +162,16 @@ search:
 	separate := mustLink(t, Plan{Prog: p, Baseline: baseC,
 		FileComp: map[string]comp.Compilation{"math.cpp": c1, "driver.cpp": c2}})
 
+	// One injection, carried by compilation 0 (math.cpp's, where helper
+	// binds) or by compilation 1 (driver.cpp's, where helper never runs):
+	// equal layouts and equal semantics everywhere, so only an injection
+	// keyed by the slot that carries it tells them apart.
+	onHelper := gccO1.WithInjection("helper", inj)
+	injHere := mustLink(t, Plan{Prog: p, Baseline: onHelper,
+		FileComp: map[string]comp.Compilation{"driver.cpp": baseC}})
+	injThere := mustLink(t, Plan{Prog: p, Baseline: baseC,
+		FileComp: map[string]comp.Compilation{"driver.cpp": onHelper}})
+
 	nextEps := inj
 	nextEps.Eps = math.Nextafter(inj.Eps, 1)
 	posZero, negZero := inj, inj
@@ -110,6 +179,7 @@ search:
 	otherIdx, otherOp := inj, inj
 	otherIdx.OpIndex, otherOp.Op = 2, fp.InjSub
 
+	run := chainRun{ops: readAll, compiler: true}
 	for _, tc := range []struct {
 		name string
 		a, b *Executable
@@ -121,6 +191,7 @@ search:
 		{"injection op", injected("Dot", inj), injected("Dot", otherOp)},
 		{"injection eps last bit", injected("Dot", inj), injected("Dot", nextEps)},
 		{"injection eps sign of zero", injected("Dot", posZero), injected("Dot", negZero)},
+		{"injection carried by another compilation", injHere, injThere},
 		{"crash flag", mustLink(t, FullBuildPlan(p, varC)), crashed},
 		{"compiler name under equal semantics",
 			mustLink(t, FileMixPlan(p, baseC, clangO0, []string{"math.cpp"})),
@@ -129,50 +200,76 @@ search:
 		{"internal symbol rebinding", mix, rebound},
 		{"equal injection plans as separate pointers", shared, separate},
 	} {
-		if tc.a.Behavior() == tc.b.Behavior() {
-			t.Errorf("%s: keys equal (plans %q and %q)", tc.name, tc.a.Key(), tc.b.Key())
+		for _, tr := range []*Trace{run.run(t, tc.a), run.run(t, tc.b)} {
+			if sameKey(tc.a, tc.b, tr) {
+				t.Errorf("%s: keys equal (plans %q and %q)", tc.name, tc.a.Key(), tc.b.Key())
+			}
 		}
 	}
 }
 
-// TestBehaviorKeyIgnoresSpelling: the key identifies what an executable
-// does, not how its plan was spelled — compilations generating equal code
-// share it even though their plan keys differ, which is all the run memo
-// saves. A driver whose link step changes nothing is one such spelling.
+// TestBehaviorKeyIgnoresSpelling: the key identifies what a run read, not
+// how the plan was spelled — executables agreeing on every value the run
+// read share it even though their plan keys differ, which is all the run
+// memo saves. Equal code is one such agreement; a field, a function or a
+// compiler name the run never read is another.
 func TestBehaviorKeyIgnoresSpelling(t *testing.T) {
 	p := testProgram()
 	gccO1 := comp.Compilation{Compiler: comp.GCC, OptLevel: "-O1"}
+	clangO0 := comp.Compilation{Compiler: comp.Clang, OptLevel: "-O0"}
 	clangDriver := FullBuildPlan(p, gccO1)
 	clangDriver.Driver = comp.Clang
+	all := chainRun{ops: readAll, compiler: true}
+	arithmetic := chainRun{ops: func(env *fp.Env) { env.Mul(env.Add(1, 2), 3) }}
 	for _, tc := range []struct {
 		name string
+		run  chainRun
 		a, b Plan
 	}{
-		{"g++ -O0 and -O1", FullBuildPlan(p, baseC), FullBuildPlan(p, gccO1)},
-		{"g++ and clang++ drivers", FullBuildPlan(p, gccO1), clangDriver},
-		{"injection into a symbol the program lacks", FullBuildPlan(p, varC),
+		{"g++ -O0 and -O1", all, FullBuildPlan(p, baseC), FullBuildPlan(p, gccO1)},
+		{"g++ and clang++ drivers", all, FullBuildPlan(p, gccO1), clangDriver},
+		{"injection into a symbol the program lacks", all, FullBuildPlan(p, varC),
 			FullBuildPlan(p, varC.WithInjection("Missing", fp.Injection{Op: fp.InjAdd, Eps: 0.5}))},
+		{"fields the run did not read", arithmetic, FullBuildPlan(p, baseC), FullBuildPlan(p, varC)},
+		{"a function the run did not enter", chainRun{ops: readAll, skip: "Dot"},
+			SymbolMixPlan(p, baseC, varC, []string{"Dot"}),
+			SymbolMixPlan(p, baseC, comp.Compilation{Compiler: comp.GCC, OptLevel: "-O3"}, []string{"Dot"})},
+		{"an injection into a function the run did not enter", chainRun{ops: readAll, skip: "Scale"},
+			FullBuildPlan(p, varC), FullBuildPlan(p, varC.WithInjection("Scale", fp.Injection{Op: fp.InjAdd, Eps: 0.5}))},
+		{"a compiler name the run did not read", chainRun{ops: readAll},
+			FileMixPlan(p, baseC, clangO0, []string{"math.cpp"}),
+			FileMixPlan(p, baseC, gccO1, []string{"math.cpp"})},
 	} {
 		a, b := mustLink(t, tc.a), mustLink(t, tc.b)
 		if a.Key() == b.Key() {
 			t.Fatalf("%s: plan keys equal; the case tests nothing", tc.name)
 		}
-		if a.Behavior() != b.Behavior() {
-			t.Errorf("%s: behaviour keys differ", tc.name)
+		tr := tc.run.run(t, a)
+		if !sameKey(a, b, tr) {
+			t.Errorf("%s: keys differ", tc.name)
 		}
 	}
 }
 
 // TestMachineCompilerIsClassCompiler: Compiler reports the frame's
-// compiler name, and the baseline's outside any frame.
+// compiler name, and the baseline's outside any frame, and the run's
+// trace records that a compiler name was read only once one was.
 func TestMachineCompilerIsClassCompiler(t *testing.T) {
 	p := testProgram()
 	clangO0 := comp.Compilation{Compiler: comp.Clang, OptLevel: "-O0"}
 	m := newTestMachine(t, mustLink(t, FileMixPlan(p, baseC, clangO0, []string{"math.cpp"})))
+	_, done := m.Fn(p.MustSymbol("Dot"))
+	done()
+	if m.Trace().compiler {
+		t.Fatal("the trace records a compiler read before any")
+	}
 	if got := m.Compiler(); got != comp.GCC {
 		t.Fatalf("outside any frame: %q, want the baseline's %q", got, comp.GCC)
 	}
-	_, done := m.Fn(p.MustSymbol("Dot"))
+	if !m.Trace().compiler {
+		t.Fatal("the trace does not record the compiler read")
+	}
+	_, done = m.Fn(p.MustSymbol("Dot"))
 	if got := m.Compiler(); got != comp.Clang {
 		t.Fatalf("in Dot: %q, want %q", got, comp.Clang)
 	}
@@ -182,4 +279,130 @@ func TestMachineCompilerIsClassCompiler(t *testing.T) {
 		t.Fatalf("in Main: %q, want %q", got, comp.GCC)
 	}
 	done()
+}
+
+// TestTraceRecordsEnteredSlots: a trace lists exactly the (symbol,
+// compilation) slots the run entered, each with what its Env read, and
+// FlushSubnormals counts as read for every one of them. Traces of equal
+// runs are Equal; reading a compiler name makes them differ.
+func TestTraceRecordsEnteredSlots(t *testing.T) {
+	p := testProgram()
+	ex := mustLink(t, SymbolMixPlan(p, baseC, varC, []string{"Dot"}))
+	run := func() *Machine {
+		m := newTestMachine(t, ex)
+		env, doneDot := m.Fn(p.MustSymbol("Dot"))
+		env.Div(1, 3)
+		_, doneHelper := m.Fn(p.MustSymbol("helper"))
+		doneHelper()
+		doneDot()
+		env, doneScale := m.Fn(p.MustSymbol("Scale"))
+		env.Sqrt(2)
+		doneScale()
+		return m
+	}
+	m, other := run(), run()
+	if !m.Trace().Equal(other.Trace()) {
+		t.Fatal("two equal runs traced differently")
+	}
+	other.Compiler()
+	if m.Trace().Equal(other.Trace()) {
+		t.Fatal("a compiler read left the trace equal")
+	}
+	slot := func(name string, c int32) int32 {
+		return int32(p.MustSymbol(name).ID()*len(ex.comps)) + c
+	}
+	dotC := ex.symTab[p.MustSymbol("Dot").ID()]
+	scaleC := ex.symTab[p.MustSymbol("Scale").ID()]
+	want := map[int32]fp.Reads{
+		slot("Dot", dotC):     fp.ReadsFTZ | fp.ReadsUnsafe,
+		slot("helper", dotC):  fp.ReadsFTZ,
+		slot("Scale", scaleC): fp.ReadsFTZ | fp.ReadsApprox,
+	}
+	tr := m.Trace()
+	if len(tr.slots) != len(want) || !slices.IsSorted(tr.slots) {
+		t.Fatalf("trace slots %v, want the %d entered ones in order", tr.slots, len(want))
+	}
+	for i, s := range tr.slots {
+		if tr.reads[i] != want[s] {
+			t.Errorf("slot %d read %#x, want %#x", s, tr.reads[i], want[s])
+		}
+	}
+}
+
+// TestMachinesTraceApart: two Machines of one executable run on two
+// goroutines, each reading different fields of the same functions; each
+// trace holds exactly its own reads (under -race, a shared Env would also
+// be reported), and the class's Envs stay as built.
+func TestMachinesTraceApart(t *testing.T) {
+	p := testProgram()
+	ex := mustLink(t, FullBuildPlan(p, varC.WithInjection("Dot", fp.Injection{OpIndex: 1, Op: fp.InjAdd, Eps: 0.5})))
+	runs := []struct {
+		ops  func(*fp.Env)
+		want fp.Reads
+	}{
+		{func(env *fp.Env) { env.Div(1, 3) }, fp.ReadsFTZ | fp.ReadsUnsafe},
+		{func(env *fp.Env) { env.Exp(1) }, fp.ReadsFTZ | fp.ReadsApprox},
+	}
+	traces := make([]*Trace, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := ex.NewMachine()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for range 200 {
+				for _, name := range []string{"Main", "Dot", "helper", "Scale"} {
+					env, done := m.Fn(p.MustSymbol(name))
+					r.ops(env)
+					done()
+				}
+			}
+			traces[i] = m.Trace()
+		}()
+	}
+	wg.Wait()
+	for i, tr := range traces {
+		if tr == nil {
+			t.FailNow()
+		}
+		if len(tr.slots) != 4 {
+			t.Errorf("run %d entered %d slots, want 4", i, len(tr.slots))
+		}
+		for k, r := range tr.reads {
+			if r != runs[i].want {
+				t.Errorf("run %d slot %d read %#x, want %#x", i, tr.slots[k], r, runs[i].want)
+			}
+		}
+	}
+	cl := ex.classes[0]
+	if cl.injEnv.Reads() != fp.ReadsFTZ || cl.injEnv.OpsExecuted() != 0 {
+		t.Error("runs changed the class's injected Env")
+	}
+	for _, env := range cl.envs {
+		if env.Reads() != fp.ReadsFTZ {
+			t.Error("runs changed a class's Env")
+		}
+	}
+}
+
+// TestUnenteredSlotsAreNotTraced: a symbol whose Env is fetched but never
+// used still counts as entered; a Machine that enters nothing traces
+// nothing, and its projection is the empty string.
+func TestUnenteredSlotsAreNotTraced(t *testing.T) {
+	p := testProgram()
+	ex := mustLink(t, FullBuildPlan(p, varC))
+	m := newTestMachine(t, ex)
+	tr := m.Trace()
+	if len(tr.slots) != 0 || len(ex.AppendProjection(nil, tr)) != 0 {
+		t.Fatalf("an idle run traced %v", tr.slots)
+	}
+	_, done := m.Fn(p.MustSymbol("Scale"))
+	done()
+	if tr := m.Trace(); len(tr.slots) != 1 || tr.reads[0] != fp.ReadsFTZ {
+		t.Fatalf("entering Scale traced %v %v", tr.slots, tr.reads)
+	}
 }

@@ -1,8 +1,6 @@
 package link
 
 import (
-	"encoding/binary"
-	"math"
 	"slices"
 	"sync"
 
@@ -16,25 +14,24 @@ import (
 // symbol, the fp.Semantics its Env evaluates under after the link step,
 // plus the injection as that Env sees it: the target symbol and the site,
 // operation and epsilon. Machine.env builds every Env from a class and
-// from nothing else, so compilations with equal classes generate
-// value-identical code for the whole program however differently they are
-// spelled. Executable.Behavior keys on class IDs for exactly that reason.
+// from nothing else, and Executable.AppendProjection reads a trace's
+// fields from the same class, so the memo's key and the machine cannot
+// drift apart.
 //
 // A class is immutable once built and shared by every executable that
 // links the same (program, compilation, driver).
 type class struct {
-	// id is equal for two classes of one program exactly when their
-	// contents are equal.
-	id       uint32
 	compiler string
-	sems     []fp.Semantics // by symbol ID, normalized
-	injSym   int            // ID of the injected symbol; -1 when none
-	inj      fp.Injection
-	// envs holds, by symbol ID, an un-injected Env of the symbol's
-	// semantics, built once and shared by every Machine: an Env without an
-	// injection never changes state. Only the injected symbol gets a fresh
-	// Env per run (env), because its Env counts operations.
-	envs []*fp.Env
+	// packed holds, by symbol ID, fp.Semantics.Pack of the symbol's
+	// semantics.
+	packed []uint16
+	injSym int // ID of the injected symbol; -1 when none
+	inj    fp.Injection
+	// envs holds, by symbol ID, the Env every run of the symbol starts
+	// from; injEnv is the injected symbol's. A Machine copies them into its
+	// own slots and never runs on these.
+	envs   []fp.Env
+	injEnv fp.Env
 }
 
 // classKey addresses the class memo. The compilation is identified by its
@@ -54,22 +51,6 @@ type classKey struct {
 // semantics.
 var classMemo sync.Map // classKey -> *class
 
-// classIDs interns class contents to IDs. semIDs numbers the distinct
-// fp.Semantics values, so a class's content is a string of small numbers
-// and a new field of fp.Semantics is part of it without a change here.
-var classIDs = struct {
-	mu     sync.Mutex
-	ids    map[classIdent]uint32
-	semIDs map[fp.Semantics]uint64
-}{ids: map[classIdent]uint32{}, semIDs: map[fp.Semantics]uint64{}}
-
-// classIdent is a class's content together with its program: IDs are
-// never shared across programs.
-type classIdent struct {
-	prog    *prog.Program
-	content string
-}
-
 // classOf returns the memoized class of program p compiled under c and
 // linked by driver.
 func classOf(p *prog.Program, c comp.Compilation, driver string) *class {
@@ -81,75 +62,43 @@ func classOf(p *prog.Program, c comp.Compilation, driver string) *class {
 	return v.(*class)
 }
 
-// newClass derives a class from scratch and interns its ID. An injection
-// changes no symbol's semantics, so an injected class shares the
-// semantics and Envs of the class its compilation has without the plan.
+// newClass derives a class from scratch. An injection changes no symbol's
+// semantics, so an injected class shares the packed semantics and Envs of
+// the class its compilation has without the plan.
 func newClass(p *prog.Program, c comp.Compilation, driver string) *class {
-	cl := &class{compiler: c.Compiler, sems: make([]fp.Semantics, p.NumSymbols()), injSym: -1}
-	for id := range cl.sems {
+	sems := make([]fp.Semantics, p.NumSymbols())
+	cl := &class{compiler: c.Compiler, packed: make([]uint16, len(sems)), injSym: -1}
+	for id := range sems {
 		sym := p.SymbolAt(id)
-		cl.sems[id] = comp.ApplyLinkStep(driver, sym, comp.Semantics(c, sym)).Normalize()
+		sems[id] = comp.ApplyLinkStep(driver, sym, comp.Semantics(c, sym))
+		cl.packed[id] = sems[id].Pack()
 	}
 	if c.Inject != nil {
 		if sym := p.Symbol(c.Inject.Symbol); sym != nil {
 			cl.injSym, cl.inj = sym.ID(), c.Inject.Inj
+			cl.injEnv = *fp.NewInjectedEnv(sems[cl.injSym], sym.FPOps, cl.inj)
 		}
 		base := c
 		base.Inject = nil
-		if b := classOf(p, base, driver); slices.Equal(b.sems, cl.sems) {
-			cl.sems, cl.envs = b.sems, b.envs
+		if b := classOf(p, base, driver); slices.Equal(b.packed, cl.packed) {
+			cl.packed, cl.envs = b.packed, b.envs
 		}
 	}
 	if cl.envs == nil {
-		cl.envs = make([]*fp.Env, len(cl.sems))
-		for id, sem := range cl.sems {
-			cl.envs[id] = fp.NewEnv(sem)
+		cl.envs = make([]fp.Env, len(sems))
+		for id, sem := range sems {
+			cl.envs[id] = *fp.NewEnv(sem)
 		}
 	}
-	cl.id = internClass(p, cl)
 	return cl
 }
 
-// internClass returns the ID of cl's content within program p, assigning
-// the next free one on first sight. The content encoding is
-// self-delimiting: a length-prefixed compiler name, a count-prefixed list
-// of semantics numbers, then, only for an injected class, the target,
-// site, operation and epsilon bits (so ±0 and NaN payloads stay apart).
-func internClass(p *prog.Program, cl *class) uint32 {
-	classIDs.mu.Lock()
-	defer classIDs.mu.Unlock()
-	b := binary.AppendUvarint(nil, uint64(len(cl.compiler)))
-	b = append(b, cl.compiler...)
-	b = binary.AppendUvarint(b, uint64(len(cl.sems)))
-	for _, s := range cl.sems {
-		id, ok := classIDs.semIDs[s]
-		if !ok {
-			id = uint64(len(classIDs.semIDs))
-			classIDs.semIDs[s] = id
-		}
-		b = binary.AppendUvarint(b, id)
-	}
-	if cl.injSym >= 0 {
-		b = binary.AppendUvarint(b, uint64(cl.injSym))
-		b = binary.AppendVarint(b, int64(cl.inj.OpIndex))
-		b = append(b, byte(cl.inj.Op))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cl.inj.Eps))
-	}
-	k := classIdent{prog: p, content: string(b)}
-	id, ok := classIDs.ids[k]
-	if !ok {
-		id = uint32(len(classIDs.ids))
-		classIDs.ids[k] = id
-	}
-	return id
-}
-
-// env returns the Env for one symbol under this class: the shared one, or
-// for the injected symbol a fresh one, its operation counter at zero.
+// env returns the Env one run of sym under this class starts from: its
+// symbol's, or the injected one, its operation counter at zero.
 func (cl *class) env(sym *prog.Symbol) *fp.Env {
 	id := sym.ID()
 	if id == cl.injSym {
-		return fp.NewInjectedEnv(cl.sems[id], sym.FPOps, cl.inj)
+		return &cl.injEnv
 	}
-	return cl.envs[id]
+	return &cl.envs[id]
 }

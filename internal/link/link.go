@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -141,8 +142,8 @@ type Executable struct {
 	keyOnce sync.Once
 	key     string
 
-	behaviorOnce sync.Once
-	behavior     string
+	layoutOnce sync.Once
+	layout     string
 }
 
 // Link builds an executable from a plan. An error is returned for malformed
@@ -286,22 +287,20 @@ func (e *Executable) buildKey() string {
 	return planKey(e.prog.Name, e.baseline, e.driver, e.fileComp, e.symComp)
 }
 
-// Behavior returns the identity of what this executable does when it
-// runs, computed once: the program, the crash flag, the baseline compiler
-// (Machine.Compiler outside any frame), the class ID of every entry of
-// comps in order, and symTab. That is everything a Machine reads, so
-// executables with equal Behavior run every test bit for bit identically,
-// NaN payloads included, however their plans were spelled. Equal
-// injection plans held as separate pointers stay apart: they are separate
-// comps entries, with separate counters. The string is opaque and
-// process-local (class IDs are assigned in first-seen order), so it must
-// never be persisted.
-func (e *Executable) Behavior() string {
-	e.behaviorOnce.Do(func() { e.behavior = e.buildBehavior() })
-	return e.behavior
+// Layout returns, computed once, the part of what a run of this
+// executable reads that no Trace records: the program, the crash flag, the
+// baseline compiler (Machine.Compiler outside any frame), the number of
+// distinct compilations and symTab. Executables with equal layouts number
+// their (symbol, compilation) slots alike, so one Trace projects each of
+// them (AppendProjection), and two whose projections under the trace of a
+// run are equal would repeat that run bit for bit. The string is opaque
+// and must never be persisted.
+func (e *Executable) Layout() string {
+	e.layoutOnce.Do(func() { e.layout = e.buildLayout() })
+	return e.layout
 }
 
-func (e *Executable) buildBehavior() string {
+func (e *Executable) buildLayout() string {
 	b := append([]byte(comp.KeyEscape(e.prog.Name)), 0)
 	if e.crash {
 		b = append(b, 1)
@@ -310,15 +309,42 @@ func (e *Executable) buildBehavior() string {
 	}
 	b = binary.AppendUvarint(b, uint64(len(e.baseline.Compiler)))
 	b = append(b, e.baseline.Compiler...)
-	b = binary.AppendUvarint(b, uint64(len(e.classes)))
-	for _, cl := range e.classes {
-		b = binary.AppendUvarint(b, uint64(cl.id))
-	}
+	b = binary.AppendUvarint(b, uint64(len(e.comps)))
 	b = binary.AppendUvarint(b, uint64(len(e.symTab)))
 	for _, c := range e.symTab {
 		b = binary.AppendUvarint(b, uint64(c))
 	}
 	return string(b)
+}
+
+// AppendProjection appends to dst this executable's value of everything
+// t records as read, encoded so that within one layout equal projections
+// mean equal values: per slot the run entered, in t's order, the
+// semantics fields its Env read (two bytes); every compilation's compiler
+// name, when the run read one; then, for each entered slot whose Env
+// carries an injection, its position in t and the injection's site,
+// operation and epsilon bits.
+func (e *Executable) AppendProjection(dst []byte, t *Trace) []byte {
+	n := int32(len(e.comps))
+	for i, s := range t.slots {
+		p := e.classes[s%n].packed[s/n] & uint16(t.reads[i])
+		dst = append(dst, byte(p), byte(p>>8))
+	}
+	if t.compiler {
+		for _, cl := range e.classes {
+			dst = binary.AppendUvarint(dst, uint64(len(cl.compiler)))
+			dst = append(dst, cl.compiler...)
+		}
+	}
+	for i, s := range t.slots {
+		if cl := e.classes[s%n]; cl.injSym == int(s/n) {
+			dst = binary.AppendUvarint(dst, uint64(i))
+			dst = binary.AppendVarint(dst, int64(cl.inj.OpIndex))
+			dst = append(dst, byte(cl.inj.Op))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(cl.inj.Eps))
+		}
+	}
+	return dst
 }
 
 // Driver returns the linking compiler.

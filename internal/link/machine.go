@@ -2,6 +2,7 @@ package link
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fp"
 	"repro/internal/prog"
@@ -23,27 +24,30 @@ import (
 // through env. A Machine is not
 // safe for concurrent use; create one Machine per goroutine.
 //
-// What a run can observe is exactly what Executable.Behavior identifies:
-// every Env comes from the class of the compilation providing the frame,
-// the binding from symTab and the stack, and the one non-fp fact an
-// application may read is the frame's compiler name (Compiler). Keep it
-// that way: an accessor exposing more of the plan would let two
-// executables with equal Behavior run differently.
+// What a run can observe is its executable's Layout plus what its Trace
+// records: every Env comes from the class of the compilation providing
+// the frame, the binding from symTab and the stack, and the one non-fp
+// fact an application may read is the frame's compiler name (Compiler).
+// Keep it that way: an accessor exposing more of the plan, or an Env
+// operation that reads a field without recording it, would let two
+// executables with equal projections run differently.
 type Machine struct {
 	ex    *Executable
 	stack []frame
-	// envs holds one fp.Env per (symbol, providing compilation) for the
-	// lifetime of the run, at index symbolID*len(ex.comps) + the
-	// compilation's index in ex.comps, and is filled on first entry: with
-	// the class's shared Env, or for an injected symbol with one made for
-	// this run. An injected function's dynamic instruction counter
-	// therefore accumulates across invocations — an injection at static
-	// instruction k of a function called many times fires on every pass
-	// through its body, exactly like a real static-instruction
-	// perturbation. Because ex.comps deduplicates by ==, an injection plan
-	// is told apart by pointer identity, which is the sharing those
-	// counters need.
-	envs []*fp.Env
+	// slots holds this run's own fp.Env per (symbol, providing
+	// compilation), at index symbolID*len(ex.comps) + the compilation's
+	// index in ex.comps, copied on first entry from the class's (its
+	// injection and zeroed counter included). A slot never entered has
+	// Reads 0; an entered one at least fp.ReadsFTZ. An injected function's
+	// dynamic instruction counter therefore accumulates across invocations
+	// — an injection at static instruction k of a function called many
+	// times fires on every pass through its body, exactly like a real
+	// static-instruction perturbation. Because ex.comps deduplicates by
+	// ==, an injection plan is told apart by pointer identity, which is
+	// the sharing those counters need.
+	slots []fp.Env
+	// compiler records that the run read a compiler name.
+	compiler bool
 	// done is the frame-leaving function Fn returns, bound once so that
 	// entering a function allocates nothing.
 	done func()
@@ -61,7 +65,7 @@ func (e *Executable) NewMachine() (*Machine, error) {
 	if e.crash {
 		return nil, ErrSegfault
 	}
-	m := &Machine{ex: e, envs: make([]*fp.Env, e.prog.NumSymbols()*len(e.comps))}
+	m := &Machine{ex: e, slots: make([]fp.Env, e.prog.NumSymbols()*len(e.comps))}
 	m.done = m.pop
 	return m, nil
 }
@@ -102,17 +106,14 @@ func (m *Machine) resolve(sym *prog.Symbol) int32 {
 	return m.ex.symTab[sym.ID()]
 }
 
-// env returns the run-scoped fp.Env for one symbol under the compilation at
-// index c of ex.comps, taking it on first entry from that compilation's
-// class — the same class Executable.Behavior keys on, so the key and the
-// machine cannot drift apart.
+// env returns the run's fp.Env for one symbol under the compilation at
+// index c of ex.comps, copied on first entry from that compilation's class
+// — the class Executable.AppendProjection reads too.
 func (m *Machine) env(sym *prog.Symbol, c int32) *fp.Env {
-	slot := sym.ID()*len(m.ex.comps) + int(c)
-	if env := m.envs[slot]; env != nil {
-		return env
+	env := &m.slots[sym.ID()*len(m.ex.comps)+int(c)]
+	if env.Reads() == 0 {
+		*env = *m.ex.classes[c].env(sym)
 	}
-	env := m.ex.classes[c].env(sym)
-	m.envs[slot] = env
 	return env
 }
 
@@ -122,6 +123,7 @@ func (m *Machine) env(sym *prog.Symbol, c int32) *fp.Env {
 // such as undefined-behavior miscompilation (the Laghos xsw macro).
 // Outside any frame it returns the baseline's compiler.
 func (m *Machine) Compiler() string {
+	m.compiler = true
 	if len(m.stack) == 0 {
 		return m.ex.baseline.Compiler
 	}
@@ -133,3 +135,33 @@ func (m *Machine) Depth() int { return len(m.stack) }
 
 // Program returns the application this machine runs.
 func (m *Machine) Program() *prog.Program { return m.ex.prog }
+
+// Trace is what one run read of its executable beyond the Layout: the
+// fp.Reads of every (symbol, compilation) slot it entered, and whether it
+// read a compiler name. Execution is deterministic, so another executable
+// of the same layout and test whose AppendProjection under the trace
+// equals this one's would repeat the run bit for bit: the verifying trace
+// of Mokhov, Mitchell and Peyton Jones, "Build Systems à la Carte" (ICFP
+// 2018). A Trace is immutable.
+type Trace struct {
+	slots    []int32 // entered slots, ascending
+	reads    []fp.Reads
+	compiler bool
+}
+
+// Equal reports whether two traces record the same reads.
+func (t *Trace) Equal(u *Trace) bool {
+	return t.compiler == u.compiler && slices.Equal(t.slots, u.slots) && slices.Equal(t.reads, u.reads)
+}
+
+// Trace returns what the run so far has read.
+func (m *Machine) Trace() *Trace {
+	t := &Trace{compiler: m.compiler}
+	for i := range m.slots {
+		if r := m.slots[i].Reads(); r != 0 {
+			t.slots = append(t.slots, int32(i))
+			t.reads = append(t.reads, r)
+		}
+	}
+	return t
+}

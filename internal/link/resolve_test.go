@@ -165,12 +165,11 @@ func TestEnvSharing(t *testing.T) {
 	}
 }
 
-// TestInjectedEnvIsPerRun: every un-injected Env is shared from the class
-// by all Machines (an injected class shares its base class's), so only the
-// injected symbol's Env is per run. Two
-// Machines of one injected executable count operations apart, and
-// concurrent runs leave a shared Env's counter at zero (under -race, a
-// shared Env that changed state would also be reported as a race).
+// TestInjectedEnvIsPerRun: every run copies its Envs from the class into
+// its own slots, so two Machines of one injected executable never share an
+// Env, count operations apart, and leave the class's Envs as built, even
+// when they run concurrently (under -race, a shared Env would also be
+// reported as a race). An injected class shares its base class's Envs.
 func TestInjectedEnvIsPerRun(t *testing.T) {
 	p := testProgram()
 	inj := fp.Injection{OpIndex: 1, Op: fp.InjAdd, Eps: 0.125}
@@ -192,20 +191,14 @@ func TestInjectedEnvIsPerRun(t *testing.T) {
 	}
 	dot1, scale1 := run(newTestMachine(t, ex), 3)
 	dot2, scale2 := run(newTestMachine(t, ex), 5)
-	if dot1 == dot2 {
-		t.Fatal("two runs share the injected symbol's Env")
+	if dot1 == dot2 || scale1 == scale2 {
+		t.Fatal("two runs share an Env")
 	}
 	if n1, n2 := dot1.OpsExecuted(), dot2.OpsExecuted(); n1 != 3 || n2 != 5 {
 		t.Fatalf("injected Envs counted %d and %d ops, want 3 and 5", n1, n2)
 	}
-	if scale1 != scale2 {
-		t.Fatal("two runs got different Envs for an un-injected symbol")
-	}
-	base, err := FullBuild(p, baseC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, baseScale := run(newTestMachine(t, base), 0); baseScale != scale1 {
+	base := classOf(p, baseC, baseC.Compiler)
+	if cl := ex.classes[0]; &cl.envs[0] != &base.envs[0] {
 		t.Fatal("an injected class holds its own Envs instead of its base class's")
 	}
 
@@ -225,8 +218,8 @@ func TestInjectedEnvIsPerRun(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := scale1.OpsExecuted(); n != 0 {
-		t.Fatalf("shared un-injected Env counted %d ops after concurrent runs", n)
+	if cl := ex.classes[0]; cl.injEnv.OpsExecuted() != 0 || cl.injEnv.Reads() != fp.ReadsFTZ {
+		t.Fatal("runs changed the class's injected Env")
 	}
 	if n := dot1.OpsExecuted(); n != 3 {
 		t.Fatalf("other runs moved a finished run's injected counter to %d", n)

@@ -7,13 +7,15 @@
 #   go test -race    tier-1, part 2, with the race detector and -cover (the
 #                    parallel execution engine must be data-race-free at
 #                    every -j; per-package statement coverage is printed)
-#   micro-bench      BenchmarkMachineFn, BenchmarkAssembleDiffusion2D,
-#                    BenchmarkDiskPut, BenchmarkDiskGet and
-#                    BenchmarkCoordHeartbeat at a fixed 100 iterations, so
-#                    the simulated-call dispatch, sparse assembly, store
-#                    segment and coordinator heartbeat benchmarks keep
-#                    compiling and running (a heartbeat renews its lease
-#                    in memory, so its time must not grow with the shards)
+#   micro-bench      BenchmarkMachineFn, BenchmarkEnvOps,
+#                    BenchmarkAssembleDiffusion2D, BenchmarkDiskPut,
+#                    BenchmarkDiskGet and BenchmarkCoordHeartbeat at a
+#                    fixed 100 iterations, so the simulated-call dispatch,
+#                    fp operation (each records the semantics fields it
+#                    reads), sparse assembly, store segment and
+#                    coordinator heartbeat benchmarks keep compiling and
+#                    running (a heartbeat renews its lease in memory, so
+#                    its time must not grow with the shards)
 #   journal fuzz     FuzzJournalDecode for 2000 inputs: whatever bytes
 #                    coord.json holds, recovery never panics and never
 #                    makes a quarantined shard leasable again
@@ -93,6 +95,7 @@ go build ./...
 
 go test -race -cover ./...
 go test -run '^$' -bench BenchmarkMachineFn -benchtime 100x ./internal/link
+go test -run '^$' -bench BenchmarkEnvOps -benchtime 100x ./internal/fp
 go test -run '^$' -bench BenchmarkAssembleDiffusion2D -benchtime 100x ./internal/apps/mfem
 go test -run '^$' -bench 'BenchmarkDisk(Put|Get)$' -benchtime 100x ./internal/store
 go test -run '^$' -bench BenchmarkCoordHeartbeat -benchtime 100x ./internal/coord
