@@ -159,8 +159,8 @@ func TestWorkCampaignEndToEnd(t *testing.T) {
 		if !strings.Contains(outs[w].String(), "campaigns terminal") {
 			t.Errorf("worker %d did not report campaigns terminal: %s", w, outs[w].String())
 		}
-		if !strings.Contains(outs[w].String(), "remote config: attempts=4") {
-			t.Errorf("worker %d -stats missing effective transport config: %s", w, outs[w].String())
+		if !strings.Contains(outs[w].String(), "remote: hits=") {
+			t.Errorf("worker %d -stats missing the remote traffic line: %s", w, outs[w].String())
 		}
 		var n int
 		if _, err := fmt.Sscanf(afterToken(outs[w].String(), "campaigns terminal ("), "%d", &n); err == nil {
@@ -367,14 +367,6 @@ func TestWorkFlagValidation(t *testing.T) {
 		t.Errorf("diagnostic does not name -coord: %s", stderr.String())
 	}
 	stderr.Reset()
-	if code := run([]string{"work", "-coord", "http://127.0.0.1:1", "-remote-retries", "-3"},
-		&stdout, &stderr); code != 1 {
-		t.Errorf("negative -remote-retries: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "-remote-retries") {
-		t.Errorf("diagnostic does not name -remote-retries: %s", stderr.String())
-	}
-	stderr.Reset()
 	if code := run([]string{"work", "-coord", "ftp://elsewhere"}, &stdout, &stderr); code != 1 {
 		t.Errorf("bad -coord scheme: exit %d, want 1", code)
 	}
@@ -395,26 +387,6 @@ func TestWorkFlagValidation(t *testing.T) {
 	stderr.Reset()
 	if code := run([]string{"coord", "status"}, &stdout, &stderr); code != 1 {
 		t.Errorf("coord status without -coord: exit %d, want 1", code)
-	}
-}
-
-// TestTransportFlagValidation: the shared knobs are validated and, when
-// given without a consumer, rejected rather than silently ignored.
-func TestTransportFlagValidation(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"experiments", "-remote-retries", "2", "table3"}, &stdout, &stderr); code != 1 {
-		t.Errorf("-remote-retries without -remote: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "require -remote") {
-		t.Errorf("diagnostic does not explain the dependency: %s", stderr.String())
-	}
-	stderr.Reset()
-	if code := run([]string{"experiments", "-remote", "http://127.0.0.1:1", "-remote-timeout", "-5s", "table3"},
-		&stdout, &stderr); code != 1 {
-		t.Errorf("negative -remote-timeout: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "-remote-timeout") {
-		t.Errorf("diagnostic does not name -remote-timeout: %s", stderr.String())
 	}
 }
 

@@ -196,15 +196,11 @@ func cmdCoordServe(args []string, stdout, stderr io.Writer) error {
 
 // coordClient builds the engine-fenced scheduling client the one-shot
 // coord subcommands (status, submit, gc) share.
-func coordClient(coordURL string, retries int, timeout time.Duration) (*coord.Client, error) {
+func coordClient(coordURL string) (*coord.Client, error) {
 	if coordURL == "" {
 		return nil, errors.New("-coord URL is required")
 	}
-	opts, err := transportOptions(retries, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return coord.NewClient(coordURL, flit.EngineVersion, opts)
+	return coord.NewClient(coordURL, flit.EngineVersion, nil)
 }
 
 // cmdCoordStatus renders the fleet view of a running coordinator: one
@@ -216,11 +212,10 @@ func cmdCoordStatus(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	coordURL := fs.String("coord", "", "campaign coordinator URL (required)")
 	campaign := fs.String("campaign", "", "campaign ID: show per-shard detail instead of the fleet view")
-	retries, timeout := addTransportFlags(fs)
 	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
-	cl, err := coordClient(*coordURL, *retries, *timeout)
+	cl, err := coordClient(*coordURL)
 	if err != nil {
 		return err
 	}
@@ -321,7 +316,6 @@ func cmdCoordSubmit(args []string, stdout, stderr io.Writer) error {
 	shards := fs.Int("shards", 0, "shard count (required)")
 	maxAttempts := fs.Int("max-shard-attempts", 0,
 		"attempts a shard gets before quarantine (0 = the coordinator's default; not part of the campaign's identity)")
-	retries, timeout := addTransportFlags(fs)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -335,7 +329,7 @@ func cmdCoordSubmit(args []string, stdout, stderr io.Writer) error {
 	if *maxAttempts < 0 {
 		return errors.New("coord submit: -max-shard-attempts must be >= 0")
 	}
-	cl, err := coordClient(*coordURL, *retries, *timeout)
+	cl, err := coordClient(*coordURL)
 	if err != nil {
 		return err
 	}
@@ -361,11 +355,10 @@ func cmdCoordGC(args []string, stdout, stderr io.Writer) error {
 	coordURL := fs.String("coord", "", "campaign coordinator URL (required)")
 	keep := fs.Int("keep", 1, "completed generations to keep per command")
 	dryRun := fs.Bool("dry-run", false, "plan the retirement without changing anything")
-	retries, timeout := addTransportFlags(fs)
 	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
-	cl, err := coordClient(*coordURL, *retries, *timeout)
+	cl, err := coordClient(*coordURL)
 	if err != nil {
 		return err
 	}
@@ -390,11 +383,9 @@ func cmdCoordGC(args []string, stdout, stderr io.Writer) error {
 // repeat until every campaign is done — the fleet drains one campaign
 // and picks up the next without restarting. The coordinator's own object
 // store is attached as the engine cache's persistent tier (optionally
-// fronted by a local -store DIR), and the shared
-// -remote-retries/-remote-timeout knobs shape both the scheduling client
-// and the store client. SIGINT/SIGTERM drains: scheduling calls are
-// cancelled immediately, but the shard already running is finished and
-// reported, then the loop exits 0.
+// fronted by a local -store DIR). SIGINT/SIGTERM drains: scheduling calls
+// are cancelled immediately, but the shard already running is finished
+// and reported, then the loop exits 0.
 func cmdWork(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("work", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -404,26 +395,21 @@ func cmdWork(args []string, stdout, stderr io.Writer) error {
 	storeDir := fs.String("store", "", "local run-store directory layered in front of the coordinator's store")
 	stats := fs.Bool("stats", false, "print transport counters to stderr when the loop ends")
 	verbose := fs.Bool("v", false, "log each lease/heartbeat-loss/completion event to stderr")
-	retries, timeout := addTransportFlags(fs)
 	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
 	if *coordURL == "" {
 		return errors.New("work requires -coord URL")
 	}
-	opts, err := transportOptions(*retries, *timeout)
-	if err != nil {
-		return err
-	}
 	if *name == "" {
 		host, _ := os.Hostname()
 		*name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	cl, err := coord.NewClient(*coordURL, flit.EngineVersion, opts)
+	cl, err := coord.NewClient(*coordURL, flit.EngineVersion, nil)
 	if err != nil {
 		return err
 	}
-	tier, remote, err := store.OpenTiers(*storeDir, *coordURL, flit.EngineVersion, opts)
+	tier, remote, err := store.OpenTiers(*storeDir, *coordURL, flit.EngineVersion)
 	if err != nil {
 		return err
 	}
@@ -472,7 +458,7 @@ func cmdWork(args []string, stdout, stderr io.Writer) error {
 	defer stop()
 	wstats, werr := coord.Work(ctx, cl, runner, coord.WorkerOptions{Name: *name, Log: logW})
 	if *stats {
-		printRemoteStats(stderr, remote.Metrics(), cl.Options())
+		printRemoteStats(stderr, remote.Metrics())
 		fmt.Fprintf(stderr, "coord: completed=%d lost=%d failed=%d retries=%d\n",
 			wstats.Completed, wstats.Lost, wstats.Failed, cl.Retries())
 	}

@@ -79,10 +79,9 @@
 // cache misses when exhausted, so a dead server costs recomputation,
 // never a wrong result and never a failed campaign. -store DIR composes
 // with -remote URL as a local read-through/write-through cache in front
-// of the shared server; -stats adds a "remote:" traffic line. The
-// transport is tuned with -remote-retries N (attempts per request) and
-// -remote-timeout D (per-operation deadline), which require -remote (or
-// -coord) and are reported back as effective values by -stats.
+// of the shared server; -stats adds a "remote:" traffic line. Each
+// request gets 4 attempts of at most 5s each within a 30s operation
+// deadline.
 //
 // Distributed campaigns: `flit coord serve` owns a *set* of campaigns —
 // each a recorded command, a shard count, and the engine version, keyed
@@ -96,9 +95,9 @@
 // next worker that asks — and only a lease request reclaims, so `flit
 // coord status` (the fleet view, or one campaign's per-lease detail with
 // -campaign) is a pure read that never disturbs scheduling. Completions
-// are last-writer-wins — shard artifacts are deterministic and
-// unstamped, so duplicate or late uploads carry identical bytes and are
-// accepted idempotently. The coordinator journals every state change
+// are last-writer-wins — shard artifacts are deterministic, so
+// duplicate or late uploads carry identical bytes and are accepted
+// idempotently. The coordinator journals every state change
 // but a heartbeat atomically before acknowledging it; restarting it with
 // the same -dir resumes every campaign exactly, each held lease with one
 // fresh TTL (a journal in any format but v3 is refused: resubmit its
@@ -135,8 +134,8 @@ import (
 	"io"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/experiments"
@@ -249,8 +248,6 @@ SHA-256 re-validated client-side, transport faults retried with backoff
 and degraded to cache misses when exhausted — a dead server never fails a
 campaign. Composes with -store DIR as a local read-through/write-through
 cache in front of the server; -stats adds a "remote:" traffic line.
--remote-retries N and -remote-timeout D tune the transport (they require
--remote or -coord; -stats reports the effective values).
 
 "flit coord serve" owns a set of campaigns (each keyed by an ID derived
 from engine, command, and shard count) and leases their shard indices to
@@ -287,12 +284,6 @@ type cliOpts struct {
 	deltaVerify *bool
 	storeDir    *string
 	remoteURL   *string
-	// remoteRetries/remoteTimeout are the shared transport knobs: they
-	// shape every client that speaks the store's retry discipline, whether
-	// it points at a -remote object store or (in `flit work`) a -coord
-	// coordinator. 0 selects the production default.
-	remoteRetries *int
-	remoteTimeout *time.Duration
 	// remote is the attached Remote backend (set by attachStore when
 	// -remote is given); printStats reads its transport counters.
 	remote *store.Remote
@@ -320,32 +311,7 @@ func newFlagSet(name string, stderr io.Writer) (*flag.FlagSet, *cliOpts) {
 		remoteURL: fs.String("remote", "",
 			"remote run-store URL (flit store serve): the cross-machine -store; composes with -store DIR as a local cache tier"),
 	}
-	o.remoteRetries, o.remoteTimeout = addTransportFlags(fs)
 	return fs, o
-}
-
-// addTransportFlags registers the shared remote-transport knobs on fs —
-// the same two flags tune -remote object-store clients and the `flit
-// work` coordinator client, because both speak the same retry/backoff
-// discipline.
-func addTransportFlags(fs *flag.FlagSet) (*int, *time.Duration) {
-	retries := fs.Int("remote-retries", 0,
-		"total attempts per remote request, first try included (0 = the default 4)")
-	timeout := fs.Duration("remote-timeout", 0,
-		"deadline for one remote operation across all its retries (0 = the default 30s)")
-	return retries, timeout
-}
-
-// transportOptions validates the shared knobs and builds the options both
-// -remote and -coord clients run with.
-func transportOptions(retries int, timeout time.Duration) (*store.RemoteOptions, error) {
-	if retries < 0 {
-		return nil, errors.New("-remote-retries must be >= 0 (0 selects the default)")
-	}
-	if timeout < 0 {
-		return nil, errors.New("-remote-timeout must be >= 0 (0 selects the default)")
-	}
-	return &store.RemoteOptions{Attempts: retries, Deadline: timeout}, nil
 }
 
 // parseFlags parses and maps failures to errParsed (the FlagSet has
@@ -442,14 +408,7 @@ func (o *cliOpts) checkDeltaFlags() error {
 // attachStore attaches the -store/-remote tiers (store.OpenTiers) to the
 // engine's cache. A no-op without both.
 func (o *cliOpts) attachStore(eng *experiments.Engine) error {
-	opts, err := transportOptions(*o.remoteRetries, *o.remoteTimeout)
-	if err != nil {
-		return err
-	}
-	if *o.remoteURL == "" && (*o.remoteRetries != 0 || *o.remoteTimeout != 0) {
-		return errors.New("-remote-retries/-remote-timeout require -remote URL")
-	}
-	s, remote, err := store.OpenTiers(*o.storeDir, *o.remoteURL, flit.EngineVersion, opts)
+	s, remote, err := store.OpenTiers(*o.storeDir, *o.remoteURL, flit.EngineVersion)
 	if err != nil {
 		return err
 	}
@@ -497,7 +456,6 @@ func execute(eng *experiments.Engine, o *cliOpts, command []string, stdout, stde
 	}
 	if o.shardMode() {
 		art := eng.ExportArtifact(command)
-		art.Stamp()
 		if err := flit.WriteArtifactFile(art, *o.shardOut); err != nil {
 			return fmt.Errorf("writing shard artifact: %w", err)
 		}
@@ -532,7 +490,7 @@ func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 			m.Store.Hits, m.Store.Misses, m.Store.Puts, m.Store.Errors)
 	}
 	if o.remote != nil {
-		printRemoteStats(w, o.remote.Metrics(), o.remote.Options())
+		printRemoteStats(w, o.remote.Metrics())
 	}
 	// paper-execs is the Tables 2/4 cost measure and is identical at every
 	// -j; spec-execs is the speculative extra (timing-dependent) those
@@ -542,17 +500,13 @@ func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 		bs.Searches, bs.Execs, bs.SpecExecs)
 }
 
-// printRemoteStats prints a remote tier's transport counters and the
-// effective transport shape. Retries are the re-sent requests the backoff
-// loop spent, errors the degraded (non-honest) misses and failed uploads —
-// a flaky or dying server shows up here while the run itself stays
-// correct. The shape has its defaults filled in, so a tuned
-// -remote-retries/-remote-timeout is visible in the run record.
-func printRemoteStats(w io.Writer, m store.RemoteMetrics, o store.RemoteOptions) {
+// printRemoteStats prints a remote tier's transport counters. Retries are
+// the re-sent requests the backoff loop spent, errors the degraded
+// (non-honest) misses and failed uploads — a flaky or dying server shows
+// up here while the run itself stays correct.
+func printRemoteStats(w io.Writer, m store.RemoteMetrics) {
 	fmt.Fprintf(w, "remote: hits=%d misses=%d puts=%d retries=%d errors=%d\n",
 		m.Hits, m.Misses, m.Puts, m.Retries, m.Errors)
-	fmt.Fprintf(w, "remote config: attempts=%d attempt-timeout=%s timeout=%s\n",
-		o.Attempts, o.AttemptTimeout, o.Deadline)
 }
 
 // cmdCommand runs run, bisect or experiments: the grammar package
@@ -711,10 +665,7 @@ func cmdStore(args []string, stdout, stderr io.Writer) error {
 		if err := parseFlagsOnly(fs, rest); err != nil {
 			return err
 		}
-		if *dir == "" {
-			return errors.New("store stats requires -store DIR")
-		}
-		d, err := store.Open(*dir, flit.EngineVersion)
+		d, err := openStoreDir(fs.Name(), *dir)
 		if err != nil {
 			return err
 		}
@@ -735,10 +686,10 @@ func cmdStore(args []string, stdout, stderr io.Writer) error {
 		if err := parseFlagsOnly(fs, rest); err != nil {
 			return err
 		}
-		if *dir == "" {
-			return errors.New("store gc requires -store DIR")
+		if *maxEntries < 0 || *maxBytes < 0 {
+			return errors.New("store gc: -max-entries and -max-bytes must be >= 0 (0 = unlimited)")
 		}
-		d, err := store.Open(*dir, flit.EngineVersion)
+		d, err := openStoreDir(fs.Name(), *dir)
 		if err != nil {
 			return err
 		}
@@ -759,6 +710,19 @@ func cmdStore(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf(`unknown store subcommand %q (want "stats", "gc", or "serve")`, sub)
 	}
+}
+
+// openStoreDir opens the run store at dir for store stats and store gc.
+// They inspect a store and never create one, so a directory without the
+// store's manifest (store.json) is an error naming it.
+func openStoreDir(cmd, dir string) (*store.Disk, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("%s requires -store DIR", cmd)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "store.json")); err != nil {
+		return nil, fmt.Errorf("%s: %s holds no run store: %w", cmd, dir, err)
+	}
+	return store.Open(dir, flit.EngineVersion)
 }
 
 // cmdStoreServe exposes a Disk store over HTTP — the serving side of

@@ -560,21 +560,20 @@ func TestDeltaSubcommandOffline(t *testing.T) {
 // manifest protects its files.
 func TestGcSubcommand(t *testing.T) {
 	dir := t.TempDir()
-	old := filepath.Join(dir, "gen1.json")
-	newer := filepath.Join(dir, "gen2.json")
+	// The older generation sorts last by path, so only the mtime can order
+	// it first.
+	old := filepath.Join(dir, "gen2.json")
+	newer := filepath.Join(dir, "gen1.json")
 	var stdout, stderr bytes.Buffer
 	for _, p := range []string{old, newer} {
 		if code := run([]string{"experiments", "-shard", "0/1", "-shard-out", p, "table4"}, &stdout, &stderr); code != 0 {
 			t.Fatalf("export %s: %s", p, stderr.String())
 		}
 	}
-	// Same stamp second is possible; make the ordering unambiguous.
 	past := time.Now().Add(-time.Hour)
 	if err := os.Chtimes(old, past, past); err != nil {
 		t.Fatal(err)
 	}
-	rewriteStamp(t, old, 1000)
-	rewriteStamp(t, newer, 2000)
 
 	stdout.Reset()
 	if code := run([]string{"gc", "-dir", dir, "-keep", "1", "-dry-run"}, &stdout, &stderr); code != 0 {
@@ -623,21 +622,30 @@ func TestGcSubcommand(t *testing.T) {
 	}
 }
 
-// rewriteStamp rewrites an artifact file's created_unix so tests control
-// generation ordering exactly.
-func rewriteStamp(t *testing.T, path string, unix int64) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+// TestShardArtifactsAreByteDeterministic: two runs of the same shard of
+// the same command write the same bytes — an artifact carries no
+// timestamp, so whole files compare.
+func TestShardArtifactsAreByteDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	var files [2][]byte
+	for i := range files {
+		path := filepath.Join(dir, fmt.Sprintf("run%d.json", i))
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"experiments", "-j", "1", "-shard", "0/1", "-shard-out", path, "table3"},
+			&stdout, &stderr); code != 0 {
+			t.Fatalf("run %d: exit %d: %s", i, code, stderr.String())
+		}
+		var err error
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			// Let the wall clock pass a second boundary between the runs.
+			time.Sleep(1100 * time.Millisecond)
+		}
 	}
-	re := regexp.MustCompile(`"created_unix": \d+`)
-	if !re.Match(raw) {
-		t.Fatalf("%s carries no created_unix stamp", path)
-	}
-	out := re.ReplaceAll(raw, []byte(fmt.Sprintf(`"created_unix": %d`, unix)))
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("two runs wrote different artifacts:\n%s\n---\n%s", files[0], files[1])
 	}
 }
 

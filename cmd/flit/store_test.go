@@ -193,3 +193,48 @@ func TestStoreSubcommand(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreInspectionNeedsAStore: store stats and store gc inspect an
+// existing store. On a path that holds none (misspelled, or an empty
+// directory) they exit 1 naming it and create nothing, and store gc
+// rejects a negative bound instead of reading it as unlimited.
+func TestStoreInspectionNeedsAStore(t *testing.T) {
+	root := t.TempDir()
+	missing := filepath.Join(root, "no-such-store")
+	empty := filepath.Join(root, "empty")
+	if err := os.Mkdir(empty, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{missing, empty} {
+		for _, sub := range []string{"stats", "gc"} {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"store", sub, "-store", dir}, &stdout, &stderr); code != 1 {
+				t.Errorf("store %s on %s: exit %d, want 1", sub, dir, code)
+			}
+			if !strings.Contains(stderr.String(), dir) {
+				t.Errorf("store %s: diagnostic does not name %s: %s", sub, dir, stderr.String())
+			}
+		}
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("store inspection created %s (%v)", missing, err)
+	}
+	if ents, err := os.ReadDir(empty); err != nil || len(ents) != 0 {
+		t.Errorf("store inspection wrote into %s: %v (%v)", empty, ents, err)
+	}
+
+	dir := filepath.Join(root, "store")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"experiments", "-store", dir, "table4"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("populating run: exit %d, stderr: %s", code, stderr.String())
+	}
+	for _, bound := range []string{"-max-entries", "-max-bytes"} {
+		stderr.Reset()
+		if code := run([]string{"store", "gc", "-store", dir, bound, "-1"}, &stdout, &stderr); code != 1 {
+			t.Errorf("store gc %s -1: exit %d, want 1", bound, code)
+		}
+		if !strings.Contains(stderr.String(), bound) {
+			t.Errorf("store gc %s -1: diagnostic does not name the flag: %s", bound, stderr.String())
+		}
+	}
+}

@@ -162,7 +162,7 @@ func cli(o opts, w io.Writer) error {
 		return err
 	}
 	cache := flit.NewCache()
-	s, _, err := store.OpenTiers(o.store, o.remote, flit.EngineVersion, nil)
+	s, _, err := store.OpenTiers(o.store, o.remote, flit.EngineVersion)
 	if err != nil {
 		return err
 	}
@@ -202,7 +202,6 @@ func cli(o opts, w io.Writer) error {
 			return err
 		}
 		art := cache.Export(shard, o.command())
-		art.Stamp()
 		if err := flit.WriteArtifactFile(art, o.shardOut); err != nil {
 			return err
 		}

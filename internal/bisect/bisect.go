@@ -70,8 +70,8 @@ type Searcher struct {
 
 	mu        sync.Mutex
 	memo      map[string]*memoEntry
-	inflight  map[string]*exec.Future[struct{}]
-	futures   []*exec.Future[struct{}]
+	inflight  map[string]*exec.Future
+	futures   []*exec.Future
 	execs     int // the paper's counter: what the sequential trace ran
 	realExecs int // actual TestFn invocations, committed + speculative
 }
@@ -84,17 +84,14 @@ type memoEntry struct {
 	counted bool
 }
 
-// NewSearcher creates a sequential Searcher for one bisect search —
-// the paper's original one-probe-at-a-time order. Execution counts
-// accumulate across All/Biggest calls on the same Searcher.
-func NewSearcher(fn TestFn) *Searcher { return NewSpeculativeSearcher(fn, nil) }
-
-// NewSpeculativeSearcher creates a Searcher that additionally races
-// probable future probes through sub while the committed probe runs
-// inline. A nil submitter (e.g. from a sequential pool) disables
-// speculation, making it identical to NewSearcher. Findings and Execs()
-// are bit-identical either way; only wall-clock and SpecExecs() differ.
-func NewSpeculativeSearcher(fn TestFn, sub *exec.Submitter) *Searcher {
+// NewSearcher creates a Searcher for one bisect search. It races probable
+// future probes through sub while the committed probe runs inline; a nil
+// submitter (e.g. from a sequential pool) disables speculation, giving the
+// paper's original one-probe-at-a-time order. Findings and Execs() are
+// bit-identical either way; only wall-clock and SpecExecs() differ.
+// Execution counts accumulate across All/Biggest calls on the same
+// Searcher.
+func NewSearcher(fn TestFn, sub *exec.Submitter) *Searcher {
 	if sub.Cap() < 1 {
 		sub = nil
 	}
@@ -103,7 +100,7 @@ func NewSpeculativeSearcher(fn TestFn, sub *exec.Submitter) *Searcher {
 		sub:      sub,
 		ids:      make(map[string]int),
 		memo:     make(map[string]*memoEntry),
-		inflight: make(map[string]*exec.Future[struct{}]),
+		inflight: make(map[string]*exec.Future),
 	}
 }
 
@@ -246,7 +243,7 @@ func (s *Searcher) speculate(items []string) {
 		return
 	}
 	cp := append([]string(nil), items...) // halves alias the caller's slice
-	fut := exec.Submit(s.sub, func() (struct{}, error) {
+	fut := exec.Submit(s.sub, func() {
 		v, err := s.fn(cp)
 		s.mu.Lock()
 		s.realExecs++
@@ -257,7 +254,6 @@ func (s *Searcher) speculate(items []string) {
 		}
 		delete(s.inflight, key)
 		s.mu.Unlock()
-		return struct{}{}, nil
 	})
 	s.inflight[key] = fut
 	s.futures = append(s.futures, fut)

@@ -158,7 +158,7 @@ func (s *Search) Run() (*Report, error) {
 	// submitter, Workers-1) never exceeds twice the configured -j.
 	sub := s.Pool.Submitter()
 	report := &Report{}
-	fileSearch := NewSpeculativeSearcher(func(files []string) (float64, error) {
+	fileSearch := NewSearcher(func(files []string) (float64, error) {
 		got, err := s.runPlanned(link.NewBuilder(link.FileMixPlan(s.Prog, s.Baseline, s.Variable, files)))
 		if err != nil {
 			return 0, err
@@ -268,7 +268,7 @@ func (s *Search) searchSymbols(finding *FileFinding, baseRes flit.Result, sub *e
 		names[i] = sym.Name
 	}
 
-	symSearch := NewSpeculativeSearcher(func(syms []string) (float64, error) {
+	symSearch := NewSearcher(func(syms []string) (float64, error) {
 		got, err := s.runPlanned(link.NewBuilder(link.SymbolMixPlan(s.Prog, s.Baseline, s.Variable, syms)))
 		if err != nil {
 			return 0, err

@@ -39,9 +39,9 @@ func TestSpeculativeAllEquivalence(t *testing.T) {
 			blamed := pickBlame(items, k, rng)
 			fn := blameTest(items, blamed)
 
-			seq := NewSearcher(fn)
+			seq := NewSearcher(fn, nil)
 			seqFound, seqErr := seq.All(items)
-			spec := NewSpeculativeSearcher(fn, sub)
+			spec := NewSearcher(fn, sub)
 			specFound, specErr := spec.All(items)
 
 			if (seqErr == nil) != (specErr == nil) {
@@ -69,12 +69,12 @@ func TestSpeculativeBiggestEquivalence(t *testing.T) {
 		blamed := pickBlame(items, kBlame, rng)
 		fn := blameTest(items, blamed)
 		for _, k := range []int{1, 2, 3, 0} {
-			seq := NewSearcher(fn)
+			seq := NewSearcher(fn, nil)
 			seqFound, err := seq.Biggest(items, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec := NewSpeculativeSearcher(fn, sub)
+			spec := NewSearcher(fn, sub)
 			specFound, err := spec.Biggest(items, k)
 			if err != nil {
 				t.Fatal(err)
@@ -102,9 +102,9 @@ func TestSpeculativeErrorEquivalence(t *testing.T) {
 		}
 		return 1, nil
 	}
-	seq := NewSearcher(fn)
+	seq := NewSearcher(fn, nil)
 	_, seqErr := seq.All(items)
-	spec := NewSpeculativeSearcher(fn, exec.New(8).Submitter())
+	spec := NewSearcher(fn, exec.New(8).Submitter())
 	_, specErr := spec.All(items)
 	if !errors.Is(seqErr, boom) || !errors.Is(specErr, boom) {
 		t.Fatalf("errors differ: %v (seq) vs %v (spec)", seqErr, specErr)
@@ -114,15 +114,16 @@ func TestSpeculativeErrorEquivalence(t *testing.T) {
 	}
 }
 
-// TestSpeculativeSearcherNilSubmitter: a nil submitter degrades to the
-// plain sequential Searcher, byte for byte and count for count.
+// TestSpeculativeSearcherNilSubmitter: a submitter with no capacity
+// degrades to the nil-submitter sequential Searcher, byte for byte and
+// count for count.
 func TestSpeculativeSearcherNilSubmitter(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	items := makeItems(64)
 	blamed := pickBlame(items, 4, rng)
 	fn := blameTest(items, blamed)
-	a := NewSearcher(fn)
-	b := NewSpeculativeSearcher(fn, nil)
+	a := NewSearcher(fn, nil)
+	b := NewSearcher(fn, &exec.Submitter{})
 	fa, err := a.All(items)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestSpeculativeSearcherNilSubmitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalFindings(t, "nil submitter", fa, fb)
+	equalFindings(t, "zero-capacity submitter", fa, fb)
 	if a.Execs() != b.Execs() || b.SpecExecs() != 0 {
 		t.Fatalf("execs %d/%d spec %d", a.Execs(), b.Execs(), b.SpecExecs())
 	}
@@ -150,7 +151,7 @@ func TestSpeculationPerformsExtraWork(t *testing.T) {
 		time.Sleep(200 * time.Microsecond) // let background probes overlap
 		return inner(set)
 	}
-	s := NewSpeculativeSearcher(fn, exec.New(8).Submitter())
+	s := NewSearcher(fn, exec.New(8).Submitter())
 	found, err := s.All(items)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +162,7 @@ func TestSpeculationPerformsExtraWork(t *testing.T) {
 	if s.SpecExecs() == 0 {
 		t.Fatal("speculation never ran a background probe")
 	}
-	ref := NewSearcher(inner)
+	ref := NewSearcher(inner, nil)
 	if _, err := ref.All(items); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestDriverSpeculativeEquivalence(t *testing.T) {
 // order-independent (the memoization contract canonical() provided) while
 // building in O(n) for the order-preserving subsets the search generates.
 func TestKeyCanonicalAcrossOrders(t *testing.T) {
-	s := NewSearcher(func([]string) (float64, error) { return 0, nil })
+	s := NewSearcher(func([]string) (float64, error) { return 0, nil }, nil)
 	k1 := s.key([]string{"b", "a", "c"})
 	k2 := s.key([]string{"c", "b", "a"})
 	k3 := s.key([]string{"a", "b", "c"})
@@ -254,9 +255,9 @@ func BenchmarkSpeculativeSearcher(b *testing.B) {
 		}
 	}
 	b.Run("sequential", func(b *testing.B) {
-		run(b, func() *Searcher { return NewSearcher(fn) })
+		run(b, func() *Searcher { return NewSearcher(fn, nil) })
 	})
 	b.Run("speculative-j8", func(b *testing.B) {
-		run(b, func() *Searcher { return NewSpeculativeSearcher(fn, exec.New(8).Submitter()) })
+		run(b, func() *Searcher { return NewSearcher(fn, exec.New(8).Submitter()) })
 	})
 }

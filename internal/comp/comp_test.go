@@ -320,17 +320,6 @@ func TestSpeedFactorShape(t *testing.T) {
 	}
 }
 
-func TestRunCost(t *testing.T) {
-	a := sym("A", prog.Features{})
-	b := sym("B", prog.Features{})
-	b.Work = 10
-	m := map[*prog.Symbol]Compilation{a: PerfReference(), b: PerfReference()}
-	total := RunCost(m)
-	if total <= 10 || total >= 12.5 {
-		t.Fatalf("RunCost = %g, want ~11 (1+10 with small jitter)", total)
-	}
-}
-
 func TestFileMixHazardOnlyCrossVendor(t *testing.T) {
 	base := Baseline()
 	gcc := Compilation{Compiler: GCC, OptLevel: "-O3", Switches: "-ffast-math"}

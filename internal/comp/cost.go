@@ -79,13 +79,3 @@ func speedFactor(c Compilation, sym *prog.Symbol, s fp.Semantics) float64 {
 	jitter := float64(hash64(c.Compiler, c.OptLevel, c.Switches, sym.File, "jitter")%600)/10000.0 - 0.03
 	return f * (1 + jitter)
 }
-
-// RunCost sums the cost of executing the given symbols, each under the
-// compilation that produced its linked code.
-func RunCost(symComp map[*prog.Symbol]Compilation) float64 {
-	var total float64
-	for sym, c := range symComp {
-		total += sym.Work * SpeedFactor(c, sym)
-	}
-	return total
-}

@@ -62,21 +62,6 @@ func TestSpeedFactorTransformDiscounts(t *testing.T) {
 	}
 }
 
-// TestRunCostEmptyAndAdditive: no executed symbols cost nothing, and cost
-// accumulates over the executed set.
-func TestRunCostEmptyAndAdditive(t *testing.T) {
-	if got := RunCost(nil); got != 0 {
-		t.Errorf("RunCost(nil) = %g", got)
-	}
-	a := sym("A", prog.Features{})
-	one := RunCost(map[*prog.Symbol]Compilation{a: PerfReference()})
-	b := sym("B", prog.Features{})
-	two := RunCost(map[*prog.Symbol]Compilation{a: PerfReference(), b: PerfReference()})
-	if two <= one {
-		t.Errorf("adding a symbol did not add cost: %g -> %g", one, two)
-	}
-}
-
 // TestFileMixHazardDirections: the Intel/GNU segfault hazard is about the
 // vendor pair, not which side is "variable" — icpc objects under a g++
 // baseline and g++ objects under an icpc baseline can both crash, while

@@ -37,9 +37,6 @@ func NewClient(baseURL, engine string, opts *store.RemoteOptions) (*Client, erro
 	return &Client{conn: conn}, nil
 }
 
-// Options returns the effective (defaults-filled) transport options.
-func (cl *Client) Options() store.RemoteOptions { return cl.conn.Options() }
-
 // Retries reports how many requests the client re-sent.
 func (cl *Client) Retries() int64 { return cl.conn.Retries() }
 

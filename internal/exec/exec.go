@@ -39,17 +39,14 @@ type Pool struct {
 }
 
 // New returns a pool running up to n evaluations at once. n <= 0 means one
-// worker per available CPU (GOMAXPROCS).
+// worker per available CPU (GOMAXPROCS); New(1) keeps the paper's original
+// one-at-a-time execution order.
 func New(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{workers: n}
 }
-
-// Sequential returns a single-worker pool: the paper's original one-at-a-
-// time execution order.
-func Sequential() *Pool { return &Pool{workers: 1} }
 
 // Workers reports the concurrency bound. A nil or zero pool is sequential.
 func (p *Pool) Workers() int {

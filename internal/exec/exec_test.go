@@ -15,8 +15,8 @@ func TestPoolWorkers(t *testing.T) {
 	if (&Pool{}).Workers() != 1 {
 		t.Errorf("zero pool workers = %d, want 1", (&Pool{}).Workers())
 	}
-	if Sequential().Workers() != 1 {
-		t.Errorf("Sequential workers = %d, want 1", Sequential().Workers())
+	if New(1).Workers() != 1 {
+		t.Errorf("New(1) workers = %d, want 1", New(1).Workers())
 	}
 	if New(4).Workers() != 4 {
 		t.Errorf("New(4) workers = %d, want 4", New(4).Workers())

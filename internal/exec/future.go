@@ -47,21 +47,20 @@ const (
 // Future is the handle of one submitted evaluation. The zero value is not
 // useful; a nil *Future (from Submit on a nil Submitter) is valid and
 // behaves as already-cancelled.
-type Future[T any] struct {
+type Future struct {
 	state atomic.Int32
 	done  chan struct{}
-	val   T
-	err   error
 }
 
 // Submit schedules fn to run as soon as the submitter has a free slot and
 // returns immediately. fn must be safe to run concurrently with the
-// caller. On a nil submitter nothing is scheduled and the result is nil.
-func Submit[T any](s *Submitter, fn func() (T, error)) *Future[T] {
+// caller, and delivers its own result. On a nil submitter nothing is
+// scheduled and the result is nil.
+func Submit(s *Submitter, fn func()) *Future {
 	if s == nil {
 		return nil
 	}
-	f := &Future[T]{done: make(chan struct{})}
+	f := &Future{done: make(chan struct{})}
 	go func() {
 		select {
 		case s.sem <- struct{}{}:
@@ -72,7 +71,7 @@ func Submit[T any](s *Submitter, fn func() (T, error)) *Future[T] {
 		if !f.state.CompareAndSwap(futPending, futRunning) {
 			return // cancelled between the acquire and the swap
 		}
-		f.val, f.err = fn()
+		fn()
 		f.state.Store(futDone)
 		close(f.done)
 	}()
@@ -81,8 +80,8 @@ func Submit[T any](s *Submitter, fn func() (T, error)) *Future[T] {
 
 // Cancel prevents a still-queued future from ever running. It reports true
 // when the future will not (and did not) execute; false means execution
-// already started — the result will still arrive and Wait will observe it.
-func (f *Future[T]) Cancel() bool {
+// already started — it will still finish and Wait will observe it.
+func (f *Future) Cancel() bool {
 	if f == nil {
 		return true
 	}
@@ -93,30 +92,12 @@ func (f *Future[T]) Cancel() bool {
 	return f.state.Load() == futCancelled
 }
 
-// Wait blocks until the future completes or is cancelled. ok reports
-// whether fn actually ran; on false the value and error are zero.
-func (f *Future[T]) Wait() (val T, err error, ok bool) {
+// Wait blocks until the future completes or is cancelled, and reports
+// whether fn actually ran.
+func (f *Future) Wait() bool {
 	if f == nil {
-		var zero T
-		return zero, nil, false
-	}
-	<-f.done
-	if f.state.Load() != futDone {
-		var zero T
-		return zero, nil, false
-	}
-	return f.val, f.err, true
-}
-
-// Ready reports whether Wait would return without blocking.
-func (f *Future[T]) Ready() bool {
-	if f == nil {
-		return true
-	}
-	select {
-	case <-f.done:
-		return true
-	default:
 		return false
 	}
+	<-f.done
+	return f.state.Load() == futDone
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,24 +11,15 @@ func TestSubmitRunsAndWait(t *testing.T) {
 	if sub.Cap() != 3 {
 		t.Fatalf("Cap = %d, want workers-1 = 3", sub.Cap())
 	}
-	f := Submit(sub, func() (int, error) { return 42, nil })
-	v, err, ok := f.Wait()
-	if !ok || err != nil || v != 42 {
-		t.Fatalf("Wait = (%v, %v, %v), want (42, nil, true)", v, err, ok)
-	}
-	if !f.Ready() {
-		t.Error("completed future not Ready")
-	}
-	// Errors pass through.
-	boom := errors.New("boom")
-	f2 := Submit(sub, func() (int, error) { return 0, boom })
-	if _, err, ok := f2.Wait(); !ok || !errors.Is(err, boom) {
-		t.Fatalf("error not delivered: err=%v ok=%v", err, ok)
+	v := 0
+	f := Submit(sub, func() { v = 42 })
+	if !f.Wait() || v != 42 {
+		t.Fatalf("Wait ran fn to %d, want 42", v)
 	}
 }
 
 func TestSequentialPoolDisablesSubmission(t *testing.T) {
-	for _, p := range []*Pool{nil, Sequential(), New(1)} {
+	for _, p := range []*Pool{nil, {}, New(1)} {
 		if sub := p.Submitter(); sub != nil {
 			t.Errorf("pool %+v: Submitter = %v, want nil", p, sub)
 		}
@@ -38,19 +28,16 @@ func TestSequentialPoolDisablesSubmission(t *testing.T) {
 	if nilSub.Cap() != 0 {
 		t.Error("nil submitter has capacity")
 	}
-	f := Submit(nilSub, func() (int, error) { t.Error("fn ran on nil submitter"); return 0, nil })
+	f := Submit(nilSub, func() { t.Error("fn ran on nil submitter") })
 	if f != nil {
 		t.Fatal("Submit on nil submitter returned a future")
 	}
 	// A nil future behaves as already-cancelled.
-	if _, _, ok := f.Wait(); ok {
-		t.Error("nil future Wait reported ok")
+	if f.Wait() {
+		t.Error("nil future Wait reported a run")
 	}
 	if !f.Cancel() {
 		t.Error("nil future Cancel = false")
-	}
-	if !f.Ready() {
-		t.Error("nil future not Ready")
 	}
 }
 
@@ -58,22 +45,22 @@ func TestCancelQueuedFutureNeverRuns(t *testing.T) {
 	sub := New(2).Submitter() // capacity 1
 	block := make(chan struct{})
 	started := make(chan struct{})
-	slow := Submit(sub, func() (int, error) { close(started); <-block; return 1, nil })
+	slow := Submit(sub, func() { close(started); <-block })
 	<-started // the single slot is now held
 	ran := false
-	queued := Submit(sub, func() (int, error) { ran = true; return 2, nil })
+	queued := Submit(sub, func() { ran = true })
 	if !queued.Cancel() {
 		t.Fatal("Cancel on a queued future = false")
 	}
 	if !queued.Cancel() {
 		t.Error("Cancel not idempotent")
 	}
-	if _, _, ok := queued.Wait(); ok {
-		t.Error("cancelled future Wait reported ok")
+	if queued.Wait() {
+		t.Error("cancelled future Wait reported a run")
 	}
 	close(block)
-	if _, _, ok := slow.Wait(); !ok {
-		t.Error("running future lost its result")
+	if !slow.Wait() {
+		t.Error("running future did not report its run")
 	}
 	if ran {
 		t.Error("cancelled future executed anyway")
@@ -84,14 +71,15 @@ func TestCancelAfterStartKeepsResult(t *testing.T) {
 	sub := New(2).Submitter()
 	started := make(chan struct{})
 	release := make(chan struct{})
-	f := Submit(sub, func() (int, error) { close(started); <-release; return 7, nil })
+	v := 0
+	f := Submit(sub, func() { close(started); <-release; v = 7 })
 	<-started
 	if f.Cancel() {
 		t.Fatal("Cancel claimed to prevent a running future")
 	}
 	close(release)
-	if v, _, ok := f.Wait(); !ok || v != 7 {
-		t.Fatalf("Wait = (%v, ok=%v) after failed Cancel", v, ok)
+	if !f.Wait() || v != 7 {
+		t.Fatalf("Wait after failed Cancel: fn left %d, want 7", v)
 	}
 }
 
@@ -100,10 +88,10 @@ func TestSubmitterBoundsConcurrency(t *testing.T) {
 	sub := New(capacity + 1).Submitter()
 	var cur, max atomic.Int64
 	var wg sync.WaitGroup
-	futs := make([]*Future[struct{}], 0, 20)
+	futs := make([]*Future, 0, 20)
 	for i := 0; i < 20; i++ {
 		wg.Add(1)
-		futs = append(futs, Submit(sub, func() (struct{}, error) {
+		futs = append(futs, Submit(sub, func() {
 			defer wg.Done()
 			n := cur.Add(1)
 			for {
@@ -113,7 +101,6 @@ func TestSubmitterBoundsConcurrency(t *testing.T) {
 				}
 			}
 			cur.Add(-1)
-			return struct{}{}, nil
 		}))
 	}
 	wg.Wait()

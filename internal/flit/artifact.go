@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/link"
@@ -47,25 +46,17 @@ const EngineVersion = "flit-engine/3"
 // Floating-point values are serialized as IEEE-754 bit patterns, not
 // decimal JSON numbers: results may legitimately be NaN or ±Inf (the
 // Laghos NaN-bug study exists because of them), and byte-identity of the
-// merged output requires bit-identity of every replayed value.
+// merged output requires bit-identity of every replayed value. An artifact
+// carries no timestamp: the same shard of the same command writes the same
+// bytes wherever and whenever it runs.
 type Artifact struct {
-	Version int      `json:"version"`
-	Engine  string   `json:"engine"`
-	Command []string `json:"command,omitempty"`
-	// CreatedUnix is an optional wall-clock stamp (Unix seconds) recording
-	// when the artifact was written. Export leaves it zero — exports stay
-	// deterministic byte-for-byte — and the CLI stamps artifacts on write
-	// (Stamp) so `flit gc` can order the generations of a campaign. It is
-	// metadata only: merge, warm-start, and delta ignore it.
-	CreatedUnix int64        `json:"created_unix,omitempty"`
-	Shard       exec.Shard   `json:"shard"`
-	Runs        []RunRecord  `json:"runs"`
-	Costs       []CostRecord `json:"costs"`
+	Version int          `json:"version"`
+	Engine  string       `json:"engine"`
+	Command []string     `json:"command,omitempty"`
+	Shard   exec.Shard   `json:"shard"`
+	Runs    []RunRecord  `json:"runs"`
+	Costs   []CostRecord `json:"costs"`
 }
-
-// Stamp records the current wall-clock time as the artifact's creation
-// time, for generation ordering under `flit gc`.
-func (a *Artifact) Stamp() { a.CreatedUnix = time.Now().Unix() }
 
 // RunRecord is one memoized test execution.
 type RunRecord struct {

@@ -41,16 +41,15 @@ type GCPlan struct {
 
 // gcFile is one parsed artifact file with its ordering metadata.
 type gcFile struct {
-	path    string
-	created int64
-	mod     time.Time
+	path string
+	mod  time.Time
 }
 
 // PlanGC scans dir for artifact files and plans which are superseded.
 // keep is the number of generations retained per campaign slot (>= 1);
 // protect holds paths (as cleaned by NormalizePath) that must survive.
-// Generations are ordered by the artifact's CreatedUnix stamp, then file
-// modification time, then path — newest first.
+// Generations are ordered by file modification time, then path — newest
+// first.
 func PlanGC(dir string, keep int, protect map[string]bool) (*GCPlan, error) {
 	if keep < 1 {
 		return nil, fmt.Errorf("flit: gc must keep at least one generation per campaign (keep=%d)", keep)
@@ -85,13 +84,10 @@ func PlanGC(dir string, keep int, protect map[string]bool) (*GCPlan, error) {
 			continue
 		}
 		key := a.Engine + "\x00" + strings.Join(a.Command, "\x00") + "\x00" + a.Shard.String()
-		groups[key] = append(groups[key], gcFile{path: path, created: a.CreatedUnix, mod: info.ModTime()})
+		groups[key] = append(groups[key], gcFile{path: path, mod: info.ModTime()})
 	}
 	for _, g := range groups {
 		sort.Slice(g, func(i, j int) bool {
-			if g[i].created != g[j].created {
-				return g[i].created > g[j].created
-			}
 			if !g[i].mod.Equal(g[j].mod) {
 				return g[i].mod.After(g[j].mod)
 			}

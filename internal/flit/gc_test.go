@@ -10,15 +10,20 @@ import (
 	"repro/internal/exec"
 )
 
-// writeArt writes an artifact file with an explicit creation stamp.
-func writeArt(t *testing.T, dir, name string, command []string, shard exec.Shard, created int64) string {
+// writeArt writes an artifact file and sets its modification time to the
+// Unix second mod (0 leaves the time of the write).
+func writeArt(t *testing.T, dir, name string, command []string, shard exec.Shard, mod int64) string {
 	t.Helper()
 	a := art(command, scalarRec("k", 1))
 	a.Shard = shard
-	a.CreatedUnix = created
 	path := filepath.Join(dir, name)
 	if err := WriteArtifactFile(a, path); err != nil {
 		t.Fatal(err)
+	}
+	if mod != 0 {
+		if err := os.Chtimes(path, time.Unix(mod, 0), time.Unix(mod, 0)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return path
 }
@@ -171,12 +176,12 @@ func TestPlanGCSkipsNonArtifactJSON(t *testing.T) {
 	}
 }
 
-// TestPlanGCOrderingFallsBackToModTime: unstamped artifacts (CreatedUnix
-// zero, e.g. library exports) are ordered by file modification time.
+// TestPlanGCOrderingFallsBackToModTime: generations are ordered by file
+// modification time before path, whatever order they were written in.
 func TestPlanGCOrderingFallsBackToModTime(t *testing.T) {
 	dir := t.TempDir()
-	older := writeArt(t, dir, "a.json", []string{"run"}, exec.Shard{}, 0)
-	newer := writeArt(t, dir, "b.json", []string{"run"}, exec.Shard{}, 0)
+	newer := writeArt(t, dir, "a.json", []string{"run"}, exec.Shard{}, 0)
+	older := writeArt(t, dir, "b.json", []string{"run"}, exec.Shard{}, 0)
 	// Make the ordering independent of write timing granularity.
 	base := time.Now()
 	if err := os.Chtimes(older, base.Add(-time.Hour), base.Add(-time.Hour)); err != nil {
@@ -194,10 +199,9 @@ func TestPlanGCOrderingFallsBackToModTime(t *testing.T) {
 	}
 }
 
-// TestPlanGCPathTiebreaker: two generations with identical creation stamps
-// AND identical mtimes still prune deterministically — the path breaks the
-// tie, so two planning passes over the same directory agree on which file
-// survives.
+// TestPlanGCPathTiebreaker: two generations with identical mtimes still
+// prune deterministically — the path breaks the tie, so two planning
+// passes over the same directory agree on which file survives.
 func TestPlanGCPathTiebreaker(t *testing.T) {
 	dir := t.TempDir()
 	a := writeArt(t, dir, "a.json", []string{"run"}, exec.Shard{}, 100)

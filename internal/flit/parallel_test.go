@@ -46,7 +46,7 @@ func TestRunMatrixParallelEquivalence(t *testing.T) {
 	}{
 		{"j8-cached", exec.New(8), NewCache()},
 		{"j8-uncached", exec.New(8), nil},
-		{"j1-cached", exec.Sequential(), NewCache()},
+		{"j1-cached", exec.New(1), NewCache()},
 	} {
 		s := newSuite()
 		s.Pool, s.Cache = cfg.pool, cfg.cache

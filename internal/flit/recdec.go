@@ -79,16 +79,14 @@ func (d *recDecoder) artifact(a *Artifact) bool {
 		case "command":
 			a.Command, ok = list(d, (*recDecoder).text)
 			return 1 << 2, ok
-		case "created_unix":
-			return 1 << 3, d.int64Val(&a.CreatedUnix)
 		case "shard":
-			return 1 << 4, d.shard(&a.Shard)
+			return 1 << 3, d.shard(&a.Shard)
 		case "runs":
 			a.Runs, ok = list(d, (*recDecoder).runRecord)
-			return 1 << 5, ok
+			return 1 << 4, ok
 		case "costs":
 			a.Costs, ok = list(d, (*recDecoder).costRecord)
-			return 1 << 6, ok
+			return 1 << 5, ok
 		}
 		return 0, false
 	})
@@ -304,13 +302,6 @@ func (d *recDecoder) signed(width int) (int64, bool) {
 func (d *recDecoder) intVal(v *int) bool {
 	n, ok := d.signed(strconv.IntSize)
 	*v = int(n)
-	return ok
-}
-
-// int64Val reads an int64 field.
-func (d *recDecoder) int64Val(v *int64) bool {
-	var ok bool
-	*v, ok = d.signed(64)
 	return ok
 }
 

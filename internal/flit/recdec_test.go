@@ -46,12 +46,11 @@ func decoderFixture() *Cache {
 	return c
 }
 
-// fixtureArtifact is the fixture exported and written as a stamped,
-// sharded artifact with a command that needs escaping.
+// fixtureArtifact is the fixture exported and written as a sharded
+// artifact with a command that needs escaping.
 func fixtureArtifact(tb testing.TB) []byte {
 	a := decoderFixture().Export(exec.Shard{Index: 1, Count: 3},
 		[]string{"bisect", "-comp", "g++ -O3 \"x\"", "-test", "Ex<05>"})
-	a.Stamp()
 	var buf bytes.Buffer
 	if err := a.WriteJSON(&buf); err != nil {
 		tb.Fatal(err)
@@ -253,8 +252,8 @@ func TestWrittenRecordsTakeTheFastPath(t *testing.T) {
 	if !reflect.DeepEqual(&a, want) {
 		t.Fatalf("fast path decoded %+v, encoding/json %+v", a, want)
 	}
-	if len(a.Runs) != 11 || len(a.Costs) != 3 || a.CreatedUnix == 0 {
-		t.Fatalf("fixture artifact decoded to %d runs, %d costs, created %d", len(a.Runs), len(a.Costs), a.CreatedUnix)
+	if len(a.Runs) != 11 || len(a.Costs) != 3 {
+		t.Fatalf("fixture artifact decoded to %d runs, %d costs", len(a.Runs), len(a.Costs))
 	}
 
 	// An empty export, and the artifact of a real matrix run.
@@ -305,5 +304,59 @@ func TestWrittenRecordsTakeTheFastPath(t *testing.T) {
 	}
 	if runs < 11 || costs < 3 {
 		t.Fatalf("store saw %d run and %d cost payloads, want the fixture's and the matrix's", runs, costs)
+	}
+}
+
+// TestStampedArtifactStillWorks: artifacts written before artifacts lost
+// their timestamp carry a "created_unix" field. Such a file takes the
+// encoding/json fallback, which skips the field, and then reads, checks,
+// merges and warm-starts exactly as the same artifact without it.
+func TestStampedArtifactStillWorks(t *testing.T) {
+	command := []string{"run", "-test", "Example05"}
+	var buf bytes.Buffer
+	if err := decoderFixture().Export(exec.Shard{}, command).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	plain := buf.Bytes()
+	stamped := bytes.Replace(plain, []byte("\n \"shard\":"), []byte("\n \"created_unix\": 1792407327,\n \"shard\":"), 1)
+	if bytes.Equal(stamped, plain) {
+		t.Fatalf("no shard field to stamp before:\n%s", plain)
+	}
+	if _, ok := decodeFast(stamped, (*recDecoder).artifact); ok {
+		t.Fatal("fast path accepted a created_unix field the artifact no longer has")
+	}
+	a, err := ReadArtifact(bytes.NewReader(stamped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := decodeArtifactJSON(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Fatalf("stamped artifact decoded to %+v, want %+v", a, want)
+	}
+	if err := a.Check(); err != nil {
+		t.Fatal(err)
+	}
+	merged, warm := NewCache(), NewCache()
+	if err := merged.Merge(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.WarmStart(false, a); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*Cache{"merged": merged, "warm-started": warm} {
+		var out bytes.Buffer
+		if err := c.Export(exec.Shard{}, command).WriteJSON(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), plain) {
+			t.Errorf("%s cache exports\n%s\nwant\n%s", name, out.Bytes(), plain)
+		}
+	}
+	// Nothing ran, so the whole baseline reads as dropped.
+	if rep := warm.Delta(command); rep == nil || len(rep.Dropped) != len(a.Runs) || len(rep.New)+len(rep.Changed) != 0 {
+		t.Errorf("warm-started cache reports delta %+v", rep)
 	}
 }

@@ -19,7 +19,7 @@ func TestShardMergeMatrixEquivalence(t *testing.T) {
 	matrix := comp.Matrix()
 
 	ref := newSuite()
-	ref.Pool, ref.Cache = exec.Sequential(), NewCache()
+	ref.Pool, ref.Cache = exec.New(1), NewCache()
 	refRes, err := ref.RunMatrix(matrix)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestShardMergeMatrixEquivalence(t *testing.T) {
 			t.Fatalf("N=%d: shard set invalid: %v", n, err)
 		}
 		merged := newSuite()
-		merged.Pool, merged.Cache = exec.Sequential(), NewCache()
+		merged.Pool, merged.Cache = exec.New(1), NewCache()
 		if err := merged.Cache.Merge(arts...); err != nil {
 			t.Fatalf("N=%d: merge: %v", n, err)
 		}

@@ -332,6 +332,42 @@ func TestCostReflectsMixedResolution(t *testing.T) {
 	}
 }
 
+// TestCostSumsWorkTimesSpeed: a run costs the sum, over the symbols it
+// reaches, of each symbol's work times its compilation's speed factor.
+func TestCostSumsWorkTimesSpeed(t *testing.T) {
+	p := testProgram()
+	ex, err := FullBuild(p, comp.PerfReference())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	for _, name := range []string{"Dot", "Main", "Scale", "helper"} { // Cost sums in name order
+		s := p.MustSymbol(name)
+		want += s.Work * comp.SpeedFactor(comp.PerfReference(), s)
+	}
+	if got := ex.Cost("Main"); got != want {
+		t.Fatalf("Cost(Main) = %g, want %g", got, want)
+	}
+}
+
+// TestCostEmptyAndAdditive: no executed symbols cost nothing, and cost
+// accumulates over the executed set.
+func TestCostEmptyAndAdditive(t *testing.T) {
+	p := testProgram()
+	ex, err := FullBuild(p, comp.PerfReference())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ex.Cost(); got != 0 {
+		t.Errorf("Cost() = %g", got)
+	}
+	one := ex.Cost("Dot")
+	two := ex.Cost("Dot", "Scale")
+	if two <= one {
+		t.Errorf("adding a symbol did not add cost: %g -> %g", one, two)
+	}
+}
+
 func TestCostDeterministic(t *testing.T) {
 	p := testProgram()
 	ex, _ := FullBuild(p, varC)

@@ -130,10 +130,6 @@ func Dial(baseURL, engine string, opts *RemoteOptions) (*Conn, error) {
 	return c, nil
 }
 
-// Options returns the effective transport options — the defaults-filled
-// values the client actually runs with, for -stats reporting.
-func (c *Conn) Options() RemoteOptions { return c.opts }
-
 // Retries reports how many requests the Conn re-sent.
 func (c *Conn) Retries() int64 { return c.retries.Load() }
 

@@ -87,10 +87,6 @@ func NewRemote(baseURL, engine string, opts *RemoteOptions) (*Remote, error) {
 	return &Remote{conn: conn}, nil
 }
 
-// Options returns the effective transport options — the defaults-filled
-// values the client actually runs with, for -stats reporting.
-func (r *Remote) Options() RemoteOptions { return r.conn.Options() }
-
 // Metrics snapshots the transport counters.
 func (r *Remote) Metrics() RemoteMetrics {
 	return RemoteMetrics{

@@ -71,7 +71,7 @@ func (t *tiered) Put(key string, data []byte) error {
 // for a shared server — or either alone, composed with Tier. It returns
 // nil with neither. The Remote is also returned on its own (nil without a
 // URL) so callers can report its transport counters.
-func OpenTiers(dir, remoteURL, engine string, opts *RemoteOptions) (Store, *Remote, error) {
+func OpenTiers(dir, remoteURL, engine string) (Store, *Remote, error) {
 	var tiers []Store
 	if dir != "" {
 		d, err := Open(dir, engine)
@@ -83,7 +83,7 @@ func OpenTiers(dir, remoteURL, engine string, opts *RemoteOptions) (Store, *Remo
 	if remoteURL == "" {
 		return Tier(tiers...), nil, nil
 	}
-	r, err := NewRemote(remoteURL, engine, opts)
+	r, err := NewRemote(remoteURL, engine, nil)
 	if err != nil {
 		return nil, nil, err
 	}
