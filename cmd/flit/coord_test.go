@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/coord"
+	"repro/internal/flit"
 )
 
 // startCoordServe launches `flit coord serve` for a 2-shard
@@ -387,6 +392,83 @@ func TestWorkFlagValidation(t *testing.T) {
 	stderr.Reset()
 	if code := run([]string{"coord", "status"}, &stdout, &stderr); code != 1 {
 		t.Errorf("coord status without -coord: exit %d, want 1", code)
+	}
+}
+
+// TestCoordStatusRefusesContradictingShards: a campaign whose two
+// completed shards record one shared key with two bit patterns is complete
+// but not validated, and coord status names the key.
+func TestCoordStatusRefusesContradictingShards(t *testing.T) {
+	c := contradictingShards(t)
+	for _, bad := range []struct{ path, key string }{{c.runBad, c.runKey}, {c.costBad, c.costKey}} {
+		out := &syncBuffer{}
+		go run([]string{"coord", "serve", "-dir", t.TempDir(), "-addr", "127.0.0.1:0",
+			"-shards", "2", "experiments", "table1"}, out, out)
+		url := announcedURL(t, out)
+		cl, err := coord.NewClient(url, flit.EngineVersion, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		infos, err := cl.Campaigns(ctx)
+		if err != nil || len(infos) != 1 {
+			t.Fatalf("campaigns: %v %v", infos, err)
+		}
+		id := infos[0].ID
+		for range 2 {
+			g, state, err := cl.Lease(ctx, id, "w")
+			if err != nil || state != coord.Granted {
+				t.Fatalf("lease: %v %v", state, err)
+			}
+			path := map[int]string{0: c.s0, 1: bad.path}[g.Shard]
+			art, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := cl.Complete(ctx, id, "w", g.LeaseID, g.Shard, art); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"coord", "status", "-coord", url}, &stdout, &stderr); code != 0 {
+			t.Fatalf("status: exit %d: %s", code, stderr.String())
+		}
+		if got := stdout.String(); !strings.Contains(got, "complete, VALIDATION FAILED") || !strings.Contains(got, bad.key) {
+			t.Errorf("status of a contradicting campaign does not read unvalidated naming %s:\n%.400s", bad.key, got)
+		}
+	}
+}
+
+// TestCoordFlagBounds: a flag value the coordinator would otherwise
+// clamp silently is a usage error naming the flag, as `flit gc -keep 0`
+// is: coord gc -keep below 1, coord serve -lease-ttl not positive and
+// -max-shard-attempts below 1. A coord serve that accepted its flags
+// would serve forever, so each call runs under a deadline.
+func TestCoordFlagBounds(t *testing.T) {
+	url := startCoordServe(t, t.TempDir())
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"coord", "gc", "-coord", url, "-keep", "0"}, &stdout, &stderr); code != 1 ||
+		!strings.Contains(stderr.String(), "-keep") {
+		t.Errorf("coord gc -keep 0: exit %d, want 1 naming -keep; stdout %q stderr %q", code, stdout.String(), stderr.String())
+	}
+	for _, c := range []struct{ flag, value string }{
+		{"-lease-ttl", "0s"},
+		{"-lease-ttl", "-1s"},
+		{"-max-shard-attempts", "0"},
+	} {
+		out, dir := &syncBuffer{}, t.TempDir()
+		codec := make(chan int, 1)
+		go func() {
+			codec <- run([]string{"coord", "serve", "-dir", dir, "-addr", "127.0.0.1:0", c.flag, c.value}, out, out)
+		}()
+		select {
+		case code := <-codec:
+			if code != 1 || !strings.Contains(out.String(), c.flag) {
+				t.Errorf("coord serve %s %s: exit %d, want 1 naming the flag: %q", c.flag, c.value, code, out.String())
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("coord serve %s %s was accepted and served: %q", c.flag, c.value, out.String())
+		}
 	}
 }
 

@@ -118,6 +118,10 @@ func cmdCoordServe(args []string, stdout, stderr io.Writer) error {
 	if (command == nil) != (*shards == 0) {
 		return errors.New("coord serve wants a command and -shards together (or neither)")
 	}
+	if *leaseTTL <= 0 || *maxAttempts < 1 {
+		return fmt.Errorf("coord serve: -lease-ttl must be positive and -max-shard-attempts at least 1, got %s and %d",
+			*leaseTTL, *maxAttempts)
+	}
 	c, err := coord.New(*dir, coord.Options{LeaseTTL: *leaseTTL, MaxShardAttempts: *maxAttempts})
 	if err != nil {
 		return err
@@ -358,6 +362,9 @@ func cmdCoordGC(args []string, stdout, stderr io.Writer) error {
 	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
+	if *keep < 1 {
+		return fmt.Errorf("coord gc: -keep must be at least 1, got %d", *keep)
+	}
 	cl, err := coordClient(*coordURL)
 	if err != nil {
 		return err
@@ -398,16 +405,13 @@ func cmdWork(args []string, stdout, stderr io.Writer) error {
 	if err := parseFlagsOnly(fs, args); err != nil {
 		return err
 	}
-	if *coordURL == "" {
-		return errors.New("work requires -coord URL")
+	cl, err := coordClient(*coordURL)
+	if err != nil {
+		return err
 	}
 	if *name == "" {
 		host, _ := os.Hostname()
 		*name = fmt.Sprintf("%s:%d", host, os.Getpid())
-	}
-	cl, err := coord.NewClient(*coordURL, flit.EngineVersion, nil)
-	if err != nil {
-		return err
 	}
 	tier, remote, err := store.OpenTiers(*storeDir, *coordURL, flit.EngineVersion)
 	if err != nil {

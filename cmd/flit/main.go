@@ -41,9 +41,9 @@
 // shard executes only its slice of the expensive evaluations and writes a
 // self-describing JSON artifact (-shard-out) instead of the normal output.
 // `flit merge` validates that the artifacts form a complete shard set from
-// the same engine version and command, seeds a fresh engine's cache with
-// their union, and replays the recorded command — producing output
-// byte-identical to an unsharded run.
+// the same engine version and command that records no key with two bit
+// patterns, seeds a fresh engine's cache with their union, and replays the
+// recorded command — producing output byte-identical to an unsharded run.
 //
 // Observability: -stats prints build/run-cache hit/miss counters, how
 // many tests actually executed and how many shared an earlier run whose
@@ -417,22 +417,6 @@ func (o *cliOpts) attachStore(eng *experiments.Engine) error {
 	return nil
 }
 
-// emitDelta writes the warm-started run's DeltaReport (-delta-out) and its
-// one-line summary (-stats, on stderr). A no-op without a warmed baseline.
-func emitDelta(eng *experiments.Engine, o *cliOpts, command []string, stderr io.Writer) error {
-	rep := eng.Cache().Delta(command)
-	if rep == nil {
-		return nil
-	}
-	if *o.stats {
-		fmt.Fprintln(stderr, rep.Summary())
-	}
-	if *o.deltaOut != "" {
-		return flit.WriteDeltaReportFile(rep, *o.deltaOut)
-	}
-	return nil
-}
-
 // execute runs a canonical command — the one a shard artifact records and
 // `flit merge` and `flit work` replay — through the shard/stats plumbing.
 // Unsharded, the command writes its normal output to stdout. Sharded, the
@@ -451,8 +435,17 @@ func execute(eng *experiments.Engine, o *cliOpts, command []string, stdout, stde
 	if err != nil {
 		return err
 	}
-	if err := emitDelta(eng, o, command, stderr); err != nil {
-		return err
+	// A warm-started run's DeltaReport: its summary under -stats, the
+	// report itself to -delta-out.
+	if rep := eng.Cache().Delta(command); rep != nil {
+		if *o.stats {
+			fmt.Fprintln(stderr, rep.Summary())
+		}
+		if *o.deltaOut != "" {
+			if err := flit.WriteDeltaReportFile(rep, *o.deltaOut); err != nil {
+				return err
+			}
+		}
 	}
 	if o.shardMode() {
 		art := eng.ExportArtifact(command)

@@ -91,6 +91,9 @@ var (
 	symTimeIntegratorRotateBuffers = &prog.Symbol{Name: "TimeIntegrator::RotateBuffers", Exported: true, Work: 1, FPOps: 1, SLOC: 11}
 	symComputeVolume               = &prog.Symbol{Name: "ComputeVolume", Exported: true, Work: 2, FPOps: 2, SLOC: 8,
 		Features: prog.Features{Reduction: true}}
+	// MinElementWidth is never entered by the simulation; it stays
+	// registered because the program's shape feeds bisect and the cost
+	// model.
 	symMinElementWidth = &prog.Symbol{Name: "MinElementWidth", Exported: true, Work: 1, FPOps: 1, SLOC: 9}
 )
 
@@ -378,17 +381,4 @@ func Volume(m *link.Machine, st *State) float64 {
 		widths[c] = env.Sub(st.X[c+1], st.X[c])
 	}
 	return env.Sum(widths)
-}
-
-// MinWidth returns the smallest cell width.
-func MinWidth(m *link.Machine, st *State) float64 {
-	env, done := m.Fn(symMinElementWidth)
-	defer done()
-	min := math.Inf(1)
-	for c := range st.Rho {
-		if w := env.Sub(st.X[c+1], st.X[c]); w < min {
-			min = w
-		}
-	}
-	return min
 }

@@ -412,7 +412,4 @@ func TestCompilersTable(t *testing.T) {
 	if cs[0].Version != "gcc-8.2.0" || cs[2].Version != "icpc-18.0.3" {
 		t.Fatalf("compiler versions wrong: %+v", cs)
 	}
-	if XLCInfo().Name != XLC {
-		t.Fatal("XLCInfo wrong")
-	}
 }

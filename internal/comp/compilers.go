@@ -84,12 +84,6 @@ var icpcSwitches = []string{
 	"-mp1",
 }
 
-// xlcSwitches: the IBM compiler is used only in the Laghos study.
-var xlcSwitches = []string{
-	"",
-	"-qstrict=vectorprecision",
-}
-
 // Compilers returns the compiler descriptions of the MFEM study (Table 1).
 func Compilers() []CompilerInfo {
 	return []CompilerInfo{
@@ -97,11 +91,6 @@ func Compilers() []CompilerInfo {
 		{Name: Clang, Version: "clang-6.0.1", Released: "05 July 2018", Switches: clangSwitches},
 		{Name: ICPC, Version: "icpc-18.0.3", Released: "16 May 2018", Switches: icpcSwitches},
 	}
-}
-
-// XLCInfo describes the IBM compiler used in the Laghos case study.
-func XLCInfo() CompilerInfo {
-	return CompilerInfo{Name: XLC, Version: "xlc-16.1.0", Released: "2018", Switches: xlcSwitches}
 }
 
 // Matrix returns the full MFEM compilation matrix: every compiler paired

@@ -20,7 +20,7 @@ func studyCompilations() []comp.Compilation {
 	cs := append(comp.Matrix(), comp.Baseline(), comp.PerfReference(),
 		comp.Compilation{Compiler: comp.Clang, OptLevel: "-O2"})
 	for _, lvl := range comp.OptLevels {
-		for _, sw := range comp.XLCInfo().Switches {
+		for _, sw := range []string{"", "-qstrict=vectorprecision"} {
 			cs = append(cs, comp.Compilation{Compiler: comp.XLC, OptLevel: lvl, Switches: sw})
 		}
 	}

@@ -580,8 +580,7 @@ func (c *Coordinator) Release(campaign, worker, leaseID string, shard int) error
 }
 
 // Fail records a worker-reported shard failure: the runner errored or
-// panicked, deterministically enough that the worker's own local retries
-// did not help. The lease must still be the shard's current one (a stale
+// panicked. The lease must still be the shard's current one (a stale
 // report answers ErrLeaseLost and is ignored — the shard belongs to
 // someone else now); the report is recorded, the lease is released, and
 // the shard returns to the pool — unless this attempt exhausted its
@@ -1019,7 +1018,9 @@ type GCResult struct {
 // newest keep completed generations survive, in submission order, and
 // older ones are retired: removed from the journal first, then their
 // artifact directories deleted. Running campaigns are never touched and
-// never count toward keep. dryRun plans without changing anything.
+// never count toward keep. dryRun plans without changing anything. A keep
+// below 1 would retire every completed generation and is refused as a bad
+// request.
 //
 // Retirement rides the coordinator's ownership boundary deliberately: an
 // operator pruning the shared namespace by hand could delete an artifact
@@ -1028,7 +1029,7 @@ type GCResult struct {
 // to a consistent tenancy either way.
 func (c *Coordinator) GC(keep int, dryRun bool) (GCResult, error) {
 	if keep < 1 {
-		keep = 1
+		return GCResult{}, badRequest{fmt.Errorf("coord: gc keep %d, want at least 1", keep)}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -594,6 +594,29 @@ func TestGCRetiresSupersededGenerations(t *testing.T) {
 	}
 }
 
+// TestGCRefusesKeepBelowOne: a keep below 1 would retire every completed
+// generation, so GC refuses it as the caller's fault — HTTP answers 400 —
+// and retires nothing.
+func TestGCRefusesKeepBelowOne(t *testing.T) {
+	c, ids := newCoord(t, coord.Options{}, coord.Spec{Command: campaignCommand, Shards: 1})
+	for _, keep := range []int{0, -1} {
+		if _, err := c.GC(keep, false); !coord.IsBadRequest(err) {
+			t.Fatalf("GC(keep=%d) = %v, want a bad request", keep, err)
+		}
+	}
+	srv, _ := serveCampaign(t, c)
+	cl, err := coord.NewClient(srv.URL, flit.EngineVersion, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.GC(context.Background(), 0, false); err == nil || !strings.Contains(err.Error(), "status 400") {
+		t.Fatalf("GC over HTTP with keep 0: %v, want status 400", err)
+	}
+	if _, err := c.Status(ids[0]); err != nil {
+		t.Fatalf("refused GC touched the campaign: %v", err)
+	}
+}
+
 // TestCompleteRejectsForeignArtifacts: completions carrying the wrong
 // engine, command, or shard coordinates must be refused — they would
 // poison the merge.

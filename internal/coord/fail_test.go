@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -406,8 +405,7 @@ func TestWorkContinuesPastRunnerError(t *testing.T) {
 		return real(command, shard)
 	}
 	stats, err := coord.Work(context.Background(), cl, run,
-		coord.WorkerOptions{Name: "w1", PollEvery: 5 * time.Millisecond,
-			RunAttempts: 1, RetryBackoff: time.Millisecond})
+		coord.WorkerOptions{Name: "w1", PollEvery: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("worker died on a poisoned shard: %v", err)
 	}
@@ -457,8 +455,7 @@ func TestWorkerPanicContainment(t *testing.T) {
 		return real(command, shard)
 	}
 	stats, err := coord.Work(context.Background(), cl, run,
-		coord.WorkerOptions{Name: "w1", PollEvery: 5 * time.Millisecond,
-			RunAttempts: 1, RetryBackoff: time.Millisecond})
+		coord.WorkerOptions{Name: "w1", PollEvery: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("worker died on a panicking shard: %v", err)
 	}
@@ -492,53 +489,6 @@ func TestWorkerPanicContainment(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
-	}
-}
-
-// TestWorkerLocalRetryAbsorbsTransientFailure: a shard that fails once
-// and then succeeds is retried locally under the same lease and
-// completes — no failure report reaches the coordinator, no budget is
-// spent beyond the one grant.
-func TestWorkerLocalRetryAbsorbsTransientFailure(t *testing.T) {
-	c, ids := newCoord(t, coord.Options{LeaseTTL: 10 * time.Second},
-		coord.Spec{Command: campaignCommand, Shards: 2})
-	id := ids[0]
-	srv, _ := serveCampaign(t, c)
-	cl, err := coord.NewClient(srv.URL, flit.EngineVersion, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	real := runner(t, srv.URL, 2)
-	var mu sync.Mutex
-	flaked := map[int]bool{}
-	run := func(command []string, shard exec.Shard) ([]byte, error) {
-		mu.Lock()
-		first := !flaked[shard.Index]
-		flaked[shard.Index] = true
-		mu.Unlock()
-		if first {
-			return nil, errors.New("transient wobble")
-		}
-		return real(command, shard)
-	}
-	stats, err := coord.Work(context.Background(), cl, run,
-		coord.WorkerOptions{Name: "w1", PollEvery: 5 * time.Millisecond,
-			RunAttempts: 2, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Completed != 2 || stats.Failed != 0 {
-		t.Fatalf("stats = %+v, want 2 completed, 0 failed", stats)
-	}
-	if c.FailReports() != 0 {
-		t.Fatalf("local retries leaked %d failure reports to the coordinator", c.FailReports())
-	}
-	st, err := c.Status(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "complete" || !st.Validated {
-		t.Fatalf("status = %+v, want complete+validated", st)
 	}
 }
 

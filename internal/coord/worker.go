@@ -27,15 +27,6 @@ type WorkerOptions struct {
 	// PollEvery is the pause between lease attempts while every shard is
 	// taken (default 500ms).
 	PollEvery time.Duration
-	// RunAttempts is how many times a shard is run locally — under the
-	// same lease, heartbeats still flowing — before its failure is
-	// reported to the coordinator (default 2). Local retries absorb
-	// transient run failures without costing the shard a coordinator
-	// attempt.
-	RunAttempts int
-	// RetryBackoff is the pause before each local re-run, doubling per
-	// retry (default 250ms).
-	RetryBackoff time.Duration
 	// Log receives one line per lifecycle event (nil discards).
 	Log io.Writer
 }
@@ -46,12 +37,6 @@ func (o *WorkerOptions) withDefaults() {
 	}
 	if o.PollEvery <= 0 {
 		o.PollEvery = 500 * time.Millisecond
-	}
-	if o.RunAttempts <= 0 {
-		o.RunAttempts = 2
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 250 * time.Millisecond
 	}
 	if o.Log == nil {
 		o.Log = io.Discard
@@ -67,9 +52,9 @@ type WorkerStats struct {
 	// worker owns the shard now. The work is not wasted: run results were
 	// written through to the shared store as they were computed.
 	Lost int
-	// Failed counts shards whose run failed (error or panic) after the
-	// local retry budget and were reported to the coordinator as failures.
-	// The worker itself survives each one and moves to the next lease.
+	// Failed counts shards whose run failed (error or panic) and were
+	// reported to the coordinator as failures. The worker itself survives
+	// each one and moves to the next lease.
 	Failed int
 }
 
@@ -224,15 +209,15 @@ func runAttempt(run Runner, command []string, shard exec.Shard) (artifact []byte
 }
 
 // runShard executes one granted shard under a heartbeat goroutine and
-// reports the result. A failing or panicking run is retried locally
-// (opts.RunAttempts, backoff doubling from opts.RetryBackoff, lease kept
-// alive by the heartbeats throughout) and then reported to the
-// coordinator via Fail — runShard returns an error only when the
-// coordinator itself is unreachable, never because the shard's command
-// failed. The heartbeats and the final Complete/Fail run under their own
-// context — a draining worker keeps its lease alive while it finishes
-// the shard, and the report of finished work is never the call a drain
-// cancels.
+// reports the result. A failing or panicking run is reported to the
+// coordinator via Fail at once: a Runner is a deterministic function of
+// (command, shard), so re-running it here could only repeat the failure,
+// and the coordinator's attempt budget is the one retry policy.
+// runShard returns an error only when the coordinator itself is
+// unreachable, never because the shard's command failed. The heartbeats
+// and the final Complete/Fail run under their own context — a draining
+// worker keeps its lease alive while it finishes the shard, and the
+// report of finished work is never the call a drain cancels.
 func runShard(cl *Client, campaign string, run Runner, g Grant,
 	opts WorkerOptions, stats *WorkerStats) (shardOutcome, error) {
 	// Heartbeat at a third of the TTL: two beats may be dropped before the
@@ -270,27 +255,14 @@ func runShard(cl *Client, campaign string, run Runner, g Grant,
 			}
 		}
 	}()
-	var artifact []byte
-	var excerpt string
-	var runErr error
-	for attempt := 1; attempt <= opts.RunAttempts; attempt++ {
-		if attempt > 1 {
-			fmt.Fprintf(opts.Log, "%s: shard %d attempt %d/%d after failure: %v\n",
-				opts.Name, g.Shard, attempt, opts.RunAttempts, runErr)
-			time.Sleep(opts.RetryBackoff << (attempt - 2))
-		}
-		artifact, excerpt, runErr = runAttempt(run, g.Command, exec.Shard{Index: g.Shard, Count: g.Count})
-		if runErr == nil {
-			break
-		}
-	}
+	artifact, excerpt, runErr := runAttempt(run, g.Command, exec.Shard{Index: g.Shard, Count: g.Count})
 	stopHB()
 	wg.Wait()
 	if runErr != nil {
-		// The shard failed every local attempt: report a structured failure
-		// so the coordinator can count it against the shard's budget. The
-		// worker survives — a deterministically poisoned shard is the
-		// coordinator's quarantine problem, not a worker-killing one.
+		// Report a structured failure so the coordinator can count it
+		// against the shard's budget. The worker survives — a
+		// deterministically poisoned shard is the coordinator's quarantine
+		// problem, not a worker-killing one.
 		stats.Failed++
 		quarantined, campaignFailed, allTerminal, err := cl.Fail(context.Background(),
 			campaign, opts.Name, g.LeaseID, g.Shard, runErr.Error(), excerpt)

@@ -146,11 +146,13 @@ func (c *Cache) Export(shard exec.Shard, command []string) *Artifact {
 
 // Merge seeds the cache with the union of a complete shard set, validated
 // by ValidateShardSet (every artifact from this engine version, one
-// command, a complete partition). Replaying the set's recorded command then
-// answers every evaluation from the cache, byte-identical to an unsharded
-// run. Call it before the run and before WarmStart.
+// command, a complete partition, no key recorded with two bit patterns).
+// Nothing is seeded unless the whole set is valid. Replaying the set's
+// recorded command then answers every evaluation from the cache,
+// byte-identical to an unsharded run. Call it before the run and before
+// WarmStart.
 func (c *Cache) Merge(arts ...*Artifact) error {
-	if err := ValidateShardSet(arts); err != nil {
+	if _, err := foldShardSet(arts); err != nil {
 		return fmt.Errorf("merging shard artifacts: %w", err)
 	}
 	if c == nil {
@@ -165,8 +167,10 @@ func (c *Cache) Merge(arts ...*Artifact) error {
 var errNilCache = errors.New("flit: seeding a nil cache")
 
 // seed installs a checked artifact's records as completed cache entries.
-// Existing entries are never overwritten — on a deterministic engine an
-// artifact entry and a local computation agree, so first-in wins is safe.
+// Existing entries are never overwritten: within one folded set every copy
+// of a key has the same bits, and an entry seeded earlier (a merged shard
+// set ahead of the warm-start baseline) keeps answering, which Delta then
+// compares bit-exactly against the baseline.
 func (c *Cache) seed(a *Artifact) {
 	for _, r := range a.Runs {
 		c.runs.Seed(r.Key, runValOf(r), nil)
@@ -174,6 +178,47 @@ func (c *Cache) seed(a *Artifact) {
 	for _, co := range a.Costs {
 		c.costs.Seed(co.Key, math.Float64frombits(co.Cost), nil)
 	}
+}
+
+// recordSet is the union of an artifact set's records, keyed by run key
+// and by cost key. It points into the artifacts it folds instead of
+// copying their records. Shards overlap on the cells they share (every
+// shard runs the baseline compilation), which is sound only when each
+// recorded the same bits there, so a key recorded with two bit patterns
+// is refused. cmd is the first recorded command.
+type recordSet struct {
+	cmd   []string
+	runs  map[string]*RunRecord
+	costs map[string]uint64
+}
+
+func newRecordSet() *recordSet {
+	return &recordSet{runs: map[string]*RunRecord{}, costs: map[string]uint64{}}
+}
+
+// add folds one checked artifact into the set. On a refusal the set is
+// left partly folded; every caller abandons it.
+func (s *recordSet) add(a *Artifact) error {
+	for i := range a.Runs {
+		r := &a.Runs[i]
+		if prev, ok := s.runs[r.Key]; ok {
+			if !equalRecord(*prev, *r) {
+				return fmt.Errorf("flit: artifact disagrees with an earlier artifact on run key %q", r.Key)
+			}
+			continue
+		}
+		s.runs[r.Key] = r
+	}
+	for _, co := range a.Costs {
+		if prev, ok := s.costs[co.Key]; ok && prev != co.Cost {
+			return fmt.Errorf("flit: artifact disagrees with an earlier artifact on cost key %q", co.Key)
+		}
+		s.costs[co.Key] = co.Cost
+	}
+	if s.cmd == nil {
+		s.cmd = a.Command
+	}
+	return nil
 }
 
 // runValOf deserializes one run record back into the cache's value form:
@@ -255,21 +300,29 @@ func (a *Artifact) Check() error {
 }
 
 // ValidateShardSet checks that a set of artifacts is mergeable: every
-// artifact passes Check, all record the same command, and the shard
+// artifact passes Check, all record the same command, the shard
 // coordinates form a complete partition — N artifacts covering indices
 // 0..N-1 of a count-N sharding (a single unsharded artifact is the N=1
-// case). Merging an incomplete or mixed set would replay a run that no
-// unsharded execution could have produced.
+// case) — and no run or cost key is recorded with two bit patterns.
+// Merging an incomplete, mixed or self-contradicting set would replay a
+// run that no unsharded execution could have produced.
 func ValidateShardSet(arts []*Artifact) error {
+	_, err := foldShardSet(arts)
+	return err
+}
+
+// foldShardSet validates a shard set as ValidateShardSet does and returns
+// the union of its records.
+func foldShardSet(arts []*Artifact) (*recordSet, error) {
 	if len(arts) == 0 {
-		return errors.New("flit: no shard artifacts to merge")
+		return nil, errors.New("flit: no shard artifacts to merge")
 	}
 	for i, a := range arts {
 		if err := a.Check(); err != nil {
-			return fmt.Errorf("artifact %d: %w", i, err)
+			return nil, fmt.Errorf("artifact %d: %w", i, err)
 		}
 		if !slices.Equal(a.Command, arts[0].Command) {
-			return fmt.Errorf("artifact %d records command %q, artifact 0 records %q",
+			return nil, fmt.Errorf("artifact %d records command %q, artifact 0 records %q",
 				i, a.Command, arts[0].Command)
 		}
 	}
@@ -285,7 +338,7 @@ func ValidateShardSet(arts []*Artifact) error {
 			c = 1
 		}
 		if c != count {
-			return fmt.Errorf("artifact %d is shard %s of a %d-way sharding, artifact 0 is %d-way — refusing to merge mixed partitions",
+			return nil, fmt.Errorf("artifact %d is shard %s of a %d-way sharding, artifact 0 is %d-way — refusing to merge mixed partitions",
 				i, a.Shard, c, count)
 		}
 	}
@@ -307,10 +360,16 @@ func ValidateShardSet(arts []*Artifact) error {
 		}
 	}
 	if len(missing) > 0 || len(duplicated) > 0 {
-		return fmt.Errorf("flit: incomplete %d-way shard partition: %d artifacts given, missing shard indices %s, duplicated shard indices %s",
+		return nil, fmt.Errorf("flit: incomplete %d-way shard partition: %d artifacts given, missing shard indices %s, duplicated shard indices %s",
 			count, len(arts), formatIndices(missing), formatIndices(duplicated))
 	}
-	return nil
+	set := newRecordSet()
+	for i, a := range arts {
+		if err := set.add(a); err != nil {
+			return nil, fmt.Errorf("artifact %d: %w", i, err)
+		}
+	}
+	return set, nil
 }
 
 // formatIndices renders a shard-index list for partition diagnostics;

@@ -95,11 +95,9 @@ type Cache struct {
 	builds        atomic.Int64
 	skippedBuilds atomic.Int64
 
-	// baseline holds the warm-start artifacts' run records, keyed by run
-	// key; it is non-nil once WarmStart has been called, which is what
-	// turns Delta on. baseCmd is the first recorded baseline command.
-	baseline map[string]RunRecord
-	baseCmd  []string
+	// baseline is the union of the warm-start artifacts' records; it is
+	// non-nil once WarmStart has been called, which is what turns Delta on.
+	baseline *recordSet
 }
 
 // NewCache returns an empty build/run cache.

@@ -1,15 +1,16 @@
 package flit
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strings"
 
 	"repro/internal/exec"
+	"repro/internal/store"
 )
 
 // Delta detection for incremental campaigns.
@@ -20,13 +21,15 @@ import (
 // those re-runs exist to ask: *which* outputs changed against the warmed
 // baseline? Two producers build one:
 //
-//   - Cache.Delta classifies a warm-started run (Cache.WarmStart) by
-//     provenance — every build/run key answered from the baseline
-//     (hit-from-baseline), computed fresh, or recomputed in verify mode
-//     and found to diverge from the baseline's recorded bits. The CLI
-//     writes it with -delta-out and summarizes it under -stats;
+//   - Cache.Delta diffs a warm-started run (Cache.WarmStart) against its
+//     baseline, counting by provenance the keys answered from the baseline
+//     (hit-from-baseline) and those computed fresh or recomputed in verify
+//     mode. The CLI writes it with -delta-out and summarizes it under
+//     -stats;
 //   - DiffArtifacts diffs two artifact sets offline, with no re-running
 //     (the `flit delta` subcommand).
+//
+// Both end in the same bit-exact diff of two record unions (recordSet).
 //
 // Values are compared as IEEE-754 bit patterns, never as decimal floats: a
 // variability monitor that rounded away low bits would miss exactly the
@@ -95,17 +98,15 @@ func (r *DeltaReport) WriteJSON(w io.Writer) error {
 }
 
 // WriteDeltaReportFile writes the report to path (the -delta-out flag's
-// implementation, shared by every CLI).
+// implementation, shared by every CLI) through store.WriteFileAtomic, so a
+// crash mid-write leaves the previous report or none, never a truncated
+// one.
 func WriteDeltaReportFile(r *DeltaReport, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
 		return fmt.Errorf("flit: writing delta report: %w", err)
 	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("flit: writing delta report: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := store.WriteFileAtomic(path, buf.Bytes()); err != nil {
 		return fmt.Errorf("flit: writing delta report: %w", err)
 	}
 	return nil
@@ -145,22 +146,51 @@ func equalRecord(a, b RunRecord) bool {
 	return true
 }
 
-// sort puts every list in key order so reports are deterministic.
-func (r *DeltaReport) sort() {
-	sort.Slice(r.New, func(i, j int) bool { return r.New[i].Key < r.New[j].Key })
-	sort.Slice(r.Dropped, func(i, j int) bool { return r.Dropped[i].Key < r.Dropped[j].Key })
-	sort.Slice(r.Changed, func(i, j int) bool { return r.Changed[i].Key < r.Changed[j].Key })
+// diff compares cur's run records against the set's, bit-exactly: a key
+// only cur records is new, a key only the set records is dropped, and a
+// key both record is unchanged or changed. It is the one place a
+// DeltaReport is built; the warm-start counters are Cache.Delta's to fill.
+func (s *recordSet) diff(cur *recordSet) *DeltaReport {
+	rep := &DeltaReport{
+		Engine:          EngineVersion,
+		BaselineCommand: s.cmd,
+		Command:         cur.cmd,
+		New:             []RunRecord{},
+		Dropped:         []RunRecord{},
+		Changed:         []DeltaChange{},
+	}
+	for key, r := range cur.runs {
+		base, ok := s.runs[key]
+		switch {
+		case !ok:
+			rep.New = append(rep.New, *r)
+		case equalRecord(*base, *r):
+			rep.Unchanged++
+		default:
+			rep.Changed = append(rep.Changed, DeltaChange{Key: key, Old: *base, New: *r})
+		}
+	}
+	for key, base := range s.runs {
+		if _, ok := cur.runs[key]; !ok {
+			rep.Dropped = append(rep.Dropped, *base)
+		}
+	}
+	sort.Slice(rep.New, func(i, j int) bool { return rep.New[i].Key < rep.New[j].Key })
+	sort.Slice(rep.Dropped, func(i, j int) bool { return rep.Dropped[i].Key < rep.Dropped[j].Key })
+	sort.Slice(rep.Changed, func(i, j int) bool { return rep.Changed[i].Key < rep.Changed[j].Key })
+	return rep
 }
 
-// WarmStart seeds the cache from previously exported artifacts and records
-// them as the baseline Delta reports against. Unlike Merge it needs no
+// WarmStart seeds the cache from previously exported artifacts and folds
+// them into the baseline Delta reports against. Unlike Merge it needs no
 // complete shard set: each artifact is checked on its own (format and
 // engine version — foreign results are still rejected), shard coordinates
 // and recorded commands may differ, and gaps are fine. Whatever the
 // artifacts do not cover is recomputed, and because a cache hit is
-// bit-identical to a recomputation the output is unchanged. Two artifacts
-// disagreeing on a key's bits are rejected: a self-contradictory baseline
-// cannot anchor a delta.
+// bit-identical to a recomputation the output is unchanged. The baseline
+// is one record union across calls, so an artifact disagreeing with an
+// earlier one on a run or cost key's bits is rejected: a self-contradictory
+// baseline cannot anchor a delta.
 //
 // With verify nothing is seeded: every covered evaluation the run requests
 // is recomputed and Delta compares it bit-exactly against the baseline,
@@ -172,10 +202,14 @@ func (c *Cache) WarmStart(verify bool, arts ...*Artifact) error {
 		return errNilCache
 	}
 	if c.baseline == nil {
-		c.baseline = make(map[string]RunRecord)
+		c.baseline = newRecordSet()
 	}
 	for i, a := range arts {
-		if err := c.addBaseline(a); err != nil {
+		err := a.Check()
+		if err == nil {
+			err = c.baseline.add(a)
+		}
+		if err != nil {
 			return fmt.Errorf("warm-start artifact %d: %w", i, err)
 		}
 		if !verify {
@@ -185,164 +219,58 @@ func (c *Cache) WarmStart(verify bool, arts ...*Artifact) error {
 	return nil
 }
 
-// addBaseline checks one warm-start artifact and folds its run records
-// into the baseline.
-func (c *Cache) addBaseline(a *Artifact) error {
-	if err := a.Check(); err != nil {
-		return err
-	}
-	for _, r := range a.Runs {
-		if prev, ok := c.baseline[r.Key]; ok {
-			if !equalRecord(prev, r) {
-				return fmt.Errorf("flit: baseline artifacts disagree on key %q", r.Key)
-			}
-			continue
-		}
-		c.baseline[r.Key] = r
-	}
-	if c.baseCmd == nil {
-		c.baseCmd = a.Command
-	}
-	return nil
-}
-
-// Delta classifies every completed run entry of the cache against the
+// Delta diffs every completed run entry of the cache against the
 // warm-start baseline and returns the report; it is nil if WarmStart was
 // never called. command is recorded as the current run's identity (the
 // baseline's recorded command rides along for context). Call it after the
 // run completes — the report reflects whatever has executed so far.
 //
-// Provenance, per key: a seeded baseline entry the run requested is a
-// baseline hit — counted unchanged when the served bits equal the
-// baseline's record, changed when another seed superseded them (Merge
-// seeds its shard set before the warm-start baseline and seeding never
-// overwrites); a seeded baseline entry the run never requested is a
-// dropped key; an unseeded entry covered by the baseline (verify mode
-// recomputation) is fresh and compares bit-exactly — equal is unchanged,
-// different is a divergence; an unseeded entry the baseline does not cover
-// is a new key. Seeded entries outside the baseline (e.g. a merge's shard
-// set) belong to no delta and are skipped.
+// Provenance decides which entries the run produced: a seeded entry the
+// run never requested, or one seeded from outside the baseline (a merge's
+// shard set), is not the run's; a requested baseline seed is a baseline
+// hit and an unseeded entry is fresh. The run's entries then diff against
+// the baseline bit-exactly, so a baseline key the run did not produce is
+// dropped, and a baseline hit served from an earlier seed (Merge seeds
+// its shard set first, and seeding never overwrites) is compared like any
+// other.
 func (c *Cache) Delta(command []string) *DeltaReport {
 	if c == nil || c.baseline == nil {
 		return nil
 	}
-	rep := &DeltaReport{
-		Engine:          EngineVersion,
-		BaselineCommand: c.baseCmd,
-		Command:         command,
-		New:             []RunRecord{},
-		Dropped:         []RunRecord{},
-		Changed:         []DeltaChange{},
-	}
-	seen := make(map[string]bool, len(c.baseline))
+	cur := &recordSet{cmd: command, runs: map[string]*RunRecord{}}
+	var hits, fresh int
 	c.runs.EachInfo(func(key string, v runVal, _ error, info exec.EntryInfo) {
+		if info.Seeded && (info.Uses == 0 || c.baseline.runs[key] == nil) {
+			return
+		}
+		if info.Seeded {
+			hits++
+		} else {
+			fresh++
+		}
 		rec := recordOf(key, v)
-		base, inBase := c.baseline[key]
-		switch {
-		case info.Seeded && !inBase:
-			// Seeded from outside the baseline; not this delta's concern.
-		case info.Seeded:
-			seen[key] = true
-			if info.Uses == 0 {
-				rep.Dropped = append(rep.Dropped, base)
-				break
-			}
-			rep.BaselineHits++
-			// The cache entry usually *is* the baseline record, but when a
-			// merge's shard set got there first the served value is the
-			// current generation's, and it must still be compared
-			// bit-exactly.
-			if equalRecord(base, rec) {
-				rep.Unchanged++
-			} else {
-				rep.Changed = append(rep.Changed, DeltaChange{Key: key, Old: base, New: rec})
-			}
-		case inBase:
-			seen[key] = true
-			rep.Fresh++
-			if equalRecord(base, rec) {
-				rep.Unchanged++
-			} else {
-				rep.Changed = append(rep.Changed, DeltaChange{Key: key, Old: base, New: rec})
-			}
-		default:
-			rep.Fresh++
-			rep.New = append(rep.New, rec)
-		}
+		cur.runs[key] = &rec
 	})
-	// Baseline keys that never reached the cache at all: possible only in
-	// verify mode (nothing was seeded), and exactly the dropped set there.
-	for key, base := range c.baseline {
-		if !seen[key] {
-			rep.Dropped = append(rep.Dropped, base)
-		}
-	}
-	rep.sort()
+	rep := c.baseline.diff(cur)
+	rep.BaselineHits, rep.Fresh = hits, fresh
 	return rep
 }
 
 // DiffArtifacts diffs two artifact sets offline, without re-running
-// anything. Each set is validated exactly like `flit merge` validates its
-// input — every artifact from this engine version, one command per set, a
-// complete shard partition (so "dropped" means dropped, not "lost to a
-// missing shard") — and artifacts within a set disagreeing on a key's bits
-// are rejected. The two sets' commands may differ (an incremental campaign
-// re-runs as its configuration drifts); both are recorded in the report.
+// anything. Each set is validated and folded exactly as `flit merge`
+// validates its input — every artifact from this engine version, one
+// command per set, a complete shard partition (so "dropped" means dropped,
+// not "lost to a missing shard"), no key recorded with two bit patterns.
+// The two sets' commands may differ (an incremental campaign re-runs as
+// its configuration drifts); both are recorded in the report.
 func DiffArtifacts(baseline, current []*Artifact) (*DeltaReport, error) {
-	bmap, bcmd, err := unionRuns("baseline", baseline)
+	base, err := foldShardSet(baseline)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flit: baseline artifact set: %w", err)
 	}
-	cmap, ccmd, err := unionRuns("current", current)
+	cur, err := foldShardSet(current)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flit: current artifact set: %w", err)
 	}
-	rep := &DeltaReport{
-		Engine:          EngineVersion,
-		BaselineCommand: bcmd,
-		Command:         ccmd,
-		New:             []RunRecord{},
-		Dropped:         []RunRecord{},
-		Changed:         []DeltaChange{},
-	}
-	for key, cur := range cmap {
-		base, ok := bmap[key]
-		switch {
-		case !ok:
-			rep.New = append(rep.New, cur)
-		case equalRecord(base, cur):
-			rep.Unchanged++
-		default:
-			rep.Changed = append(rep.Changed, DeltaChange{Key: key, Old: base, New: cur})
-		}
-	}
-	for key, base := range bmap {
-		if _, ok := cmap[key]; !ok {
-			rep.Dropped = append(rep.Dropped, base)
-		}
-	}
-	rep.sort()
-	return rep, nil
-}
-
-// unionRuns validates one artifact set and flattens its run records into a
-// map, rejecting cross-artifact disagreement on any key (shards
-// legitimately overlap on shared baseline cells, with identical values).
-func unionRuns(label string, arts []*Artifact) (map[string]RunRecord, []string, error) {
-	if err := ValidateShardSet(arts); err != nil {
-		return nil, nil, fmt.Errorf("flit: %s artifact set: %w", label, err)
-	}
-	m := make(map[string]RunRecord)
-	for _, a := range arts {
-		for _, r := range a.Runs {
-			if prev, ok := m[r.Key]; ok {
-				if !equalRecord(prev, r) {
-					return nil, nil, fmt.Errorf("flit: %s artifact set disagrees on key %q", label, r.Key)
-				}
-				continue
-			}
-			m[r.Key] = r
-		}
-	}
-	return m, arts[0].Command, nil
+	return base.diff(cur), nil
 }

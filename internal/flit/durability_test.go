@@ -94,6 +94,67 @@ func TestWriteArtifactFileAtomic(t *testing.T) {
 	}
 }
 
+// TestWriteDeltaReportFileAtomic: a -delta-out report is written through
+// the same atomic path as artifacts — a rewrite replaces the old report
+// whole (a reader of the old file still sees all of it), no temp file is
+// left behind, and a write into a missing directory fails and creates
+// nothing.
+func TestWriteDeltaReportFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "delta.json")
+	long, err := DiffArtifacts([]*Artifact{art([]string{"run"})},
+		[]*Artifact{art([]string{"run"}, scalarRec("a", 1), scalarRec("b", 2), scalarRec("c", 3))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := DiffArtifacts([]*Artifact{art(nil)}, []*Artifact{art(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteDeltaReportFile(long, path); err != nil {
+		t.Fatal(err)
+	}
+	// A second name for the first report's file: a write that truncated
+	// the file in place, instead of renaming a new one over the path,
+	// would change what it reads too.
+	held := filepath.Join(t.TempDir(), "held.json")
+	if err := os.Link(path, held); err != nil {
+		t.Skipf("no hard links here: %v", err)
+	}
+	if err := WriteDeltaReportFile(short, path); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]*DeltaReport{path: short, held: long} {
+		var buf bytes.Buffer
+		if err := want.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, buf.Bytes()) {
+			t.Fatalf("%s holds %q after the rewrite, want a whole report:\n%s", name, got, buf.Bytes())
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.Name() != "delta.json" {
+			t.Fatalf("write left debris %q in the directory", e.Name())
+		}
+	}
+	missing := filepath.Join(dir, "no", "such", "dir", "delta.json")
+	if err := WriteDeltaReportFile(short, missing); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	if _, err := os.Stat(filepath.Dir(missing)); !os.IsNotExist(err) {
+		t.Fatalf("failed write created something: %v", err)
+	}
+}
+
 // TestCheckRejectsInconsistentRunRecords: a run record claiming to be a
 // scalar while carrying a vector payload (or vice versa) describes two
 // different results at once; Check must reject the artifact rather than

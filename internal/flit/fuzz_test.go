@@ -2,7 +2,9 @@ package flit
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -173,6 +175,140 @@ func FuzzArtifactVersionCheck(f *testing.F) {
 		if err != nil {
 			if merr := NewCache().WarmStart(false, a); merr == nil {
 				t.Fatal("WarmStart accepted an artifact Check rejects")
+			}
+		}
+	})
+}
+
+// FuzzShardSetFold pins the shard-set union, the trust boundary that
+// merge, delta, warm start and the coordinator's validation all fold
+// through. Two artifacts decoded from fuzzed bytes, taken as shards 0/2
+// and 1/2 of one set, are accepted exactly when both pass Check, their
+// commands are equal, and every run key and cost key both record has the
+// same bits (the same encoding). A Merge of an accepted set exports
+// exactly the union of the two artifacts' records.
+func FuzzShardSetFold(f *testing.F) {
+	shards := make([]*Artifact, 2)
+	for i := range shards {
+		s := newSuite()
+		s.Cache, s.Shard = NewCache(), exec.Shard{Index: i, Count: 2}
+		if _, err := s.RunMatrix(comp.Matrix()[:6]); err != nil {
+			f.Fatal(err)
+		}
+		shards[i] = s.Cache.Export(s.Shard, []string{"matrix"})
+	}
+	encode := func(a *Artifact) []byte {
+		var buf bytes.Buffer
+		if err := a.WriteJSON(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	s0, s1 := encode(shards[0]), encode(shards[1])
+	f.Add(s0, s1)
+	shared := func(keys func(*Artifact) []string) int {
+		in0 := map[string]bool{}
+		for _, k := range keys(shards[0]) {
+			in0[k] = true
+		}
+		for i, k := range keys(shards[1]) {
+			if in0[k] {
+				return i
+			}
+		}
+		f.Fatal("the seed shards share no key")
+		return -1
+	}
+	runFlip := *shards[1]
+	runFlip.Runs = slices.Clone(runFlip.Runs)
+	i := shared(func(a *Artifact) (ks []string) {
+		for _, r := range a.Runs {
+			ks = append(ks, r.Key)
+		}
+		return ks
+	})
+	if r := &runFlip.Runs[i]; len(r.Vec) > 0 {
+		r.Vec = slices.Clone(r.Vec)
+		r.Vec[0] ^= 1
+	} else {
+		r.Scalar ^= 1
+	}
+	f.Add(s0, encode(&runFlip))
+	costFlip := *shards[1]
+	costFlip.Costs = slices.Clone(costFlip.Costs)
+	i = shared(func(a *Artifact) (ks []string) {
+		for _, co := range a.Costs {
+			ks = append(ks, co.Key)
+		}
+		return ks
+	})
+	costFlip.Costs[i].Cost ^= 1
+	f.Add(s0, encode(&costFlip))
+
+	f.Fuzz(func(t *testing.T, b0, b1 []byte) {
+		arts := make([]*Artifact, 2)
+		for i, b := range [][]byte{b0, b1} {
+			a, err := ReadArtifact(bytes.NewReader(b))
+			if err != nil {
+				return
+			}
+			a.Shard = exec.Shard{Index: i, Count: 2}
+			arts[i] = a
+		}
+		// The expected union, keyed as the artifacts key their records and
+		// compared by encoding, independently of the fold under test.
+		runs, costs := map[string][]byte{}, map[string]uint64{}
+		agree := true
+		for _, a := range arts {
+			for _, r := range a.Runs {
+				enc, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if prev, ok := runs[r.Key]; ok && !bytes.Equal(prev, enc) {
+					agree = false
+				}
+				runs[r.Key] = enc
+			}
+			for _, co := range a.Costs {
+				if prev, ok := costs[co.Key]; ok && prev != co.Cost {
+					agree = false
+				}
+				costs[co.Key] = co.Cost
+			}
+		}
+		want := arts[0].Check() == nil && arts[1].Check() == nil &&
+			slices.Equal(arts[0].Command, arts[1].Command) && agree
+		err := ValidateShardSet(arts)
+		if (err == nil) != want {
+			t.Fatalf("ValidateShardSet = %v, want accepted=%v", err, want)
+		}
+		if err != nil {
+			return
+		}
+		c := NewCache()
+		if err := c.Merge(arts...); err != nil {
+			t.Fatalf("Merge refused a validated set: %v", err)
+		}
+		got := c.Export(exec.Shard{}, nil)
+		if len(got.Runs) != len(runs) || len(got.Costs) != len(costs) {
+			t.Fatalf("merge exported %d runs and %d costs, the union holds %d and %d",
+				len(got.Runs), len(got.Costs), len(runs), len(costs))
+		}
+		for _, r := range got.Runs {
+			// Encoding drops an empty vector either way, so a record's
+			// bits are its encoding.
+			enc, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, runs[r.Key]) {
+				t.Fatalf("merge exported run %s, the union holds %s", enc, runs[r.Key])
+			}
+		}
+		for _, co := range got.Costs {
+			if want, ok := costs[co.Key]; !ok || want != co.Cost {
+				t.Fatalf("merge exported cost %q = %#x, the union holds %#x (present %v)", co.Key, co.Cost, want, ok)
 			}
 		}
 	})

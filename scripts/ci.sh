@@ -34,6 +34,12 @@
 #                    of any bytes never panics or replays a damaged record,
 #                    distinct run coordinates never share a cache key, and
 #                    a build plan's key always equals its executable's
+#   shard-set fuzz   FuzzShardSetFold for 2000 inputs: two artifacts of
+#                    any bytes, taken as shards 0/2 and 1/2, validate
+#                    exactly when both pass Check, record one command and
+#                    agree on the bits of every run and cost key they
+#                    share, and a merge of a valid set exports exactly the
+#                    union of their records
 #   bench module     vet + race tests of the nested bench/ module (root
 #                    ./... skips it), so the benchmark harness cannot rot
 #   shard smoke      the distributed protocol end to end through real
@@ -112,6 +118,7 @@ go test -run '^$' -fuzz '^FuzzSegmentDecode$' -fuzztime 2000x ./internal/store
 go test -run '^$' -fuzz '^FuzzArtifactDecode$' -fuzztime 2000x ./internal/flit
 go test -run '^$' -fuzz '^FuzzRunKeyInjective$' -fuzztime 2000x ./internal/flit
 go test -run '^$' -fuzz '^FuzzPlanKeyMatchesExecutableKey$' -fuzztime 2000x ./internal/link
+go test -run '^$' -fuzz '^FuzzShardSetFold$' -fuzztime 2000x ./internal/flit
 (cd bench && go vet . && go test -race .)
 
 SHARD_TMP=$(mktemp -d)
