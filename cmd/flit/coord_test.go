@@ -396,46 +396,44 @@ func TestWorkFlagValidation(t *testing.T) {
 }
 
 // TestCoordStatusRefusesContradictingShards: a campaign whose two
-// completed shards record one shared key with two bit patterns is complete
-// but not validated, and coord status names the key.
+// completed shards record one shared run key with two bit patterns is
+// complete but not validated, and coord status names the key.
 func TestCoordStatusRefusesContradictingShards(t *testing.T) {
 	c := contradictingShards(t)
-	for _, bad := range []struct{ path, key string }{{c.runBad, c.runKey}, {c.costBad, c.costKey}} {
-		out := &syncBuffer{}
-		go run([]string{"coord", "serve", "-dir", t.TempDir(), "-addr", "127.0.0.1:0",
-			"-shards", "2", "experiments", "table1"}, out, out)
-		url := announcedURL(t, out)
-		cl, err := coord.NewClient(url, flit.EngineVersion, nil)
+	out := &syncBuffer{}
+	go run([]string{"coord", "serve", "-dir", t.TempDir(), "-addr", "127.0.0.1:0",
+		"-shards", "2", "experiments", "table1"}, out, out)
+	url := announcedURL(t, out)
+	cl, err := coord.NewClient(url, flit.EngineVersion, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	infos, err := cl.Campaigns(ctx)
+	if err != nil || len(infos) != 1 {
+		t.Fatalf("campaigns: %v %v", infos, err)
+	}
+	id := infos[0].ID
+	for range 2 {
+		g, state, err := cl.Lease(ctx, id, "w")
+		if err != nil || state != coord.Granted {
+			t.Fatalf("lease: %v %v", state, err)
+		}
+		path := map[int]string{0: c.s0, 1: c.runBad}[g.Shard]
+		art, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := context.Background()
-		infos, err := cl.Campaigns(ctx)
-		if err != nil || len(infos) != 1 {
-			t.Fatalf("campaigns: %v %v", infos, err)
+		if _, _, err := cl.Complete(ctx, id, "w", g.LeaseID, g.Shard, art); err != nil {
+			t.Fatal(err)
 		}
-		id := infos[0].ID
-		for range 2 {
-			g, state, err := cl.Lease(ctx, id, "w")
-			if err != nil || state != coord.Granted {
-				t.Fatalf("lease: %v %v", state, err)
-			}
-			path := map[int]string{0: c.s0, 1: bad.path}[g.Shard]
-			art, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := cl.Complete(ctx, id, "w", g.LeaseID, g.Shard, art); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var stdout, stderr bytes.Buffer
-		if code := run([]string{"coord", "status", "-coord", url}, &stdout, &stderr); code != 0 {
-			t.Fatalf("status: exit %d: %s", code, stderr.String())
-		}
-		if got := stdout.String(); !strings.Contains(got, "complete, VALIDATION FAILED") || !strings.Contains(got, bad.key) {
-			t.Errorf("status of a contradicting campaign does not read unvalidated naming %s:\n%.400s", bad.key, got)
-		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"coord", "status", "-coord", url}, &stdout, &stderr); code != 0 {
+		t.Fatalf("status: exit %d: %s", code, stderr.String())
+	}
+	if got := stdout.String(); !strings.Contains(got, "complete, VALIDATION FAILED") || !strings.Contains(got, c.runKey) {
+		t.Errorf("status of a contradicting campaign does not read unvalidated naming %s:\n%.400s", c.runKey, got)
 	}
 }
 

@@ -452,8 +452,8 @@ func execute(eng *experiments.Engine, o *cliOpts, command []string, stdout, stde
 		if err := flit.WriteArtifactFile(art, *o.shardOut); err != nil {
 			return fmt.Errorf("writing shard artifact: %w", err)
 		}
-		fmt.Fprintf(stdout, "shard %s of %q: %d runs, %d costs -> %s\n",
-			eng.Shard(), strings.Join(command, " "), len(art.Runs), len(art.Costs), *o.shardOut)
+		fmt.Fprintf(stdout, "shard %s of %q: %d runs -> %s\n",
+			eng.Shard(), strings.Join(command, " "), len(art.Runs), *o.shardOut)
 	}
 	return nil
 }
@@ -462,8 +462,6 @@ func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 	m := eng.CacheMetrics()
 	fmt.Fprintf(w, "cache runs:  hits=%d misses=%d entries=%d\n",
 		m.Runs.Hits, m.Runs.Misses, m.Runs.Entries)
-	fmt.Fprintf(w, "cache costs: hits=%d misses=%d entries=%d\n",
-		m.Costs.Hits, m.Costs.Misses, m.Costs.Entries)
 	// Key-first build accounting: builds is how many executables this run
 	// actually linked, skipped-builds how many plans were answered entirely
 	// from the cache without ever materializing — on a fully warm-started

@@ -253,9 +253,8 @@ func TestMergeShardedExperimentsEquivalence(t *testing.T) {
 			got.String(), want.String())
 	}
 	// -stats reports the replay's cache behavior on stderr; a correct merge
-	// answers every run from the artifacts. Assert on the "cache runs:"
-	// line specifically — the costs line reads misses=0 even when run-key
-	// replay is broken.
+	// answers every run from the artifacts, so the "cache runs:" line
+	// reads misses=0.
 	runsLine := ""
 	for _, line := range strings.Split(stderr.String(), "\n") {
 		if strings.HasPrefix(line, "cache runs:") {
@@ -498,20 +497,19 @@ func TestMergeWarmStartDeltaComparesBits(t *testing.T) {
 }
 
 // contradiction is a real 2-shard `experiments table1` set (the shards
-// share the baseline cells, as run and as cost records) plus two copies of
-// shard 1 that each re-record one shared key with other bits: runBad a run
-// key, costBad a cost key. The keys are quoted as the diagnostics quote
-// them.
+// share the baseline cells) plus a copy of shard 1, runBad, that
+// re-records one shared run key with other bits. The key is quoted as the
+// diagnostics quote it.
 type contradiction struct {
-	s0, s1, runBad, costBad string
-	runKey, costKey         string
+	s0, s1, runBad string
+	runKey         string
 }
 
 func contradictingShards(t *testing.T) contradiction {
 	t.Helper()
 	dir := t.TempDir()
 	c := contradiction{s0: filepath.Join(dir, "s0.json"), s1: filepath.Join(dir, "s1.json"),
-		runBad: filepath.Join(dir, "s1-run.json"), costBad: filepath.Join(dir, "s1-cost.json")}
+		runBad: filepath.Join(dir, "s1-run.json")}
 	for i, p := range []string{c.s0, c.s1} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"experiments", "-j", "2", "-shard", fmt.Sprintf("%d/2", i), "-shard-out", p, "table1"},
@@ -525,17 +523,14 @@ func contradictingShards(t *testing.T) contradiction {
 	}
 	shared := map[string]bool{}
 	for _, r := range a0.Runs {
-		shared["run "+r.Key] = true
-	}
-	for _, co := range a0.Costs {
-		shared["cost "+co.Key] = true
+		shared[r.Key] = true
 	}
 	runBad, err := flit.ReadArtifactFile(c.s1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range runBad.Runs {
-		if r := &runBad.Runs[i]; shared["run "+r.Key] && c.runKey == "" {
+		if r := &runBad.Runs[i]; shared[r.Key] && c.runKey == "" {
 			if len(r.Vec) > 0 {
 				r.Vec[0] ^= 1
 			} else if r.IsVec {
@@ -546,30 +541,17 @@ func contradictingShards(t *testing.T) contradiction {
 			c.runKey = strconv.Quote(r.Key)
 		}
 	}
-	costBad, err := flit.ReadArtifactFile(c.s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range costBad.Costs {
-		if co := &costBad.Costs[i]; shared["cost "+co.Key] && c.costKey == "" {
-			co.Cost ^= 1
-			c.costKey = strconv.Quote(co.Key)
-		}
-	}
-	if c.runKey == "" || c.costKey == "" {
-		t.Fatal("the table1 shards share no run key or no cost key to contradict")
+	if c.runKey == "" {
+		t.Fatal("the table1 shards share no run key to contradict")
 	}
 	if err := flit.WriteArtifactFile(runBad, c.runBad); err != nil {
-		t.Fatal(err)
-	}
-	if err := flit.WriteArtifactFile(costBad, c.costBad); err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-// TestShardSetContradictionsRefused: a shard set recording one run or cost
-// key with two bit patterns is refused by every path that folds a set —
+// TestShardSetContradictionsRefused: a shard set recording one run key
+// with two bit patterns is refused by every path that folds a set —
 // merge, -warm-start and delta — each naming the key, while the healthy
 // set still merges.
 func TestShardSetContradictionsRefused(t *testing.T) {
@@ -578,22 +560,17 @@ func TestShardSetContradictionsRefused(t *testing.T) {
 	if code := run([]string{"merge", c.s0, c.s1}, &stdout, &stderr); code != 0 {
 		t.Fatalf("healthy set: merge exit %d, stderr: %s", code, stderr.String())
 	}
-	for _, bad := range []struct{ kind, path, key string }{
-		{"run", c.runBad, c.runKey},
-		{"cost", c.costBad, c.costKey},
+	for name, args := range map[string][]string{
+		"merge":          {"merge", c.s0, c.runBad},
+		"warm-start":     {"experiments", "-warm-start", c.s0 + "," + c.runBad, "table3"},
+		"delta baseline": {"delta", "-baseline", c.s0 + "," + c.runBad, c.s0, c.s1},
+		"delta current":  {"delta", "-baseline", c.s0 + "," + c.s1, c.s0, c.runBad},
 	} {
-		for name, args := range map[string][]string{
-			"merge":          {"merge", c.s0, bad.path},
-			"warm-start":     {"experiments", "-warm-start", c.s0 + "," + bad.path, "table3"},
-			"delta baseline": {"delta", "-baseline", c.s0 + "," + bad.path, c.s0, c.s1},
-			"delta current":  {"delta", "-baseline", c.s0 + "," + c.s1, c.s0, bad.path},
-		} {
-			stdout.Reset()
-			stderr.Reset()
-			if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), bad.key) {
-				t.Errorf("%s over a set disagreeing on a %s key: exit %d, want 1 naming %s; stderr: %.300s",
-					name, bad.kind, code, bad.key, stderr.String())
-			}
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), c.runKey) {
+			t.Errorf("%s over a set disagreeing on a run key: exit %d, want 1 naming %s; stderr: %.300s",
+				name, code, c.runKey, stderr.String())
 		}
 	}
 }

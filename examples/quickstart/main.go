@@ -205,8 +205,7 @@ func cli(o opts, w io.Writer) error {
 		if err := flit.WriteArtifactFile(art, o.shardOut); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "shard %s: %d runs, %d costs -> %s\n",
-			shard, len(art.Runs), len(art.Costs), o.shardOut)
+		fmt.Fprintf(w, "shard %s: %d runs -> %s\n", shard, len(art.Runs), o.shardOut)
 	} else if err := runWith(w, exec.Shard{}, cache, 0, o.unroll); err != nil {
 		return err
 	}
@@ -227,7 +226,8 @@ func run(w io.Writer) error {
 	return runWith(w, exec.Shard{}, flit.NewCache(), 0, false)
 }
 
-func runWith(w io.Writer, shard exec.Shard, cache *flit.Cache, workers int, unroll bool) error {
+// workflow builds the quickstart's FLiT suite and compilation matrix.
+func workflow(shard exec.Shard, cache *flit.Cache, workers int, unroll bool) *core.Workflow {
 	p := program()
 	matrix := comp.Matrix()
 	if unroll {
@@ -245,7 +245,7 @@ func runWith(w io.Writer, shard exec.Shard, cache *flit.Cache, workers int, unro
 	// (optionally) this process's shard of a distributed run. Results are
 	// bit-identical at any worker count, and bisect searches launched
 	// through the workflow inherit pool and cache.
-	wf := &core.Workflow{
+	return &core.Workflow{
 		Suite: &flit.Suite{
 			Prog:      p,
 			Tests:     []flit.TestCase{&myTest{p: p}},
@@ -257,6 +257,10 @@ func runWith(w io.Writer, shard exec.Shard, cache *flit.Cache, workers int, unro
 		},
 		Matrix: matrix, // all 244 compilations of the study
 	}
+}
+
+func runWith(w io.Writer, shard exec.Shard, cache *flit.Cache, workers int, unroll bool) error {
+	wf := workflow(shard, cache, workers, unroll)
 
 	// Level 1 + 2: which compilations deviate, and what does speed cost?
 	analysis, err := wf.Analyze()

@@ -1,15 +1,21 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/comp"
 	"repro/internal/exec"
 	"repro/internal/flit"
+	"repro/internal/link"
 )
 
 // TestQuickstartSmoke runs the whole quickstart workflow — matrix analysis,
@@ -147,5 +153,50 @@ func TestQuickstartMergeRejectsIncompleteSet(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("failed merge printed output:\n%s", out.String())
+	}
+}
+
+// quickstartCostDigest is the SHA-256 of the quickstart matrix's runtimes
+// as linked full builds charge them: the reference time (g++ -O2), then
+// the 244 cell times in matrix order.
+const quickstartCostDigest = "5360c9f7fa2794235ae365291a55b2447619c0756834901bd80d9252fd7278f7"
+
+// TestMatrixCostsMatchFullBuilds: every runtime the quickstart's matrix
+// reports — each cell's Time and the reference time — equals what linking
+// the cell's full build and charging the test's root gives, bit for bit,
+// and the digest pins those bits (ci.sh also runs this under GOAMD64=v3).
+// A run of Time 1 makes Speedup read the reference time back exactly.
+func TestMatrixCostsMatchFullBuilds(t *testing.T) {
+	wf := workflow(exec.Shard{}, flit.NewCache(), 0, false)
+	a, err := wf.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, r := wf.Suite, a.Results
+	h := sha256.New()
+	put := func(what string, got float64, c comp.Compilation) {
+		ex, err := link.FullBuild(s.Prog, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ex.Cost(s.Tests[0].Root()); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: runtime %v, linked full build charges %v", what, got, want)
+		}
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(got)))
+	}
+	name := s.Tests[0].Name()
+	put("reference", r.Speedup(flit.RunResult{Test: name, Time: 1}), s.Reference)
+	runs := r.ForTest(name)
+	if len(runs) != len(wf.Matrix) {
+		t.Fatalf("%d cells for a %d-compilation matrix", len(runs), len(wf.Matrix))
+	}
+	for i, rr := range runs {
+		if rr.Comp != wf.Matrix[i] {
+			t.Fatalf("cell %d is %s, the matrix has %s", i, rr.Comp, wf.Matrix[i])
+		}
+		put(rr.Comp.String(), rr.Time, rr.Comp)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != quickstartCostDigest {
+		t.Errorf("matrix cost digest %s, want %s", got, quickstartCostDigest)
 	}
 }

@@ -25,23 +25,26 @@ const ArtifactVersion = 1
 // EngineVersion identifies the evaluation semantics of this build: two
 // engines may exchange shard artifacts only if they would compute
 // bit-identical results for every key. Bump it whenever the simulated
-// toolchain, the cost model, or the cache key format changes meaning —
-// merge rejects artifacts from any other engine version, because replaying
-// foreign results as if they were local computations would silently violate
-// the byte-identity guarantee.
+// toolchain or the cache key format changes meaning — merge rejects
+// artifacts from any other engine version, because replaying foreign
+// results as if they were local computations would silently violate the
+// byte-identity guarantee. (The cost model needs no bump: runtimes are
+// derived where they are reported, never exchanged.)
 // (v3: injected-compilation cache keys render the epsilon as its IEEE-754
 // bit pattern instead of a rounded decimal, so artifacts from earlier
 // engines address injected cells by strings this build never produces.)
 const EngineVersion = "flit-engine/3"
 
 // Artifact is the self-describing result of one shard of a distributed
-// run: every build/run result and cost-model value the shard computed,
-// keyed by link.Executable.Key + TestKey (the build/run cache's own
-// address space), plus enough metadata — format version, engine version,
-// the canonical command, the shard coordinates — for `flit merge` to
-// validate that a set of artifacts belongs together and to replay the
-// original command with every expensive evaluation answered from the
-// merged cache.
+// run: every build/run result the shard computed, keyed by
+// link.Executable.Key + TestKey (the build/run cache's own address
+// space), plus enough metadata — format version, engine version, the
+// canonical command, the shard coordinates — for `flit merge` to validate
+// that a set of artifacts belongs together and to replay the original
+// command with every expensive evaluation answered from the merged cache.
+// Runtimes are not recorded: the cost model derives them from the plan.
+// Artifacts written before that carry a "costs" list, which decoding
+// skips.
 //
 // Floating-point values are serialized as IEEE-754 bit patterns, not
 // decimal JSON numbers: results may legitimately be NaN or ±Inf (the
@@ -50,12 +53,11 @@ const EngineVersion = "flit-engine/3"
 // carries no timestamp: the same shard of the same command writes the same
 // bytes wherever and whenever it runs.
 type Artifact struct {
-	Version int          `json:"version"`
-	Engine  string       `json:"engine"`
-	Command []string     `json:"command,omitempty"`
-	Shard   exec.Shard   `json:"shard"`
-	Runs    []RunRecord  `json:"runs"`
-	Costs   []CostRecord `json:"costs"`
+	Version int         `json:"version"`
+	Engine  string      `json:"engine"`
+	Command []string    `json:"command,omitempty"`
+	Shard   exec.Shard  `json:"shard"`
+	Runs    []RunRecord `json:"runs"`
 }
 
 // RunRecord is one memoized test execution.
@@ -70,12 +72,6 @@ type RunRecord struct {
 	// identity (link.ErrSegfault) so errors.Is keeps working after replay.
 	Err      string `json:"err,omitempty"`
 	Segfault bool   `json:"segfault,omitempty"`
-}
-
-// CostRecord is one memoized cost-model value.
-type CostRecord struct {
-	Key  string `json:"key"`
-	Cost uint64 `json:"cost"` // IEEE-754 bit pattern
 }
 
 // replayedError stands in for a memoized run error restored from an
@@ -122,7 +118,6 @@ func (c *Cache) Export(shard exec.Shard, command []string) *Artifact {
 		Command: command,
 		Shard:   shard,
 		Runs:    []RunRecord{},
-		Costs:   []CostRecord{},
 	}
 	if c == nil {
 		return a
@@ -130,17 +125,7 @@ func (c *Cache) Export(shard exec.Shard, command []string) *Artifact {
 	c.runs.Each(func(key string, v runVal, _ error) {
 		a.Runs = append(a.Runs, recordOf(key, v))
 	})
-	c.costs.Each(func(key string, v float64, err error) {
-		if err != nil {
-			// A cost entry can memoize a build error (key-first CostPlanned
-			// on an unbuildable plan); exporting it would seed a future run
-			// with a spurious zero-cost success.
-			return
-		}
-		a.Costs = append(a.Costs, CostRecord{Key: key, Cost: math.Float64bits(v)})
-	})
 	sort.Slice(a.Runs, func(i, j int) bool { return a.Runs[i].Key < a.Runs[j].Key })
-	sort.Slice(a.Costs, func(i, j int) bool { return a.Costs[i].Key < a.Costs[j].Key })
 	return a
 }
 
@@ -175,25 +160,21 @@ func (c *Cache) seed(a *Artifact) {
 	for _, r := range a.Runs {
 		c.runs.Seed(r.Key, runValOf(r), nil)
 	}
-	for _, co := range a.Costs {
-		c.costs.Seed(co.Key, math.Float64frombits(co.Cost), nil)
-	}
 }
 
-// recordSet is the union of an artifact set's records, keyed by run key
-// and by cost key. It points into the artifacts it folds instead of
-// copying their records. Shards overlap on the cells they share (every
-// shard runs the baseline compilation), which is sound only when each
-// recorded the same bits there, so a key recorded with two bit patterns
-// is refused. cmd is the first recorded command.
+// recordSet is the union of an artifact set's run records, keyed by run
+// key. It points into the artifacts it folds instead of copying their
+// records. Shards overlap on the cells they share (every shard runs the
+// baseline compilation), which is sound only when each recorded the same
+// bits there, so a key recorded with two bit patterns is refused. cmd is
+// the first recorded command.
 type recordSet struct {
-	cmd   []string
-	runs  map[string]*RunRecord
-	costs map[string]uint64
+	cmd  []string
+	runs map[string]*RunRecord
 }
 
 func newRecordSet() *recordSet {
-	return &recordSet{runs: map[string]*RunRecord{}, costs: map[string]uint64{}}
+	return &recordSet{runs: map[string]*RunRecord{}}
 }
 
 // add folds one checked artifact into the set. On a refusal the set is
@@ -208,12 +189,6 @@ func (s *recordSet) add(a *Artifact) error {
 			continue
 		}
 		s.runs[r.Key] = r
-	}
-	for _, co := range a.Costs {
-		if prev, ok := s.costs[co.Key]; ok && prev != co.Cost {
-			return fmt.Errorf("flit: artifact disagrees with an earlier artifact on cost key %q", co.Key)
-		}
-		s.costs[co.Key] = co.Cost
 	}
 	if s.cmd == nil {
 		s.cmd = a.Command
@@ -289,13 +264,6 @@ func (a *Artifact) Check() error {
 		}
 		seen[r.Key] = true
 	}
-	clear(seen)
-	for _, co := range a.Costs {
-		if seen[co.Key] {
-			return fmt.Errorf("flit: artifact records cost key %q twice", co.Key)
-		}
-		seen[co.Key] = true
-	}
 	return nil
 }
 
@@ -303,7 +271,7 @@ func (a *Artifact) Check() error {
 // artifact passes Check, all record the same command, the shard
 // coordinates form a complete partition — N artifacts covering indices
 // 0..N-1 of a count-N sharding (a single unsharded artifact is the N=1
-// case) — and no run or cost key is recorded with two bit patterns.
+// case) — and no run key is recorded with two bit patterns.
 // Merging an incomplete, mixed or self-contradicting set would replay a
 // run that no unsharded execution could have produced.
 func ValidateShardSet(arts []*Artifact) error {

@@ -142,7 +142,6 @@ func TestArtifactExportDeterministic(t *testing.T) {
 		c := NewCache()
 		for _, k := range []string{"z", "a", "m"} {
 			c.runs.Seed(k, runVal{res: ScalarResult(float64(len(k)))}, nil)
-			c.costs.Seed(k, 1.5, nil)
 		}
 		var buf bytes.Buffer
 		if err := c.Export(exec.Shard{Index: 0, Count: 2}, []string{"run"}).WriteJSON(&buf); err != nil {

@@ -50,11 +50,6 @@ func PlanRunKey(b *link.Builder, t TestCase) string {
 	return b.Key() + "\x00" + comp.KeyEscape(TestKey(t))
 }
 
-// planCostKey addresses the memoized cost model per (plan, root symbol).
-func planCostKey(b *link.Builder, root string) string {
-	return b.Key() + "\x00" + comp.KeyEscape(root)
-}
-
 type runVal struct {
 	res Result
 	err error
@@ -76,7 +71,6 @@ type runVal struct {
 // show outside the process.
 type Cache struct {
 	runs  *exec.Cache[runVal]
-	costs *exec.Cache[float64]
 	execs runMemo
 
 	// store, when non-nil, is the persistent second tier (SetStore):
@@ -102,8 +96,7 @@ type Cache struct {
 
 // NewCache returns an empty build/run cache.
 func NewCache() *Cache {
-	return &Cache{runs: exec.NewCache[runVal](), costs: exec.NewCache[float64](),
-		execs: runMemo{groups: map[string][]tracedRuns{}}}
+	return &Cache{runs: exec.NewCache[runVal](), execs: runMemo{groups: map[string][]tracedRuns{}}}
 }
 
 // RunAllPlanned is the memoizing form of the package-level RunAll: the
@@ -222,36 +215,6 @@ func (m *runMemo) add(key string, ex *link.Executable, tr *link.Trace, v runVal)
 	runs[k] = v
 }
 
-// CostPlanned memoizes the deterministic cost model per (plan, root) — the
-// matrix runner charges every cell's runtime through it — looked up by plan
-// identity, materializing (and surfacing a build error) only on a miss.
-func (c *Cache) CostPlanned(b *link.Builder, root string) (float64, error) {
-	if c == nil {
-		ex, err := b.Build()
-		if err != nil {
-			return 0, err
-		}
-		return ex.Cost(root), nil
-	}
-	key := planCostKey(b, root)
-	computed := false
-	v, err := c.costs.Do(key, func() (float64, error) {
-		if f, ok := c.storeGetCost(key); ok {
-			return f, nil
-		}
-		computed = true
-		ex, err := b.Build()
-		if err != nil {
-			return 0, err
-		}
-		f := ex.Cost(root)
-		c.storePutCost(key, f)
-		return f, nil
-	})
-	c.noteBuilder(b, !computed)
-	return v, err
-}
-
 // noteBuilder folds one key-first lookup into the build counters, charging
 // each builder at most once per side.
 func (c *Cache) noteBuilder(b *link.Builder, hit bool) {
@@ -277,11 +240,13 @@ func (c *Cache) BuildStats() (builds, skipped int64) {
 
 // CacheMetrics snapshots the memos of a build/run cache, plus the
 // key-first build accounting: Builds counts plans actually materialized
-// through RunAllPlanned/CostPlanned, SkippedBuilds the builders whose every
-// consulted entry was already cached — executables a warm run never
-// constructed.
+// through RunAllPlanned, SkippedBuilds the builders whose every consulted
+// entry was already cached — executables a warm run never constructed.
 type CacheMetrics struct {
-	Runs  exec.Metrics
+	Runs exec.Metrics
+	// Costs is always zero: runtimes are derived from the plan
+	// (matrixCosts), never looked up. The field stays for readers that
+	// report cost lookups.
 	Costs exec.Metrics
 	// Execs is the run memo under the plan-key runs: Misses are the tests
 	// actually executed, Hits the plan-key misses answered by an earlier
@@ -303,7 +268,6 @@ func (c *Cache) Metrics() CacheMetrics {
 	}
 	return CacheMetrics{
 		Runs:          c.runs.Metrics(),
-		Costs:         c.costs.Metrics(),
 		Execs:         c.execs.metrics(),
 		Builds:        c.builds.Load(),
 		SkippedBuilds: c.skippedBuilds.Load(),

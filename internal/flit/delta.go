@@ -189,7 +189,7 @@ func (s *recordSet) diff(cur *recordSet) *DeltaReport {
 // artifacts do not cover is recomputed, and because a cache hit is
 // bit-identical to a recomputation the output is unchanged. The baseline
 // is one record union across calls, so an artifact disagreeing with an
-// earlier one on a run or cost key's bits is rejected: a self-contradictory
+// earlier one on a run key's bits is rejected: a self-contradictory
 // baseline cannot anchor a delta.
 //
 // With verify nothing is seeded: every covered evaluation the run requests

@@ -16,7 +16,6 @@ func art(command []string, runs ...RunRecord) *Artifact {
 		Engine:  EngineVersion,
 		Command: command,
 		Runs:    runs,
-		Costs:   []CostRecord{},
 	}
 }
 
@@ -134,17 +133,6 @@ func TestArtifactCheckRejectsDuplicateKeys(t *testing.T) {
 	}
 	if err := NewCache().WarmStart(false, dupRun); err == nil {
 		t.Error("duplicate run key seeded")
-	}
-	dupCost := art(nil)
-	dupCost.Costs = []CostRecord{{Key: "c", Cost: 1}, {Key: "c", Cost: 2}}
-	if err := dupCost.Check(); err == nil {
-		t.Error("duplicate cost key passed Check")
-	}
-	// A run key and a cost key may coincide — different stores.
-	mixed := art(nil, scalarRec("k", 1))
-	mixed.Costs = []CostRecord{{Key: "k", Cost: 1}}
-	if err := mixed.Check(); err != nil {
-		t.Errorf("run/cost key collision wrongly rejected: %v", err)
 	}
 }
 

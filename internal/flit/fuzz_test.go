@@ -84,7 +84,6 @@ func FuzzArtifactDecode(f *testing.F) {
 		c := NewCache()
 		c.runs.Seed("k1", runVal{res: ScalarResult(1.5)}, nil)
 		c.runs.Seed("k2", runVal{res: VecResult([]float64{1, 2})}, nil)
-		c.costs.Seed("k1", 2.5, nil)
 		var buf bytes.Buffer
 		if err := c.Export(exec.Shard{}, []string{"run"}).WriteJSON(&buf); err != nil {
 			f.Fatal(err)
@@ -103,7 +102,7 @@ func FuzzArtifactDecode(f *testing.F) {
 	f.Add(append(append([]byte{}, valid...), []byte("\n \t\n")...)) // whitespace only: fine
 	f.Add(bytes.Replace(valid, []byte(`"engine"`), []byte(`"en�ine"`), 1))
 	dup := fmt.Sprintf(`{"version":%d,"engine":%q,"shard":{"index":0,"count":1},`+
-		`"runs":[{"key":"k","scalar":1},{"key":"k","scalar":2}],"costs":[]}`,
+		`"runs":[{"key":"k","scalar":1},{"key":"k","scalar":2}]}`,
 		ArtifactVersion, EngineVersion)
 	f.Add([]byte(dup))
 	f.Add([]byte(strings.Replace(dup, `"scalar":2`, `"scalar":1`, 1))) // agreeing duplicate
@@ -118,18 +117,12 @@ func FuzzArtifactDecode(f *testing.F) {
 			return // rejected at decode: fine
 		}
 		dupKey := func() bool {
-			seenRuns, seenCosts := map[string]bool{}, map[string]bool{}
+			seen := map[string]bool{}
 			for _, r := range a.Runs {
-				if seenRuns[r.Key] {
+				if seen[r.Key] {
 					return true
 				}
-				seenRuns[r.Key] = true
-			}
-			for _, co := range a.Costs {
-				if seenCosts[co.Key] {
-					return true
-				}
-				seenCosts[co.Key] = true
+				seen[r.Key] = true
 			}
 			return false
 		}()
@@ -184,9 +177,11 @@ func FuzzArtifactVersionCheck(f *testing.F) {
 // merge, delta, warm start and the coordinator's validation all fold
 // through. Two artifacts decoded from fuzzed bytes, taken as shards 0/2
 // and 1/2 of one set, are accepted exactly when both pass Check, their
-// commands are equal, and every run key and cost key both record has the
-// same bits (the same encoding). A Merge of an accepted set exports
-// exactly the union of the two artifacts' records.
+// commands are equal, and every run key both record has the same bits
+// (the same encoding). A Merge of an accepted set exports exactly the
+// union of the two artifacts' records. The seeds are a real 2-shard set
+// and two copies of it whose shard 1 re-records a run key shard 0 also
+// records: once with a flipped result bit, once as an error.
 func FuzzShardSetFold(f *testing.F) {
 	shards := make([]*Artifact, 2)
 	for i := range shards {
@@ -204,46 +199,32 @@ func FuzzShardSetFold(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	s0, s1 := encode(shards[0]), encode(shards[1])
-	f.Add(s0, s1)
-	shared := func(keys func(*Artifact) []string) int {
-		in0 := map[string]bool{}
-		for _, k := range keys(shards[0]) {
-			in0[k] = true
-		}
-		for i, k := range keys(shards[1]) {
-			if in0[k] {
-				return i
-			}
-		}
-		f.Fatal("the seed shards share no key")
-		return -1
+	s0 := encode(shards[0])
+	f.Add(s0, encode(shards[1]))
+	in0 := map[string]bool{}
+	for _, r := range shards[0].Runs {
+		in0[r.Key] = true
 	}
-	runFlip := *shards[1]
-	runFlip.Runs = slices.Clone(runFlip.Runs)
-	i := shared(func(a *Artifact) (ks []string) {
-		for _, r := range a.Runs {
-			ks = append(ks, r.Key)
-		}
-		return ks
-	})
-	if r := &runFlip.Runs[i]; len(r.Vec) > 0 {
+	shared := slices.IndexFunc(shards[1].Runs, func(r RunRecord) bool { return in0[r.Key] })
+	if shared < 0 {
+		f.Fatal("the seed shards share no run key")
+	}
+	contradict := func(edit func(r *RunRecord)) []byte {
+		a := *shards[1]
+		a.Runs = slices.Clone(a.Runs)
+		r := &a.Runs[shared]
 		r.Vec = slices.Clone(r.Vec)
-		r.Vec[0] ^= 1
-	} else {
-		r.Scalar ^= 1
+		edit(r)
+		return encode(&a)
 	}
-	f.Add(s0, encode(&runFlip))
-	costFlip := *shards[1]
-	costFlip.Costs = slices.Clone(costFlip.Costs)
-	i = shared(func(a *Artifact) (ks []string) {
-		for _, co := range a.Costs {
-			ks = append(ks, co.Key)
+	f.Add(s0, contradict(func(r *RunRecord) {
+		if len(r.Vec) > 0 {
+			r.Vec[0] ^= 1
+		} else {
+			r.Scalar ^= 1
 		}
-		return ks
-	})
-	costFlip.Costs[i].Cost ^= 1
-	f.Add(s0, encode(&costFlip))
+	}))
+	f.Add(s0, contradict(func(r *RunRecord) { r.Err = "contradicting error" }))
 
 	f.Fuzz(func(t *testing.T, b0, b1 []byte) {
 		arts := make([]*Artifact, 2)
@@ -257,7 +238,7 @@ func FuzzShardSetFold(f *testing.F) {
 		}
 		// The expected union, keyed as the artifacts key their records and
 		// compared by encoding, independently of the fold under test.
-		runs, costs := map[string][]byte{}, map[string]uint64{}
+		runs := map[string][]byte{}
 		agree := true
 		for _, a := range arts {
 			for _, r := range a.Runs {
@@ -269,12 +250,6 @@ func FuzzShardSetFold(f *testing.F) {
 					agree = false
 				}
 				runs[r.Key] = enc
-			}
-			for _, co := range a.Costs {
-				if prev, ok := costs[co.Key]; ok && prev != co.Cost {
-					agree = false
-				}
-				costs[co.Key] = co.Cost
 			}
 		}
 		want := arts[0].Check() == nil && arts[1].Check() == nil &&
@@ -291,9 +266,8 @@ func FuzzShardSetFold(f *testing.F) {
 			t.Fatalf("Merge refused a validated set: %v", err)
 		}
 		got := c.Export(exec.Shard{}, nil)
-		if len(got.Runs) != len(runs) || len(got.Costs) != len(costs) {
-			t.Fatalf("merge exported %d runs and %d costs, the union holds %d and %d",
-				len(got.Runs), len(got.Costs), len(runs), len(costs))
+		if len(got.Runs) != len(runs) {
+			t.Fatalf("merge exported %d runs, the union holds %d", len(got.Runs), len(runs))
 		}
 		for _, r := range got.Runs {
 			// Encoding drops an empty vector either way, so a record's
@@ -304,11 +278,6 @@ func FuzzShardSetFold(f *testing.F) {
 			}
 			if !bytes.Equal(enc, runs[r.Key]) {
 				t.Fatalf("merge exported run %s, the union holds %s", enc, runs[r.Key])
-			}
-		}
-		for _, co := range got.Costs {
-			if want, ok := costs[co.Key]; !ok || want != co.Cost {
-				t.Fatalf("merge exported cost %q = %#x, the union holds %#x (present %v)", co.Key, co.Cost, want, ok)
 			}
 		}
 	})

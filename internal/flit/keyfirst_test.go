@@ -57,28 +57,12 @@ func TestRunAllPlannedLazyOnHit(t *testing.T) {
 	if L2Diff(first, again) != 0 {
 		t.Fatal("key-first hit returned different bits")
 	}
-	costA, err := cache.CostPlanned(link.NewBuilder(plan), "Kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	costWarm := link.NewBuilder(plan)
-	costB, err := cache.CostPlanned(costWarm, "Kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if costWarm.Built() {
-		t.Fatal("cost hit materialized the plan")
-	}
-	if costA != costB {
-		t.Fatalf("cost hit %g != miss %g", costB, costA)
-	}
-
 	m := cache.Metrics()
-	if m.Builds != 2 { // the run miss and the cost miss each materialized once
-		t.Errorf("Builds = %d, want 2", m.Builds)
+	if m.Builds != 1 { // the miss materialized once
+		t.Errorf("Builds = %d, want 1", m.Builds)
 	}
-	if m.SkippedBuilds != 2 { // the warm run builder and the warm cost builder
-		t.Errorf("SkippedBuilds = %d, want 2", m.SkippedBuilds)
+	if m.SkippedBuilds != 1 { // the warm builder
+		t.Errorf("SkippedBuilds = %d, want 1", m.SkippedBuilds)
 	}
 	if b, sk := cache.BuildStats(); b != m.Builds || sk != m.SkippedBuilds {
 		t.Errorf("BuildStats (%d,%d) disagrees with Metrics (%d,%d)", b, sk, m.Builds, m.SkippedBuilds)
@@ -94,14 +78,10 @@ func TestRunAllPlannedLazyOnHit(t *testing.T) {
 	if !nb.Built() {
 		t.Fatal("nil cache cannot answer without building")
 	}
-	if c, err := nc.CostPlanned(link.NewBuilder(plan), "Kernel"); err != nil || c != costA {
-		t.Fatalf("nil-cache CostPlanned = %g, %v; want %g", c, err, costA)
-	}
 }
 
 // TestRunAllPlannedMemoizesBuildError: an unbuildable plan's error is
-// memoized under its key like any run error, and CostPlanned surfaces it
-// too — but never as an exportable cost record.
+// memoized under its key like any run error.
 func TestRunAllPlannedMemoizesBuildError(t *testing.T) {
 	s := newSuite()
 	cache := NewCache()
@@ -116,13 +96,6 @@ func TestRunAllPlannedMemoizesBuildError(t *testing.T) {
 	}
 	if second.Built() {
 		t.Fatal("memoized build error still re-linked the plan")
-	}
-	if _, err := cache.CostPlanned(link.NewBuilder(bad), "Kernel"); err == nil {
-		t.Fatal("CostPlanned succeeded on an unbuildable plan")
-	}
-	art := cache.Export(exec.Shard{}, nil)
-	if len(art.Costs) != 0 {
-		t.Fatalf("errored cost entry exported: %+v", art.Costs)
 	}
 }
 
@@ -197,11 +170,6 @@ func TestPartiallyWarmMatrixBuildsOnlyInvalidated(t *testing.T) {
 	for _, r := range full.Runs {
 		if !strings.HasPrefix(r.Key, victimKey+"\x00") {
 			pruned.Runs = append(pruned.Runs, r)
-		}
-	}
-	for _, c := range full.Costs {
-		if !strings.HasPrefix(c.Key, victimKey+"\x00") {
-			pruned.Costs = append(pruned.Costs, c)
 		}
 	}
 	if len(pruned.Runs) == len(full.Runs) {

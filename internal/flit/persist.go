@@ -2,7 +2,6 @@ package flit
 
 import (
 	"encoding/json"
-	"math"
 	"sync/atomic"
 
 	"repro/internal/store"
@@ -12,16 +11,16 @@ import (
 //
 // A Cache with a store attached (SetStore) consults it on every in-memory
 // miss before any build work happens, and writes every freshly computed
-// value through. The payloads are the artifact layer's own records —
-// RunRecord and CostRecord, floats as IEEE-754 bit patterns — so a store
-// hit is bit-identical to the computation it replaces, exactly like an
-// artifact seed, and the store is fenced to one EngineVersion the same
-// way artifacts are (the Disk backend refuses foreign directories at
-// Open; every decoded record is additionally validated here). Payloads
-// are written by json.Marshal and read by the record decoder (recdec.go),
-// which accepts a payload only where json.Unmarshal would decode the same
-// record and hands every other payload to json.Unmarshal: a payload means
-// exactly what encoding/json says it means, however it is read.
+// value through. The payloads are the artifact layer's own run records,
+// floats as IEEE-754 bit patterns, so a store hit is bit-identical to the
+// computation it replaces, exactly like an artifact seed, and the store is
+// fenced to one EngineVersion the same way artifacts are (the Disk
+// backend refuses foreign directories at Open; every decoded record is
+// additionally validated here). Payloads are written by json.Marshal and
+// read by the record decoder (recdec.go), which accepts a payload only
+// where json.Unmarshal would decode the same record and hands every other
+// payload to json.Unmarshal: a payload means exactly what encoding/json
+// says it means, however it is read.
 //
 // Trust boundary: the store is a cache of recomputable results, never an
 // authority. Anything that does not decode, validate, and match its key
@@ -31,13 +30,11 @@ import (
 // they are counted and surfaced through Metrics so -stats can report a
 // store that has stopped persisting.
 
-// Run and cost entries share one store namespace, so the key spaces are
-// prefixed: a test name and a cost-model root symbol may collide as
-// strings, but "run\x00k" and "cost\x00k" cannot.
-const (
-	storeRunPrefix  = "run\x00"
-	storeCostPrefix = "cost\x00"
-)
+// Run records live under their own prefix of the store's key space.
+// Stores written before runtimes were derived from the plan also hold
+// "cost\x00" records; nothing reads them, and store gc evicts them by age
+// like any other entry.
+const storeRunPrefix = "run\x00"
 
 // StoreMetrics is the persistent tier's counter snapshot. Hits and Misses
 // count store lookups (every one of which was first an in-memory miss);
@@ -103,44 +100,6 @@ func (c *Cache) storePutRun(key string, v runVal) {
 	data, err := json.Marshal(recordOf(key, v))
 	if err == nil {
 		err = c.store.Put(storeRunPrefix+key, data)
-	}
-	if err != nil {
-		c.storeC.errors.Add(1)
-		return
-	}
-	c.storeC.puts.Add(1)
-}
-
-// storeGetCost consults the persistent tier for one cost-model key.
-func (c *Cache) storeGetCost(key string) (float64, bool) {
-	if c.store == nil {
-		return 0, false
-	}
-	data, ok := c.store.Get(storeCostPrefix + key)
-	if !ok {
-		c.storeC.misses.Add(1)
-		return 0, false
-	}
-	r, err := unmarshalRecord(data, (*recDecoder).costRecord)
-	if err != nil || r.Key != key {
-		c.storeC.misses.Add(1)
-		c.storeC.errors.Add(1)
-		return 0, false
-	}
-	c.storeC.hits.Add(1)
-	return math.Float64frombits(r.Cost), true
-}
-
-// storePutCost writes one computed cost through. Cost errors (a build
-// error surfaced through CostPlanned) are never persisted, mirroring
-// artifact export: a restored zero-cost success would be a fabrication.
-func (c *Cache) storePutCost(key string, cost float64) {
-	if c.store == nil {
-		return
-	}
-	data, err := json.Marshal(CostRecord{Key: key, Cost: math.Float64bits(cost)})
-	if err == nil {
-		err = c.store.Put(storeCostPrefix+key, data)
 	}
 	if err != nil {
 		c.storeC.errors.Add(1)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/comp"
@@ -29,12 +28,8 @@ func TestStoreWarmCacheBuildsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCost, err := cold.CostPlanned(link.NewBuilder(plan), "Kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := cold.StoreMetrics(); !m.Enabled || m.Puts != 2 || m.Hits != 0 {
-		t.Fatalf("cold store metrics = %+v, want 2 puts", m)
+	if m := cold.StoreMetrics(); !m.Enabled || m.Puts != 1 || m.Hits != 0 {
+		t.Fatalf("cold store metrics = %+v, want 1 put", m)
 	}
 
 	// "Fresh process": a new Cache with no memory of the first.
@@ -51,17 +46,6 @@ func TestStoreWarmCacheBuildsNothing(t *testing.T) {
 	if L2Diff(want, got) != 0 {
 		t.Fatal("store hit returned different bits")
 	}
-	cb := link.NewBuilder(plan)
-	gotCost, err := warm.CostPlanned(cb, "Kernel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cb.Built() {
-		t.Fatal("store-covered cost materialized the plan")
-	}
-	if gotCost != wantCost {
-		t.Fatalf("store cost %g != computed %g", gotCost, wantCost)
-	}
 	m := warm.Metrics()
 	if m.Builds != 0 {
 		t.Fatalf("store-warm cache materialized %d plans, want 0", m.Builds)
@@ -69,8 +53,8 @@ func TestStoreWarmCacheBuildsNothing(t *testing.T) {
 	if m.SkippedBuilds == 0 {
 		t.Fatal("no skipped builds recorded on a store-warm cache")
 	}
-	if m.Store.Hits != 2 || m.Store.Misses != 0 {
-		t.Fatalf("warm store metrics = %+v, want 2 hits", m.Store)
+	if m.Store.Hits != 1 || m.Store.Misses != 0 {
+		t.Fatalf("warm store metrics = %+v, want 1 hit", m.Store)
 	}
 }
 
@@ -102,11 +86,6 @@ func TestStorePersistsRunErrors(t *testing.T) {
 	}
 	if gotErr.Error() != wantErr.Error() {
 		t.Fatalf("replayed error %q != original %q", gotErr, wantErr)
-	}
-	// Cost errors are NOT persisted (mirroring artifact export): the
-	// second cache's CostPlanned must recompute and fail afresh.
-	if _, err := second.CostPlanned(link.NewBuilder(bad), "Kernel"); err == nil {
-		t.Fatal("CostPlanned succeeded on an unbuildable plan")
 	}
 }
 
@@ -165,21 +144,41 @@ func TestStoreCorruptEntriesAreMisses(t *testing.T) {
 	}
 }
 
-// TestStoreKeyNamespaces: a run key and a cost key spelled identically
-// must address different store entries.
+// TestStoreKeyNamespaces: stores written before runtimes were derived
+// from the plan also hold cost records, under "cost\x00" and keyed by plan
+// key and root symbol. None of them is ever read: a run whose key spells
+// the same string misses the store, runs, and writes its own record under
+// the run prefix.
 func TestStoreKeyNamespaces(t *testing.T) {
-	if strings.TrimPrefix(storeRunPrefix, "run") == strings.TrimPrefix(storeCostPrefix, "cost") &&
-		storeRunPrefix == storeCostPrefix {
-		t.Fatal("run and cost store prefixes collide")
-	}
+	s := newSuite()
+	plan := link.FullBuildPlan(s.Prog, s.Baseline)
+	key := PlanRunKey(link.NewBuilder(plan), s.Tests[0])
 	st := store.NewMem(0)
-	st.Put(storeRunPrefix+"k", []byte("r"))
-	st.Put(storeCostPrefix+"k", []byte("c"))
-	if got, _ := st.Get(storeRunPrefix + "k"); string(got) != "r" {
-		t.Fatalf("run namespace returned %q", got)
+	if err := st.Put("cost\x00"+key, []byte(`{"key":"`+key+`","cost":4611686018427387904}`)); err != nil {
+		t.Fatal(err)
 	}
-	if got, _ := st.Get(storeCostPrefix + "k"); string(got) != "c" {
-		t.Fatalf("cost namespace returned %q", got)
+	c := NewCache()
+	c.SetStore(st)
+	b := link.NewBuilder(plan)
+	got, err := c.RunAllPlanned(s.Tests[0], b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Built() {
+		t.Fatal("a run was answered from a cost record")
+	}
+	ref, err := NewCache().RunAllPlanned(s.Tests[0], link.NewBuilder(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if L2Diff(got, ref) != 0 {
+		t.Fatal("a store holding a cost record changed the result")
+	}
+	if m := c.StoreMetrics(); m.Hits != 0 || m.Misses != 1 || m.Errors != 0 || m.Puts != 1 {
+		t.Fatalf("store metrics = %+v, want one clean miss and one put", m)
+	}
+	if _, ok := st.Get(storeRunPrefix + key); !ok {
+		t.Fatal("the run was not written under the run prefix")
 	}
 }
 

@@ -17,12 +17,11 @@ import (
 // encoding/json stays the definition of what their bytes mean. Its
 // reflection-driven decoder is most of a warm re-run's time, though, so
 // every read first goes through recDecoder: one pass over the bytes that
-// knows only the artifact grammar (the Artifact header, its Shard, and
-// lists of RunRecord and CostRecord). It refines encoding/json rather than
-// replacing it: it accepts input only where encoding/json decodes the same
-// value, and declines everything else, whereupon the caller decodes the
-// same bytes with encoding/json and reports its value or error. It
-// declines
+// knows only the artifact grammar (the Artifact header, its Shard, and a
+// list of RunRecord). It refines encoding/json rather than replacing it:
+// it accepts input only where encoding/json decodes the same value, and
+// declines everything else, whereupon the caller decodes the same bytes
+// with encoding/json and reports its value or error. It declines
 //
 //   - a field name that is not exactly a tag name of the type being read
 //     (encoding/json would skip it, or match it ignoring case);
@@ -84,9 +83,6 @@ func (d *recDecoder) artifact(a *Artifact) bool {
 		case "runs":
 			a.Runs, ok = list(d, (*recDecoder).runRecord)
 			return 1 << 4, ok
-		case "costs":
-			a.Costs, ok = list(d, (*recDecoder).costRecord)
-			return 1 << 5, ok
 		}
 		return 0, false
 	})
@@ -122,19 +118,6 @@ func (d *recDecoder) runRecord(r *RunRecord) bool {
 			return 1 << 4, d.text(&r.Err)
 		case "segfault":
 			return 1 << 5, d.flag(&r.Segfault)
-		}
-		return 0, false
-	})
-}
-
-// costRecord reads a CostRecord object.
-func (d *recDecoder) costRecord(c *CostRecord) bool {
-	return d.object(func(name []byte) (bit uint, ok bool) {
-		switch string(name) {
-		case "key":
-			return 1 << 0, d.text(&c.Key)
-		case "cost":
-			return 1 << 1, d.bits(&c.Cost)
 		}
 		return 0, false
 	})

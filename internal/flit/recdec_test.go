@@ -17,8 +17,7 @@ import (
 	"repro/internal/link"
 )
 
-// decoderFixture is a cache holding every shape a run or cost record can
-// take: scalar and vector results, NaN payloads of both signs, ±Inf, an
+// decoderFixture is a cache holding every shape a run record can take: scalar and vector results, NaN payloads of both signs, ±Inf, an
 // empty vector, a run error whose text needs escaping, the segfault
 // identity bare and wrapped, and keys holding the characters KeyEscape and
 // encoding/json escape ('|' as %7C, NUL as %00 and as \u0000, '<', '&').
@@ -40,9 +39,6 @@ func decoderFixture() *Cache {
 	for k, v := range runs {
 		c.runs.Seed(k, v, nil)
 	}
-	for k, v := range map[string]float64{"scalar": 2.5, "nul\x00key<&>é": math.Inf(1), "zero": 0} {
-		c.costs.Seed(k, v, nil)
-	}
 	return c
 }
 
@@ -60,7 +56,7 @@ func fixtureArtifact(tb testing.TB) []byte {
 
 // testArtifact renders a compact artifact around the given runs list.
 func testArtifact(runs string) string {
-	return fmt.Sprintf(`{"version":%d,"engine":%q,"shard":{"index":0,"count":1},"runs":[%s],"costs":[]}`,
+	return fmt.Sprintf(`{"version":%d,"engine":%q,"shard":{"index":0,"count":1},"runs":[%s]}`,
 		ArtifactVersion, EngineVersion, runs)
 }
 
@@ -162,11 +158,7 @@ func TestRecordDecoderDeclinesStoreRecords(t *testing.T) {
 		if _, ok := decodeFast([]byte(data), (*recDecoder).runRecord); ok {
 			t.Errorf("run record fast path accepted %q", data)
 		}
-		if _, ok := decodeFast([]byte(data), (*recDecoder).costRecord); ok {
-			t.Errorf("cost record fast path accepted %q", data)
-		}
 		sameRecord(t, []byte(data), (*recDecoder).runRecord)
-		sameRecord(t, []byte(data), (*recDecoder).costRecord)
 	}
 }
 
@@ -183,9 +175,11 @@ func sameRecord[T any](t *testing.T, data []byte, read func(*recDecoder, *T) boo
 }
 
 // FuzzRecordDecodeMatchesJSON is the record decoder's contract: whatever
-// the bytes, if the fast path accepts them as an artifact, a RunRecord or
-// a CostRecord, encoding/json accepts them too and decodes a DeepEqual
-// value; and ReadArtifact always agrees with encoding/json off the stream.
+// the bytes, if the fast path accepts them as an artifact or a RunRecord,
+// encoding/json accepts them too and decodes a DeepEqual value; and
+// ReadArtifact always agrees with encoding/json off the stream. Among the
+// seeds are a cost record and an artifact with a "costs" list, as stores
+// and artifacts written before runtimes were derived from the plan hold.
 func FuzzRecordDecodeMatchesJSON(f *testing.F) {
 	f.Add(fixtureArtifact(f))
 	for _, r := range decoderFixture().Export(exec.Shard{}, nil).Runs {
@@ -216,7 +210,6 @@ func FuzzRecordDecodeMatchesJSON(f *testing.F) {
 		got, gotErr := ReadArtifact(bytes.NewReader(data))
 		sameOutcome(t, data, got, gotErr, want, wantErr)
 		sameRecord(t, data, (*recDecoder).runRecord)
-		sameRecord(t, data, (*recDecoder).costRecord)
 	})
 }
 
@@ -252,8 +245,8 @@ func TestWrittenRecordsTakeTheFastPath(t *testing.T) {
 	if !reflect.DeepEqual(&a, want) {
 		t.Fatalf("fast path decoded %+v, encoding/json %+v", a, want)
 	}
-	if len(a.Runs) != 11 || len(a.Costs) != 3 {
-		t.Fatalf("fixture artifact decoded to %d runs, %d costs", len(a.Runs), len(a.Costs))
+	if len(a.Runs) != 11 {
+		t.Fatalf("fixture artifact decoded to %d runs", len(a.Runs))
 	}
 
 	// An empty export, and the artifact of a real matrix run.
@@ -284,79 +277,107 @@ func TestWrittenRecordsTakeTheFastPath(t *testing.T) {
 	fix := decoderFixture()
 	fix.SetStore(st)
 	fix.runs.Each(func(key string, v runVal, _ error) { fix.storePutRun(key, v) })
-	fix.costs.Each(func(key string, v float64, _ error) { fix.storePutCost(key, v) })
-	var runs, costs int
+	var runs int
 	for key, data := range st.puts {
-		switch {
-		case strings.HasPrefix(key, storeRunPrefix):
-			runs++
-			if _, ok := decodeFast(data, (*recDecoder).runRecord); !ok {
-				t.Errorf("run payload fell back to encoding/json: %s", data)
-			}
-			sameRecord(t, data, (*recDecoder).runRecord)
-		case strings.HasPrefix(key, storeCostPrefix):
-			costs++
-			if _, ok := decodeFast(data, (*recDecoder).costRecord); !ok {
-				t.Errorf("cost payload fell back to encoding/json: %s", data)
-			}
-			sameRecord(t, data, (*recDecoder).costRecord)
+		if !strings.HasPrefix(key, storeRunPrefix) {
+			t.Errorf("store write outside the run prefix: %q", key)
+			continue
 		}
+		runs++
+		if _, ok := decodeFast(data, (*recDecoder).runRecord); !ok {
+			t.Errorf("run payload fell back to encoding/json: %s", data)
+		}
+		sameRecord(t, data, (*recDecoder).runRecord)
 	}
-	if runs < 11 || costs < 3 {
-		t.Fatalf("store saw %d run and %d cost payloads, want the fixture's and the matrix's", runs, costs)
+	if runs < 11 {
+		t.Fatalf("store saw %d run payloads, want the fixture's and the matrix's", runs)
 	}
 }
 
-// TestStampedArtifactStillWorks: artifacts written before artifacts lost
-// their timestamp carry a "created_unix" field. Such a file takes the
+// TestStampedArtifactStillWorks: artifacts written by earlier builds
+// carry a field this one no longer has: a "created_unix" stamp (before
+// artifacts lost their timestamp) or a "costs" list of cost records
+// (before runtimes were derived from the plan). Such a file takes the
 // encoding/json fallback, which skips the field, and then reads, checks,
-// merges and warm-starts exactly as the same artifact without it.
+// merges, warm-starts and diffs exactly as the same artifact without it.
 func TestStampedArtifactStillWorks(t *testing.T) {
 	command := []string{"run", "-test", "Example05"}
 	var buf bytes.Buffer
 	if err := decoderFixture().Export(exec.Shard{}, command).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	plain := buf.Bytes()
-	stamped := bytes.Replace(plain, []byte("\n \"shard\":"), []byte("\n \"created_unix\": 1792407327,\n \"shard\":"), 1)
-	if bytes.Equal(stamped, plain) {
-		t.Fatalf("no shard field to stamp before:\n%s", plain)
-	}
-	if _, ok := decodeFast(stamped, (*recDecoder).artifact); ok {
-		t.Fatal("fast path accepted a created_unix field the artifact no longer has")
-	}
-	a, err := ReadArtifact(bytes.NewReader(stamped))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := bytes.Clone(buf.Bytes())
 	want, err := decodeArtifactJSON(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, want) {
-		t.Fatalf("stamped artifact decoded to %+v, want %+v", a, want)
+	stamped := bytes.Replace(plain, []byte("\n \"shard\":"), []byte("\n \"created_unix\": 1792407327,\n \"shard\":"), 1)
+	if bytes.Equal(stamped, plain) {
+		t.Fatalf("no shard field to stamp before:\n%s", plain)
 	}
-	if err := a.Check(); err != nil {
+	// The costs list as the earlier writer encoded it: the same indented
+	// encoder, after the runs, cost bits keyed like runs.
+	type costRecord struct {
+		Key  string `json:"key"`
+		Cost uint64 `json:"cost"`
+	}
+	buf.Reset()
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(struct {
+		*Artifact
+		Costs []costRecord `json:"costs"`
+	}{want, []costRecord{{"nul\x00key<&>é", math.Float64bits(math.Inf(1))}, {"scalar", math.Float64bits(2.5)}, {"zero", 0}}}); err != nil {
 		t.Fatal(err)
 	}
-	merged, warm := NewCache(), NewCache()
-	if err := merged.Merge(a); err != nil {
-		t.Fatal(err)
+	costed := buf.Bytes()
+	if !bytes.HasPrefix(costed, plain[:len(plain)-len("\n}\n")]) || !bytes.Contains(costed, []byte("\n \"costs\": [\n")) {
+		t.Fatalf("costed artifact is not the plain one with a costs list:\n%s", costed)
 	}
-	if err := warm.WarmStart(false, a); err != nil {
-		t.Fatal(err)
-	}
-	for name, c := range map[string]*Cache{"merged": merged, "warm-started": warm} {
-		var out bytes.Buffer
-		if err := c.Export(exec.Shard{}, command).WriteJSON(&out); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), plain) {
-			t.Errorf("%s cache exports\n%s\nwant\n%s", name, out.Bytes(), plain)
-		}
-	}
-	// Nothing ran, so the whole baseline reads as dropped.
-	if rep := warm.Delta(command); rep == nil || len(rep.Dropped) != len(a.Runs) || len(rep.New)+len(rep.Changed) != 0 {
-		t.Errorf("warm-started cache reports delta %+v", rep)
+	for name, old := range map[string][]byte{"created_unix": stamped, "costs": costed} {
+		t.Run(name, func(t *testing.T) {
+			if _, ok := decodeFast(old, (*recDecoder).artifact); ok {
+				t.Fatalf("fast path accepted a %s field the artifact no longer has", name)
+			}
+			a, err := ReadArtifact(bytes.NewReader(old))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, want) {
+				t.Fatalf("decoded to %+v, want %+v", a, want)
+			}
+			if err := a.Check(); err != nil {
+				t.Fatal(err)
+			}
+			merged, warm := NewCache(), NewCache()
+			if err := merged.Merge(a); err != nil {
+				t.Fatal(err)
+			}
+			if err := warm.WarmStart(false, a); err != nil {
+				t.Fatal(err)
+			}
+			for name, c := range map[string]*Cache{"merged": merged, "warm-started": warm} {
+				var out bytes.Buffer
+				if err := c.Export(exec.Shard{}, command).WriteJSON(&out); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out.Bytes(), plain) {
+					t.Errorf("%s cache exports\n%s\nwant\n%s", name, out.Bytes(), plain)
+				}
+			}
+			// Nothing ran, so the whole baseline reads as dropped.
+			if rep := warm.Delta(command); rep == nil || len(rep.Dropped) != len(a.Runs) || len(rep.New)+len(rep.Changed) != 0 {
+				t.Errorf("warm-started cache reports delta %+v", rep)
+			}
+			for _, sets := range [][2]*Artifact{{a, want}, {want, a}} {
+				rep, err := DiffArtifacts(sets[:1], sets[1:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Empty() || rep.Unchanged != len(a.Runs) {
+					t.Errorf("delta against the plain artifact: %s", rep.Summary())
+				}
+			}
+		})
 	}
 }

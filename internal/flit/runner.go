@@ -45,7 +45,7 @@ type RunResult struct {
 	Test        string
 	Comp        comp.Compilation
 	CompareVal  float64 // user metric vs the baseline result; 0 == equal
-	Time        float64 // deterministic cost-model runtime
+	Time        float64 // deterministic cost-model runtime (matrixCosts)
 	Err         error   // non-nil if the executable failed to run
 	RelativeErr float64 // CompareVal / ||baseline||
 }
@@ -76,13 +76,14 @@ func (s *Suite) refComp() comp.Compilation {
 // object-file mixes, so they cannot segfault; an error in a cell is
 // recorded, not fatal.
 //
-// Execution is key-first: every cell (and the shared baseline and
-// reference builds) is a lazily-materialized plan, looked up in the Cache
-// by plan key before anything links. A cached or warm-started cell replays
-// its memoized result with zero build work — no plan validation, no
-// ABI-hazard scan, no Executable, no cost-model traversal — which is what
-// makes re-running a warmed campaign proportional to the cells an edit
-// actually invalidated.
+// Execution is key-first: every cell (and the shared baseline build) is a
+// lazily-materialized plan, looked up in the Cache by plan key before
+// anything links. A cached or warm-started cell replays its memoized
+// result with zero build work — no plan validation, no ABI-hazard scan, no
+// Executable — which is what makes re-running a warmed campaign
+// proportional to the cells an edit actually invalidated. Runtimes are not
+// looked up at all: each is derived from the cell's compilation by the
+// cost model (matrixCosts), which needs no build either.
 //
 // With a Pool on the suite the compilations evaluate concurrently — each
 // cell is an independent build/run pair, the paper's massively parallel
@@ -98,53 +99,40 @@ func (s *Suite) RunMatrix(matrix []comp.Compilation) (*Results, error) {
 		baseNorm: make(map[string]float64, len(s.Tests)),
 		refTime:  make(map[string]float64, len(s.Tests)),
 	}
-	refB := link.NewBuilder(link.FullBuildPlan(s.Prog, s.refComp()))
+	costs := newMatrixCosts(s.Prog, s.Tests)
 	baseB := link.NewBuilder(link.FullBuildPlan(s.Prog, s.Baseline))
-	type baseVal struct {
-		res     Result
-		norm    float64
-		refTime float64
-	}
 	// The baselines are shared prefix state and run on every shard: all of
 	// a shard's cells compare against them, so skipping non-owned baselines
 	// would corrupt the Variable classification of sharded Results (and
 	// with it every consumer that selects work from them, e.g. Table 2's
 	// variable-pair selection). They are O(tests) against the O(tests ×
 	// compilations) cells the shard actually partitions — and behind the
-	// shared builders they are one build each, at most, across all tests.
-	bases, err := exec.Map(s.Pool, len(s.Tests), func(i int) (baseVal, error) {
+	// shared builder they are one build, at most, across all tests.
+	bases, err := exec.Map(s.Pool, len(s.Tests), func(i int) (Result, error) {
 		t := s.Tests[i]
 		base, err := s.Cache.RunAllPlanned(t, baseB)
 		if err != nil {
-			return baseVal{}, fmt.Errorf("flit: baseline run of %s: %w", t.Name(), err)
+			return Result{}, fmt.Errorf("flit: baseline run of %s: %w", t.Name(), err)
 		}
-		refTime, err := s.Cache.CostPlanned(refB, t.Root())
-		if err != nil {
-			return baseVal{}, fmt.Errorf("flit: building reference: %w", err)
-		}
-		return baseVal{res: base, norm: base.Norm(), refTime: refTime}, nil
+		return base, nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	refTimes := costs.of(s.refComp())
 	for i, t := range s.Tests {
-		res.baseline[t.Name()] = bases[i].res
-		res.baseNorm[t.Name()] = bases[i].norm
-		res.refTime[t.Name()] = bases[i].refTime
+		res.baseline[t.Name()] = bases[i]
+		res.baseNorm[t.Name()] = bases[i].Norm()
+		res.refTime[t.Name()] = refTimes[i]
 	}
 	ownCells := s.Shard.Indices(len(matrix))
 	cells, err := exec.Map(s.Pool, len(ownCells), func(k int) ([]RunResult, error) {
-		ci := ownCells[k]
-		c := matrix[ci]
+		c := matrix[ownCells[k]]
 		cellB := link.NewBuilder(link.FullBuildPlan(s.Prog, c))
+		times := costs.of(c)
 		row := make([]RunResult, len(s.Tests))
 		for ti, t := range s.Tests {
-			rr := RunResult{Test: t.Name(), Comp: c}
-			cost, err := s.Cache.CostPlanned(cellB, t.Root())
-			if err != nil {
-				return nil, fmt.Errorf("flit: building %s: %w", c, err)
-			}
-			rr.Time = cost
+			rr := RunResult{Test: t.Name(), Comp: c, Time: times[ti]}
 			got, err := s.Cache.RunAllPlanned(t, cellB)
 			if err != nil {
 				rr.Err = err
@@ -175,6 +163,64 @@ func (s *Suite) RunMatrix(matrix []comp.Compilation) (*Results, error) {
 		}
 	}
 	return res, nil
+}
+
+// matrixCosts is the cost model of a matrix's full builds, derived from
+// the plan instead of a linked executable. A full build binds every symbol
+// to the one compilation of its cell, so the runtime Executable.Cost
+// charges a test is the sum of Work × comp.SpeedFactor(c, sym) over its
+// root's reachable symbols in prog.Reachable order — a pure function of
+// (program, compilation, root), like any other plan property, and
+// recomputed rather than cached or stored.
+type matrixCosts struct {
+	// order holds, per test, the reachable symbols of its root: the sum
+	// order. Tests sharing a root share the slice.
+	order [][]*prog.Symbol
+	// syms lists every symbol some order holds, once, and nsyms sizes the
+	// per-compilation factor table indexed by symbol ID.
+	syms  []*prog.Symbol
+	nsyms int
+}
+
+func newMatrixCosts(p *prog.Program, tests []TestCase) *matrixCosts {
+	m := &matrixCosts{order: make([][]*prog.Symbol, len(tests)), nsyms: p.NumSymbols()}
+	byRoot := make(map[string][]*prog.Symbol, len(tests))
+	listed := make([]bool, m.nsyms)
+	for i, t := range tests {
+		order, ok := byRoot[t.Root()]
+		if !ok {
+			order = p.Reachable(t.Root())
+			byRoot[t.Root()] = order
+			for _, sym := range order {
+				if !listed[sym.ID()] {
+					listed[sym.ID()] = true
+					m.syms = append(m.syms, sym)
+				}
+			}
+		}
+		m.order[i] = order
+	}
+	return m
+}
+
+// of returns every test's runtime under a full build of c, evaluating
+// SpeedFactor once per symbol. The product is converted explicitly so the
+// compiler cannot fuse it into the sum (an FMA would round differently
+// from Executable.Cost).
+func (m *matrixCosts) of(c comp.Compilation) []float64 {
+	factor := make([]float64, m.nsyms)
+	for _, sym := range m.syms {
+		factor[sym.ID()] = comp.SpeedFactor(c, sym)
+	}
+	times := make([]float64, len(m.order))
+	for i, order := range m.order {
+		var total float64
+		for _, sym := range order {
+			total += float64(sym.Work * factor[sym.ID()])
+		}
+		times[i] = total
+	}
+	return times
 }
 
 // ForTest returns the runs of one test in matrix order.

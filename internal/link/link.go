@@ -354,23 +354,13 @@ func (e *Executable) Driver() string { return e.driver }
 func (e *Executable) Program() *prog.Program { return e.prog }
 
 // Cost returns the deterministic runtime cost of executing the program from
-// the given roots under this executable's symbol resolution. Internal
-// symbols are charged at their file's compilation.
+// the given roots under this executable's symbol resolution: Work ×
+// SpeedFactor summed over the reachable symbols in prog.Reachable order.
+// Internal symbols are charged at their file's compilation.
 func (e *Executable) Cost(roots ...string) float64 {
 	var total float64
-	for _, sym := range sortedSymbols(e.prog.Reachable(roots...)) {
+	for _, sym := range e.prog.Reachable(roots...) {
 		total += sym.Work * comp.SpeedFactor(e.comps[e.symTab[sym.ID()]], sym)
 	}
 	return total
-}
-
-// sortedSymbols gives deterministic iteration over a reachability set.
-// Names are unique, so the order, and with it Cost's float sum, is fixed.
-func sortedSymbols(set map[string]*prog.Symbol) []*prog.Symbol {
-	out := make([]*prog.Symbol, 0, len(set))
-	for _, s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

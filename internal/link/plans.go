@@ -59,7 +59,7 @@ func FPICProbePlan(p *prog.Program, baseline, variable comp.Compilation, file st
 
 // Builder is a lazily-materialized build: it exposes the plan's cache key
 // without linking, and links at most once, on first Build. A key-first
-// cache (flit.Cache.RunAllPlanned/CostPlanned) consults its store by
+// cache (flit.Cache.RunAllPlanned) consults its store by
 // Builder.Key and calls Build only on a miss, so a warm lookup never
 // validates a plan, never scans for ABI hazards, and never allocates an
 // Executable. Safe for concurrent use: the matrix runner shares one

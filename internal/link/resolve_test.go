@@ -62,7 +62,7 @@ func TestResolutionMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			var wantCost float64
-			for _, sym := range sortedSymbols(p.Reachable("Main")) {
+			for _, sym := range p.Reachable("Main") {
 				wantCost += sym.Work * comp.SpeedFactor(referenceCompilation(ex, sym), sym)
 			}
 			if got := ex.Cost("Main"); got != wantCost {

@@ -200,19 +200,24 @@ func (p *Program) ExportedSymbols(file string) []*Symbol {
 	return out
 }
 
-// Reachable returns the set of symbols reachable from the given roots
-// through the static call graph (including the roots themselves). Unknown
-// callee names are ignored: the simulated programs may call into the "C++
-// standard library", which is outside the search space, just as in FLiT.
-func (p *Program) Reachable(roots ...string) map[string]*Symbol {
-	seen := make(map[string]*Symbol)
+// Reachable returns the symbols reachable from the given roots through
+// the static call graph (including the roots themselves), each once,
+// sorted by name. Names are unique, so the order is fixed: it is the order
+// the cost model sums a run's work in, and a float sum depends on it.
+// Unknown callee names are ignored: the simulated programs may call into
+// the "C++ standard library", which is outside the search space, just as
+// in FLiT.
+func (p *Program) Reachable(roots ...string) []*Symbol {
+	seen := make(map[string]bool)
+	var out []*Symbol
 	var visit func(name string)
 	visit = func(name string) {
 		s := p.syms[name]
-		if s == nil || seen[name] != nil {
+		if s == nil || seen[name] {
 			return
 		}
-		seen[name] = s
+		seen[name] = true
+		out = append(out, s)
 		for _, c := range s.Callees {
 			visit(c)
 		}
@@ -220,7 +225,8 @@ func (p *Program) Reachable(roots ...string) map[string]*Symbol {
 	for _, r := range roots {
 		visit(r)
 	}
-	return seen
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // ExportedAncestor returns the nearest exported symbol that (transitively)

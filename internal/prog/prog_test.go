@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -156,13 +157,12 @@ func TestReachableClosure(t *testing.T) {
 	p := sample()
 	r := p.Reachable("CG")
 	want := []string{"CG", "Dot", "Norm", "applyA", "innerKernel", "sqrtHelper"}
-	if len(r) != len(want) {
-		t.Fatalf("Reachable(CG) has %d symbols, want %d: %v", len(r), len(want), r)
+	var got []string
+	for _, s := range r {
+		got = append(got, s.Name)
 	}
-	for _, w := range want {
-		if r[w] == nil {
-			t.Fatalf("Reachable(CG) missing %s", w)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Reachable(CG) = %v, want %v (each once, sorted by name)", got, want)
 	}
 	// Unknown callees are ignored.
 	p2 := New("x")

@@ -8,11 +8,12 @@
 #                    parallel execution engine must be data-race-free at
 #                    every -j; per-package statement coverage is printed)
 #   micro-bench      BenchmarkMachineFn, BenchmarkEnvOps,
-#                    BenchmarkAssembleDiffusion2D, BenchmarkDiskPut,
-#                    BenchmarkDiskGet and BenchmarkCoordHeartbeat at a
-#                    fixed 100 iterations, so the simulated-call dispatch,
-#                    fp operation (each records the semantics fields it
-#                    reads), sparse assembly, store segment and
+#                    BenchmarkAssembleDiffusion2D, BenchmarkMatrixCosts,
+#                    BenchmarkDiskPut, BenchmarkDiskGet and
+#                    BenchmarkCoordHeartbeat at a fixed 100 iterations, so
+#                    the simulated-call dispatch, fp operation (each
+#                    records the semantics fields it reads), sparse
+#                    assembly, matrix cost model, store segment and
 #                    coordinator heartbeat benchmarks keep compiling and
 #                    running (a heartbeat renews its lease in memory, so
 #                    its time must not grow with the shards)
@@ -37,9 +38,9 @@
 #   shard-set fuzz   FuzzShardSetFold for 2000 inputs: two artifacts of
 #                    any bytes, taken as shards 0/2 and 1/2, validate
 #                    exactly when both pass Check, record one command and
-#                    agree on the bits of every run and cost key they
-#                    share, and a merge of a valid set exports exactly the
-#                    union of their records
+#                    agree on the bits of every run key they share, and a
+#                    merge of a valid set exports exactly the union of
+#                    their records
 #   bench module     vet + race tests of the nested bench/ module (root
 #                    ./... skips it), so the benchmark harness cannot rot
 #   shard smoke      the distributed protocol end to end through real
@@ -90,10 +91,14 @@
 #   instruction set  flit built a second time with GOAMD64=v3 (FMA, AVX2)
 #                    must write a -j 1 table1 shard artifact identical to
 #                    the default build's: `flit delta` reports nothing new,
-#                    dropped or changed, and runs and costs match byte for
-#                    byte — the Go compiler may fuse x*y+z into an FMA on
-#                    v3, and an unconverted product in the simulated fp
-#                    arithmetic would show here
+#                    dropped or changed, and the runs match byte for byte —
+#                    the Go compiler may fuse x*y+z into an FMA on v3, and
+#                    an unconverted product in the simulated fp arithmetic
+#                    would show here. Artifacts carry no runtimes, so
+#                    TestMatrixCostsMatchFullBuilds runs under GOAMD64=v3
+#                    too: the MFEM and quickstart matrix runtimes must equal
+#                    their linked full builds' costs and a digest of their
+#                    bits pinned from the default build
 #   table5           the paper's full Table 5 injection campaign (4,376
 #                    runs) through the real flit binary: zero wrong finds
 #                    and zero missed finds, the precision/recall headline
@@ -109,6 +114,7 @@ go test -race -cover ./...
 go test -run '^$' -bench BenchmarkMachineFn -benchtime 100x ./internal/link
 go test -run '^$' -bench BenchmarkEnvOps -benchtime 100x ./internal/fp
 go test -run '^$' -bench BenchmarkAssembleDiffusion2D -benchtime 100x ./internal/apps/mfem
+go test -run '^$' -bench BenchmarkMatrixCosts -benchtime 100x ./internal/flit
 go test -run '^$' -bench 'BenchmarkDisk(Put|Get)$' -benchtime 100x ./internal/store
 go test -run '^$' -bench BenchmarkCoordHeartbeat -benchtime 100x ./internal/coord
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 2000x ./internal/coord
@@ -331,15 +337,16 @@ test "$FAILMERGE" -ne 0
 grep 'missing shard indices \[1\]' "$SHARD_TMP/coord-fail-merge.txt"
 
 # Bit-exactness across instruction sets: a GOAMD64=v3 build may contract
-# x*y+z into one FMA wherever the fp simulation leaves a product
-# unconverted. Its table1 artifact must equal the default build's byte for
-# byte.
+# x*y+z into one FMA wherever the fp simulation or the cost model leaves a
+# product unconverted. Its table1 artifact must equal the default build's
+# byte for byte, and its matrix runtimes the pinned digest.
 GOAMD64=v3 go build -o "$SHARD_TMP/flit-v3" ./cmd/flit
 "$SHARD_TMP/flit" experiments -j 1 -shard 0/1 -shard-out "$SHARD_TMP/isa-default.json" table1
 "$SHARD_TMP/flit-v3" experiments -j 1 -shard 0/1 -shard-out "$SHARD_TMP/isa-v3.json" table1
 "$SHARD_TMP/flit" delta -baseline "$SHARD_TMP/isa-default.json" "$SHARD_TMP/isa-v3.json" \
 	| grep 'delta: new=0 dropped=0 changed=0'
 cmp "$SHARD_TMP/isa-default.json" "$SHARD_TMP/isa-v3.json"
+GOAMD64=v3 go test -count=1 -run '^TestMatrixCostsMatchFullBuilds$' ./internal/experiments ./examples/quickstart
 
 # The paper's Table 5 headline: the full 1,094-site x 4-OP' injection
 # campaign, every injection found — no wrong finds, no missed finds.
