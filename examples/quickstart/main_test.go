@@ -15,6 +15,7 @@ import (
 	"repro/internal/comp"
 	"repro/internal/exec"
 	"repro/internal/flit"
+	"repro/internal/fp"
 	"repro/internal/link"
 )
 
@@ -198,5 +199,37 @@ func TestMatrixCostsMatchFullBuilds(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != quickstartCostDigest {
 		t.Errorf("matrix cost digest %s, want %s", got, quickstartCostDigest)
+	}
+}
+
+// TestFullBuildNeedsNoFileMap: the quickstart's full builds name no file,
+// yet link to the executables that sending every file to the compilation
+// does — equal layout, equal crash flag and bit-equal cost of the test's
+// root — for every matrix compilation, the baseline, the reference and an
+// injected compilation.
+func TestFullBuildNeedsNoFileMap(t *testing.T) {
+	p := program()
+	root := (&myTest{p}).Root()
+	injected := comp.Baseline().WithInjection(symDotKernel.Name,
+		fp.Injection{OpIndex: 1, Op: fp.InjAdd, Eps: 0.25})
+	for _, c := range append(comp.Matrix(), comp.Baseline(), comp.PerfReference(), injected) {
+		everyFile := link.Plan{Prog: p, Baseline: c, FileComp: map[string]comp.Compilation{}}
+		for _, f := range p.FileNames() {
+			everyFile.FileComp[f] = c
+		}
+		a, err := link.Link(everyFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := link.FullBuild(p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Layout() != b.Layout() || a.Crashes() != b.Crashes() {
+			t.Errorf("%s: layouts or crash flags differ", c)
+		}
+		if x, y := a.Cost(root), b.Cost(root); math.Float64bits(x) != math.Float64bits(y) {
+			t.Errorf("%s: cost %v with the file map, %v without", c, x, y)
+		}
 	}
 }

@@ -41,7 +41,7 @@ func (g *behaviorCells) add(kind string, p link.Plan, tests ...flit.TestCase) {
 		want, wantErr := flit.RunAll(tc, ex)
 		if d := sameRun(want, got, wantErr, gotErr); d != nil {
 			g.t.Errorf("%s on %s: the memo shared a run that differs from running it: %v",
-				flit.TestKey(tc), ex.Key(), d)
+				flit.TestKey(tc), p.Key(), d)
 		}
 		g.pairs[kind]++
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/apps/mfem"
 	"repro/internal/comp"
 	"repro/internal/flit"
+	"repro/internal/fp"
 	"repro/internal/link"
 	"repro/internal/prog"
 )
@@ -89,20 +91,85 @@ func costDigest(t *testing.T, r *flit.Results) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// fullBuildComps is every compilation the experiments build a whole
+// program under: the matrix, the baseline, the performance reference and
+// the two xlc++ builds of the Laghos study.
+func fullBuildComps() []comp.Compilation {
+	return append(comp.Matrix(), comp.Baseline(), comp.PerfReference(),
+		comp.Compilation{Compiler: comp.XLC, OptLevel: "-O2"},
+		comp.Compilation{Compiler: comp.XLC, OptLevel: "-O3"})
+}
+
 // TestFullBuildsAlwaysLink: RunMatrix derives runtimes without building
 // and records a failed cell as that cell's error, so nothing in it can
 // fail on a full build — which holds because linking a FullBuildPlan has
-// no error path: the plan names every file of its own program and no
-// symbol. Every program and every compilation the experiments use links.
+// no error path: the plan names no file and no symbol. Every program and
+// every compilation the experiments use links.
 func TestFullBuildsAlwaysLink(t *testing.T) {
-	comps := append(comp.Matrix(), comp.Baseline(), comp.PerfReference(),
-		comp.Compilation{Compiler: comp.XLC, OptLevel: "-O2"},
-		comp.Compilation{Compiler: comp.XLC, OptLevel: "-O3"})
 	for _, p := range []*prog.Program{mfem.Program(), laghos.Program(), lulesh.Program()} {
-		for _, c := range comps {
+		for _, c := range fullBuildComps() {
 			if _, err := link.Link(link.FullBuildPlan(p, c)); err != nil {
 				t.Errorf("%s under %s: %v", p.Name, c, err)
 			}
 		}
 	}
+}
+
+// TestFullBuildNeedsNoFileMap: a full build names no file, yet links to the
+// executable that sending every file to its compilation does — equal
+// layout, equal crash flag and bit-equal cost from every test root — for
+// every program and full-build compilation the experiments use, and for an
+// injected compilation.
+func TestFullBuildNeedsNoFileMap(t *testing.T) {
+	for _, app := range []struct {
+		p     *prog.Program
+		roots []string
+	}{
+		{mfem.Program(), testRoots(mfem.AllCases())},
+		{laghos.Program(), []string{laghos.NewCase().Root()}},
+		{lulesh.Program(), []string{lulesh.NewCase().Root()}},
+	} {
+		p := app.p
+		injected := comp.Baseline().WithInjection(p.Reachable(app.roots[0])[0].Name,
+			fp.Injection{OpIndex: 1, Op: fp.InjAdd, Eps: 0.25})
+		for _, c := range append(fullBuildComps(), injected) {
+			everyFile := link.Plan{Prog: p, Baseline: c, FileComp: map[string]comp.Compilation{}}
+			for _, f := range p.FileNames() {
+				everyFile.FileComp[f] = c
+			}
+			if err := sameExecutable(everyFile, link.FullBuildPlan(p, c), app.roots); err != nil {
+				t.Errorf("%s under %s: %v", p.Name, c, err)
+			}
+		}
+	}
+}
+
+func testRoots(tests []flit.TestCase) []string {
+	roots := make([]string, len(tests))
+	for i, tc := range tests {
+		roots[i] = tc.Root()
+	}
+	return roots
+}
+
+// sameExecutable links two plans and reports how their executables
+// differ in layout, crash flag or the cost of any root, bits compared.
+func sameExecutable(a, b link.Plan, roots []string) error {
+	ea, err := link.Link(a)
+	if err != nil {
+		return err
+	}
+	eb, err := link.Link(b)
+	if err != nil {
+		return err
+	}
+	if ea.Layout() != eb.Layout() || ea.Crashes() != eb.Crashes() {
+		return fmt.Errorf("layouts or crash flags differ (crash %v and %v)", ea.Crashes(), eb.Crashes())
+	}
+	for _, r := range roots {
+		if x, y := ea.Cost(r), eb.Cost(r); math.Float64bits(x) != math.Float64bits(y) {
+			return fmt.Errorf("cost from %s: %v and %v", r, x, y)
+		}
+	}
+	return nil
 }

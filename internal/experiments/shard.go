@@ -9,7 +9,7 @@ import "repro/internal/flit"
 // configurations, injection site × OP' pairs — executes only the owned
 // jobs, and exports everything its build/run cache computed as a
 // self-describing JSON artifact (flit.Artifact, keyed by
-// link.Executable.Key + flit.TestKey). Merging seeds a fresh engine's
+// link.Plan.Key + flit.TestKey). Merging seeds a fresh engine's
 // cache with the union of the shards' artifacts and replays the recorded
 // command: every evaluation is then answered from the cache, so the merge
 // is cheap, and because a cache hit is bit-identical to a recomputation,

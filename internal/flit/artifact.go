@@ -33,11 +33,14 @@ const ArtifactVersion = 1
 // (v3: injected-compilation cache keys render the epsilon as its IEEE-754
 // bit pattern instead of a rounded decimal, so artifacts from earlier
 // engines address injected cells by strings this build never produces.)
-const EngineVersion = "flit-engine/3"
+// (v4: a full build's plan key names no file and no plan key carries a
+// link driver, so earlier engines' matrix, baseline and injection records
+// sit under keys this build never looks up.)
+const EngineVersion = "flit-engine/4"
 
 // Artifact is the self-describing result of one shard of a distributed
 // run: every build/run result the shard computed, keyed by
-// link.Executable.Key + TestKey (the build/run cache's own address
+// link.Plan.Key + TestKey (the build/run cache's own address
 // space), plus enough metadata — format version, engine version, the
 // canonical command, the shard coordinates — for `flit merge` to validate
 // that a set of artifacts belongs together and to replay the original

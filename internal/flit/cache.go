@@ -38,14 +38,14 @@ func TestKey(t TestCase) string {
 }
 
 // PlanRunKey is the canonical identity of one test execution: the build
-// plan's key and the test's cache key, NUL-separated. link.Plan.Key
-// produces the exact string Executable.Key would after linking (pinned by
-// FuzzPlanKeyMatchesExecutableKey), so a plan and the executable it links
-// to address the same cache entries and the same artifact records. The
-// plan key is escape-encoded and NUL-free and the test key is escaped
-// here, so no two distinct (program, build plan, test) tuples share a run
-// key — the injectivity the build/run cache and the shard-artifact merge
-// depend on, enforced by FuzzRunKeyInjective.
+// plan's key and the test's cache key, NUL-separated. link.Plan.Key is the
+// only key an executable has (its injectivity is pinned by
+// FuzzPlanKeyInjective), so every cache entry and artifact record is
+// addressed without linking anything. The plan key is escape-encoded and
+// NUL-free and the test key is escaped here, so no two distinct (program,
+// build plan, test) tuples share a run key — the injectivity the build/run
+// cache and the shard-artifact merge depend on, enforced by
+// FuzzRunKeyInjective.
 func PlanRunKey(b *link.Builder, t TestCase) string {
 	return b.Key() + "\x00" + comp.KeyEscape(TestKey(t))
 }

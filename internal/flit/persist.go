@@ -31,9 +31,6 @@ import (
 // store that has stopped persisting.
 
 // Run records live under their own prefix of the store's key space.
-// Stores written before runtimes were derived from the plan also hold
-// "cost\x00" records; nothing reads them, and store gc evicts them by age
-// like any other entry.
 const storeRunPrefix = "run\x00"
 
 // StoreMetrics is the persistent tier's counter snapshot. Hits and Misses

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/comp"
@@ -12,6 +13,32 @@ import (
 	"repro/internal/link"
 	"repro/internal/store"
 )
+
+// TestEngine3StoreRefusedWithRecovery: a store written by the previous
+// engine (whose full-build keys named every file) is refused at Open, and
+// the refusal names both engines and says that deleting the directory is
+// safe, as the layout-v1 refusal does.
+func TestEngine3StoreRefusedWithRecovery(t *testing.T) {
+	dir := t.TempDir()
+	old, err := store.Open(dir, "flit-engine/3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Put(storeRunPrefix+"k", []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = store.Open(dir, EngineVersion)
+	if err == nil {
+		t.Fatal("engine/3 store opened under " + EngineVersion)
+	}
+	for _, want := range []string{`"flit-engine/3"`, `"` + EngineVersion + `"`,
+		"only caches recomputable results", "delete the directory"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not say %q", err, want)
+		}
+	}
+}
 
 // TestStoreWarmCacheBuildsNothing: a fresh Cache sharing only the
 // persistent store with an earlier one answers every covered evaluation

@@ -18,8 +18,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -40,7 +41,9 @@ type Plan struct {
 	// Prog is the application being built.
 	Prog *prog.Program
 	// Baseline is the compilation used for every file not listed in
-	// FileComp (the trusted compilation in a bisect search).
+	// FileComp (the trusted compilation in a bisect search). Its compiler
+	// performs the final link; the Intel driver substitutes SVML for libm
+	// regardless of compile-time flags.
 	Baseline comp.Compilation
 	// FileComp assigns whole files to a different compilation
 	// (File Bisect granularity). Keys are file names.
@@ -51,68 +54,35 @@ type Plan struct {
 	// the file's remaining exported symbols keep the baseline, all
 	// recompiled with -fPIC as the paper requires.
 	SymbolComp map[string]comp.Compilation
-	// Driver is the compiler that performs the final link. Empty means
-	// the Baseline's compiler. The Intel driver substitutes SVML for libm
-	// regardless of compile-time flags.
-	Driver string
 }
 
 // Key returns the canonical identity string of the executable this plan
-// would build — the exact string Executable.Key produces after Link — without
-// linking anything: no plan validation, no ABI-hazard scan, no Executable
-// allocation. It is what lets a build/run cache be consulted by plan
-// identity first and the build happen only on a miss. Plans with unknown
-// file or symbol names still serialize (Link would reject them; the key of
-// an unbuildable plan simply never matches a built one's). Prog must be
-// non-nil.
+// would build: program, baseline compilation, and every file- and
+// symbol-level override in sorted order, each free-form name
+// comp.KeyEscape'd and each compilation rendered through the equally
+// escaped comp.Key, so no two distinct plans share a key. Two plans with
+// equal keys link to executables that run identically (the toolchain is
+// deterministic), which is what makes the key a build/run-cache address:
+// a cache is consulted by plan identity first and the build happens only
+// on a miss. Program identity is the program name (each app registers one
+// program), and flit.EngineVersion fences the key format. Plans with unknown file or symbol names still
+// serialize (Link would reject them). Prog must be non-nil.
 func (p Plan) Key() string {
-	driver := p.Driver
-	if driver == "" {
-		driver = p.Baseline.Compiler
-	}
-	return planKey(p.Prog.Name, p.Baseline, driver, p.FileComp, p.SymbolComp)
-}
-
-// planKey serializes a build plan with every free-form component (program,
-// driver, file and symbol names) comp.KeyEscape'd and compilations rendered
-// through the equally escaped comp.Key, so no two distinct plans share a
-// key — the property the build/run cache and the shard-artifact merge rest
-// on, enforced by FuzzPlanKeyMatchesExecutableKey and the flit key fuzz
-// test. It is the single serializer behind both Plan.Key and
-// Executable.Key; driver must already be resolved (non-empty).
-func planKey(progName string, baseline comp.Compilation, driver string,
-	fileComp, symComp map[string]comp.Compilation) string {
 	var b strings.Builder
-	b.WriteString(comp.KeyEscape(progName))
+	b.WriteString(comp.KeyEscape(p.Prog.Name))
 	b.WriteString("|base=")
-	b.WriteString(baseline.Key())
-	b.WriteString("|driver=")
-	b.WriteString(comp.KeyEscape(driver))
-	if len(fileComp) > 0 {
-		files := make([]string, 0, len(fileComp))
-		for f := range fileComp {
-			files = append(files, f)
-		}
-		sort.Strings(files)
-		for _, f := range files {
-			b.WriteString("|f:")
-			b.WriteString(comp.KeyEscape(f))
-			b.WriteString("=")
-			b.WriteString(fileComp[f].Key())
-		}
+	b.WriteString(p.Baseline.Key())
+	for _, f := range slices.Sorted(maps.Keys(p.FileComp)) {
+		b.WriteString("|f:")
+		b.WriteString(comp.KeyEscape(f))
+		b.WriteString("=")
+		b.WriteString(p.FileComp[f].Key())
 	}
-	if len(symComp) > 0 {
-		syms := make([]string, 0, len(symComp))
-		for s := range symComp {
-			syms = append(syms, s)
-		}
-		sort.Strings(syms)
-		for _, s := range syms {
-			b.WriteString("|s:")
-			b.WriteString(comp.KeyEscape(s))
-			b.WriteString("=")
-			b.WriteString(symComp[s].Key())
-		}
+	for _, s := range slices.Sorted(maps.Keys(p.SymbolComp)) {
+		b.WriteString("|s:")
+		b.WriteString(comp.KeyEscape(s))
+		b.WriteString("=")
+		b.WriteString(p.SymbolComp[s].Key())
 	}
 	return b.String()
 }
@@ -123,12 +93,11 @@ type Executable struct {
 	baseline comp.Compilation
 	fileComp map[string]comp.Compilation
 	symComp  map[string]comp.Compilation
-	driver   string
 	crash    bool
 
 	// comps lists the executable's distinct compilations, deduplicated by
 	// == (so injection plans by pointer identity), and classes what each
-	// of them generates (classOf under this executable's driver).
+	// of them generates (classOf, linked by the baseline's compiler).
 	comps   []comp.Compilation
 	classes []*class
 	// symTab maps a symbol ID to the index in comps of the compilation the
@@ -138,9 +107,6 @@ type Executable struct {
 	// by Link and only read afterwards, so Machines on many goroutines can
 	// share one Executable.
 	symTab []int32
-
-	keyOnce sync.Once
-	key     string
 
 	layoutOnce sync.Once
 	layout     string
@@ -171,16 +137,11 @@ func Link(p Plan) (*Executable, error) {
 			return nil, fmt.Errorf("link: symbol %q is not exported; %w", s, ErrDuplicateStrong)
 		}
 	}
-	driver := p.Driver
-	if driver == "" {
-		driver = p.Baseline.Compiler
-	}
 	ex := &Executable{
 		prog:     p.Prog,
 		baseline: p.Baseline,
 		fileComp: p.FileComp,
 		symComp:  p.SymbolComp,
-		driver:   driver,
 	}
 	ex.crash = ex.abiHazard()
 	ex.resolveSymbols()
@@ -237,7 +198,7 @@ func (e *Executable) intern(c comp.Compilation) int32 {
 		}
 	}
 	e.comps = append(e.comps, c)
-	e.classes = append(e.classes, classOf(e.prog, c, e.driver))
+	e.classes = append(e.classes, classOf(e.prog, c, e.baseline.Compiler))
 	return int32(len(e.comps) - 1)
 }
 
@@ -264,28 +225,6 @@ func (e *Executable) abiHazard() bool {
 
 // Crashes reports whether running this executable segfaults.
 func (e *Executable) Crashes() bool { return e.crash }
-
-// Key returns a canonical identity string for the build plan behind this
-// executable: program, baseline compilation, link driver, and every file-
-// and symbol-level override in sorted order. Two executables with equal
-// keys run identically (the toolchain is deterministic), which is what
-// makes the key usable as a build/run-cache address. Program identity is
-// the program name; the cache scope assumes distinct programs have
-// distinct names, which holds for the singleton app registries.
-//
-// An Executable is immutable after Link, so the key is computed once and
-// memoized — cache lookups repeat it thousands of times per matrix run.
-func (e *Executable) Key() string {
-	e.keyOnce.Do(func() { e.key = e.buildKey() })
-	return e.key
-}
-
-// buildKey delegates to the plan serializer: an Executable's key IS its
-// plan's key (Plan.Key for the resolved-driver plan), which is what lets
-// key-first callers look a plan up in a cache seeded by built executables.
-func (e *Executable) buildKey() string {
-	return planKey(e.prog.Name, e.baseline, e.driver, e.fileComp, e.symComp)
-}
 
 // Layout returns, computed once, the part of what a run of this
 // executable reads that no Trace records: the program, the crash flag, the
@@ -346,9 +285,6 @@ func (e *Executable) AppendProjection(dst []byte, t *Trace) []byte {
 	}
 	return dst
 }
-
-// Driver returns the linking compiler.
-func (e *Executable) Driver() string { return e.driver }
 
 // Program returns the application this executable was built from.
 func (e *Executable) Program() *prog.Program { return e.prog }

@@ -124,17 +124,6 @@ func TestLinkValidation(t *testing.T) {
 	}
 }
 
-func TestDefaultDriverIsBaselineCompiler(t *testing.T) {
-	p := testProgram()
-	ex, err := Link(Plan{Prog: p, Baseline: baseC})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Driver() != comp.GCC {
-		t.Fatalf("driver = %s", ex.Driver())
-	}
-}
-
 func TestFileMixBinding(t *testing.T) {
 	p := testProgram()
 	ex, err := Link(FileMixPlan(p, baseC, varC, []string{"math.cpp"}))

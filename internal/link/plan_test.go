@@ -2,6 +2,7 @@ package link
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,12 +11,11 @@ import (
 	"repro/internal/prog"
 )
 
-// TestPlanKeyMatchesExecutableKey: for every plan shape the drivers build —
-// full builds, file mixes, symbol mixes, the -fPIC probe, explicit and
-// defaulted drivers, injections — Plan.Key must be the exact string the
-// linked Executable's Key is. This equality is what lets the key-first
-// cache answer a plan lookup from entries (and artifacts) recorded under
-// executable keys.
+// TestPlanKeyMatchesExecutableKey: every plan shape the drivers build —
+// full builds, file mixes, symbol mixes, the -fPIC probe, injections —
+// links, and distinct plans never share a key. Plan.Key is the only key an
+// executable has, so the key-first cache addresses every entry (and every
+// artifact record) by it.
 func TestPlanKeyMatchesExecutableKey(t *testing.T) {
 	p := testProgram()
 	icpc := comp.Compilation{Compiler: comp.ICPC, OptLevel: "-O2", Switches: "-fp-model fast=2"}
@@ -28,36 +28,45 @@ func TestPlanKeyMatchesExecutableKey(t *testing.T) {
 		FileMixPlan(p, baseC, icpc, p.FileNames()),
 		SymbolMixPlan(p, baseC, varC, []string{"Dot", "Main"}),
 		FPICProbePlan(p, baseC, varC, "driver.cpp"),
-		{Prog: p, Baseline: baseC},                        // defaulted driver
-		{Prog: p, Baseline: baseC, Driver: comp.ICPC},     // explicit driver
-		{Prog: p, Baseline: varC, Driver: varC.Compiler},  // explicit == default
-		{Prog: p, Baseline: injected, Driver: comp.Clang}, // injected baseline
+		{Prog: p, Baseline: baseC},
 	}
 	seen := map[string]int{}
 	for i, plan := range plans {
-		ex, err := Link(plan)
-		if err != nil {
+		if _, err := Link(plan); err != nil {
 			t.Fatalf("plan %d: %v", i, err)
 		}
-		if plan.Key() != ex.Key() {
-			t.Errorf("plan %d: Plan.Key %q != Executable.Key %q", i, plan.Key(), ex.Key())
-		}
-		if j, dup := seen[plan.Key()]; dup && !samePlanShape(plans[j], plan) {
+		if j, dup := seen[plan.Key()]; dup && !samePlan(plans[j], plan) {
 			t.Errorf("distinct plans %d and %d share key %q", j, i, plan.Key())
 		}
 		seen[plan.Key()] = i
 	}
-	// The defaulted and the explicitly spelled-out driver are the same plan.
-	def := Plan{Prog: p, Baseline: varC}
-	exp := Plan{Prog: p, Baseline: varC, Driver: varC.Compiler}
-	if def.Key() != exp.Key() {
-		t.Errorf("defaulted driver key %q != explicit driver key %q", def.Key(), exp.Key())
-	}
 }
 
-// samePlanShape reports whether two plans describe the same build (used
-// only to allow intentional duplicates in the table above).
-func samePlanShape(a, b Plan) bool { return a.Key() == b.Key() }
+// TestFullBuildKeyNamesNoFile: a full build is its baseline, so its key is
+// the key of a file mix that moves no file, and adding a file to the
+// program leaves it unchanged, while a file mix still names every file it
+// moves.
+func TestFullBuildKeyNamesNoFile(t *testing.T) {
+	p := testProgram()
+	full := FullBuildPlan(p, baseC).Key()
+	if got := FileMixPlan(p, baseC, varC, nil).Key(); got != full {
+		t.Errorf("empty file mix key %q != full build key %q", got, full)
+	}
+	grown := testProgram()
+	grown.AddFile("extra=|.cpp", &prog.Symbol{Name: "Extra", Exported: true, Work: 1})
+	if got := FullBuildPlan(grown, baseC).Key(); got != full {
+		t.Errorf("adding a file changed the full build key: %q, was %q", got, full)
+	}
+	mix := FileMixPlan(grown, baseC, varC, grown.FileNames()).Key()
+	for _, f := range grown.FileNames() {
+		if !strings.Contains(mix, "|f:"+comp.KeyEscape(f)+"=") {
+			t.Errorf("file mix key %q does not name %q", mix, f)
+		}
+	}
+	if mix == FileMixPlan(p, baseC, varC, p.FileNames()).Key() {
+		t.Errorf("file mixes of different file sets share key %q", mix)
+	}
+}
 
 // TestPlanKeyDistinguishesOverrides: moving an override between the file
 // and the symbol level, or renaming its target, always changes the key.
@@ -113,9 +122,6 @@ func TestBuilderLazy(t *testing.T) {
 		if exs[i] != exs[0] {
 			t.Fatal("concurrent Build materialized more than one Executable")
 		}
-	}
-	if exs[0].Key() != b.Key() {
-		t.Errorf("built key %q != plan key %q", exs[0].Key(), b.Key())
 	}
 	if !b.MarkBuildCounted() || b.MarkBuildCounted() {
 		t.Error("build token must be granted exactly once")
@@ -248,7 +254,7 @@ func TestPlanKeyHostileNames(t *testing.T) {
 	mk := func(progName, file, sym string) Plan {
 		p := prog.New(progName)
 		p.AddFile(file, &prog.Symbol{Name: sym, Exported: true, Work: 1})
-		return FullBuildPlan(p, baseC)
+		return FileMixPlan(p, baseC, varC, []string{file})
 	}
 	a := mk("p|base=x", "f.cpp", "S")
 	b := mk("p", "base=x|f.cpp", "S")

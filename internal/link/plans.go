@@ -10,13 +10,11 @@ import (
 
 // FullBuildPlan describes linking every file of the program under a single
 // compilation — what the FLiT matrix runner does for each cell of the
-// compilation matrix. The compilation's own compiler drives the link.
+// compilation matrix. A full build is its own baseline: it overrides no
+// file, so its key names none, and the compilation's compiler drives the
+// link.
 func FullBuildPlan(p *prog.Program, c comp.Compilation) Plan {
-	fileComp := make(map[string]comp.Compilation, len(p.Files()))
-	for _, f := range p.Files() {
-		fileComp[f.Name] = c
-	}
-	return Plan{Prog: p, Baseline: c, FileComp: fileComp, Driver: c.Compiler}
+	return Plan{Prog: p, Baseline: c}
 }
 
 // FullBuild links every file of the program under a single compilation.

@@ -149,8 +149,8 @@ func Open(dir, engine string) (*Disk, error) {
 			return nil, fmt.Errorf("store: %s has an unreadable manifest (%v) — refusing to treat it as a run store", dir, err)
 		}
 		if m.Engine != engine {
-			return nil, fmt.Errorf("store: %s was written by engine %q, this build is %q: results are not interchangeable",
-				dir, m.Engine, engine)
+			return nil, fmt.Errorf("store: %s was written by engine %q, this build is %q: results are not interchangeable; "+
+				"the store only caches recomputable results, so delete the directory and the next run rebuilds it", dir, m.Engine, engine)
 		}
 		if m.Version == 1 {
 			return nil, fmt.Errorf("store: %s is a layout v1 run store (one file per entry under objects/), this build reads layout v%d (append-only segments); "+

@@ -1,6 +1,6 @@
 // Package store is the persistent layer behind the build/run cache: a
-// pluggable key → bytes store addressed by the engine's injective plan keys
-// (flit-engine/3), so memoized results survive the process that computed
+// pluggable key → bytes store addressed by the engine's injective run keys
+// (link.Plan.Key + flit.TestKey, fenced by flit.EngineVersion), so memoized results survive the process that computed
 // them. The in-memory exec.Cache stays the first tier — single-flight
 // memoization within a process — and a Store is the second: consulted on a
 // memory miss before any build work happens, written through after every

@@ -30,11 +30,11 @@
 #                    encoding/json decodes the same value, and ReadArtifact
 #                    returns encoding/json's value or error text
 #   boundary fuzz    FuzzSegmentDecode, FuzzArtifactDecode,
-#                    FuzzRunKeyInjective and FuzzPlanKeyMatchesExecutableKey
+#                    FuzzRunKeyInjective and FuzzPlanKeyInjective
 #                    for 2000 inputs each: a store segment or an artifact
 #                    of any bytes never panics or replays a damaged record,
-#                    distinct run coordinates never share a cache key, and
-#                    a build plan's key always equals its executable's
+#                    and distinct run coordinates or build plans never
+#                    share a cache key
 #   shard-set fuzz   FuzzShardSetFold for 2000 inputs: two artifacts of
 #                    any bytes, taken as shards 0/2 and 1/2, validate
 #                    exactly when both pass Check, record one command and
@@ -123,7 +123,7 @@ go test -run '^$' -fuzz '^FuzzRecordDecodeMatchesJSON$' -fuzztime 2000x ./intern
 go test -run '^$' -fuzz '^FuzzSegmentDecode$' -fuzztime 2000x ./internal/store
 go test -run '^$' -fuzz '^FuzzArtifactDecode$' -fuzztime 2000x ./internal/flit
 go test -run '^$' -fuzz '^FuzzRunKeyInjective$' -fuzztime 2000x ./internal/flit
-go test -run '^$' -fuzz '^FuzzPlanKeyMatchesExecutableKey$' -fuzztime 2000x ./internal/link
+go test -run '^$' -fuzz '^FuzzPlanKeyInjective$' -fuzztime 2000x ./internal/link
 go test -run '^$' -fuzz '^FuzzShardSetFold$' -fuzztime 2000x ./internal/flit
 (cd bench && go vet . && go test -race .)
 
