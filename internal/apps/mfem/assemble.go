@@ -66,13 +66,13 @@ func DiffusionElement1D(m *link.Machine, mesh *Mesh1D, e int, c Coeff1D) *Dense 
 	return ke
 }
 
-// MassElement2D computes the 4×4 element mass matrix on a quad element.
-func MassElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) *Dense {
+// MassElement2D computes the 4×4 element mass matrix on a quad element,
+// row-major.
+func MassElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) (ke [16]float64) {
 	env, done := m.Fn(symMassIntegratorElement2D)
 	defer done()
 	pts, wts := Gauss2(m)
 	jw := IsoWeight2D(m, mesh, ex, ey)
-	ke := NewDense(4, 4)
 	for qx := range pts {
 		for qy := range pts {
 			sh := Shape2D(m, pts[qx], pts[qy])
@@ -81,7 +81,7 @@ func MassElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) *Dense 
 			scale := env.Mul(env.Mul(env.Mul(wts[qx], wts[qy]), jw), cv)
 			for i := 0; i < 4; i++ {
 				for j := 0; j < 4; j++ {
-					ke.Set(i, j, env.MulAdd(scale, env.Mul(sh[i], sh[j]), ke.At(i, j)))
+					ke[4*i+j] = env.MulAdd(scale, env.Mul(sh[i], sh[j]), ke[4*i+j])
 				}
 			}
 		}
@@ -89,8 +89,9 @@ func MassElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) *Dense 
 	return ke
 }
 
-// DiffusionElement2D computes the 4×4 element stiffness matrix on a quad.
-func DiffusionElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) *Dense {
+// DiffusionElement2D computes the 4×4 element stiffness matrix on a quad,
+// row-major.
+func DiffusionElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) (ke [16]float64) {
 	env, done := m.Fn(symDiffusionIntegratorElement2D)
 	defer done()
 	pts, wts := Gauss2(m)
@@ -98,7 +99,6 @@ func DiffusionElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) *D
 	hx := env.Sub(mesh.X[nodes[1]], mesh.X[nodes[0]])
 	hy := env.Sub(mesh.Y[nodes[3]], mesh.Y[nodes[0]])
 	jw := env.Mul(hx, hy)
-	ke := NewDense(4, 4)
 	for qx := range pts {
 		for qy := range pts {
 			ds := DShape2D(m, pts[qx], pts[qy])
@@ -110,7 +110,7 @@ func DiffusionElement2D(m *link.Machine, mesh *Mesh2D, ex, ey int, c Coeff2D) *D
 					// Physical gradients: d/dx scales by 1/hx, d/dy by 1/hy.
 					gx := env.Mul(env.Div(ds[i][0], hx), env.Div(ds[j][0], hx))
 					gy := env.Mul(env.Div(ds[i][1], hy), env.Div(ds[j][1], hy))
-					ke.Set(i, j, env.MulAdd(scale, env.Add(gx, gy), ke.At(i, j)))
+					ke[4*i+j] = env.MulAdd(scale, env.Add(gx, gy), ke[4*i+j])
 				}
 			}
 		}
@@ -141,15 +141,17 @@ func ConvectionElement1D(m *link.Machine, mesh *Mesh1D, e int, v float64) *Dense
 	return ke
 }
 
-// scatter adds element matrix ke into the global builder at the given dofs.
-func scatter(m *link.Machine, b *csrBuilder, dofs []int, ke *Dense) {
+// scatter adds the element matrix ke (row-major, len(dofs) squared
+// entries) into the global builder at the given dofs.
+func scatter(m *link.Machine, b *csrBuilder, dofs []int, ke []float64) {
 	env, done := m.Fn(symScatterElement)
 	defer done()
+	n := len(dofs)
 	for i, gi := range dofs {
 		for j, gj := range dofs {
 			// The accumulate below goes through the env so that an
 			// optimizer rewriting this file can reorder it.
-			b.add(gi, gj, env.Add(ke.At(i, j), 0))
+			b.add(gi, gj, env.Add(ke[i*n+j], 0))
 		}
 	}
 }
@@ -161,7 +163,7 @@ func AssembleMass1D(m *link.Machine, mesh *Mesh1D, c Coeff1D) *CSR {
 	b := newCSRBuilder(mesh.N + 1)
 	for e := 0; e < mesh.N; e++ {
 		ke := MassElement1D(m, mesh, e, c)
-		scatter(m, b, []int{e, e + 1}, ke)
+		scatter(m, b, []int{e, e + 1}, ke.A)
 	}
 	return b.build()
 }
@@ -175,7 +177,7 @@ func AssembleDiffusion1D(m *link.Machine, mesh *Mesh1D, c Coeff1D) *CSR {
 	b := newCSRBuilder(n)
 	for e := 0; e < mesh.N; e++ {
 		ke := DiffusionElement1D(m, mesh, e, c)
-		scatter(m, b, []int{e, e + 1}, ke)
+		scatter(m, b, []int{e, e + 1}, ke.A)
 	}
 	applyDirichlet(b, []int{0, n - 1})
 	return b.build()
@@ -190,7 +192,7 @@ func AssembleMass2D(m *link.Machine, mesh *Mesh2D, c Coeff2D) *CSR {
 		ex, ey := e%mesh.Nx, e/mesh.Nx
 		ke := MassElement2D(m, mesh, ex, ey, c)
 		nd := mesh.ElemNodes(ex, ey)
-		scatter(m, b, nd[:], ke)
+		scatter(m, b, nd[:], ke[:])
 	}
 	return b.build()
 }
@@ -205,7 +207,7 @@ func AssembleDiffusion2D(m *link.Machine, mesh *Mesh2D, c Coeff2D) *CSR {
 		ex, ey := e%mesh.Nx, e/mesh.Nx
 		ke := DiffusionElement2D(m, mesh, ex, ey, c)
 		nd := mesh.ElemNodes(ex, ey)
-		scatter(m, b, nd[:], ke)
+		scatter(m, b, nd[:], ke[:])
 	}
 	applyDirichlet(b, boundaryNodes(mesh))
 	return b.build()

@@ -102,13 +102,12 @@ func IsoMap2D(m *link.Machine, mesh *Mesh2D, ex, ey int, x, y float64) (px, py f
 	defer done()
 	sh := Shape2D(m, x, y)
 	nodes := mesh.ElemNodes(ex, ey)
-	xs := make([]float64, 4)
-	ys := make([]float64, 4)
+	var xs, ys [4]float64
 	for k, n := range nodes {
 		xs[k] = mesh.X[n]
 		ys[k] = mesh.Y[n]
 	}
-	return env.Dot(sh[:], xs), env.Dot(sh[:], ys)
+	return env.Dot(sh[:], xs[:]), env.Dot(sh[:], ys[:])
 }
 
 // IsoWeight2D returns the Jacobian determinant of the bilinear map for a

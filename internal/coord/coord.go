@@ -370,9 +370,8 @@ func New(dir string, opts Options) (*Coordinator, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, journalName))
 	switch {
 	case os.IsNotExist(err):
-		if err := c.journalLocked(); err != nil {
-			return nil, err
-		}
+		// A fresh directory is an empty tenancy, which is also what a
+		// missing journal recovers as: the first Submit writes one.
 	case err != nil:
 		return nil, fmt.Errorf("coord: reading journal: %w", err)
 	default:

@@ -232,6 +232,34 @@ func TestRestartGrantsJournaledLeasesAFreshTTL(t *testing.T) {
 	}
 }
 
+// TestFreshDirJournalsFromFirstSubmit: New writes nothing into a fresh
+// directory (a missing journal recovers as the same empty tenancy), a
+// reopen of it is still empty, and the first Submit writes the journal.
+func TestFreshDirJournalsFromFirstSubmit(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "coord.json")
+	c, err := coord.New(dir, coord.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("New on a fresh directory: stat coord.json = %v, want not-exist", err)
+	}
+	c2, err := coord.New(dir, coord.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c2.Campaigns()); n != 0 {
+		t.Fatalf("reopen before any Submit: %d campaigns, want an empty tenancy", n)
+	}
+	if _, _, err := c.Submit(coord.Spec{Command: campaignCommand, Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("after the first Submit: %v", err)
+	}
+}
+
 // TestHeartbeatLeavesJournalUntouched: a heartbeat only moves a lease's
 // deadline, which the journal does not record, so coord.json stays byte
 // for byte what the grant wrote.

@@ -58,27 +58,48 @@ func (inj Injection) String() string {
 
 // Env executes floating-point arithmetic for one function under the
 // semantics its compilation assigned, and records which Semantics fields
-// its operations have read (Reads). Recording writes to the Env, so an Env
-// must not be shared across goroutines: a linked program gives every run
-// its own copies. An injected Env also counts dynamic operations, so it
-// must start fresh (its counter at zero) for every executable run.
+// its operations have read (Reads). Recording, and arming a fast path
+// (see the package doc), write to the Env, so an Env must not be shared
+// across goroutines: a linked program gives every run its own copies. An
+// injected Env also counts dynamic operations, so it must start fresh (its
+// counter at zero) for every executable run.
 type Env struct {
 	sem Semantics
 	// reads is the set of fields the operations so far have read. It
 	// starts at ReadsFTZ: every operation that rounds may flush, and
 	// testing each result for a subnormal would cost more than it saves.
 	reads Reads
+	// fast says which operations may skip the reference code. An Env
+	// with an injection or flush-to-zero has none set, so every operation
+	// takes its reference path. See the package doc.
+	fast fastPaths
 
 	// Static-instruction model for injection. staticOps == 0 disables
-	// counting entirely (the common, un-injected fast path).
-	staticOps int
+	// counting entirely (the common, un-injected fast path). It is an
+	// int32 so that an Env fits in 32 bytes.
+	staticOps int32
 	inj       *Injection
 	n         int // dynamic op counter
 }
 
 // NewEnv returns an Env that evaluates under sem with no injection.
 func NewEnv(sem Semantics) *Env {
-	return &Env{sem: sem.Normalize(), reads: ReadsFTZ}
+	sem = sem.Normalize()
+	return &Env{sem: sem, reads: ReadsFTZ, fast: fastPaths{plain: !sem.FlushSubnormals}}
+}
+
+// fastPaths says which operations of an Env return their inline IEEE
+// result, unless it is a NaN, instead of running the reference code.
+type fastPaths struct {
+	// plain is set by NewEnv: the Env has no injection and does not
+	// flush subnormals. Add, Sub, Mul, Sum, Dot, Axpy and Scale test it.
+	plain bool
+	// div and unfused are armed by the first Div or MulAdd of a plain Env
+	// whose semantics leave that operation unchanged (no UnsafeMath; no
+	// FuseFMA or ExtendedPrecision). That first call runs the reference
+	// code, which records what the operation reads, so the inline fast
+	// path that follows has nothing left to record.
+	div, unfused bool
 }
 
 // NewInjectedEnv returns an Env under sem that perturbs static instruction
@@ -87,7 +108,7 @@ func NewInjectedEnv(sem Semantics, staticOps int, inj Injection) *Env {
 	if staticOps <= 0 {
 		staticOps = 1
 	}
-	return &Env{sem: sem.Normalize(), reads: ReadsFTZ, staticOps: staticOps, inj: &inj}
+	return &Env{sem: sem.Normalize(), reads: ReadsFTZ, staticOps: int32(staticOps), inj: &inj}
 }
 
 // Sem returns the semantics this Env evaluates under. The caller may read
@@ -116,7 +137,7 @@ func (e *Env) step(x float64) float64 {
 	if e.inj == nil {
 		return x
 	}
-	idx := e.n % e.staticOps
+	idx := e.n % int(e.staticOps)
 	e.n++
 	if idx == e.inj.OpIndex {
 		return e.inj.Op.Apply(x, e.inj.Eps)

@@ -475,13 +475,58 @@ var readsOps = []struct {
 	{"Norm2", ReadsFMA | ReadsExtended | ReadsWidth | ReadsApprox, func(e *Env, x, y float64) float64 {
 		return e.Norm2([]float64{x, y, x, y, 1e-3})
 	}},
+	// The first Div and MulAdd of an Env run the reference code and arm
+	// the inline fast path, which the second call takes.
+	{"Div/twice", ReadsUnsafe, func(e *Env, x, y float64) float64 {
+		return hashBits([]float64{e.Div(x, y), e.Div(x, y)})
+	}},
+	{"MulAdd/twice", ReadsFMA | ReadsExtended, func(e *Env, x, y float64) float64 {
+		return hashBits([]float64{e.MulAdd(x, y, -x*y), e.MulAdd(x, y, -x*y)})
+	}},
+	// Longer than every lane count, so that each lane takes several terms.
+	{"Sum/long", ReadsWidth | ReadsExtended, func(e *Env, x, y float64) float64 { return e.Sum(longVec(x, y)) }},
+	{"Dot/long", ReadsFMA | ReadsExtended | ReadsWidth, func(e *Env, x, y float64) float64 {
+		v := longVec(x, y)
+		return e.Dot(v, v[1:])
+	}},
+	{"Axpy/long", ReadsFMA | ReadsExtended, func(e *Env, x, y float64) float64 {
+		v := longVec(y, x)
+		e.Axpy(x, longVec(x, y), v)
+		return hashBits(v)
+	}},
 }
 
-// allSemantics enumerates every Semantics the matrix can produce.
+// hashBits folds the bit patterns of v into one float64's bits, so that a
+// test comparing one result compares every element.
+func hashBits(v []float64) float64 {
+	var h uint64
+	for _, x := range v {
+		h = h*31 + math.Float64bits(x)
+	}
+	return math.Float64frombits(h)
+}
+
+// longVec returns 40 terms built from x and y, with a cancelling pair.
+func longVec(x, y float64) []float64 {
+	v := make([]float64, 40)
+	for i := range v {
+		if i%2 == 0 {
+			v[i] = x / float64(i+1)
+		} else {
+			v[i] = y * float64(i)
+		}
+	}
+	v[7], v[23] = 1e16, -1e16
+	return v
+}
+
+// allSemantics enumerates every Semantics the matrix can produce, and
+// widths 16 and 17: the widest reduction with lanes on the stack and the
+// narrowest with lanes on the heap.
 func allSemantics() []Semantics {
 	var out []Semantics
 	for bits := 0; bits < 32; bits++ {
-		for _, w := range []uint8{1, 4, 8} {
+		for _, w := range []uint8{1, 4, 8, 16, 17} {
 			out = append(out, Semantics{
 				FuseFMA: bits&1 != 0, UnsafeMath: bits&2 != 0, ExtendedPrecision: bits&4 != 0,
 				FlushSubnormals: bits&8 != 0, ApproxMath: bits&16 != 0, ReassocWidth: w,
@@ -502,10 +547,14 @@ func TestOpsRecordReads(t *testing.T) {
 		t.Fatalf("a fresh injected Env reads %#x, want only ReadsFTZ", got)
 	}
 	for _, op := range readsOps {
-		e := NewEnv(Semantics{FuseFMA: true, ReassocWidth: 4})
-		op.f(e, 1.25, 0.75)
-		if got, want := e.Reads(), op.want|ReadsFTZ; got != want {
-			t.Errorf("%s recorded %#x, want %#x", op.name, got, want)
+		// Fused, unfused (the fast paths) and flushing (the reference
+		// paths): what an operation reads does not depend on the path.
+		for _, sem := range []Semantics{{FuseFMA: true, ReassocWidth: 4}, {ReassocWidth: 4}, {FlushSubnormals: true}} {
+			e := NewEnv(sem)
+			op.f(e, 1.25, 0.75)
+			if got, want := e.Reads(), op.want|ReadsFTZ; got != want {
+				t.Errorf("%s under %v recorded %#x, want %#x", op.name, sem, got, want)
+			}
 		}
 	}
 	e := NewEnv(Strict)
@@ -515,18 +564,25 @@ func TestOpsRecordReads(t *testing.T) {
 	}
 }
 
+// opInputs are the operand pairs the readsOps tests run on: subnormals,
+// cancellation, ±0, ±Inf, and NaNs of distinct sign and payload, alone and
+// on both operands.
+var opInputs = [][2]float64{
+	{1.25, 0.75}, {1 + 0x1p-29, 1 - 0x1p-29}, {0x1p-1030, 0x1p-20}, {1e16, -3},
+	{math.Copysign(0, -1), 2}, {math.Inf(1), 0.5}, {math.NaN(), 1}, {0.1, 7}, {1.0 / 3, math.Pi},
+	{0x1p-1074, -0x1p-1060}, {math.Copysign(0, -1), math.Copysign(0, -1)}, {math.Inf(1), math.Inf(-1)},
+	{math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000000)},
+	{math.Float64frombits(0xfff4000000000123), math.Float64frombits(0x7ff0000000000005)},
+}
+
 // TestReadsDecideResults is the trust boundary of the recording: two
 // semantics that agree on every field an operation recorded give it the
 // same bits, NaN payloads included, on inputs covering subnormals,
 // cancellation, ±0, ±Inf and NaN.
 func TestReadsDecideResults(t *testing.T) {
 	sems := allSemantics()
-	inputs := [][2]float64{
-		{1.25, 0.75}, {1 + 0x1p-29, 1 - 0x1p-29}, {0x1p-1030, 0x1p-20}, {1e16, -3},
-		{math.Copysign(0, -1), 2}, {math.Inf(1), 0.5}, {math.NaN(), 1}, {0.1, 7},
-	}
 	for _, op := range readsOps {
-		for _, in := range inputs {
+		for _, in := range opInputs {
 			seen := map[uint16]uint64{}
 			for _, sem := range sems {
 				e := NewEnv(sem)
@@ -562,8 +618,10 @@ func TestPackIsInjective(t *testing.T) {
 var sink float64
 
 // BenchmarkEnvOps times every scalar operation, and Dot and Sum of 64
-// elements at widths 1, 4 and 8, with flush-to-zero off and on: the
-// per-call cost of recording reads shows here.
+// elements at widths 1, 4, 8, 16 and 17 (lanes on the stack, then on the
+// heap), with flush-to-zero off and on: the per-call cost of recording
+// reads, and of the reference paths next to the fast ones, shows here.
+// The scalar operations run unfused; MulAdd also runs fused.
 func BenchmarkEnvOps(b *testing.B) {
 	xs, ys := make([]float64, 64), make([]float64, 64)
 	for i := range xs {
@@ -575,7 +633,8 @@ func BenchmarkEnvOps(b *testing.B) {
 			mode = "ftz=on"
 		}
 		for _, op := range readsOps {
-			if op.name == "Dot" || op.name == "Sum" || op.name == "Norm2" {
+			switch op.name {
+			case "Dot", "Sum", "Norm2", "Sum/long", "Dot/long", "Axpy/long":
 				continue
 			}
 			b.Run(op.name+"/"+mode, func(b *testing.B) {
@@ -587,7 +646,15 @@ func BenchmarkEnvOps(b *testing.B) {
 				sink = s
 			})
 		}
-		for _, w := range []uint8{1, 4, 8} {
+		b.Run("MulAdd/fma=on/"+mode, func(b *testing.B) {
+			e := NewEnv(Semantics{FuseFMA: true, ReassocWidth: 1, FlushSubnormals: ftz})
+			var s float64
+			for b.Loop() {
+				s += e.MulAdd(1.25, 0.75, s)
+			}
+			sink = s
+		})
+		for _, w := range []uint8{1, 4, 8, 16, 17} {
 			sem := Semantics{ReassocWidth: w, FlushSubnormals: ftz}
 			b.Run(fmt.Sprintf("Dot/w%d/%s", w, mode), func(b *testing.B) {
 				e := NewEnv(sem)

@@ -10,6 +10,18 @@
 // transformations are in force, and an Env executes IEEE-754 double
 // arithmetic under those transformations. All operations are deterministic;
 // two runs under equal Semantics produce bitwise-identical results.
+//
+// Fast paths. An Env with no injection and no flush-to-zero computes Add,
+// Sub, Mul, Div (without UnsafeMath), MulAdd, Dot and Axpy (without
+// FuseFMA or ExtendedPrecision), Sum (without ExtendedPrecision), Norm2 and
+// Scale inline: no injection counter, no subnormal test, no closure per
+// element, reduction lanes on the stack. Whenever such a result is a NaN,
+// the operation returns the reference code's result instead: when both
+// operands are NaNs the hardware returns one of them, and which one
+// depends on the operand order the compiler chose at that site, so only
+// the reference code's one compiled body gives the same NaN everywhere.
+// Every other Env, and every fused or extended-precision operation, runs
+// the reference code.
 package fp
 
 import "fmt"

@@ -4,6 +4,12 @@
 #   go vet           static checks
 #   gofmt            formatting gate: `gofmt -l .` must list no file
 #   go build         tier-1, part 1
+#   inlining         the fast paths of fp.Env's Add, Sub, Mul, Div and
+#                    MulAdd must inline into the MFEM kernels (the
+#                    compiler's -m report names each at least once): a
+#                    fast path grown past the inlining budget, or an MFEM
+#                    package that no longer imports fp, would make every
+#                    one of them a call again
 #   go test -race    tier-1, part 2, with the race detector and -cover (the
 #                    parallel execution engine must be data-race-free at
 #                    every -j; per-package statement coverage is printed)
@@ -35,6 +41,13 @@
 #                    of any bytes never panics or replays a damaged record,
 #                    and distinct run coordinates or build plans never
 #                    share a cache key
+#   kernel fuzz      FuzzKernelsMatchReference for 2000 inputs: every fp
+#                    operation of an Env without injection, which takes
+#                    the inline fast paths, returns the same bits (NaN sign
+#                    and payload included) and records the same reads as
+#                    the reference code an injected Env runs, at every
+#                    reduction width from 1 to 17, with FMA, extended
+#                    precision and flush-to-zero each on and off
 #   shard-set fuzz   FuzzShardSetFold for 2000 inputs: two artifacts of
 #                    any bytes, taken as shards 0/2 and 1/2, validate
 #                    exactly when both pass Check, record one command and
@@ -98,7 +111,12 @@
 #                    TestMatrixCostsMatchFullBuilds runs under GOAMD64=v3
 #                    too: the MFEM and quickstart matrix runtimes must equal
 #                    their linked full builds' costs and a digest of their
-#                    bits pinned from the default build
+#                    bits pinned from the default build. So do the digests
+#                    of result bits pinned from the default build: every
+#                    run record of a -j 1 sweep (TestSweepRunBitsPinned),
+#                    every fp operation on special operands
+#                    (TestOpsBitsPinned) and every MFEM example under
+#                    sampled and injected builds (TestKernelBitsPinned)
 #   table5           the paper's full Table 5 injection campaign (4,376
 #                    runs) through the real flit binary: zero wrong finds
 #                    and zero missed finds, the precision/recall headline
@@ -109,6 +127,10 @@ set -eux
 go vet ./...
 test -z "$(gofmt -l .)"
 go build ./...
+for op in Add Sub Mul Div MulAdd; do
+	go build -gcflags='repro/internal/apps/mfem=-m' ./internal/apps/mfem 2>&1 |
+		grep -q "inlining call to fp\.(\*Env)\.$op\$"
+done
 
 go test -race -cover ./...
 go test -run '^$' -bench BenchmarkMachineFn -benchtime 100x ./internal/link
@@ -125,6 +147,7 @@ go test -run '^$' -fuzz '^FuzzArtifactDecode$' -fuzztime 2000x ./internal/flit
 go test -run '^$' -fuzz '^FuzzRunKeyInjective$' -fuzztime 2000x ./internal/flit
 go test -run '^$' -fuzz '^FuzzPlanKeyInjective$' -fuzztime 2000x ./internal/link
 go test -run '^$' -fuzz '^FuzzShardSetFold$' -fuzztime 2000x ./internal/flit
+go test -run '^$' -fuzz '^FuzzKernelsMatchReference$' -fuzztime 2000x ./internal/fp
 (cd bench && go vet . && go test -race .)
 
 SHARD_TMP=$(mktemp -d)
@@ -339,14 +362,16 @@ grep 'missing shard indices \[1\]' "$SHARD_TMP/coord-fail-merge.txt"
 # Bit-exactness across instruction sets: a GOAMD64=v3 build may contract
 # x*y+z into one FMA wherever the fp simulation or the cost model leaves a
 # product unconverted. Its table1 artifact must equal the default build's
-# byte for byte, and its matrix runtimes the pinned digest.
+# byte for byte, and its matrix runtimes and result bits the pinned digests.
 GOAMD64=v3 go build -o "$SHARD_TMP/flit-v3" ./cmd/flit
 "$SHARD_TMP/flit" experiments -j 1 -shard 0/1 -shard-out "$SHARD_TMP/isa-default.json" table1
 "$SHARD_TMP/flit-v3" experiments -j 1 -shard 0/1 -shard-out "$SHARD_TMP/isa-v3.json" table1
 "$SHARD_TMP/flit" delta -baseline "$SHARD_TMP/isa-default.json" "$SHARD_TMP/isa-v3.json" \
 	| grep 'delta: new=0 dropped=0 changed=0'
 cmp "$SHARD_TMP/isa-default.json" "$SHARD_TMP/isa-v3.json"
-GOAMD64=v3 go test -count=1 -run '^TestMatrixCostsMatchFullBuilds$' ./internal/experiments ./examples/quickstart
+GOAMD64=v3 go test -count=1 \
+	-run '^(TestMatrixCostsMatchFullBuilds|TestSweepRunBitsPinned|TestOpsBitsPinned|TestKernelBitsPinned)$' \
+	./internal/fp ./internal/apps/mfem ./internal/experiments ./examples/quickstart
 
 # The paper's Table 5 headline: the full 1,094-site x 4-OP' injection
 # campaign, every injection found — no wrong finds, no missed finds.
