@@ -17,6 +17,10 @@ package lulesh
 import (
 	"sync"
 
+	// Nothing here names fp, but the compiler inlines fp.Env's fast paths
+	// (Add, Sub, Mul, Div, MulAdd) only into a package that imports fp:
+	// reached through link alone, every one of them stays a call.
+	_ "repro/internal/fp"
 	"repro/internal/prog"
 )
 

@@ -15,10 +15,14 @@
 // depends on the previous probe's outcome. A Searcher built with a
 // speculative Submitter therefore races the probes either outcome would
 // need next in the background and commits only the result the sequential
-// algorithm would have chosen; losers stay behind as uncounted memo
-// entries. Execs() keeps the paper's sequential-trace accounting — it is
-// identical at every parallelism — while SpecExecs() reports the extra
-// speculative executions wall-clock was traded for.
+// algorithm would have chosen. Committed and speculative probes share one
+// single-flight memo per search, so a set runs at most once and losers are
+// entries of that memo. Execs() keeps the paper's sequential-trace
+// accounting — it is identical at every parallelism — while SpecExecs()
+// reports the extra speculative executions wall-clock was traded for. A
+// failing set is memoized within a search too, but charged to Execs() on
+// each committed visit, so SpecExecs() may read lower than the speculative
+// work done.
 package bisect
 
 import (
@@ -59,29 +63,29 @@ func (e *AssumptionError) Error() string {
 // Searcher wraps a TestFn with memoization, execution counting, and —
 // when built with a Submitter — speculative background evaluation. One
 // goroutine drives a Searcher (calls Test/All/Biggest); the speculative
-// evaluations it spawns run concurrently with that driving goroutine.
+// evaluations it spawns run concurrently with that driving goroutine and
+// meet it only in the memo.
 type Searcher struct {
 	fn  TestFn
 	sub *exec.Submitter
 
-	// ids assigns each item a stable integer on first sight; memo keys are
-	// built from id sequences. Touched only by the driving goroutine.
-	ids map[string]int
+	// memo is the per-search single-flight memo: committed and speculative
+	// probes of one set share its entry, so a set reaches fn at most once
+	// and a committed probe of a set in flight waits for it. Errors are
+	// memoized too (fn is deterministic).
+	memo *exec.Cache[float64]
 
-	mu        sync.Mutex
-	memo      map[string]*memoEntry
-	inflight  map[string]*exec.Future
-	futures   []*exec.Future
-	execs     int // the paper's counter: what the sequential trace ran
-	realExecs int // actual TestFn invocations, committed + speculative
-}
+	// The rest is touched only by the driving goroutine. ids assigns each
+	// item a stable integer on first sight; memo keys are built from id
+	// sequences. counted holds the sets the committed trace evaluated
+	// without error, speculated the sets already submitted.
+	ids        map[string]int
+	counted    map[string]bool
+	speculated map[string]bool
+	execs      int // the paper's counter: what the sequential trace ran
 
-// memoEntry is one known Test value. counted marks entries the committed
-// trace has reached: a speculative result is charged to the paper counter
-// only at the moment the sequential algorithm would have executed it.
-type memoEntry struct {
-	val     float64
-	counted bool
+	stop chan struct{}  // closed by drain: queued speculation never starts
+	wg   sync.WaitGroup // speculative evaluations submitted and not finished
 }
 
 // NewSearcher creates a Searcher for one bisect search. It races probable
@@ -96,36 +100,32 @@ func NewSearcher(fn TestFn, sub *exec.Submitter) *Searcher {
 		sub = nil
 	}
 	return &Searcher{
-		fn:       fn,
-		sub:      sub,
-		ids:      make(map[string]int),
-		memo:     make(map[string]*memoEntry),
-		inflight: make(map[string]*exec.Future),
+		fn:         fn,
+		sub:        sub,
+		memo:       exec.NewCache[float64](),
+		ids:        make(map[string]int),
+		counted:    make(map[string]bool),
+		speculated: make(map[string]bool),
+		stop:       make(chan struct{}),
 	}
 }
 
-// Execs returns how many distinct Test executions the committed sequential
-// trace has performed (memoized repeats are free, as in the paper's run
-// accounting). Speculative evaluations are excluded until — unless — the
+// Execs returns how many Test executions the committed sequential trace
+// has performed: the first visit of a set costs one, memoized repeats are
+// free (as in the paper's run accounting), and a failing set costs one on
+// every visit. Speculative evaluations are excluded until — unless — the
 // trace actually reaches them, so the count equals a sequential run's
 // exactly, at every parallelism.
-func (s *Searcher) Execs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.execs
-}
+func (s *Searcher) Execs() int { return s.execs }
 
 // SpecExecs returns the extra speculative executions performed beyond
 // Execs: background probes whose result the committed trace never claimed.
 // It is 0 without speculation and timing-dependent with it — wall-clock is
-// what those executions bought.
+// what those executions bought. A failing set runs once per search but is
+// charged on each committed visit, so SpecExecs may read lower than the
+// speculative work actually done.
 func (s *Searcher) SpecExecs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d := s.realExecs - s.execs; d > 0 {
-		return d
-	}
-	return 0
+	return max(int(s.memo.Metrics().Misses)-s.execs, 0)
 }
 
 // key returns the canonical memo key of an item set. The subsets the
@@ -158,126 +158,59 @@ func (s *Searcher) key(items []string) string {
 	return string(b)
 }
 
-// Test evaluates the metric on a set of items, memoized. This is the
-// committed path: it claims in-flight speculative results, and its
-// accounting replicates the sequential algorithm's exactly — the first
-// committed visit of a set costs one execution (even if a background probe
-// already computed it), repeats are free, and a crashed attempt still
-// counts as a program execution without being memoized.
-func (s *Searcher) Test(items []string) (float64, error) {
-	key := s.key(items)
-	s.mu.Lock()
-	if e, ok := s.memo[key]; ok {
-		v := s.claim(e)
-		s.mu.Unlock()
-		return v, nil
-	}
-	fut := s.inflight[key]
-	s.mu.Unlock()
-
-	if fut != nil {
-		if fut.Cancel() {
-			// Still queued: evaluating inline beats waiting behind the
-			// speculation backlog.
-			s.mu.Lock()
-			delete(s.inflight, key)
-			s.mu.Unlock()
-		} else {
-			fut.Wait()
-			s.mu.Lock()
-			if e, ok := s.memo[key]; ok {
-				v := s.claim(e)
-				s.mu.Unlock()
-				return v, nil
-			}
-			s.mu.Unlock()
-			// The speculative run failed (errors are not memoized, exactly
-			// like the sequential path): fall through and re-run inline so
-			// the committed trace observes the error with sequential
-			// accounting.
+// eval runs fn on items through the memo: the first caller of a key
+// computes it, and every other caller, committed or speculative, waits for
+// that result.
+func (s *Searcher) eval(key string, items []string) (float64, error) {
+	return s.memo.Do(key, func() (float64, error) {
+		v, err := s.fn(items)
+		if err == nil && v < 0 {
+			return 0, fmt.Errorf("bisect: Test returned negative value %g for %v", v, items)
 		}
-	}
-
-	s.mu.Lock()
-	s.execs++ // a crashed attempt still counts as a program execution
-	s.realExecs++
-	s.mu.Unlock()
-	v, err := s.fn(items)
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 {
-		return 0, fmt.Errorf("bisect: Test returned negative value %g for %v", v, items)
-	}
-	s.mu.Lock()
-	s.memo[key] = &memoEntry{val: v, counted: true}
-	s.mu.Unlock()
-	return v, nil
+		return v, err
+	})
 }
 
-// claim charges an entry to the paper counter on the committed trace's
-// first visit. Callers hold s.mu.
-func (s *Searcher) claim(e *memoEntry) float64 {
-	if !e.counted {
-		e.counted = true
+// Test evaluates the metric on a set of items, memoized. This is the
+// committed path, and its accounting replicates the sequential
+// algorithm's exactly: the first committed visit of a set costs one
+// execution (even if a background probe already computed it), repeats are
+// free, and a failing set — memoized, but a crashed attempt still counts
+// as a program execution — costs one on every visit.
+func (s *Searcher) Test(items []string) (float64, error) {
+	key := s.key(items)
+	v, err := s.eval(key, items)
+	if !s.counted[key] {
 		s.execs++
+		s.counted[key] = err == nil
 	}
-	return e.val
+	return v, err
 }
 
 // speculate submits Test(items) for background evaluation when speculation
-// is enabled and the set is neither memoized nor already in flight. The
-// result lands in the memo uncounted; it joins the paper's accounting only
+// is enabled and the set has been neither committed nor submitted. The
+// result lands in the memo uncharged; it joins the paper's accounting only
 // if the committed trace reaches the set.
 func (s *Searcher) speculate(items []string) {
 	if s.sub == nil || len(items) == 0 {
 		return
 	}
 	key := s.key(items)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.memo[key]; ok {
+	if s.counted[key] || s.speculated[key] {
 		return
 	}
-	if _, ok := s.inflight[key]; ok {
-		return
-	}
+	s.speculated[key] = true
 	cp := append([]string(nil), items...) // halves alias the caller's slice
-	fut := exec.Submit(s.sub, func() {
-		v, err := s.fn(cp)
-		s.mu.Lock()
-		s.realExecs++
-		if err == nil && v >= 0 {
-			if _, ok := s.memo[key]; !ok {
-				s.memo[key] = &memoEntry{val: v}
-			}
-		}
-		delete(s.inflight, key)
-		s.mu.Unlock()
-	})
-	s.inflight[key] = fut
-	s.futures = append(s.futures, fut)
+	s.sub.Go(s.stop, &s.wg, func() { s.eval(key, cp) })
 }
 
-// drain cancels queued speculation and waits out whatever already started,
+// drain drops queued speculation and waits out whatever already started,
 // so no background evaluation outlives the search that spawned it and the
 // counters are stable when All/Biggest return.
 func (s *Searcher) drain() {
-	if s.sub == nil {
-		return
-	}
-	s.mu.Lock()
-	for key, f := range s.inflight {
-		if f.Cancel() {
-			delete(s.inflight, key)
-		}
-	}
-	futs := s.futures
-	s.futures = nil
-	s.mu.Unlock()
-	for _, f := range futs {
-		f.Wait()
-	}
+	close(s.stop)
+	s.wg.Wait()
+	s.stop = make(chan struct{})
 }
 
 // singletonPrefetchWidth bounds the singleton prefetch: once BisectOne has
@@ -374,7 +307,7 @@ func (s *Searcher) one(items []string) (exclude []string, next string, err error
 		// the background — the right half itself (it is the base case when
 		// it narrows to a singleton) and the left halves of both branches,
 		// BisectOne's next committed probe whichever way Test(∆1) decides.
-		// Unused results stay behind as uncounted memo entries.
+		// Unused results stay behind as entries of the per-search memo.
 		s.speculate(d2)
 		if len(d1) > 1 {
 			s.speculate(d1[:len(d1)/2])

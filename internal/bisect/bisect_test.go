@@ -230,6 +230,26 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestFailingSetChargedEachVisit: a failing set runs once per search (the
+// error is memoized) but, like a crashed program run, costs one execution
+// on every committed visit.
+func TestFailingSetChargedEachVisit(t *testing.T) {
+	boom := errors.New("segfault")
+	calls := 0
+	s := NewSearcher(func(set []string) (float64, error) { calls++; return 0, boom }, nil)
+	for visit := 1; visit <= 3; visit++ {
+		if _, err := s.Test([]string{"a"}); !errors.Is(err, boom) {
+			t.Fatalf("visit %d: err = %v, want segfault", visit, err)
+		}
+		if s.Execs() != visit {
+			t.Fatalf("visit %d: Execs = %d, want %d", visit, s.Execs(), visit)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("failing set ran %d times, want 1 (memoized)", calls)
+	}
+}
+
 func TestBiggestTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 100; trial++ {

@@ -3,6 +3,10 @@ package bisect
 import (
 	"errors"
 	"math/rand"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -91,8 +95,9 @@ func TestSpeculativeBiggestEquivalence(t *testing.T) {
 // TestSpeculativeErrorEquivalence: a deterministic Test error must abort
 // the speculative search exactly where it aborts the sequential one — same
 // error identity, same paper count — even though background probes may
-// have hit the error too (errors are never memoized, matching the
-// sequential "every crashed attempt counts" accounting).
+// have hit the error first (an error is memoized within the search, yet
+// charged on every committed visit, matching the sequential "every crashed
+// attempt counts" accounting).
 func TestSpeculativeErrorEquivalence(t *testing.T) {
 	boom := errors.New("segfault")
 	items := makeItems(32)
@@ -168,6 +173,96 @@ func TestSpeculationPerformsExtraWork(t *testing.T) {
 	}
 	if s.Execs() != ref.Execs() {
 		t.Fatalf("paper execs %d != sequential %d", s.Execs(), ref.Execs())
+	}
+}
+
+// TestSpeculationRunsEachSetOnce: committed and speculative probes share
+// one memo, so with slow evaluations racing at j=8 no item set reaches the
+// TestFn twice within one Searcher, whichever path asked for it first.
+func TestSpeculationRunsEachSetOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sub := exec.New(8).Submitter()
+	for trial := 0; trial < 6; trial++ {
+		items := makeItems(24 + rng.Intn(80))
+		inner := blameTest(items, pickBlame(items, 1+rng.Intn(4), rng))
+		var mu sync.Mutex
+		runs := map[string]int{}
+		fn := func(set []string) (float64, error) {
+			k := append([]string(nil), set...)
+			sort.Strings(k)
+			mu.Lock()
+			runs[strings.Join(k, ",")]++
+			mu.Unlock()
+			time.Sleep(100 * time.Microsecond) // let probes of one set collide
+			return inner(set)
+		}
+		s := NewSearcher(fn, sub)
+		if _, err := s.All(items); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Biggest(items, 2); err != nil {
+			t.Fatal(err)
+		}
+		for set, n := range runs {
+			if n > 1 {
+				t.Fatalf("trial %d: set {%s} reached TestFn %d times", trial, set, n)
+			}
+		}
+	}
+}
+
+// TestNoEvaluationOutlivesSearch: when All or Biggest returns, no TestFn
+// call is still running and none starts afterwards — queued speculation is
+// dropped, started speculation is waited out. The sets the committed trace
+// never visits (learnt from a sequential run) are made slow, so started
+// losers would outlast the search if it did not wait for them.
+func TestNoEvaluationOutlivesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	items := makeItems(96)
+	inner := blameTest(items, pickBlame(items, 3, rng))
+	setKey := func(set []string) string {
+		k := append([]string(nil), set...)
+		sort.Strings(k)
+		return strings.Join(k, ",")
+	}
+	for _, search := range []func(*Searcher) error{
+		func(s *Searcher) error { _, err := s.All(items); return err },
+		func(s *Searcher) error { _, err := s.Biggest(items, 1); return err },
+	} {
+		committed := map[string]bool{}
+		if err := search(NewSearcher(func(set []string) (float64, error) {
+			committed[setKey(set)] = true
+			return inner(set)
+		}, nil)); err != nil {
+			t.Fatal(err)
+		}
+		var running, calls atomic.Int64
+		fn := func(set []string) (float64, error) {
+			running.Add(1)
+			defer running.Add(-1)
+			calls.Add(1)
+			if committed[setKey(set)] {
+				time.Sleep(200 * time.Microsecond)
+			} else {
+				time.Sleep(20 * time.Millisecond)
+			}
+			return inner(set)
+		}
+		s := NewSearcher(fn, exec.New(8).Submitter())
+		if err := search(s); err != nil {
+			t.Fatal(err)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("%d TestFn calls still running after the search returned", n)
+		}
+		after := calls.Load()
+		time.Sleep(30 * time.Millisecond)
+		if n := calls.Load(); n != after {
+			t.Fatalf("%d TestFn calls started after the search returned", n-after)
+		}
+		if s.SpecExecs() == 0 {
+			t.Fatal("no speculative probe ran: the test exercised nothing")
+		}
 	}
 }
 

@@ -61,8 +61,8 @@ func FPICProbePlan(p *prog.Program, baseline, variable comp.Compilation, file st
 // Builder.Key and calls Build only on a miss, so a warm lookup never
 // validates a plan, never scans for ABI hazards, and never allocates an
 // Executable. Safe for concurrent use: the matrix runner shares one
-// builder across every test of a cell and the bisect searcher across the
-// speculative probes of one subset.
+// builder across every test of a cell. Each bisect probe builds its own,
+// and a bisect search probes each subset at most once.
 type Builder struct {
 	plan    Plan
 	keyOnce sync.Once

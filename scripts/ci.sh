@@ -5,11 +5,11 @@
 #   gofmt            formatting gate: `gofmt -l .` must list no file
 #   go build         tier-1, part 1
 #   inlining         the fast paths of fp.Env's Add, Sub, Mul, Div and
-#                    MulAdd must inline into the MFEM kernels (the
-#                    compiler's -m report names each at least once): a
-#                    fast path grown past the inlining budget, or an MFEM
-#                    package that no longer imports fp, would make every
-#                    one of them a call again
+#                    MulAdd must inline into the MFEM, Laghos and LULESH
+#                    kernels (the compiler's -m report names each at least
+#                    once per package): a fast path grown past the inlining
+#                    budget, or an app package that no longer imports fp,
+#                    would make every one of them a call again
 #   go test -race    tier-1, part 2, with the race detector and -cover (the
 #                    parallel execution engine must be data-race-free at
 #                    every -j; per-package statement coverage is printed)
@@ -22,7 +22,9 @@
 #                    assembly, matrix cost model, store segment and
 #                    coordinator heartbeat benchmarks keep compiling and
 #                    running (a heartbeat renews its lease in memory, so
-#                    its time must not grow with the shards)
+#                    its time must not grow with the shards), and
+#                    BenchmarkSpeculativeSearcher at 10 iterations, so the
+#                    speculative bisect searcher's benchmark runs too
 #   journal fuzz     FuzzJournalDecode for 2000 inputs: whatever bytes
 #                    coord.json holds, recovery never panics and never
 #                    makes a quarantined shard leasable again
@@ -127,9 +129,11 @@ set -eux
 go vet ./...
 test -z "$(gofmt -l .)"
 go build ./...
-for op in Add Sub Mul Div MulAdd; do
-	go build -gcflags='repro/internal/apps/mfem=-m' ./internal/apps/mfem 2>&1 |
-		grep -q "inlining call to fp\.(\*Env)\.$op\$"
+for app in mfem laghos lulesh; do
+	for op in Add Sub Mul Div MulAdd; do
+		go build -gcflags="repro/internal/apps/$app=-m" ./internal/apps/$app 2>&1 |
+			grep -q "inlining call to fp\.(\*Env)\.$op\$"
+	done
 done
 
 go test -race -cover ./...
@@ -139,6 +143,7 @@ go test -run '^$' -bench BenchmarkAssembleDiffusion2D -benchtime 100x ./internal
 go test -run '^$' -bench BenchmarkMatrixCosts -benchtime 100x ./internal/flit
 go test -run '^$' -bench 'BenchmarkDisk(Put|Get)$' -benchtime 100x ./internal/store
 go test -run '^$' -bench BenchmarkCoordHeartbeat -benchtime 100x ./internal/coord
+go test -run '^$' -bench BenchmarkSpeculativeSearcher -benchtime 10x ./internal/bisect
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 2000x ./internal/coord
 go test -run '^$' -fuzz '^FuzzRemoteDecode$' -fuzztime 2000x ./internal/store
 go test -run '^$' -fuzz '^FuzzRecordDecodeMatchesJSON$' -fuzztime 2000x ./internal/flit
