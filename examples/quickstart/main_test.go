@@ -213,11 +213,7 @@ func TestFullBuildNeedsNoFileMap(t *testing.T) {
 	injected := comp.Baseline().WithInjection(symDotKernel.Name,
 		fp.Injection{OpIndex: 1, Op: fp.InjAdd, Eps: 0.25})
 	for _, c := range append(comp.Matrix(), comp.Baseline(), comp.PerfReference(), injected) {
-		everyFile := link.Plan{Prog: p, Baseline: c, FileComp: map[string]comp.Compilation{}}
-		for _, f := range p.FileNames() {
-			everyFile.FileComp[f] = c
-		}
-		a, err := link.Link(everyFile)
+		a, err := link.Link(link.FileMixPlan(p, c, c, p.FileNames()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +225,7 @@ func TestFullBuildNeedsNoFileMap(t *testing.T) {
 			t.Errorf("%s: layouts or crash flags differ", c)
 		}
 		if x, y := a.Cost(root), b.Cost(root); math.Float64bits(x) != math.Float64bits(y) {
-			t.Errorf("%s: cost %v with the file map, %v without", c, x, y)
+			t.Errorf("%s: cost %v with every file named, %v without", c, x, y)
 		}
 	}
 }

@@ -46,7 +46,21 @@ func (c *Case) WithProcs(np int) *Case {
 }
 
 // Name implements flit.TestCase.
-func (c *Case) Name() string { return fmt.Sprintf("Example%02d", c.N) }
+func (c *Case) Name() string {
+	if c.N >= 0 && c.N < len(exampleNames) {
+		return exampleNames[c.N]
+	}
+	return fmt.Sprintf("Example%02d", c.N)
+}
+
+// exampleNames holds Name by example number: every cache lookup of a run
+// names its test, and formatting the name each time allocated.
+var exampleNames = func() (names [20]string) {
+	for n := range names {
+		names[n] = fmt.Sprintf("Example%02d", n)
+	}
+	return names
+}()
 
 // CacheKey implements flit.CacheKeyer: an MPI variant shares its name with
 // the sequential case but traverses the mesh in rank-partitioned order, so

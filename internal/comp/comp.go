@@ -15,7 +15,6 @@
 package comp
 
 import (
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -74,10 +73,13 @@ func (c Compilation) String() string {
 // ever serializing to the same key — the injectivity the build/run cache
 // and the shard-artifact format depend on (and the key fuzz test enforces).
 func KeyEscape(s string) string {
-	if !strings.ContainsAny(s, "%|=\x00") {
-		return s
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '%', '|', '=', 0:
+			return keyEscaper.Replace(s)
+		}
 	}
-	return keyEscaper.Replace(s)
+	return s
 }
 
 var keyEscaper = strings.NewReplacer("%", "%25", "|", "%7C", "=", "%3D", "\x00", "%00")
@@ -202,14 +204,40 @@ func (c Compilation) hasSub(flag string) bool {
 
 // hash64 produces the deterministic per-decision hash that stands in for
 // the incidental heterogeneity of real code generation (which loops
-// vectorize, which calls inline, ...).
+// vectorize, which calls inline, ...): 64-bit FNV-1a over the parts, each
+// followed by a NUL byte.
 func hash64(parts ...string) uint64 {
-	h := fnv.New64a()
+	h := fnvOffset
 	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
+		h = h.part(p)
 	}
-	return h.Sum64()
+	return uint64(h)
+}
+
+// fnv64a is a 64-bit FNV-1a state. It is updated by value, so hashing
+// allocates nothing: no hash.Hash, no []byte conversion.
+type fnv64a uint64
+
+const (
+	fnvOffset fnv64a = 14695981039346656037
+	fnvPrime  fnv64a = 1099511628211
+)
+
+// str hashes the bytes of s.
+func (h fnv64a) str(s string) fnv64a {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ fnv64a(s[i])) * fnvPrime
+	}
+	return h
+}
+
+// part hashes s as one hash64 part: its bytes, then the NUL byte.
+func (h fnv64a) part(s string) fnv64a { return h.str(s) * fnvPrime }
+
+// tripleHash is the state of a hash64 whose first part is c's
+// "compiler|opt|switches" triple, hashed without building that string.
+func tripleHash(c Compilation) fnv64a {
+	return fnvOffset.str(c.Compiler).str("|").str(c.OptLevel).str("|").part(c.Switches)
 }
 
 // gate returns true for pct percent of (parts...) keys, deterministically.

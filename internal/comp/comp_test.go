@@ -1,6 +1,7 @@
 package comp
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -401,6 +402,47 @@ func TestGateBounds(t *testing.T) {
 	}
 	if hits < 400 || hits > 600 {
 		t.Fatalf("gate(50) fired %d/1000", hits)
+	}
+}
+
+// fnvHash64 is the hash.Hash form hash64 replaced, kept as the reference
+// it must match: each part written as bytes, then a NUL byte.
+func fnvHash64(parts ...string) uint64 {
+	h := fnv.New64a()
+	for _, p := range parts {
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+	}
+	return h.Sum64()
+}
+
+// TestHash64MatchesFNV: hash64 and the hazards' triple hash return the
+// values of the reference, so every gate, jitter and hazard stays where it
+// was, and hashing allocates nothing.
+func TestHash64MatchesFNV(t *testing.T) {
+	parts := [][]string{
+		nil, {""}, {"x"}, {"", ""}, {"a\x00b", "\xff\xfe"}, {"g++|-O2|", "f.cpp", "abi-file"},
+		{"icpc", "-O3", "-fp-model fast=2", "kernel.cpp", "jitter"}, {"é", "|=%"},
+	}
+	for _, ps := range parts {
+		if got, want := hash64(ps...), fnvHash64(ps...); got != want {
+			t.Errorf("hash64(%q) = %#x, want %#x", ps, got, want)
+		}
+	}
+	for _, c := range append(Matrix(), Baseline(), Compilation{Compiler: "a|b", Switches: "\x00"}) {
+		triple := c.Compiler + "|" + c.OptLevel + "|" + c.Switches
+		if got, want := uint64(tripleHash(c).part("f.cpp").part("abi-file")),
+			fnvHash64(triple, "f.cpp", "abi-file"); got != want {
+			t.Errorf("%s: triple hash %#x, want %#x", c, got, want)
+		}
+	}
+	c := Matrix()[7]
+	if n := testing.AllocsPerRun(100, func() {
+		FileMixHazard(c, Baseline(), "f.cpp")
+		SymbolMixHazard(c, "f.cpp")
+		hash64(c.Compiler, c.OptLevel, c.Switches, "f.cpp", "jitter")
+	}); n != 0 {
+		t.Errorf("hashing allocated %v times, want 0", n)
 	}
 }
 

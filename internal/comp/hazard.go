@@ -24,8 +24,7 @@ func FileMixHazard(variable, baseline Compilation, file string) bool {
 	}
 	// ~1.5% of (compilation, file) pairs are poisoned; with tens of files
 	// per program, roughly a fifth of icpc bisect runs hit at least one.
-	return hash64(variable.Compiler+"|"+variable.OptLevel+"|"+variable.Switches,
-		baseline.Compiler, file, "abi-file")%64 == 0
+	return tripleHash(variable).part(baseline.Compiler).part(file).part("abi-file")%64 == 0
 }
 
 // SymbolMixHazard reports whether the strong/weak symbol-override executable
@@ -47,9 +46,7 @@ func SymbolMixHazard(variable Compilation, file string) bool {
 	default:
 		pct = 10
 	}
-	return gate(pct,
-		variable.Compiler+"|"+variable.OptLevel+"|"+variable.Switches,
-		file, "abi-symbol")
+	return pct > 0 && uint64(tripleHash(variable).part(file).part("abi-symbol"))%100 < uint64(pct)
 }
 
 // crossVendor reports whether two compilers come from different vendors

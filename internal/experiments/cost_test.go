@@ -133,10 +133,7 @@ func TestFullBuildNeedsNoFileMap(t *testing.T) {
 		injected := comp.Baseline().WithInjection(p.Reachable(app.roots[0])[0].Name,
 			fp.Injection{OpIndex: 1, Op: fp.InjAdd, Eps: 0.25})
 		for _, c := range append(fullBuildComps(), injected) {
-			everyFile := link.Plan{Prog: p, Baseline: c, FileComp: map[string]comp.Compilation{}}
-			for _, f := range p.FileNames() {
-				everyFile.FileComp[f] = c
-			}
+			everyFile := link.FileMixPlan(p, c, c, p.FileNames())
 			if err := sameExecutable(everyFile, link.FullBuildPlan(p, c), app.roots); err != nil {
 				t.Errorf("%s under %s: %v", p.Name, c, err)
 			}

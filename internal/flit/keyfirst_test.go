@@ -82,7 +82,7 @@ func TestRunAllPlannedMemoizesBuildError(t *testing.T) {
 	s := newSuite()
 	cache := NewCache()
 	bad := link.Plan{Prog: s.Prog, Baseline: s.Baseline,
-		FileComp: map[string]comp.Compilation{"nosuch.cpp": comp.PerfReference()}}
+		Files: []link.Override{{Name: "nosuch.cpp", Comp: comp.PerfReference()}}}
 	if _, err := cache.RunAllPlanned(s.Tests[0], link.NewBuilder(bad)); err == nil {
 		t.Fatal("unbuildable plan ran")
 	}

@@ -92,7 +92,7 @@ func TestStorePersistsRunErrors(t *testing.T) {
 	s := newSuite()
 	st := store.NewMem(0)
 	bad := link.Plan{Prog: s.Prog, Baseline: s.Baseline,
-		FileComp: map[string]comp.Compilation{"nosuch.cpp": comp.PerfReference()}}
+		Files: []link.Override{{Name: "nosuch.cpp", Comp: comp.PerfReference()}}}
 
 	first := NewCache()
 	first.SetStore(st)

@@ -128,7 +128,7 @@ search:
 	// compilation, so comps and symTab are equal.
 	allFiles := func(base comp.Compilation) *Executable {
 		return mustLink(t, Plan{Prog: p, Baseline: base,
-			FileComp: map[string]comp.Compilation{"math.cpp": clangO0, "driver.cpp": clangO0}})
+			Files: []Override{{"driver.cpp", clangO0}, {"math.cpp", clangO0}}})
 	}
 
 	// The crash flag alone.
@@ -150,9 +150,9 @@ search:
 	c1 := varC.WithInjection("helper", inj)
 	c2 := varC.WithInjection("helper", inj)
 	shared := mustLink(t, Plan{Prog: p, Baseline: baseC,
-		FileComp: map[string]comp.Compilation{"math.cpp": c1, "driver.cpp": c1}})
+		Files: []Override{{"driver.cpp", c1}, {"math.cpp", c1}}})
 	separate := mustLink(t, Plan{Prog: p, Baseline: baseC,
-		FileComp: map[string]comp.Compilation{"math.cpp": c1, "driver.cpp": c2}})
+		Files: []Override{{"driver.cpp", c2}, {"math.cpp", c1}}})
 
 	// One injection, carried by compilation 0 (math.cpp's, where helper
 	// binds) or by compilation 1 (driver.cpp's, where helper never runs):
@@ -160,9 +160,9 @@ search:
 	// keyed by the slot that carries it tells them apart.
 	onHelper := gccO1.WithInjection("helper", inj)
 	injHere := mustLink(t, Plan{Prog: p, Baseline: onHelper,
-		FileComp: map[string]comp.Compilation{"driver.cpp": baseC}})
+		Files: []Override{{"driver.cpp", baseC}}})
 	injThere := mustLink(t, Plan{Prog: p, Baseline: baseC,
-		FileComp: map[string]comp.Compilation{"driver.cpp": onHelper}})
+		Files: []Override{{"driver.cpp", onHelper}}})
 
 	nextEps := inj
 	nextEps.Eps = math.Nextafter(inj.Eps, 1)

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -41,58 +40,99 @@ type Plan struct {
 	// Prog is the application being built.
 	Prog *prog.Program
 	// Baseline is the compilation used for every file not listed in
-	// FileComp (the trusted compilation in a bisect search). Its compiler
+	// Files (the trusted compilation in a bisect search). Its compiler
 	// performs the final link; the Intel driver substitutes SVML for libm
 	// regardless of compile-time flags.
 	Baseline comp.Compilation
-	// FileComp assigns whole files to a different compilation
-	// (File Bisect granularity). Keys are file names.
-	FileComp map[string]comp.Compilation
-	// SymbolComp overrides individual exported symbols (Symbol Bisect
-	// granularity). Keys are symbol names. Both copies of the symbol's
-	// file are linked; the named symbols take the given compilation and
-	// the file's remaining exported symbols keep the baseline, all
-	// recompiled with -fPIC as the paper requires.
-	SymbolComp map[string]comp.Compilation
+	// Files assigns whole files to a different compilation (File Bisect
+	// granularity), by file name.
+	Files []Override
+	// Symbols overrides individual exported symbols (Symbol Bisect
+	// granularity), by symbol name. Both copies of the symbol's file are
+	// linked; the named symbols take the given compilation and the file's
+	// remaining exported symbols keep the baseline, all recompiled with
+	// -fPIC as the paper requires.
+	//
+	// Files and Symbols are sorted by name, each name at most once: the
+	// constructors (FileMixPlan, SymbolMixPlan, ...) build them so, and
+	// Link rejects a plan whose lists are not.
+	Symbols []Override
+}
+
+// Override names one file or exported symbol of a plan and the
+// compilation it takes instead of the baseline.
+type Override struct {
+	Name string
+	Comp comp.Compilation
 }
 
 // Key returns the canonical identity string of the executable this plan
 // would build: program, baseline compilation, and every file- and
-// symbol-level override in sorted order, each free-form name
+// symbol-level override in name order, each free-form name
 // comp.KeyEscape'd and each compilation rendered through the equally
 // escaped comp.Key, so no two distinct plans share a key. Two plans with
 // equal keys link to executables that run identically (the toolchain is
 // deterministic), which is what makes the key a build/run-cache address:
 // a cache is consulted by plan identity first and the build happens only
 // on a miss. Program identity is the program name (each app registers one
-// program), and flit.EngineVersion fences the key format. Plans with unknown file or symbol names still
-// serialize (Link would reject them). Prog must be non-nil.
+// program), and flit.EngineVersion fences the key format. Plans with
+// unknown file or symbol names still serialize (Link would reject them).
+// Prog must be non-nil.
+//
+// A first walk over the lists sizes the builder and asks comp.Key once
+// per run of equal compilations (a bisect probe's overrides all share
+// one); a second writes the key.
 func (p Plan) Key() string {
+	var buf [4]keyRun
+	runs := buf[:0]
+	name, base := comp.KeyEscape(p.Prog.Name), p.Baseline.Key()
+	n := len(name) + len("|base=") + len(base)
+	for _, os := range [2][]Override{p.Files, p.Symbols} {
+		for i := range os {
+			if i == 0 || os[i].Comp != os[i-1].Comp {
+				runs = append(runs, keyRun{key: os[i].Comp.Key()})
+			}
+			r := &runs[len(runs)-1]
+			r.n++
+			n += len("|f:=") + len(os[i].Name) + len(r.key)
+		}
+	}
 	var b strings.Builder
-	b.WriteString(comp.KeyEscape(p.Prog.Name))
+	b.Grow(n)
+	b.WriteString(name)
 	b.WriteString("|base=")
-	b.WriteString(p.Baseline.Key())
-	for _, f := range slices.Sorted(maps.Keys(p.FileComp)) {
-		b.WriteString("|f:")
-		b.WriteString(comp.KeyEscape(f))
-		b.WriteString("=")
-		b.WriteString(p.FileComp[f].Key())
-	}
-	for _, s := range slices.Sorted(maps.Keys(p.SymbolComp)) {
-		b.WriteString("|s:")
-		b.WriteString(comp.KeyEscape(s))
-		b.WriteString("=")
-		b.WriteString(p.SymbolComp[s].Key())
-	}
+	b.WriteString(base)
+	runs = writeOverrides(&b, "|f:", p.Files, runs)
+	writeOverrides(&b, "|s:", p.Symbols, runs)
 	return b.String()
+}
+
+// keyRun is n consecutive overrides of a plan list under one compilation,
+// whose key is key.
+type keyRun struct {
+	key string
+	n   int
+}
+
+// writeOverrides writes each override of os as tag, escaped name, '=' and
+// its compilation's key, taking os's runs from the front of runs, and
+// returns the runs left.
+func writeOverrides(b *strings.Builder, tag string, os []Override, runs []keyRun) []keyRun {
+	for i := 0; i < len(os); runs = runs[1:] {
+		for end := i + runs[0].n; i < end; i++ {
+			b.WriteString(tag)
+			b.WriteString(comp.KeyEscape(os[i].Name))
+			b.WriteByte('=')
+			b.WriteString(runs[0].key)
+		}
+	}
+	return runs
 }
 
 // Executable is a linked program image.
 type Executable struct {
 	prog     *prog.Program
 	baseline comp.Compilation
-	fileComp map[string]comp.Compilation
-	symComp  map[string]comp.Compilation
 	crash    bool
 
 	// comps lists the executable's distinct compilations, deduplicated by
@@ -113,75 +153,112 @@ type Executable struct {
 }
 
 // Link builds an executable from a plan. An error is returned for malformed
-// plans (unknown files or symbols, overriding a non-exported symbol);
-// ABI-incompatibility does not fail the link — like a real toolchain the
-// problem only appears when the binary runs.
+// plans (override lists out of name order, unknown files or symbols,
+// overriding a non-exported symbol), naming the first offending entry in
+// list order; ABI-incompatibility does not fail the link — like a real
+// toolchain the problem only appears when the binary runs.
 func Link(p Plan) (*Executable, error) {
 	if p.Prog == nil {
 		return nil, errors.New("link: plan has no program")
 	}
-	for f := range p.FileComp {
-		if p.Prog.File(f) == nil {
-			return nil, fmt.Errorf("link: plan names unknown file %q", f)
-		}
+	if err := checkSorted("file", p.Files); err != nil {
+		return nil, err
 	}
-	for s := range p.SymbolComp {
-		sym := p.Prog.Symbol(s)
+	if err := checkSorted("symbol", p.Symbols); err != nil {
+		return nil, err
+	}
+	// fileTab marks each overridden file, by its index in Prog.Files(),
+	// with 1 + the index of its entry in p.Files; resolveSymbols turns it
+	// into the file table. syms holds the overridden symbols in the order
+	// of p.Symbols. These are the only lookups by name Link makes.
+	files := p.Prog.Files()
+	fileTab := make([]int32, len(files))
+	for k, o := range p.Files {
+		i := 0
+		for i < len(files) && files[i].Name != o.Name {
+			i++
+		}
+		if i == len(files) {
+			return nil, fmt.Errorf("link: plan names unknown file %q", o.Name)
+		}
+		fileTab[i] = 1 + int32(k)
+	}
+	syms := make([]*prog.Symbol, len(p.Symbols))
+	for i, o := range p.Symbols {
+		sym := p.Prog.Symbol(o.Name)
 		if sym == nil {
-			return nil, fmt.Errorf("link: plan names unknown symbol %q", s)
+			return nil, fmt.Errorf("link: plan names unknown symbol %q", o.Name)
 		}
 		if !sym.Exported {
 			// A non-exported symbol has no global entry; both strong
 			// copies would collide or the override would silently bind to
 			// the wrong copy. FLiT never attempts it.
-			return nil, fmt.Errorf("link: symbol %q is not exported; %w", s, ErrDuplicateStrong)
+			return nil, fmt.Errorf("link: symbol %q is not exported; %w", o.Name, ErrDuplicateStrong)
 		}
+		syms[i] = sym
 	}
-	ex := &Executable{
-		prog:     p.Prog,
-		baseline: p.Baseline,
-		fileComp: p.FileComp,
-		symComp:  p.SymbolComp,
-	}
-	ex.crash = ex.abiHazard()
-	ex.resolveSymbols()
+	// A mix links at most a few compilations: the baseline, the variable
+	// and their -fPIC copies.
+	ex := &Executable{prog: p.Prog, baseline: p.Baseline,
+		comps: make([]comp.Compilation, 0, 4), classes: make([]*class, 0, 4)}
+	ex.crash = abiHazard(p, syms)
+	ex.resolveSymbols(p, fileTab, syms)
 	return ex, nil
 }
 
-// resolveSymbols fills comps and symTab: the one place the linker's
-// binding rule lives. A file with no symbol override binds to its
-// file-level compilation (the plan's FileComp entry, else the baseline). A
-// file holding a symbol override is linked as two -fPIC copies: the
-// overridden symbols bind to their SymbolComp entry, its other exported
-// symbols to the baseline -fPIC copy. Internal symbols bind to their
-// file-level compilation here; at run time Machine.Fn binds them to the
-// copy of their nearest same-file caller instead, when one is on the
-// stack.
-func (e *Executable) resolveSymbols() {
-	files := e.prog.Files()
-	fileTab := make([]int32, len(files))
-	for i, f := range files {
-		c, ok := e.fileComp[f.Name]
-		if !ok {
-			c = e.baseline
+// checkSorted rejects an override list that is not sorted by name or
+// names an entry twice: its key would not be the plan's canonical one.
+func checkSorted(kind string, os []Override) error {
+	for i := 1; i < len(os); i++ {
+		if os[i].Name <= os[i-1].Name {
+			return fmt.Errorf("link: plan %s overrides are not sorted and distinct: %q after %q",
+				kind, os[i].Name, os[i-1].Name)
+		}
+	}
+	return nil
+}
+
+// resolveSymbols fills comps and symTab from fileTab, which marks each
+// file overridden in p with 1 + its index in p.Files, and syms, the
+// symbols p.Symbols overrides: the one place the linker's binding rule
+// lives. A file with no symbol override binds to its file-level
+// compilation (its entry in p.Files, else the baseline). A file holding a
+// symbol override is linked as two -fPIC copies: the overridden symbols
+// bind to their p.Symbols entry, its other exported symbols to the
+// baseline -fPIC copy. Internal symbols bind to their file-level
+// compilation here; at run time Machine.Fn binds them to the copy of their
+// nearest same-file caller instead, when one is on the stack.
+//
+// Compilations are interned in a fixed order, which Layout exposes: the
+// files' in program order, then the overrides' and the baseline -fPIC
+// copy's in the order of the first symbol ID that binds to each.
+func (e *Executable) resolveSymbols(p Plan, fileTab []int32, syms []*prog.Symbol) {
+	for i, k := range fileTab {
+		c := e.baseline
+		if k > 0 {
+			c = p.Files[k-1].Comp
 		}
 		fileTab[i] = e.intern(c)
 	}
-	twoCopies := make([]bool, len(files))
-	for s := range e.symComp {
-		twoCopies[e.prog.Symbol(s).FileID()] = true
-	}
+	twoCopies := make([]bool, len(fileTab))
 	e.symTab = make([]int32, e.prog.NumSymbols())
-	for id := range e.symTab {
+	// An overridden symbol's entry holds -1 - its index in p.Symbols
+	// until the pass below interns its compilation.
+	for i, sym := range syms {
+		twoCopies[sym.FileID()] = true
+		e.symTab[sym.ID()] = -1 - int32(i)
+	}
+	fpic := int32(-1)
+	for id, v := range e.symTab {
 		sym := e.prog.SymbolAt(id)
-		c, overridden := e.symComp[sym.Name]
 		switch {
-		case !sym.Exported:
-			e.symTab[id] = fileTab[sym.FileID()]
-		case overridden:
-			e.symTab[id] = e.intern(c)
-		case twoCopies[sym.FileID()]:
-			e.symTab[id] = e.intern(e.baseline.WithFPIC())
+		case v < 0:
+			e.symTab[id] = e.intern(p.Symbols[-1-v].Comp)
+		case sym.Exported && twoCopies[sym.FileID()]:
+			if fpic < 0 {
+				fpic = e.intern(e.baseline.WithFPIC())
+			}
+			e.symTab[id] = fpic
 		default:
 			e.symTab[id] = fileTab[sym.FileID()]
 		}
@@ -202,21 +279,30 @@ func (e *Executable) intern(c comp.Compilation) int32 {
 	return int32(len(e.comps) - 1)
 }
 
-// abiHazard evaluates the deterministic binary-compatibility rules.
-func (e *Executable) abiHazard() bool {
-	for f, c := range e.fileComp {
-		if c.Compiler != e.baseline.Compiler && comp.FileMixHazard(c, e.baseline, f) {
+// abiHazard evaluates the deterministic binary-compatibility rules over a
+// plan whose overridden symbols are syms: the file-mix hazard per file
+// override, the symbol-mix hazard once per distinct (file, compilation)
+// pair of the symbol overrides.
+func abiHazard(p Plan, syms []*prog.Symbol) bool {
+	for i := range p.Files {
+		o := &p.Files[i] // by pointer: an Override is 80 bytes
+		if o.Comp.Compiler != p.Baseline.Compiler && comp.FileMixHazard(o.Comp, p.Baseline, o.Name) {
 			return true
 		}
 	}
-	seenFile := map[string]bool{}
-	for s, c := range e.symComp {
-		f := e.prog.Symbol(s).File
-		if seenFile[f] {
+	type pair struct {
+		file int
+		c    comp.Compilation
+	}
+	var buf [4]pair
+	checked := buf[:0]
+	for i := range p.Symbols {
+		k := pair{syms[i].FileID(), p.Symbols[i].Comp}
+		if slices.Contains(checked, k) {
 			continue
 		}
-		seenFile[f] = true
-		if comp.SymbolMixHazard(c, f) {
+		checked = append(checked, k)
+		if comp.SymbolMixHazard(k.c, syms[i].File) {
 			return true
 		}
 	}

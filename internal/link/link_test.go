@@ -110,15 +110,15 @@ func TestLinkValidation(t *testing.T) {
 		t.Fatal("nil program accepted")
 	}
 	if _, err := Link(Plan{Prog: p, Baseline: baseC,
-		FileComp: map[string]comp.Compilation{"nosuch.cpp": varC}}); err == nil {
+		Files: []Override{{"nosuch.cpp", varC}}}); err == nil {
 		t.Fatal("unknown file accepted")
 	}
 	if _, err := Link(Plan{Prog: p, Baseline: baseC,
-		SymbolComp: map[string]comp.Compilation{"nosuch": varC}}); err == nil {
+		Symbols: []Override{{"nosuch", varC}}}); err == nil {
 		t.Fatal("unknown symbol accepted")
 	}
 	_, err := Link(Plan{Prog: p, Baseline: baseC,
-		SymbolComp: map[string]comp.Compilation{"helper": varC}})
+		Symbols: []Override{{"helper", varC}}})
 	if !errors.Is(err, ErrDuplicateStrong) {
 		t.Fatalf("overriding internal symbol: err = %v, want ErrDuplicateStrong", err)
 	}
@@ -392,5 +392,66 @@ func TestFPICProbeBuild(t *testing.T) {
 	}
 	if got.Compiler != varC.Compiler || got.OptLevel != varC.OptLevel {
 		t.Fatalf("probe compilation wrong: %s", got)
+	}
+}
+
+// TestLinkDeterministicWithMixedOverrides: a plan overriding two symbols
+// of one file under different compilations, only one of which trips the
+// symbol-mix hazard, crashes on every link, whichever symbol carries it
+// (the hazard is checked per distinct (file, compilation) pair); and a
+// plan naming two unknown files fails every link with the same error,
+// naming the first in name order.
+func TestLinkDeterministicWithMixedOverrides(t *testing.T) {
+	p := testProgram()
+	var hazard, clean *comp.Compilation
+	for _, c := range comp.Matrix() {
+		if c.Compiler != comp.GCC {
+			continue
+		}
+		if comp.SymbolMixHazard(c, "math.cpp") {
+			hazard = &c
+		} else {
+			clean = &c
+		}
+	}
+	if hazard == nil || clean == nil {
+		t.Fatal("no g++ matrix pair splits on the symbol-mix hazard of math.cpp")
+	}
+	for _, cs := range [][2]comp.Compilation{{*hazard, *clean}, {*clean, *hazard}} {
+		plan := Plan{Prog: p, Baseline: baseC,
+			Symbols: []Override{{"Dot", cs[0].WithFPIC()}, {"Scale", cs[1].WithFPIC()}}}
+		for range 200 {
+			ex, err := Link(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ex.Crashes() {
+				t.Fatalf("Dot under %s, Scale under %s: a link did not crash", cs[0], cs[1])
+			}
+		}
+	}
+
+	bad := FileMixPlan(p, baseC, varC, []string{"nosuch2.cpp", "math.cpp", "nosuch1.cpp"})
+	const want = `link: plan names unknown file "nosuch1.cpp"`
+	for range 200 {
+		if _, err := Link(bad); err == nil || err.Error() != want {
+			t.Fatalf("error %v, want %s", err, want)
+		}
+	}
+}
+
+// TestLinkRejectsUnsortedOverrides: an override list out of name order,
+// or naming an entry twice, would key differently from the plan it
+// spells, so Link refuses it.
+func TestLinkRejectsUnsortedOverrides(t *testing.T) {
+	p := testProgram()
+	for _, plan := range []Plan{
+		{Prog: p, Baseline: baseC, Files: []Override{{"math.cpp", varC}, {"driver.cpp", varC}}},
+		{Prog: p, Baseline: baseC, Files: []Override{{"math.cpp", varC}, {"math.cpp", baseC}}},
+		{Prog: p, Baseline: baseC, Symbols: []Override{{"Scale", varC}, {"Dot", varC}}},
+	} {
+		if _, err := Link(plan); err == nil || !strings.Contains(err.Error(), "not sorted and distinct") {
+			t.Errorf("%s: err = %v, want a sort-order error", plan.Key(), err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package link
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/comp"
@@ -58,31 +59,15 @@ func sameComp(a, b comp.Compilation) bool {
 }
 
 // samePlan is the semantic identity Plan.Key must be injective over:
-// program name, baseline and both override maps. Two different tuples may
+// program name, baseline and both override lists. Two different tuples may
 // legitimately assemble the same plan; those must share a key, everything
 // else must not. A file override equal to the baseline is still an
 // override: a full build names no file, so it and a file mix of the
 // program's only file under the same compilation are distinct plans.
 func samePlan(a, b Plan) bool {
-	if a.Prog.Name != b.Prog.Name || !sameComp(a.Baseline, b.Baseline) {
-		return false
-	}
-	if len(a.FileComp) != len(b.FileComp) || len(a.SymbolComp) != len(b.SymbolComp) {
-		return false
-	}
-	for f, c := range a.FileComp {
-		o, ok := b.FileComp[f]
-		if !ok || !sameComp(c, o) {
-			return false
-		}
-	}
-	for s, c := range a.SymbolComp {
-		o, ok := b.SymbolComp[s]
-		if !ok || !sameComp(c, o) {
-			return false
-		}
-	}
-	return true
+	same := func(x, y Override) bool { return x.Name == y.Name && sameComp(x.Comp, y.Comp) }
+	return a.Prog.Name == b.Prog.Name && sameComp(a.Baseline, b.Baseline) &&
+		slices.EqualFunc(a.Files, b.Files, same) && slices.EqualFunc(a.Symbols, b.Symbols, same)
 }
 
 // FuzzPlanKeyInjective is the key-first safety net: two semantically

@@ -140,7 +140,7 @@ func TestBuilderLazy(t *testing.T) {
 func TestBuilderMemoizesLinkError(t *testing.T) {
 	p := testProgram()
 	b := NewBuilder(Plan{Prog: p, Baseline: baseC,
-		FileComp: map[string]comp.Compilation{"nosuch.cpp": varC}})
+		Files: []Override{{"nosuch.cpp", varC}}})
 	_, err1 := b.Build()
 	_, err2 := b.Build()
 	if err1 == nil || err1 != err2 {
@@ -268,5 +268,106 @@ func TestPlanKeyHostileNames(t *testing.T) {
 	}
 	if fmt.Sprintf("%q", a.Key()) == "" {
 		t.Fatal("unreachable")
+	}
+}
+
+// TestPlanKeyBytesPinned pins one key of each constructor byte for byte:
+// the cache keys of every store, artifact and warm-start manifest written
+// so far, so a change of the plan representation must leave them as they
+// are. The names hold the key format's structural characters and come
+// unsorted and twice.
+func TestPlanKeyBytesPinned(t *testing.T) {
+	p := prog.New("pin|prog")
+	p.AddFile("z.cpp", &prog.Symbol{Name: "T", Exported: true})
+	p.AddFile("a=b.cpp", &prog.Symbol{Name: "S|1", Exported: true}, &prog.Symbol{Name: "R%", Exported: true})
+	icpc := comp.Compilation{Compiler: comp.ICPC, OptLevel: "-O2", Switches: "-fp-model fast=2"}
+	inj := varC.WithInjection("S|1", fp.Injection{OpIndex: 2, Op: fp.InjMul, Eps: 0.375})
+	for _, tc := range []struct {
+		plan Plan
+		want string
+	}{
+		{FullBuildPlan(p, inj),
+			`pin%7Cprog|base=g++|-O3|-funsafe-math-optimizations -mavx2 -mfma|inject=S%7C1|2|*|3fd8000000000000`},
+		{FileMixPlan(p, baseC, icpc, []string{"z.cpp", "a=b.cpp", "z.cpp"}),
+			`pin%7Cprog|base=g++|-O0||f:a%3Db.cpp=icpc|-O2|-fp-model fast%3D2|f:z.cpp=icpc|-O2|-fp-model fast%3D2`},
+		{SymbolMixPlan(p, baseC, varC, []string{"S|1", "R%", "S|1"}),
+			`pin%7Cprog|base=g++|-O0||s:R%25=g++|-O3|-funsafe-math-optimizations -mavx2 -mfma|fpic` +
+				`|s:S%7C1=g++|-O3|-funsafe-math-optimizations -mavx2 -mfma|fpic`},
+		{FPICProbePlan(p, baseC, inj, "a=b.cpp"),
+			`pin%7Cprog|base=g++|-O0||f:a%3Db.cpp=g++|-O3|-funsafe-math-optimizations -mavx2 -mfma|fpic` +
+				`|inject=S%7C1|2|*|3fd8000000000000`},
+	} {
+		if got := tc.plan.Key(); got != tc.want {
+			t.Errorf("key %q\nwant %q", got, tc.want)
+		}
+	}
+}
+
+// benchProgram is a program shaped like a bisect target: eight files,
+// registered out of name order as the apps register theirs, each with 24
+// exported symbols and two internal ones.
+func benchProgram() *prog.Program {
+	p := prog.New("bench")
+	for f := 7; f >= 0; f-- {
+		file := fmt.Sprintf("file%d.cpp", f)
+		var syms []*prog.Symbol
+		for s := range 26 {
+			syms = append(syms, &prog.Symbol{Name: fmt.Sprintf("F%d::Sym%02d", f, s),
+				Exported: s < 24, Work: 1, FPOps: 2})
+		}
+		p.AddFile(file, syms...)
+	}
+	return p
+}
+
+// benchMixes returns the probes BenchmarkPlanKey and BenchmarkLinkMix
+// time: a six-file mix and a 20-symbol mix, names in program order as the
+// bisect search passes them.
+func benchMixes(p *prog.Program) (files, syms []string) {
+	files = p.FileNames()[1:7]
+	for _, sym := range p.Files()[2].Symbols[:20] {
+		syms = append(syms, sym.Name)
+	}
+	return files, syms
+}
+
+// BenchmarkPlanKey times what a warm bisect probe pays before its cache
+// lookup: build the plan from the probe's names, then its key.
+func BenchmarkPlanKey(b *testing.B) {
+	p := benchProgram()
+	files, syms := benchMixes(p)
+	b.Run("file-mix-6", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			_ = FileMixPlan(p, baseC, varC, files).Key()
+		}
+	})
+	b.Run("symbol-mix-20", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			_ = SymbolMixPlan(p, baseC, varC, syms).Key()
+		}
+	})
+}
+
+// BenchmarkLinkMix times what a cold bisect probe pays to link: the
+// six-file mix and the 20-symbol mix, validated, hazard-checked and
+// resolved.
+func BenchmarkLinkMix(b *testing.B) {
+	p := benchProgram()
+	files, syms := benchMixes(p)
+	for _, plan := range []Plan{FileMixPlan(p, baseC, varC, files), SymbolMixPlan(p, baseC, varC, syms)} {
+		if _, err := Link(plan); err != nil { // warms the class memo
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Link(FileMixPlan(p, baseC, varC, files)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Link(SymbolMixPlan(p, baseC, varC, syms)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,11 +28,7 @@ func FullBuild(p *prog.Program, c comp.Compilation) (*Executable, error) {
 // everything else under the baseline. The baseline compiler drives the
 // link, matching FLiT's use of a common GCC-compatible runtime.
 func FileMixPlan(p *prog.Program, baseline, variable comp.Compilation, files []string) Plan {
-	fileComp := make(map[string]comp.Compilation, len(files))
-	for _, f := range files {
-		fileComp[f] = variable
-	}
-	return Plan{Prog: p, Baseline: baseline, FileComp: fileComp}
+	return Plan{Prog: p, Baseline: baseline, Files: overrides(files, variable)}
 }
 
 // SymbolMixPlan describes the Test executable of Symbol Bisect (Figure 3,
@@ -39,11 +36,7 @@ func FileMixPlan(p *prog.Program, baseline, variable comp.Compilation, files []s
 // from the variable compilation, the rest strong from the baseline — plus
 // baseline objects for all other files.
 func SymbolMixPlan(p *prog.Program, baseline, variable comp.Compilation, symbols []string) Plan {
-	symComp := make(map[string]comp.Compilation, len(symbols))
-	for _, s := range symbols {
-		symComp[s] = variable.WithFPIC()
-	}
-	return Plan{Prog: p, Baseline: baseline, SymbolComp: symComp}
+	return Plan{Prog: p, Baseline: baseline, Symbols: overrides(symbols, variable.WithFPIC())}
 }
 
 // FPICProbePlan describes rebuilding one whole file under the variable
@@ -55,14 +48,39 @@ func FPICProbePlan(p *prog.Program, baseline, variable comp.Compilation, file st
 	return FileMixPlan(p, baseline, variable.WithFPIC(), []string{file})
 }
 
+// overrides lists the given names under one compilation, as a plan holds
+// them: sorted by name, a name given twice listed once. The caller's slice
+// is left as it was; an unsorted one is sorted in a copy, on the stack for
+// the few names a bisect probe passes.
+func overrides(names []string, c comp.Compilation) []Override {
+	if len(names) == 0 {
+		return nil
+	}
+	if !slices.IsSorted(names) {
+		var buf [16]string
+		names = append(buf[:0], names...)
+		slices.Sort(names)
+	}
+	os := make([]Override, 0, len(names))
+	for i, n := range names {
+		if i == 0 || n != names[i-1] {
+			os = append(os, Override{Name: n, Comp: c})
+		}
+	}
+	return os
+}
+
 // Builder is a lazily-materialized build: it exposes the plan's cache key
 // without linking, and links at most once, on first Build. A key-first
 // cache (flit.Cache.RunAllPlanned) consults its store by
 // Builder.Key and calls Build only on a miss, so a warm lookup never
 // validates a plan, never scans for ABI hazards, and never allocates an
-// Executable. Safe for concurrent use: the matrix runner shares one
-// builder across every test of a cell. Each bisect probe builds its own,
-// and a bisect search probes each subset at most once.
+// Executable. A warm probe therefore costs its plan's constructor (one
+// sorted override list) and one Plan.Key (one builder, one comp.Key per
+// run of equal compilations) and nothing else. Safe for concurrent use:
+// the matrix runner shares one builder across every test of a cell. Each
+// bisect probe builds its own, and a bisect search probes each subset at
+// most once.
 type Builder struct {
 	plan    Plan
 	keyOnce sync.Once

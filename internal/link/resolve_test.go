@@ -10,27 +10,31 @@ import (
 )
 
 // referenceCompilation is the resolution rule as the plan states it,
-// evaluated from the plan maps on every call: the rule Link's tables must
-// reproduce. An exported symbol binds to its SymbolComp entry if it has
+// evaluated from the plan's lists on every call: the rule Link's tables
+// must reproduce. An exported symbol binds to its Symbols entry if it has
 // one; otherwise, if its file holds any symbol override, to the baseline
 // -fPIC copy; otherwise to its file-level compilation. An internal symbol
 // with no same-file caller binds to its file-level compilation.
-func referenceCompilation(e *Executable, sym *prog.Symbol) comp.Compilation {
+func referenceCompilation(p Plan, sym *prog.Symbol) comp.Compilation {
 	fileComp := func(file string) comp.Compilation {
-		if c, ok := e.fileComp[file]; ok {
-			return c
+		for _, o := range p.Files {
+			if o.Name == file {
+				return o.Comp
+			}
 		}
-		return e.baseline
+		return p.Baseline
 	}
 	if !sym.Exported {
 		return fileComp(sym.File)
 	}
-	if c, ok := e.symComp[sym.Name]; ok {
-		return c
+	for _, o := range p.Symbols {
+		if o.Name == sym.Name {
+			return o.Comp
+		}
 	}
-	for s := range e.symComp {
-		if e.prog.Symbol(s).File == sym.File {
-			return e.baseline.WithFPIC()
+	for _, o := range p.Symbols {
+		if p.Prog.Symbol(o.Name).File == sym.File {
+			return p.Baseline.WithFPIC()
 		}
 	}
 	return fileComp(sym.File)
@@ -63,14 +67,14 @@ func TestResolutionMatchesReference(t *testing.T) {
 			}
 			var wantCost float64
 			for _, sym := range p.Reachable("Main") {
-				wantCost += sym.Work * comp.SpeedFactor(referenceCompilation(ex, sym), sym)
+				wantCost += sym.Work * comp.SpeedFactor(referenceCompilation(tc.plan, sym), sym)
 			}
 			if got := ex.Cost("Main"); got != wantCost {
 				t.Errorf("Cost(Main) = %v, reference rule gives %v", got, wantCost)
 			}
 			m := newTestMachine(t, ex)
 			for _, sym := range p.Symbols() {
-				want := referenceCompilation(ex, sym)
+				want := referenceCompilation(tc.plan, sym)
 				if got := ex.comps[ex.symTab[sym.ID()]]; got != want {
 					t.Errorf("%s: table binds %s, reference rule %s", sym.Name, got, want)
 				}

@@ -13,16 +13,17 @@
 #   go test -race    tier-1, part 2, with the race detector and -cover (the
 #                    parallel execution engine must be data-race-free at
 #                    every -j; per-package statement coverage is printed)
-#   micro-bench      BenchmarkMachineFn, BenchmarkEnvOps,
+#   micro-bench      BenchmarkMachineFn, BenchmarkPlanKey,
+#                    BenchmarkLinkMix, BenchmarkEnvOps,
 #                    BenchmarkAssembleDiffusion2D, BenchmarkMatrixCosts,
 #                    BenchmarkDiskPut, BenchmarkDiskGet and
 #                    BenchmarkCoordHeartbeat at a fixed 100 iterations, so
-#                    the simulated-call dispatch, fp operation (each
-#                    records the semantics fields it reads), sparse
-#                    assembly, matrix cost model, store segment and
-#                    coordinator heartbeat benchmarks keep compiling and
-#                    running (a heartbeat renews its lease in memory, so
-#                    its time must not grow with the shards), and
+#                    the simulated-call dispatch, bisect probe plan key and
+#                    link, fp operation (each records the semantics fields
+#                    it reads), sparse assembly, matrix cost model, store
+#                    segment and coordinator heartbeat benchmarks keep
+#                    compiling and running (a heartbeat renews its lease in
+#                    memory, so its time must not grow with the shards), and
 #                    BenchmarkSpeculativeSearcher at 10 iterations, so the
 #                    speculative bisect searcher's benchmark runs too
 #   journal fuzz     FuzzJournalDecode for 2000 inputs: whatever bytes
@@ -38,11 +39,12 @@
 #                    encoding/json decodes the same value, and ReadArtifact
 #                    returns encoding/json's value or error text
 #   boundary fuzz    FuzzSegmentDecode, FuzzArtifactDecode,
-#                    FuzzRunKeyInjective and FuzzPlanKeyInjective
-#                    for 2000 inputs each: a store segment or an artifact
-#                    of any bytes never panics or replays a damaged record,
-#                    and distinct run coordinates or build plans never
-#                    share a cache key
+#                    FuzzRunKeyInjective, FuzzPlanKeyInjective and
+#                    FuzzPlanKeyMatchesReference for 2000 inputs each: a
+#                    store segment or an artifact of any bytes never panics
+#                    or replays a damaged record, distinct run coordinates
+#                    or build plans never share a cache key, and every
+#                    plan keys to the bytes of the map-based reference
 #   kernel fuzz      FuzzKernelsMatchReference for 2000 inputs: every fp
 #                    operation of an Env without injection, which takes
 #                    the inline fast paths, returns the same bits (NaN sign
@@ -137,7 +139,7 @@ for app in mfem laghos lulesh; do
 done
 
 go test -race -cover ./...
-go test -run '^$' -bench BenchmarkMachineFn -benchtime 100x ./internal/link
+go test -run '^$' -bench 'Benchmark(MachineFn|PlanKey|LinkMix)$' -benchtime 100x ./internal/link
 go test -run '^$' -bench BenchmarkEnvOps -benchtime 100x ./internal/fp
 go test -run '^$' -bench BenchmarkAssembleDiffusion2D -benchtime 100x ./internal/apps/mfem
 go test -run '^$' -bench BenchmarkMatrixCosts -benchtime 100x ./internal/flit
@@ -151,6 +153,7 @@ go test -run '^$' -fuzz '^FuzzSegmentDecode$' -fuzztime 2000x ./internal/store
 go test -run '^$' -fuzz '^FuzzArtifactDecode$' -fuzztime 2000x ./internal/flit
 go test -run '^$' -fuzz '^FuzzRunKeyInjective$' -fuzztime 2000x ./internal/flit
 go test -run '^$' -fuzz '^FuzzPlanKeyInjective$' -fuzztime 2000x ./internal/link
+go test -run '^$' -fuzz '^FuzzPlanKeyMatchesReference$' -fuzztime 2000x ./internal/link
 go test -run '^$' -fuzz '^FuzzShardSetFold$' -fuzztime 2000x ./internal/flit
 go test -run '^$' -fuzz '^FuzzKernelsMatchReference$' -fuzztime 2000x ./internal/fp
 (cd bench && go vet . && go test -race .)
