@@ -48,8 +48,8 @@
 // Observability: -stats prints build/run-cache hit/miss counters, how
 // many tests actually executed and how many shared an earlier run whose
 // every read value their executable shares ("executions: ran=N
-// shared=M"), and the bisect engine's execution counters (paper count vs
-// speculative extra) to stderr after the run.
+// shared=M"), and the bisect searches' paper execution count to stderr
+// after the run.
 //
 // Incremental runs: -warm-start a.json,b.json seeds the engine's cache
 // from previously exported shard artifacts before the run. Unlike merge,
@@ -484,11 +484,9 @@ func (o *cliOpts) printStats(eng *experiments.Engine, w io.Writer) {
 		printRemoteStats(w, o.remote.Metrics())
 	}
 	// paper-execs is the Tables 2/4 cost measure and is identical at every
-	// -j; spec-execs is the speculative extra (timing-dependent) those
-	// searches spent to finish sooner.
+	// -j.
 	bs := eng.BisectStats()
-	fmt.Fprintf(w, "bisect: searches=%d paper-execs=%d spec-execs=%d\n",
-		bs.Searches, bs.Execs, bs.SpecExecs)
+	fmt.Fprintf(w, "bisect: searches=%d paper-execs=%d\n", bs.Searches, bs.Execs)
 }
 
 // printRemoteStats prints a remote tier's transport counters. Retries are

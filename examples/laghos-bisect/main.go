@@ -19,8 +19,8 @@ import (
 
 func main() {
 	j := flag.Int("j", 0, "parallel evaluations (0 = one per CPU, 1 = sequential; "+
-		"output is byte-identical at every -j — the speculative bisect engine "+
-		"commits only what the sequential algorithm would have chosen)")
+		"output is byte-identical at every -j — independent searches run in "+
+		"parallel, and each runs its probes in the paper's order)")
 	flag.Parse()
 	if err := run(os.Stdout, experiments.NewEngine(*j)); err != nil {
 		log.Fatal(err)

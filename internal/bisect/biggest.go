@@ -5,11 +5,6 @@ import (
 	"sort"
 )
 
-// frontierWidth bounds how many near-frontier heap entries Biggest
-// pre-expands speculatively per pop. h[0] is always the next pop; a few
-// more slots catch most of the near-frontier without sorting the heap.
-const frontierWidth = 3
-
 // Biggest is the BisectBiggest algorithm (paper §2.5): a Uniform Cost
 // Search over the bisection tree that finds the k largest individual
 // contributors and can exit early. Sets are expanded in decreasing order of
@@ -21,20 +16,12 @@ const frontierWidth = 3
 // assumptions, but can significantly improve performance if only the top
 // few most contributing functions are desired."
 //
-// With speculation enabled the frontier expands in parallel: while the
-// popped node's halves are committed in order, the halves of the heap
-// entries the UCS is likely to pop next are evaluated in the background.
-// Pops stay strictly value-ordered and the committed probe sequence — and
-// with it Execs() and the early exit — is exactly the sequential
-// algorithm's; pre-expansions past the early exit are speculative losers.
-//
 // k <= 0 means "all": equivalent coverage to All but via UCS and still
 // without the verification assertions.
 func (s *Searcher) Biggest(items []string, k int) ([]Finding, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
-	defer s.drain()
 	v, err := s.Test(items)
 	if err != nil {
 		return nil, err
@@ -58,10 +45,6 @@ func (s *Searcher) Biggest(items []string, k int) ([]Finding, error) {
 			continue
 		}
 		d1, d2 := n.items[:len(n.items)/2], n.items[len(n.items)/2:]
-		if s.sub != nil {
-			s.speculate(d2) // races the committed Test(d1) below
-			s.speculateFrontier(*pq)
-		}
 		for _, d := range [][]string{d1, d2} {
 			dv, err := s.Test(d)
 			if err != nil {
@@ -76,24 +59,6 @@ func (s *Searcher) Biggest(items []string, k int) ([]Finding, error) {
 		found = found[:k]
 	}
 	return found, nil
-}
-
-// speculateFrontier pre-evaluates the halves of the most promising heap
-// entries — the sets the UCS will pop next unless the early exit fires
-// first. Singleton entries need no further probe: their value came from
-// the committed Test that pushed them.
-func (s *Searcher) speculateFrontier(h nodeHeap) {
-	limit := frontierWidth
-	if limit > len(h) {
-		limit = len(h)
-	}
-	for i := 0; i < limit; i++ {
-		m := h[i]
-		if len(m.items) > 1 {
-			s.speculate(m.items[:len(m.items)/2])
-			s.speculate(m.items[len(m.items)/2:])
-		}
-	}
 }
 
 type node struct {

@@ -46,7 +46,7 @@ func TestAllFindsExactBlameSet(t *testing.T) {
 		k := rng.Intn(min(n, 8) + 1)
 		items := makeItems(n)
 		blamed := pickBlame(items, k, rng)
-		s := NewSearcher(blameTest(items, blamed), nil)
+		s := NewSearcher(blameTest(items, blamed))
 		found, err := s.All(items)
 		if err != nil {
 			t.Fatalf("trial %d (n=%d k=%d): %v", trial, n, k, err)
@@ -76,7 +76,7 @@ func TestAllComplexityBound(t *testing.T) {
 		k := 1 + rng.Intn(6)
 		items := makeItems(n)
 		blamed := pickBlame(items, k, rng)
-		s := NewSearcher(blameTest(items, blamed), nil)
+		s := NewSearcher(blameTest(items, blamed))
 		if _, err := s.All(items); err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestAllComplexityBound(t *testing.T) {
 
 func TestAllEmptyBlame(t *testing.T) {
 	items := makeItems(20)
-	s := NewSearcher(blameTest(items, nil), nil)
+	s := NewSearcher(blameTest(items, nil))
 	found, err := s.All(items)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestAllEmptyBlame(t *testing.T) {
 
 func TestAllSingleItem(t *testing.T) {
 	items := []string{"only"}
-	s := NewSearcher(blameTest(items, map[string]float64{"only": 0.5}), nil)
+	s := NewSearcher(blameTest(items, map[string]float64{"only": 0.5}))
 	found, err := s.All(items)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestAllDetectsCoupledElements(t *testing.T) {
 		}
 		return 0, nil
 	}
-	s := NewSearcher(fn, nil)
+	s := NewSearcher(fn)
 	_, err := s.All(items)
 	var ae *AssumptionError
 	if !errors.As(err, &ae) {
@@ -145,7 +145,7 @@ func TestAllDetectsCoupledElements(t *testing.T) {
 func TestAllDetectsUnattributableVariability(t *testing.T) {
 	// Test is positive even for the empty set (link-step variability).
 	fn := func(set []string) (float64, error) { return 0.25 + float64(len(set)), nil }
-	s := NewSearcher(fn, nil)
+	s := NewSearcher(fn)
 	_, err := s.All(makeItems(4))
 	var ae *AssumptionError
 	if !errors.As(err, &ae) {
@@ -175,7 +175,7 @@ func TestAllDetectsNonUniqueError(t *testing.T) {
 		}
 		return 0, nil
 	}
-	s := NewSearcher(fn, nil)
+	s := NewSearcher(fn)
 	found, err := s.All(items)
 	if err == nil {
 		// The search may still stumble into the right answer; if it claims
@@ -191,7 +191,7 @@ func TestAllDetectsNonUniqueError(t *testing.T) {
 }
 
 func TestTestRejectsNegativeMetric(t *testing.T) {
-	s := NewSearcher(func(set []string) (float64, error) { return -1, nil }, nil)
+	s := NewSearcher(func(set []string) (float64, error) { return -1, nil })
 	if _, err := s.Test([]string{"x"}); err == nil {
 		t.Fatal("negative metric accepted")
 	}
@@ -199,7 +199,7 @@ func TestTestRejectsNegativeMetric(t *testing.T) {
 
 func TestMemoization(t *testing.T) {
 	calls := 0
-	s := NewSearcher(func(set []string) (float64, error) { calls++; return 0, nil }, nil)
+	s := NewSearcher(func(set []string) (float64, error) { calls++; return 0, nil })
 	for i := 0; i < 5; i++ {
 		if _, err := s.Test([]string{"b", "a"}); err != nil {
 			t.Fatal(err)
@@ -223,7 +223,7 @@ func TestErrorPropagation(t *testing.T) {
 			return 0, boom
 		}
 		return 1, nil
-	}, nil)
+	})
 	_, err := s.All(makeItems(8))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped segfault", err)
@@ -236,7 +236,7 @@ func TestErrorPropagation(t *testing.T) {
 func TestFailingSetChargedEachVisit(t *testing.T) {
 	boom := errors.New("segfault")
 	calls := 0
-	s := NewSearcher(func(set []string) (float64, error) { calls++; return 0, boom }, nil)
+	s := NewSearcher(func(set []string) (float64, error) { calls++; return 0, boom })
 	for visit := 1; visit <= 3; visit++ {
 		if _, err := s.Test([]string{"a"}); !errors.Is(err, boom) {
 			t.Fatalf("visit %d: err = %v, want segfault", visit, err)
@@ -269,7 +269,7 @@ func TestBiggestTopK(t *testing.T) {
 		sort.Slice(truth, func(i, j int) bool { return truth[i].w > truth[j].w })
 
 		k := 1 + rng.Intn(3)
-		s := NewSearcher(blameTest(items, blamed), nil)
+		s := NewSearcher(blameTest(items, blamed))
 		found, err := s.Biggest(items, k)
 		if err != nil {
 			t.Fatal(err)
@@ -292,7 +292,7 @@ func TestBiggestAllEquivalentCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items := makeItems(64)
 	blamed := pickBlame(items, 5, rng)
-	s := NewSearcher(blameTest(items, blamed), nil)
+	s := NewSearcher(blameTest(items, blamed))
 	found, err := s.Biggest(items, 0) // k<=0 means all
 	if err != nil {
 		t.Fatal(err)
@@ -306,11 +306,11 @@ func TestBiggestEarlyExitSavesExecutions(t *testing.T) {
 	items := makeItems(256)
 	rng := rand.New(rand.NewSource(3))
 	blamed := pickBlame(items, 8, rng)
-	sAll := NewSearcher(blameTest(items, blamed), nil)
+	sAll := NewSearcher(blameTest(items, blamed))
 	if _, err := sAll.All(items); err != nil {
 		t.Fatal(err)
 	}
-	sTop := NewSearcher(blameTest(items, blamed), nil)
+	sTop := NewSearcher(blameTest(items, blamed))
 	if _, err := sTop.Biggest(items, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -321,13 +321,13 @@ func TestBiggestEarlyExitSavesExecutions(t *testing.T) {
 }
 
 func TestBiggestEmptyAndBenign(t *testing.T) {
-	s := NewSearcher(blameTest(nil, nil), nil)
+	s := NewSearcher(blameTest(nil, nil))
 	found, err := s.Biggest(nil, 3)
 	if err != nil || found != nil {
 		t.Fatalf("empty items: %v %v", found, err)
 	}
 	items := makeItems(10)
-	s2 := NewSearcher(blameTest(items, nil), nil)
+	s2 := NewSearcher(blameTest(items, nil))
 	found2, err := s2.Biggest(items, 3)
 	if err != nil || len(found2) != 0 {
 		t.Fatalf("benign items: %v %v", found2, err)

@@ -66,15 +66,11 @@ type FileFinding struct {
 type Report struct {
 	Files []FileFinding
 	// Execs is the total number of program executions, the paper's cost
-	// measure (file search + fPIC probes + symbol searches). It is the
-	// committed sequential trace's count and is identical at every
-	// parallelism — speculation never leaks into it.
+	// measure (file search + fPIC probes + symbol searches). It is
+	// identical at every parallelism.
 	Execs int
-	// SpecExecs is the extra speculative executions performed beyond
-	// Execs when the search ran with a pooled, speculating engine. They
-	// bought wall-clock, not coverage: the value is timing-dependent,
-	// excluded from every paper statistic, and surfaced only through
-	// diagnostics (the CLI's -stats).
+	// SpecExecs is always 0: searches run no speculative probes. The
+	// field remains only because the benchmark still reads it.
 	SpecExecs int
 	// NoVariability is set when Test over all files is already 0: the
 	// deviation seen in the matrix is not attributable to compiled code
@@ -107,15 +103,12 @@ type Search struct {
 	Variable comp.Compilation
 	K        int
 	// Pool fans out the independent per-file symbol searches of a full
-	// (K <= 0) run, and its Submitter drives speculative evaluation inside
-	// every phase — the sequential File Bisect prefix, where the pool
-	// would otherwise sit idle, included; nil searches sequentially. The
-	// report is bit-identical either way: each file's search is
-	// self-contained, findings are collected in file order, and the
-	// committed probe sequence (hence Execs) never depends on speculation.
-	// BisectBiggest (K > 0) runs its cross-file phase sequentially — the
-	// early exit depends on the symbols found so far — but each file's
-	// search still speculates internally.
+	// (K <= 0) run; nil searches them sequentially. The report is
+	// bit-identical either way: each file's search is self-contained and
+	// findings are collected in file order. The File Bisect phase, each
+	// file's search and the cross-file phase of BisectBiggest (K > 0, whose
+	// early exit depends on the symbols found so far) run their probes one
+	// at a time, in the paper's order.
 	Pool *exec.Pool
 	// Cache memoizes test runs by build plan, so evaluations repeated
 	// across bisect steps and across searches (the baseline run above all)
@@ -152,11 +145,6 @@ func (s *Search) Run() (*Report, error) {
 		return nil, fmt.Errorf("bisect: baseline execution failed: %w", err)
 	}
 
-	// One speculative admission gate for the whole search: the File Bisect
-	// prefix and every per-file symbol search share it, so the committed
-	// fan-out (bounded by the pool) plus speculation (bounded by the
-	// submitter, Workers-1) never exceeds twice the configured -j.
-	sub := s.Pool.Submitter()
 	report := &Report{}
 	fileSearch := NewSearcher(func(files []string) (float64, error) {
 		got, err := s.runPlanned(link.NewBuilder(link.FileMixPlan(s.Prog, s.Baseline, s.Variable, files)))
@@ -164,7 +152,7 @@ func (s *Search) Run() (*Report, error) {
 			return 0, err
 		}
 		return s.Test.Compare(baseRes, got), nil
-	}, sub)
+	})
 
 	var fileFindings []Finding
 	if s.K > 0 {
@@ -173,7 +161,6 @@ func (s *Search) Run() (*Report, error) {
 		fileFindings, err = fileSearch.All(s.Prog.FileNames())
 	}
 	report.Execs += fileSearch.Execs()
-	report.SpecExecs += fileSearch.SpecExecs()
 	if err != nil {
 		return report, err
 	}
@@ -204,9 +191,7 @@ func (s *Search) Run() (*Report, error) {
 				report.Files = append(report.Files, finding)
 				continue
 			}
-			execs, spec := s.searchSymbols(&finding, baseRes, sub)
-			report.Execs += execs
-			report.SpecExecs += spec
+			report.Execs += s.searchSymbols(&finding, baseRes)
 			report.Files = append(report.Files, finding)
 		}
 		return report, nil
@@ -220,7 +205,6 @@ func (s *Search) Run() (*Report, error) {
 	type symOut struct {
 		finding FileFinding
 		execs   int
-		spec    int
 	}
 	outs, _ := exec.Map(s.Pool, len(fileFindings), func(i int) (symOut, error) {
 		ff := fileFindings[i]
@@ -229,21 +213,19 @@ func (s *Search) Run() (*Report, error) {
 			finding.Status = SymbolsSkipped // another shard searches this file
 			return symOut{finding: finding}, nil
 		}
-		execs, spec := s.searchSymbols(&finding, baseRes, sub)
-		return symOut{finding: finding, execs: execs, spec: spec}, nil
+		execs := s.searchSymbols(&finding, baseRes)
+		return symOut{finding: finding, execs: execs}, nil
 	})
 	for _, o := range outs {
 		report.Files = append(report.Files, o.finding)
 		report.Execs += o.execs
-		report.SpecExecs += o.spec
 	}
 	return report, nil
 }
 
 // searchSymbols performs the Symbol Bisect phase for one found file and
-// returns how many program executions it used — the paper count and the
-// extra speculative count separately.
-func (s *Search) searchSymbols(finding *FileFinding, baseRes flit.Result, sub *exec.Submitter) (int, int) {
+// returns how many program executions it used.
+func (s *Search) searchSymbols(finding *FileFinding, baseRes flit.Result) int {
 	// The -fPIC probe: rebuild the whole file with -fPIC under the
 	// variable compilation; if the variability disappears the optimization
 	// needed translation-unit-wide freedom and the search must stop here.
@@ -251,17 +233,17 @@ func (s *Search) searchSymbols(finding *FileFinding, baseRes flit.Result, sub *e
 	probeRes, err := s.runPlanned(link.NewBuilder(link.FPICProbePlan(s.Prog, s.Baseline, s.Variable, finding.File)))
 	if err != nil {
 		finding.Status = SymbolsCrashed
-		return execs, 0
+		return execs
 	}
 	if s.Test.Compare(baseRes, probeRes) == 0 {
 		finding.Status = FPICRemoved
-		return execs, 0
+		return execs
 	}
 
 	symbols := s.Prog.ExportedSymbols(finding.File)
 	if len(symbols) == 0 {
 		finding.Status = NoExportedSymbols
-		return execs, 0
+		return execs
 	}
 	names := make([]string, len(symbols))
 	for i, sym := range symbols {
@@ -274,7 +256,7 @@ func (s *Search) searchSymbols(finding *FileFinding, baseRes flit.Result, sub *e
 			return 0, err
 		}
 		return s.Test.Compare(baseRes, got), nil
-	}, sub)
+	})
 	var found []Finding
 	if s.K > 0 {
 		found, err = symSearch.Biggest(names, s.K)
@@ -291,5 +273,5 @@ func (s *Search) searchSymbols(finding *FileFinding, baseRes flit.Result, sub *e
 	default:
 		finding.Status = SymbolsAssumption
 	}
-	return execs, symSearch.SpecExecs()
+	return execs
 }

@@ -30,10 +30,7 @@ import (
 // run an inner Map admits up to Workers² goroutines). Every driver in this
 // repository therefore parallelizes at exactly one level — the outermost
 // set of independent evaluations — and runs nested searches sequentially,
-// which keeps the configured worker count the true concurrency bound. The
-// one sanctioned second level is speculation: a pool's Submitter admits at
-// most Workers-1 background evaluations for the whole pool, so committed
-// fan-out plus speculation stays below twice the configured bound.
+// which keeps the configured worker count the true concurrency bound.
 type Pool struct {
 	workers int
 }

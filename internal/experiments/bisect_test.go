@@ -10,12 +10,12 @@ import (
 	"repro/internal/flit"
 )
 
-// TestLaghosSpeculativeBisectEquivalence pins the speculative engine to
+// TestLaghosBisectParallelEquivalence pins the pooled bisect driver to
 // the paper's Laghos case study: the NaN-bug rediscovery (full BisectAll
 // through the pooled driver) and the digit-limited k=1 search behind
 // Table 4's headline must return identical findings and identical paper
 // execution counts at every -j. Run under -race by scripts/ci.sh.
-func TestLaghosSpeculativeBisectEquivalence(t *testing.T) {
+func TestLaghosBisectParallelEquivalence(t *testing.T) {
 	type digest struct {
 		files   []string
 		symbols []string
@@ -25,9 +25,6 @@ func TestLaghosSpeculativeBisectEquivalence(t *testing.T) {
 		res, err := e.RunNaNBug()
 		if err != nil {
 			t.Fatal(err)
-		}
-		if e.Pool().Workers() == 1 && res.SpecExecs != 0 {
-			t.Errorf("j=1 NaN-bug search performed %d speculative execs", res.SpecExecs)
 		}
 		return digest{files: res.Files, symbols: res.Symbols, execs: res.Execs}
 	}
@@ -52,8 +49,8 @@ func TestLaghosSpeculativeBisectEquivalence(t *testing.T) {
 				d.symbols = append(d.symbols, sf.Item)
 			}
 		}
-		if e.Pool().Workers() == 1 && report.SpecExecs != 0 {
-			t.Errorf("j=1 search performed %d speculative execs", report.SpecExecs)
+		if report.SpecExecs != 0 {
+			t.Errorf("-j %d search reports SpecExecs %d, want 0", e.Pool().Workers(), report.SpecExecs)
 		}
 		return d
 	}
@@ -90,9 +87,6 @@ func TestBisectStatsPlumbing(t *testing.T) {
 	}
 	if bs.Execs != int64(res.Execs) {
 		t.Fatalf("stats execs %d != report execs %d", bs.Execs, res.Execs)
-	}
-	if bs.SpecExecs != int64(res.SpecExecs) {
-		t.Fatalf("stats spec %d != report spec %d", bs.SpecExecs, res.SpecExecs)
 	}
 	if _, err := eng.Table4(); err != nil {
 		t.Fatal(err)

@@ -34,18 +34,14 @@ type Engine struct {
 
 	bisectSearches atomic.Int64
 	bisectExecs    atomic.Int64
-	bisectSpec     atomic.Int64
 }
 
-// BisectStats aggregates the bisect engine's two execution counters over
-// every search noted on this engine. Execs is the paper's sequential-trace
-// accounting (the Tables 2/4 cost measure, identical at every -j);
-// SpecExecs is the extra speculative work wall-clock was traded for
-// (timing-dependent, diagnostics only — the CLI prints it under -stats).
+// BisectStats aggregates the bisect counters over every search noted on
+// this engine. Execs is the paper's execution count (the Tables 2/4 cost
+// measure, identical at every -j).
 type BisectStats struct {
-	Searches  int64
-	Execs     int64
-	SpecExecs int64
+	Searches int64
+	Execs    int64
 }
 
 // NoteBisect folds one search report into the engine's bisect counters.
@@ -56,15 +52,13 @@ func (e *Engine) NoteBisect(r *bisect.Report) {
 	}
 	e.bisectSearches.Add(1)
 	e.bisectExecs.Add(int64(r.Execs))
-	e.bisectSpec.Add(int64(r.SpecExecs))
 }
 
 // BisectStats snapshots the engine's bisect counters.
 func (e *Engine) BisectStats() BisectStats {
 	return BisectStats{
-		Searches:  e.bisectSearches.Load(),
-		Execs:     e.bisectExecs.Load(),
-		SpecExecs: e.bisectSpec.Load(),
+		Searches: e.bisectSearches.Load(),
+		Execs:    e.bisectExecs.Load(),
 	}
 }
 

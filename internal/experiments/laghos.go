@@ -153,9 +153,6 @@ type NaNBugResult struct {
 	Symbols []string
 	Files   []string
 	Execs   int
-	// SpecExecs is the speculative extra beyond the paper's count —
-	// timing-dependent diagnostics, excluded from the rendered output.
-	SpecExecs int
 }
 
 // RunNaNBug reproduces the automated re-discovery of the xsw
@@ -174,7 +171,7 @@ func (e *Engine) RunNaNBug() (*NaNBugResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &NaNBugResult{Execs: report.Execs, SpecExecs: report.SpecExecs}
+	out := &NaNBugResult{Execs: report.Execs}
 	for _, ff := range report.Files {
 		out.Files = append(out.Files, ff.File)
 		for _, sf := range ff.Symbols {

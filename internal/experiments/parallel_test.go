@@ -42,7 +42,7 @@ func TestSweepParallelEquivalence(t *testing.T) {
 
 	// Shard + merge at -j 8: each shard engine computes its half of every
 	// fan-out in parallel; the collector replays the sweep from the union
-	// of their artifacts, speculating at -j 8 over the merged cache.
+	// of their artifacts at -j 8 over the merged cache.
 	arts := make([]*flit.Artifact, 2)
 	for i := range arts {
 		eng := NewEngine(8)

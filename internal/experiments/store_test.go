@@ -10,12 +10,8 @@ import (
 // TestStoreCrossProcessSweep: the end-to-end sweep against a shared
 // on-disk store. A cold engine computes and writes through; fresh engines
 // ("second processes" — nothing shared but the directory) reproduce the
-// digest byte-identically at -j 1 and -j 8, answering from the store. The
-// zero-build guarantee is pinned on the deterministic matrix in
-// internal/flit (TestStoreCrossProcessMatrixBuildsNothing); the sweep's
-// speculative bisect stages may evaluate timing-dependent extra cells, so
-// here the assertions are byte-identity and store traffic, not a build
-// count.
+// digest byte-identically at -j 1 and -j 8, answering every evaluation
+// from the store: no build and no store miss.
 func TestStoreCrossProcessSweep(t *testing.T) {
 	dir := t.TempDir()
 	openDisk := func() *store.Disk {
@@ -49,6 +45,10 @@ func TestStoreCrossProcessSweep(t *testing.T) {
 		m := warm.CacheMetrics()
 		if m.Store.Hits == 0 {
 			t.Errorf("j=%d: store-warmed sweep recorded no store hits: %+v", j, m.Store)
+		}
+		if m.Builds != 0 || m.Store.Misses != 0 {
+			t.Errorf("j=%d: store-warmed sweep built %d executables and missed the store %d times, want 0/0",
+				j, m.Builds, m.Store.Misses)
 		}
 	}
 }

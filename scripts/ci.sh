@@ -24,8 +24,8 @@
 #                    segment and coordinator heartbeat benchmarks keep
 #                    compiling and running (a heartbeat renews its lease in
 #                    memory, so its time must not grow with the shards), and
-#                    BenchmarkSpeculativeSearcher at 10 iterations, so the
-#                    speculative bisect searcher's benchmark runs too
+#                    BenchmarkSearcher at 10 iterations, so the bisect
+#                    searcher's benchmark runs too
 #   journal fuzz     FuzzJournalDecode for 2000 inputs: whatever bytes
 #                    coord.json holds, recovery never panics and never
 #                    makes a quarantined shard leasable again
@@ -68,10 +68,12 @@
 #                    delta, a one-flag mutation reports exactly the
 #                    mutated cells, `flit delta` agrees offline, and
 #                    `flit gc` prunes only the superseded generation
-#   bisect smoke     the speculative bisect engine end to end through a
-#                    real binary: the laghos-bisect example at -j 1 (the
-#                    paper's sequential probe order) and -j 8 (speculative)
+#   bisect smoke     the pooled bisect driver end to end through a real
+#                    binary: the laghos-bisect example at -j 1 and -j 8
 #                    must print byte-identical output
+#   artifact -j      a shard artifact records only what the -j 1 run
+#                    evaluates: `flit experiments -j 8 -shard 0/1` of
+#                    laghos-nan must write the -j 1 artifact byte for byte
 #   store smoke      the persistent run store cross-process through the
 #                    real flit binary: two identical runs sharing only a
 #                    -store directory must print byte-identical output, the
@@ -145,7 +147,7 @@ go test -run '^$' -bench BenchmarkAssembleDiffusion2D -benchtime 100x ./internal
 go test -run '^$' -bench BenchmarkMatrixCosts -benchtime 100x ./internal/flit
 go test -run '^$' -bench 'BenchmarkDisk(Put|Get)$' -benchtime 100x ./internal/store
 go test -run '^$' -bench BenchmarkCoordHeartbeat -benchtime 100x ./internal/coord
-go test -run '^$' -bench BenchmarkSpeculativeSearcher -benchtime 10x ./internal/bisect
+go test -run '^$' -bench BenchmarkSearcher -benchtime 10x ./internal/bisect
 go test -run '^$' -fuzz '^FuzzJournalDecode$' -fuzztime 2000x ./internal/coord
 go test -run '^$' -fuzz '^FuzzRemoteDecode$' -fuzztime 2000x ./internal/store
 go test -run '^$' -fuzz '^FuzzRecordDecodeMatchesJSON$' -fuzztime 2000x ./internal/flit
@@ -195,11 +197,17 @@ test -f "$ART_DIR/gen1.json"
 test ! -f "$ART_DIR/gen1.json"
 test -f "$ART_DIR/gen2.json"
 
-# Speculative-bisect smoke: j1 vs j8 through a real binary, byte for byte.
+# Parallel-bisect smoke: j1 vs j8 through a real binary, byte for byte.
 go build -o "$SHARD_TMP/laghos-bisect" ./examples/laghos-bisect
 "$SHARD_TMP/laghos-bisect" -j 1 >"$SHARD_TMP/laghos-j1.txt"
 "$SHARD_TMP/laghos-bisect" -j 8 >"$SHARD_TMP/laghos-j8.txt"
 diff "$SHARD_TMP/laghos-j1.txt" "$SHARD_TMP/laghos-j8.txt"
+
+# Artifact -j smoke: a shard artifact holds exactly what the -j 1 run
+# evaluated, so the -j 8 file equals the -j 1 file byte for byte.
+"$SHARD_TMP/flit" experiments -j 1 -shard 0/1 -shard-out "$SHARD_TMP/nan-j1.json" laghos-nan
+"$SHARD_TMP/flit" experiments -j 8 -shard 0/1 -shard-out "$SHARD_TMP/nan-j8.json" laghos-nan
+cmp "$SHARD_TMP/nan-j1.json" "$SHARD_TMP/nan-j8.json"
 
 # Persistent-store smoke: two processes sharing only a -store directory.
 # The second run must reproduce the first byte for byte without building a
